@@ -282,13 +282,13 @@ let of_logical ctx (dag : Slogical.Dag.t) : out list =
    Spools and enforcers are transparent; a local/global aggregation pair
    collapses through {!mk_global}. *)
 let of_physical ctx (plan : Sphys.Plan.t) : (out * Sphys.Props.t) list =
-  let memo : (Sphys.Plan.t * int) list ref = ref [] in
+  let memo : int Sphys.Plan.Tbl.t = Sphys.Plan.Tbl.create 64 in
   let rec go (p : Sphys.Plan.t) =
-    match List.find_opt (fun (q, _) -> q == p) !memo with
-    | Some (_, c) -> c
+    match Sphys.Plan.Tbl.find_opt memo p with
+    | Some c -> c
     | None ->
         let c = node p in
-        memo := (p, c) :: !memo;
+        Sphys.Plan.Tbl.add memo p c;
         c
   and node (p : Sphys.Plan.t) =
     match (p.Sphys.Plan.op, p.Sphys.Plan.children) with

@@ -141,15 +141,17 @@ let lineage_diags (dag : Slogical.Dag.t) (plan : Plan.t) =
 
 (* Walk physically distinct plan nodes once. *)
 let distinct_nodes (plan : Plan.t) =
-  let seen = ref [] in
+  let seen = Plan.Tbl.create 64 in
+  let order = ref [] in
   let rec go (n : Plan.t) =
-    if not (List.exists (fun p -> p == n) !seen) then begin
-      seen := n :: !seen;
+    if not (Plan.Tbl.mem seen n) then begin
+      Plan.Tbl.add seen n ();
+      order := n :: !order;
       List.iter go n.Plan.children
     end
   in
   go plan;
-  List.rev !seen
+  List.rev !order
 
 let enforcer_diags (plan : Plan.t) =
   List.concat_map

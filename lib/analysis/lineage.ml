@@ -156,13 +156,13 @@ let rec strip (p : Sphys.Plan.t) =
 (* Per-output lineage environments of a physical plan, keyed by output
    file. *)
 let of_plan ctx (plan : Sphys.Plan.t) : (string * env) list =
-  let memo : (Sphys.Plan.t * env) list ref = ref [] in
+  let memo : env Sphys.Plan.Tbl.t = Sphys.Plan.Tbl.create 64 in
   let rec go (p : Sphys.Plan.t) =
-    match List.find_opt (fun (q, _) -> q == p) !memo with
-    | Some (_, e) -> e
+    match Sphys.Plan.Tbl.find_opt memo p with
+    | Some e -> e
     | None ->
         let e = node p in
-        memo := (p, e) :: !memo;
+        Sphys.Plan.Tbl.add memo p e;
         e
   and node (p : Sphys.Plan.t) : env =
     match (p.Sphys.Plan.op, p.Sphys.Plan.children) with

@@ -99,21 +99,24 @@ let expr_diags (memo : Smemo.Memo.t) (g : Smemo.Memo.group) =
 
 (* --- winner checks ----------------------------------------------------- *)
 
+let reproduced_op_cost ~cluster (n : Plan.t) =
+  Scost.Costmodel.op_cost cluster n.Plan.op n.Plan.children ~out:n.Plan.stats
+
+let additive_cost (n : Plan.t) =
+  List.fold_left (fun acc c -> acc +. c.Plan.cost) n.Plan.op_cost n.Plan.children
+
 (* Recompute the plan's costs bottom-up: every node's [op_cost] must
    reproduce from the cost model over its children and its [cost] must be
    the additive total.  Distinct nodes are visited once (the plan may be a
    DAG through shared spools). *)
 let cost_diags ~cluster ~loc (plan : Plan.t) =
-  let seen = ref [] in
+  let seen = Plan.Tbl.create 64 in
   let diags = ref [] in
   let rec go (n : Plan.t) =
-    if not (List.exists (fun p -> p == n) !seen) then begin
-      seen := n :: !seen;
+    if not (Plan.Tbl.mem seen n) then begin
+      Plan.Tbl.add seen n ();
       List.iter go n.Plan.children;
-      let expected =
-        Scost.Costmodel.op_cost cluster n.Plan.op n.Plan.children
-          ~out:n.Plan.stats
-      in
+      let expected = reproduced_op_cost ~cluster n in
       if not (close expected n.Plan.op_cost) then
         diags :=
           Diag.make ~code:"SA003" ~loc
@@ -121,11 +124,7 @@ let cost_diags ~cluster ~loc (plan : Plan.t) =
                "%s records op_cost %.6g, cost model reproduces %.6g"
                (Physop.short_name n.Plan.op) n.Plan.op_cost expected)
           :: !diags;
-      let additive =
-        List.fold_left
-          (fun acc c -> acc +. c.Plan.cost)
-          n.Plan.op_cost n.Plan.children
-      in
+      let additive = additive_cost n in
       if not (close additive n.Plan.cost) then
         diags :=
           Diag.make ~code:"SA003" ~loc
@@ -138,44 +137,73 @@ let cost_diags ~cluster ~loc (plan : Plan.t) =
   go plan;
   List.rev !diags
 
-let winner_diags ~cluster (g : Smemo.Memo.group) =
+(* The SA003 and SA004 checks are local to a node and its direct
+   children, so a winner passes them exactly when every distinct node of
+   its subtree does.  Winners of one memo share most of their subplans
+   physically (a parent's winner is built over its children's winners,
+   and phase 2 re-optimizes under pinned properties), so the verdict is
+   memoized per distinct node in [clean], one table per audit: the memo
+   is then checked in O(distinct nodes) rather than O(sum of winner
+   subtree sizes).  Only a winner with a violation somewhere below it is
+   walked again, by the per-winner path that words its diagnostics. *)
+let rec subtree_clean ~cluster clean (n : Plan.t) =
+  match Plan.Tbl.find_opt clean n with
+  | Some ok -> ok
+  | None ->
+      let ok =
+        List.for_all (subtree_clean ~cluster clean) n.Plan.children
+        && Plan_check.check_op n = []
+        && close (reproduced_op_cost ~cluster n) n.Plan.op_cost
+        && close (additive_cost n) n.Plan.cost
+      in
+      Plan.Tbl.add clean n ok;
+      ok
+
+let winner_loc (g : Smemo.Memo.group) (w : Smemo.Memo.winner) =
+  Diag.Winner
+    ( g.Smemo.Memo.id,
+      Printf.sprintf "phase %d, %s" w.Smemo.Memo.wphase
+        (Reqprops.to_string w.Smemo.Memo.wreq) )
+
+let winner_diags ~cluster ~clean (g : Smemo.Memo.group) =
   let winners = Smemo.Memo.winners_of g in
   List.concat_map
     (fun (w : Smemo.Memo.winner) ->
-      let loc =
-        Diag.Winner
-          ( g.Smemo.Memo.id,
-            Printf.sprintf "phase %d, %s" w.Smemo.Memo.wphase
-              (Reqprops.to_string w.Smemo.Memo.wreq) )
-      in
+      (* printed only once a diagnostic needs it *)
+      let loc = lazy (winner_loc g w) in
       match w.Smemo.Memo.wplan with
       | Some p ->
           let root_diags =
             if p.Plan.group = g.Smemo.Memo.id then []
             else
               [
-                Diag.make ~code:"SA007" ~loc
+                Diag.make ~code:"SA007" ~loc:(Lazy.force loc)
                   (Printf.sprintf "winner root implements group %d" p.Plan.group);
               ]
           in
-          let check_diags =
-            match Plan_check.validate p with
-            | Ok () -> []
-            | Error errs ->
-                List.map
-                  (fun e -> Diag.make ~code:"SA004" ~loc (Plan_check.violations_to_string [ e ]))
-                  errs
+          let check_diags, cost_checks =
+            if subtree_clean ~cluster clean p then ([], [])
+            else
+              ( (match Plan_check.validate p with
+                | Ok () -> []
+                | Error errs ->
+                    List.map
+                      (fun e ->
+                        Diag.make ~code:"SA004" ~loc:(Lazy.force loc)
+                          (Plan_check.violations_to_string [ e ]))
+                      errs),
+                cost_diags ~cluster ~loc:(Lazy.force loc) p )
           in
           let req_diags =
             if Reqprops.satisfied p.Plan.props w.Smemo.Memo.wreq then []
             else
               [
-                Diag.make ~code:"SA005" ~loc
+                Diag.make ~code:"SA005" ~loc:(Lazy.force loc)
                   (Printf.sprintf "winner delivers %s"
                      (Props.to_string p.Plan.props));
               ]
           in
-          root_diags @ check_diags @ req_diags @ cost_diags ~cluster ~loc p
+          root_diags @ check_diags @ req_diags @ cost_checks
       | None ->
           (* an infeasibility marker must not be contradicted by a feasible
              winner of the same group recorded in the same phase under the
@@ -194,30 +222,33 @@ let winner_diags ~cluster (g : Smemo.Memo.group) =
           (match contradiction with
           | Some w' ->
               [
-                Diag.make ~code:"SA006" ~loc
+                Diag.make ~code:"SA006" ~loc:(Lazy.force loc)
                   (Printf.sprintf
                      "marked infeasible, but the winner for %s satisfies it"
                      (Reqprops.to_string w'.Smemo.Memo.wreq));
               ]
           | None -> []))
-    (List.stable_sort
-       (fun (a : Smemo.Memo.winner) b ->
-         compare
-           (a.Smemo.Memo.wphase, Reqprops.to_key a.Smemo.Memo.wreq)
-           (b.Smemo.Memo.wphase, Reqprops.to_key b.Smemo.Memo.wreq))
-       winners)
+    (* sort on a key built once per winner, not twice per comparison *)
+    (List.map
+       (fun (w : Smemo.Memo.winner) ->
+         ((w.Smemo.Memo.wphase, Reqprops.to_key w.Smemo.Memo.wreq), w))
+       winners
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd)
 
 let run ~cluster (memo : Smemo.Memo.t) : Diag.t list =
   let cycles = cycle_diags memo in
   let live = Smemo.Memo.reachable memo in
-  let rest = ref [] in
+  let clean = Plan.Tbl.create 1024 in
+  let rest_rev = ref [] in
   Smemo.Memo.iter_groups memo (fun g ->
       if live.(g.Smemo.Memo.id) then
-        rest :=
-          !rest
-          @ expr_diags memo g
-          @ Logical_audit.stats_diags
-              ~loc:(Diag.Group g.Smemo.Memo.id)
-              g.Smemo.Memo.stats
-          @ winner_diags ~cluster g);
-  cycles @ !rest
+        rest_rev :=
+          List.rev_append
+            (expr_diags memo g
+            @ Logical_audit.stats_diags
+                ~loc:(Diag.Group g.Smemo.Memo.id)
+                g.Smemo.Memo.stats
+            @ winner_diags ~cluster ~clean g)
+            !rest_rev);
+  cycles @ List.rev !rest_rev

@@ -11,12 +11,22 @@
     properties are checked against the recorded requirement (SA005), its
     root must implement the audited group (SA007), and every infeasibility
     marker is checked against feasible winners of the same group, phase and
-    enforcement map (SA006). *)
+    enforcement map (SA006).
+
+    The SA003/SA004 verdict is memoized per distinct plan node (by
+    physical identity) within one {!run}, so winners sharing subplans
+    cost O(distinct nodes) between them; only a winner with a violation
+    below it is walked again to word its diagnostics. *)
 
 (** Relative tolerance for cost-reproduction comparisons. *)
 val cost_tolerance : float
 
-(** Audit one winner plan's costs against the cost model. *)
+(** Where the winner checks report a memoized winner of a group. *)
+val winner_loc : Smemo.Memo.group -> Smemo.Memo.winner -> Diag.location
+
+(** Audit one winner plan's costs against the cost model, visiting each
+    distinct node once.  {!run} emits exactly these SA003 diagnostics
+    for every winner. *)
 val cost_diags :
   cluster:Scost.Cluster.t -> loc:Diag.location -> Sphys.Plan.t -> Diag.t list
 

@@ -85,11 +85,12 @@ let some_winner (g : Memo.group) =
   | None -> die "mutation harness: group %d has no winner with a plan" g.Memo.id
 
 (* Rebuild a plan with [f]-selected nodes replaced, preserving physical
-   identity of untouched subtrees so spool sharing survives the rewrite. *)
-let map_plan f plan =
-  let mapped : (Plan.t * Plan.t) list ref = ref [] in
+   identity of untouched subtrees so spool sharing survives the rewrite.
+   Plans rebuilt over one [mapped] table also share their rewritten
+   nodes with each other. *)
+let map_plan ?(mapped = Plan.Tbl.create 64) f plan =
   let rec go (n : Plan.t) =
-    match List.assq_opt n !mapped with
+    match Plan.Tbl.find_opt mapped n with
     | Some n' -> n'
     | None ->
         let n' =
@@ -100,7 +101,7 @@ let map_plan f plan =
               if List.for_all2 ( == ) children n.Plan.children then n
               else { n with Plan.children }
         in
-        mapped := (n, n') :: !mapped;
+        Plan.Tbl.add mapped n n';
         n'
   in
   go plan
@@ -161,14 +162,40 @@ let is_group_by (n : Slogical.Dag.node) =
    winners (SA001-SA007), plus the statistics each group carries
    (SA021/SA022). *)
 
-let memo_mutation mname mcode corrupt =
-  mutation mname mcode (fun () ->
+(* [corrupt] tampers with the memo of a fresh pipeline run and returns
+   the winners that must each report [ccode]; for most corruptions one
+   report anywhere suffices ([]). *)
+type memo_corruption = {
+  cname : string;
+  ccode : string;
+  corrupt : Cse.Pipeline.report -> Memo.t -> Diag.location list;
+}
+
+let memo_corruption cname ccode f =
+  { cname; ccode; corrupt = (fun r memo -> f r memo; []) }
+
+(* The memo audit around the corruption.  A report of the code that
+   misses one of the affected winners is withheld, so [verify] counts
+   the corruption as escaped. *)
+let memo_mutation c =
+  mutation c.cname c.ccode (fun () ->
       let _, cluster, r = fresh () in
       let memo = r.Cse.Pipeline.memo in
-      ((fun () -> Memo_audit.run ~cluster memo), fun () -> corrupt r memo))
+      let affected = ref [] in
+      let audit () =
+        let diags = Memo_audit.run ~cluster memo in
+        let reported loc =
+          List.exists
+            (fun (d : Diag.t) -> d.Diag.code = c.ccode && d.Diag.loc = loc)
+            diags
+        in
+        if List.for_all reported !affected then diags
+        else List.filter (fun (d : Diag.t) -> d.Diag.code <> c.ccode) diags
+      in
+      (audit, fun () -> affected := c.corrupt r memo))
 
 let sa001 =
-  memo_mutation "SA001 spool expression referencing its own group" "SA001"
+  memo_corruption "SA001 spool expression referencing its own group" "SA001"
     (fun r memo ->
       let spool = (List.hd r.Cse.Pipeline.shared).Cse.Spool.spool in
       Memo.set_exprs memo
@@ -176,7 +203,7 @@ let sa001 =
         [ { Memo.mop = Logop.Spool; children = [ spool ] } ])
 
 let sa002 =
-  memo_mutation "SA002 expression breaking its group's schema" "SA002"
+  memo_corruption "SA002 expression breaking its group's schema" "SA002"
     (fun _ memo ->
       let root = Memo.root_group memo in
       let child = List.hd (Memo.group_children root) in
@@ -185,7 +212,7 @@ let sa002 =
         @ [ { Memo.mop = Logop.Union_all; children = [ child ] } ]))
 
 let sa003 =
-  memo_mutation "SA003 winner operator cost off by 1e6" "SA003"
+  memo_corruption "SA003 winner operator cost off by 1e6" "SA003"
     (fun _ memo ->
       let root = Memo.root_group memo in
       let key, w, p = some_winner root in
@@ -195,8 +222,71 @@ let sa003 =
           Memo.wplan = Some { p with Plan.op_cost = p.Plan.op_cost +. 1.0e6 };
         })
 
+(* A parent group's winner is built over its children's winners, so one
+   plan node is shared physically by the winners of several groups.
+   Corrupt the node reached by the most groups, once, under every winner
+   that reaches it: each of those winners must report SA003, not only
+   the first one audited. *)
+let sa003_shared =
+  {
+    cname = "SA003 op cost of a plan node shared by several groups' winners";
+    ccode = "SA003";
+    corrupt =
+      (fun _ memo ->
+        let live = Memo.reachable memo in
+        let winners = ref [] in
+        Memo.iter_groups memo (fun g ->
+            if live.(g.Memo.id) then
+              Hashtbl.iter
+                (fun key (w : Memo.winner) ->
+                  match w.Memo.wplan with
+                  | Some p -> winners := (g, key, w, p) :: !winners
+                  | None -> ())
+                g.Memo.winners);
+        let winners = List.rev !winners in
+        (* the groups whose winners reach each distinct node *)
+        let groups = Plan.Tbl.create 64 in
+        List.iter
+          (fun ((g : Memo.group), _, _, p) ->
+            let rec go (n : Plan.t) =
+              match Plan.Tbl.find_opt groups n with
+              | Some gs when List.mem g.Memo.id gs -> ()
+              | found ->
+                  Plan.Tbl.replace groups n
+                    (g.Memo.id :: Option.value ~default:[] found);
+                  List.iter go n.Plan.children
+            in
+            go p)
+          winners;
+        let victim, reach =
+          Plan.Tbl.fold
+            (fun n gs ((_, best) as acc) ->
+              let k = List.length gs in
+              if k > best then (Some n, k) else acc)
+            groups (None, 0)
+        in
+        let victim =
+          match victim with
+          | Some n when reach >= 2 -> n
+          | _ -> die "mutation harness: no plan node shared across groups"
+        in
+        let bad = { victim with Plan.op_cost = victim.Plan.op_cost +. 1.0e6 } in
+        let mapped = Plan.Tbl.create 64 in
+        List.filter_map
+          (fun ((g : Memo.group), key, (w : Memo.winner), p) ->
+            let p' =
+              map_plan ~mapped (fun n -> if n == victim then Some bad else None) p
+            in
+            if p' == p then None
+            else begin
+              Hashtbl.replace g.Memo.winners key { w with Memo.wplan = Some p' };
+              Some (Memo_audit.winner_loc g w)
+            end)
+          winners);
+  }
+
 let sa004 =
-  memo_mutation "SA004 winner plan with fabricated sort property" "SA004"
+  memo_corruption "SA004 winner plan with fabricated sort property" "SA004"
     (fun _ memo ->
       let root = Memo.root_group memo in
       let key, w, p = some_winner root in
@@ -207,7 +297,7 @@ let sa004 =
         { w with Memo.wplan = Some { p with Plan.props = props } })
 
 let sa005 =
-  memo_mutation "SA005 winner under an unsatisfiable requirement" "SA005"
+  memo_corruption "SA005 winner under an unsatisfiable requirement" "SA005"
     (fun _ memo ->
       let root = Memo.root_group memo in
       let key, w, _ = some_winner root in
@@ -221,7 +311,7 @@ let sa005 =
         })
 
 let sa006 =
-  memo_mutation "SA006 infeasibility marker next to a feasible winner" "SA006"
+  memo_corruption "SA006 infeasibility marker next to a feasible winner" "SA006"
     (fun _ memo ->
       let root = Memo.root_group memo in
       let _, w, _ = some_winner root in
@@ -234,7 +324,7 @@ let sa006 =
         })
 
 let sa007 =
-  memo_mutation "SA007 winner plan rooted at the wrong group" "SA007"
+  memo_corruption "SA007 winner plan rooted at the wrong group" "SA007"
     (fun _ memo ->
       let root = Memo.root_group memo in
       let key, w, p = some_winner root in
@@ -242,13 +332,13 @@ let sa007 =
         { w with Memo.wplan = Some { p with Plan.group = p.Plan.group + 1 } })
 
 let sa021 =
-  memo_mutation "SA021 NaN row estimate on a memo group" "SA021"
+  memo_corruption "SA021 NaN row estimate on a memo group" "SA021"
     (fun _ memo ->
       let g = Memo.root_group memo in
       g.Memo.stats <- { g.Memo.stats with Slogical.Stats.rows = Float.nan })
 
 let sa022 =
-  memo_mutation "SA022 column NDV far above the row estimate" "SA022"
+  memo_corruption "SA022 column NDV far above the row estimate" "SA022"
     (fun _ memo ->
       let g = Memo.root_group memo in
       g.Memo.stats <-
@@ -648,23 +738,21 @@ let sa057 =
       let dup = { spool_stage with Stage.id = Array.length g.Stage.stages } in
       { g with Stage.stages = Array.append g.Stage.stages [| dup |] })
 
+let memo_corruptions =
+  [ sa001; sa002; sa003; sa003_shared; sa004; sa005; sa006; sa007; sa021; sa022 ]
+
+(* catalog order of the expected codes *)
 let all =
-  [
-    sa001;
-    sa002;
-    sa003;
-    sa004;
-    sa005;
-    sa006;
-    sa007;
+  List.stable_sort
+    (fun a b -> String.compare a.mcode b.mcode)
+    (List.map memo_mutation memo_corruptions
+    @ [
     sa010;
     sa011;
     sa012;
     sa013;
     sa014;
     sa020;
-    sa021;
-    sa022;
     sa031;
     sa032;
     sa033;
@@ -683,7 +771,16 @@ let all =
     sa056;
     sa057;
     sa058;
-  ]
+  ])
+
+let corrupted_memos () =
+  List.map
+    (fun c ->
+      let _, cluster, r = fresh () in
+      let memo = r.Cse.Pipeline.memo in
+      ignore (c.corrupt r memo);
+      (c.cname, cluster, memo))
+    memo_corruptions
 
 (* ---- verification ------------------------------------------------------ *)
 

@@ -24,3 +24,9 @@ val all : mutation list
     code.  [Error] carries a human-readable explanation (including
     harness failures such as an exception during the corruption). *)
 val verify : mutation -> (unit, string) result
+
+(** Every memo-layer corruption of {!all}, each applied to the memo of a
+    fresh pipeline run: label, cluster and corrupted memo.  Lets tests
+    compare {!Memo_audit.run} against an independent reference on
+    corrupted memos too. *)
+val corrupted_memos : unit -> (string * Scost.Cluster.t * Smemo.Memo.t) list

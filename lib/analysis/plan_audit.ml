@@ -10,12 +10,12 @@ open Sphys
    per-operator checks. *)
 
 let run (plan : Plan.t) : Diag.t list =
-  let seen = ref [] in
+  let seen = Plan.Tbl.create 64 in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let rec go (n : Plan.t) =
-    if not (List.exists (fun p -> p == n) !seen) then begin
-      seen := n :: !seen;
+    if not (Plan.Tbl.mem seen n) then begin
+      Plan.Tbl.add seen n ();
       List.iter go n.Plan.children;
       let loc = Diag.Operator (Physop.short_name n.Plan.op) in
       (* the per-operator checks of the independent checker *)

@@ -108,5 +108,3 @@ let read_diags (g : Stage.graph) =
 
 let check_graph (g : Stage.graph) : Diag.t list =
   write_diags g (ancestors g) @ read_diags g
-
-let run (plan : Plan.t) : Diag.t list = check_graph (Stage.build plan)

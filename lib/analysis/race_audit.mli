@@ -6,6 +6,3 @@
     ordered by a dependency edge to its producer (SA056). *)
 
 val check_graph : Sexec.Stage.graph -> Diag.t list
-
-(** Build the stage graph of a plan and audit it. *)
-val run : Sphys.Plan.t -> Diag.t list

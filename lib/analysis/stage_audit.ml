@@ -95,13 +95,16 @@ let deps_diags (g : Stage.graph) =
    physical sharing means the optimizer reused a subtree without
    materializing it. *)
 let sharing_diags (g : Stage.graph) =
-  let seen = ref [] in
+  (* node -> already reported as duplicated *)
+  let seen = Plan.Tbl.create 64 in
   let dup = ref [] in
   let note (n : Plan.t) =
-    if List.exists (fun m -> m == n) !seen then begin
-      if not (List.exists (fun m -> m == n) !dup) then dup := n :: !dup
-    end
-    else seen := n :: !seen
+    match Plan.Tbl.find_opt seen n with
+    | None -> Plan.Tbl.add seen n false
+    | Some false ->
+        Plan.Tbl.replace seen n true;
+        dup := n :: !dup
+    | Some true -> ()
   in
   Array.iter
     (fun (st : Stage.stage) ->
@@ -183,6 +186,3 @@ let check_graph ?(expect_spooled_sharing = true) (plan : Plan.t)
   topo_diags plan g @ deps_diags g
   @ (if expect_spooled_sharing then sharing_diags g else [])
   @ sink_diags g @ reach_diags g
-
-let run ?expect_spooled_sharing (plan : Plan.t) : Diag.t list =
-  check_graph ?expect_spooled_sharing plan (Stage.build plan)

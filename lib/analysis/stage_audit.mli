@@ -17,6 +17,3 @@ val check_graph :
   Sphys.Plan.t ->
   Sexec.Stage.graph ->
   Diag.t list
-
-(** Compile the plan with {!Sexec.Stage.build} and audit the result. *)
-val run : ?expect_spooled_sharing:bool -> Sphys.Plan.t -> Diag.t list

@@ -73,7 +73,8 @@ type t = {
      reused engine, a fault recovery — returns byte-identical rows by
      construction; serving the cached batches is indistinguishable from
      recomputing them.  Guarded by [extract_mu] (stages of one wave may
-     extract concurrently).  [rows_extracted] still counts every extract
+     extract concurrently).  A miss evicts every entry of an older
+     catalog version.  [rows_extracted] still counts every extract
      execution, cached or not, so fault accounting is unchanged. *)
   extract_mu : Mutex.t;
   extract_cache : (int * string * Schema.t, int * Batch.t list array) Hashtbl.t;
@@ -448,6 +449,15 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
               match Hashtbl.find_opt t.extract_cache key with
               | Some cached -> cached
               | None ->
+                  (* catalog versions only increase, so batches cached
+                     under an older version can never be read again:
+                     drop them, or a long-lived engine whose catalog
+                     keeps changing grows without bound *)
+                  let version, _, _ = key in
+                  Hashtbl.filter_map_inplace
+                    (fun (v, _, _) cached ->
+                      if v < version then None else Some cached)
+                    t.extract_cache;
                   let table =
                     Datagen.table ~config:t.datagen t.catalog ~file
                       ~schema:fschema

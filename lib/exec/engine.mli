@@ -58,8 +58,9 @@ type t = {
     (int * string * Relalg.Schema.t, int * Batch.t list array) Hashtbl.t;
       (** extract batches per (catalog version, file, schema): [Datagen]
           is deterministic, so serving the cache is indistinguishable
-          from re-extracting; [rows_extracted] still counts every
-          extract execution *)
+          from re-extracting; a miss evicts the entries of older
+          catalog versions; [rows_extracted] still counts every extract
+          execution *)
   mutable outputs_rev : (string * Relalg.Table.t) list;
       (** OUTPUT tables in reverse script order; [run] returns them
           reversed *)

@@ -65,6 +65,17 @@ let make ~op ~children ~group ~schema ~stats ~op_cost =
   in
   { op; children; group; schema; props; stats; op_cost; cost; sbase; srefs }
 
+(* Physical-identity tables: two keys are equal only when they are the
+   same node, so a walk keyed on them visits each distinct node of a plan
+   DAG once.  The hash reads immutable fields only, so it is stable for a
+   node's lifetime. *)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash n = Hashtbl.hash (n.group, n.op_cost, n.cost)
+end)
+
 (* Fold over every node (parents after children); shared subtrees are
    visited once per reference. *)
 let rec fold f acc t =

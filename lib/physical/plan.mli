@@ -40,6 +40,11 @@ val make :
   op_cost:float ->
   t
 
+(** Hash tables keyed by physical identity ([==]): a walk that records
+    visited nodes in one visits each distinct node of a plan DAG once,
+    at O(1) per lookup. *)
+module Tbl : Hashtbl.S with type key = t
+
 (** Fold over every node, children before parents; shared subtrees are
     visited once per reference. *)
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a

@@ -61,11 +61,12 @@ let merge_sorted pairs (ls : Sortorder.t) (rs : Sortorder.t) =
        lp rp
 
 let check_op (n : Plan.t) : violation list =
-  let where = Physop.to_string n.Plan.op in
   let child_schemas = List.map (fun c -> c.Plan.schema) n.Plan.children in
   let child_props = List.map (fun c -> c.Plan.props) n.Plan.children in
   let errs = ref [] in
-  let err what = errs := v where what :: !errs in
+  (* the operator is printed only once a violation is recorded: clean
+     nodes, the overwhelming majority, never format it *)
+  let err what = errs := v (Physop.to_string n.Plan.op) what :: !errs in
   let require_cols schema cols what =
     List.iter
       (fun c ->

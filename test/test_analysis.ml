@@ -70,6 +70,99 @@ let test_random_clean () =
     audit_clean ~machines:7 (Printf.sprintf "random seed %d" seed) script catalog
   done
 
+(* --- memo auditor: the memoized walk against a per-winner reference ------ *)
+
+(* The SA003/SA004 findings of the memo audit, rebuilt the slow way: every
+   feasible winner of every live group runs through the whole-plan
+   checker and the cost reproduction on its own, without sharing any
+   verdict with the other winners. *)
+let per_winner_reference ~cluster memo =
+  let live = Smemo.Memo.reachable memo in
+  let out = ref [] in
+  Smemo.Memo.iter_groups memo (fun g ->
+      if live.(g.Smemo.Memo.id) then
+        List.stable_sort
+          (fun (a : Smemo.Memo.winner) b ->
+            compare
+              (a.Smemo.Memo.wphase, Reqprops.to_key a.Smemo.Memo.wreq)
+              (b.Smemo.Memo.wphase, Reqprops.to_key b.Smemo.Memo.wreq))
+          (Smemo.Memo.winners_of g)
+        |> List.iter (fun (w : Smemo.Memo.winner) ->
+               match w.Smemo.Memo.wplan with
+               | None -> ()
+               | Some p ->
+                   let loc = Sanalysis.Memo_audit.winner_loc g w in
+                   let checks =
+                     match Plan_check.validate p with
+                     | Ok () -> []
+                     | Error errs ->
+                         List.map
+                           (fun e ->
+                             Sanalysis.Diag.make ~code:"SA004" ~loc
+                               (Plan_check.violations_to_string [ e ]))
+                           errs
+                   in
+                   out :=
+                     List.rev_append
+                       (checks @ Sanalysis.Memo_audit.cost_diags ~cluster ~loc p)
+                       !out));
+  List.rev !out
+
+let memo_audit_matches_reference name ~cluster memo =
+  let memoized =
+    List.filter
+      (fun (d : Sanalysis.Diag.t) ->
+        d.Sanalysis.Diag.code = "SA003" || d.Sanalysis.Diag.code = "SA004")
+      (Sanalysis.Memo_audit.run ~cluster memo)
+  in
+  let reference = per_winner_reference ~cluster memo in
+  if memoized <> reference then
+    Alcotest.failf "%s: memo audit differs from the per-winner reference:\n%s\nreference:\n%s"
+      name
+      (Fmt.str "%a" Sanalysis.Diag.pp_report memoized)
+      (Fmt.str "%a" Sanalysis.Diag.pp_report reference)
+
+let test_memo_audit_reference () =
+  let run ~machines name script catalog =
+    let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
+    let r = Cse.Pipeline.run ~cluster ~catalog script in
+    memo_audit_matches_reference name ~cluster r.Cse.Pipeline.memo
+  in
+  List.iter
+    (fun (name, script) ->
+      run ~machines:25 name script (Thelpers.default_catalog ()))
+    (Sworkload.Paper_scripts.all
+    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ]);
+  List.iter
+    (fun (name, spec) ->
+      let script = Sworkload.Large_gen.generate spec in
+      let catalog = Relalg.Catalog.default () in
+      Sworkload.Large_gen.register_files
+        ~shared_rows:spec.Sworkload.Large_gen.shared_rows
+        ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
+      run ~machines:25 name script catalog)
+    [
+      ("LS1", Sworkload.Large_gen.ls1_spec); ("LS2", Sworkload.Large_gen.ls2_spec);
+    ];
+  for seed = 1 to 25 do
+    let script = Sworkload.Random_gen.generate ~seed ~statements:8 () in
+    run ~machines:7
+      (Printf.sprintf "random seed %d" seed)
+      script
+      (Sworkload.Random_gen.catalog ())
+  done;
+  (* the corrupted memos exercise the per-winner fallback: every winner
+     over a dirty node must be worded exactly as the reference words it *)
+  let corrupted = Sanalysis.Mutate.corrupted_memos () in
+  let findings = ref 0 in
+  List.iter
+    (fun (name, cluster, memo) ->
+      findings := !findings + List.length (per_winner_reference ~cluster memo);
+      memo_audit_matches_reference name ~cluster memo)
+    corrupted;
+  Alcotest.(check bool) "corruptions produce SA003/SA004 findings" true
+    (!findings > 0)
+
 (* --- negative: memo auditor --------------------------------------------- *)
 
 (* SA001: a spool expression rewritten to reference its own group. *)
@@ -426,6 +519,11 @@ let test_sa034_stale_region_cache () =
 
 (* --- negative: stage-graph audit ----------------------------------------- *)
 
+(* The stage audit of a plan's own freshly compiled graph. *)
+let stage_audit ?expect_spooled_sharing plan =
+  Sanalysis.Stage_audit.check_graph ?expect_spooled_sharing plan
+    (Sexec.Stage.build plan)
+
 (* SA040: a graph whose sink is not the last stage. *)
 let test_sa040_not_topological () =
   let _, _, r = raw_report Sworkload.Paper_scripts.s1 in
@@ -434,7 +532,7 @@ let test_sa040_not_topological () =
   Alcotest.(check bool) "several stages" true (Sexec.Stage.size g > 1);
   let bad = { g with Sexec.Stage.sink = 0 } in
   assert_code "SA040" (Sanalysis.Stage_audit.check_graph plan bad);
-  assert_not_code "SA040" (Sanalysis.Stage_audit.run plan)
+  assert_not_code "SA040" (stage_audit plan)
 
 (* SA041: a stage whose recorded dependencies vanish. *)
 let test_sa041_divergent_deps () =
@@ -450,7 +548,7 @@ let test_sa041_divergent_deps () =
   in
   assert_code "SA041"
     (Sanalysis.Stage_audit.check_graph plan { g with Sexec.Stage.stages });
-  assert_not_code "SA041" (Sanalysis.Stage_audit.run plan)
+  assert_not_code "SA041" (stage_audit plan)
 
 (* SA042: the conventional baseline shares winner subplans physically, so
    auditing it under CSE expectations warns; under its own expectations it
@@ -459,9 +557,9 @@ let test_sa042_unspooled_sharing () =
   let _, _, r = raw_report Sworkload.Paper_scripts.s1 in
   let conv = r.Cse.Pipeline.conventional_plan in
   assert_code "SA042"
-    (Sanalysis.Stage_audit.run ~expect_spooled_sharing:true conv);
+    (stage_audit ~expect_spooled_sharing:true conv);
   assert_not_code "SA042"
-    (Sanalysis.Stage_audit.run ~expect_spooled_sharing:false conv)
+    (stage_audit ~expect_spooled_sharing:false conv)
 
 (* SA043: declaring an interior stage the sink makes the true sink's
    OUTPUT/SEQUENCE interior illegal. *)
@@ -471,7 +569,7 @@ let test_sa043_output_outside_sink () =
   let g = Sexec.Stage.build plan in
   let bad = { g with Sexec.Stage.sink = 0 } in
   assert_code "SA043" (Sanalysis.Stage_audit.check_graph plan bad);
-  assert_not_code "SA043" (Sanalysis.Stage_audit.run plan)
+  assert_not_code "SA043" (stage_audit plan)
 
 (* SA044: severing the sink's dependencies strands every upstream stage —
    unreachable stages would break the scheduler's sink-runs-last-and-alone
@@ -490,7 +588,7 @@ let test_sa044_unreachable_stage () =
   in
   assert_code "SA044"
     (Sanalysis.Stage_audit.check_graph plan { g with Sexec.Stage.stages });
-  assert_not_code "SA044" (Sanalysis.Stage_audit.run plan)
+  assert_not_code "SA044" (stage_audit plan)
 
 (* --- trace audit (SA045) -------------------------------------------------- *)
 
@@ -687,6 +785,8 @@ let () =
           Alcotest.test_case "LS1" `Slow test_ls1_clean;
           Alcotest.test_case "LS2" `Slow test_ls2_clean;
           Alcotest.test_case "random scripts" `Slow test_random_clean;
+          Alcotest.test_case "memo audit = per-winner reference" `Slow
+            test_memo_audit_reference;
         ] );
       ( "memo auditor",
         [

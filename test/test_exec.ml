@@ -202,6 +202,35 @@ let test_run_twice_same_result () =
       Alcotest.(check bool) "rows" true (Table.same_contents t1 t2))
     o1 o2
 
+(* A long-lived engine (the serve executor) sees the catalog version
+   advance after every batch; its extract cache must keep the current
+   version only, and the outputs must stay correct. *)
+let test_extract_cache_evicts_old_versions () =
+  let catalog, dag, plan = optimize Sworkload.Paper_scripts.s2 in
+  let engine = Sexec.Engine.create ~machines:5 catalog in
+  ignore (Sexec.Engine.run engine plan);
+  for _ = 1 to 5 do
+    Catalog.bump_version catalog;
+    let outputs = Sexec.Engine.run engine plan in
+    let current = Catalog.version catalog in
+    let versions =
+      Hashtbl.fold
+        (fun (v, _, _) _ acc -> v :: acc)
+        engine.Sexec.Engine.extract_cache []
+    in
+    Alcotest.(check bool) "extracts cached" true (versions <> []);
+    List.iter
+      (fun v -> Alcotest.(check int) "cached version is current" current v)
+      versions;
+    List.iter2
+      (fun (f1, t1) (f2, t2) ->
+        Alcotest.(check string) "file" f1 f2;
+        Alcotest.(check bool) (f1 ^ " matches the reference") true
+          (Table.same_contents t1 t2))
+      (Sexec.Reference.run catalog dag)
+      outputs
+  done
+
 (* --- staged execution and fault injection -------------------------------- *)
 
 let test_stage_graph_shape () =
@@ -677,6 +706,8 @@ let () =
             test_machine_count_invariance;
           Alcotest.test_case "output order" `Quick test_outputs_in_script_order;
           Alcotest.test_case "deterministic runs" `Quick test_run_twice_same_result;
+          Alcotest.test_case "extract cache evicts old versions" `Quick
+            test_extract_cache_evicts_old_versions;
         ] );
       ( "staged faults",
         [
