@@ -159,62 +159,131 @@ let project schema' items b =
   in
   { schema = schema'; len = n; cols = cols'; sel = None }
 
-(* Stable sort on precomputed (column index, direction) keys: ties keep
-   their input order, exactly like [List.stable_sort] over rows.
+(* Output row [j] is input row [perm.(j)]. *)
+let gather_rows b perm =
+  { b with cols = Array.map (fun col -> Array.map (fun i -> col.(i)) perm) b.cols }
 
-   Two fast paths, both order-identical to the generic comparator: an
-   all-[Int] key column compares unboxed ints (skipping the
-   [Value.compare] dispatch that otherwise dominates), and an input that
-   is already sorted returns unchanged (a stable sort of a sorted
-   sequence is the identity permutation). *)
+(* Output row [dst.(i)] is input row [i]; [dst] is a permutation.  The
+   counting sort's placement yields this destination map directly, into
+   its packed-key array; turning it into a [gather_rows] source
+   permutation would take a third [n]-word scratch array, more than the
+   single-key comparator path it replaced allocated. *)
+let scatter_rows b dst =
+  let scatter col =
+    let out = Array.make b.len Value.Null in
+    Array.iteri (fun i v -> out.(dst.(i)) <- v) col;
+    out
+  in
+  { b with cols = Array.map scatter b.cols }
+
+(* Counting sort takes over when the key span is at most this many
+   times the row count.  At 1 its counts array is no longer than the
+   row count, so the whole path allocates at most [2n + 1] words. *)
+let counting_span_per_row = 1
+
+(* A key tuple packs into one int in [0, span) when every key column is
+   all-[Int] and the product of the per-key ranges is at most
+   [max_span].  Returns each key's (column, direction, lo, hi, range),
+   most significant first, and the span. *)
+let pack_plan ~max_span keys b =
+  let rec go acc span = function
+    | [] -> Some (List.rev acc, span)
+    | (c, dir) :: rest ->
+        let col = b.cols.(c) in
+        let lo = ref max_int and hi = ref min_int and ints = ref true in
+        Array.iter
+          (function
+            | Value.Int x ->
+                if x < !lo then lo := x;
+                if x > !hi then hi := x
+            | _ -> ints := false)
+          col;
+        let d = !hi - !lo in
+        (* [d < 0] is the wrap-around of a range wider than [max_int];
+           [d < max_span / span] keeps [span * (d + 1)] within [max_span] *)
+        if (not !ints) || d < 0 || d >= max_span / span then None
+        else go ((col, dir, !lo, !hi, d + 1) :: acc) (span * (d + 1)) rest
+  in
+  go [] 1 keys
+
+(* Packed key of every row, in [0, span), with [Desc] digits as
+   [hi - x]: int order on packed keys is the lexicographic,
+   direction-adjusted [Value.compare] order on key tuples. *)
+let pack plan n =
+  let packed = Array.make n 0 in
+  List.iter
+    (fun (col, dir, lo, hi, range) ->
+      for i = 0 to n - 1 do
+        let x = match col.(i) with Value.Int x -> x | _ -> assert false in
+        let digit =
+          match dir with Sortorder.Asc -> x - lo | Sortorder.Desc -> hi - x
+        in
+        packed.(i) <- (packed.(i) * range) + digit
+      done)
+    plan;
+  packed
+
+(* Whether [le (i - 1) i] holds for every row [i] in [1, n). *)
+let in_order n le =
+  let rec go i = i >= n || (le (i - 1) i && go (i + 1)) in
+  go 1
+
+(* Lexicographic comparator over boxed values: the path for keys that
+   are not all-[Int] or whose packed span is too wide to count. *)
+let value_cmp keys b =
+  let cols = Array.of_list (List.map (fun (c, _) -> b.cols.(c)) keys) in
+  let desc = Array.of_list (List.map (fun (_, d) -> d = Sortorder.Desc) keys) in
+  let nk = Array.length cols in
+  fun i j ->
+    let rec go k =
+      if k = nk then 0
+      else
+        let r = Value.compare cols.(k).(i) cols.(k).(j) in
+        if r <> 0 then if desc.(k) then -r else r else go (k + 1)
+    in
+    go 0
+
+(* Stable sort on precomputed (column index, direction) keys: ties keep
+   their input order, exactly like [List.stable_sort] over rows.  An
+   input that is already sorted returns unchanged (the stable sort of a
+   sorted sequence is the identity permutation).
+
+   Integer keys whose span is at most [counting_span_per_row] times the
+   row count are packed into one int per row (see [pack]) and counting
+   sorted: rows are placed in input order within their key's slot, so
+   ties keep input order.  Other keys, and wider spans, compare boxed
+   values through [value_cmp]. *)
 let sort keys b =
   let b = dense b in
-  let key_cmp (c, dir) =
-    let col = b.cols.(c) in
-    if Array.for_all (function Value.Int _ -> true | _ -> false) col then begin
-      let k = Array.map (function Value.Int x -> x | _ -> 0) col in
-      match dir with
-      | Sortorder.Asc -> fun i j -> Int.compare k.(i) k.(j)
-      | Sortorder.Desc -> fun i j -> Int.compare k.(j) k.(i)
-    end
-    else
-      match dir with
-      | Sortorder.Asc -> fun i j -> Value.compare col.(i) col.(j)
-      | Sortorder.Desc -> fun i j -> Value.compare col.(j) col.(i)
-  in
-  let cmp =
-    match List.map key_cmp keys with
-    | [ c ] -> c
-    | cmps ->
-        fun i j ->
-          let rec go = function
-            | [] -> 0
-            | c :: rest ->
-                let r = c i j in
-                if r <> 0 then r else go rest
-          in
-          go cmps
-  in
-  let sorted =
-    let ok = ref true in
-    let i = ref 1 in
-    while !ok && !i < b.len do
-      if cmp (!i - 1) !i > 0 then ok := false;
-      incr i
-    done;
-    !ok
-  in
-  if sorted then b
-  else begin
-    let perm = Array.init b.len Fun.id in
-    Array.stable_sort cmp perm;
-    {
-      schema = b.schema;
-      len = b.len;
-      cols = Array.map (fun col -> Array.map (fun i -> col.(i)) perm) b.cols;
-      sel = None;
-    }
-  end
+  let n = b.len in
+  if n <= 1 then b
+  else
+    match pack_plan ~max_span:(counting_span_per_row * n) keys b with
+    | Some (plan, span) ->
+        let packed = pack plan n in
+        if in_order n (fun i j -> packed.(i) <= packed.(j)) then b
+        else begin
+          (* counts, prefix sums, then each row's destination in place *)
+          let next = Array.make (span + 1) 0 in
+          Array.iter (fun k -> next.(k + 1) <- next.(k + 1) + 1) packed;
+          for k = 1 to span - 1 do
+            next.(k) <- next.(k) + next.(k - 1)
+          done;
+          for i = 0 to n - 1 do
+            let k = packed.(i) in
+            packed.(i) <- next.(k);
+            next.(k) <- next.(k) + 1
+          done;
+          scatter_rows b packed
+        end
+    | None ->
+        let cmp = value_cmp keys b in
+        if in_order n (fun i j -> cmp i j <= 0) then b
+        else begin
+          let perm = Array.init n Fun.id in
+          Array.stable_sort cmp perm;
+          gather_rows b perm
+        end
 
 (* Route each live row to [(17 + sum of per-key Value.hash) mod machines]
    — the same commutative hash the row engine used.  Returns one

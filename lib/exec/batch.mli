@@ -52,7 +52,16 @@ val filter : Relalg.Expr.compiled -> t -> t
 val project : Relalg.Schema.t -> Relalg.Expr.compiled array -> t -> t
 
 (** Stable sort on (column index, direction) keys — ties keep input
-    order, like [List.stable_sort] over rows. *)
+    order, like [List.stable_sort] over rows; already-sorted input comes
+    back unchanged.
+
+    When every key column is all-[Int] and the key span (the product of
+    the per-key [max - min + 1]) is at most the row count, each row's key
+    tuple is packed into one int from 0 to [span - 1] (most significant
+    key first, a [Desc] digit as [hi - x]), whose int order is the key
+    order, and counting-sorted: rows are placed in input order within
+    each key, so ties keep input order.  Other keys, and wider spans,
+    compare boxed values lexicographically with a stable sort. *)
 val sort : (int * Sphys.Sortorder.dir) list -> t -> t
 
 (** Route live rows by the commutative key hash; one physical-index

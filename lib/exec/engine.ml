@@ -230,31 +230,11 @@ let sort_keys (schema : Schema.t) (order : Sortorder.t) =
   List.map (fun (c, dir) -> (Schema.index c schema, dir)) order
 
 (* Sort one machine's batches: concatenate, one stable columnar sort,
-   re-chunk.  Identical to stable-sorting the partition's row list. *)
+   re-chunk.  Identical to stable-sorting the partition's row list; an
+   empty partition is [] without touching the kernel. *)
 let sort_part batch_size schema keys bs =
-  Batch.split ~size:batch_size (Batch.sort keys (Batch.concat schema bs))
-
-(* Streaming aggregation over rows whose groups are contiguous —
-   row-level convenience wrapper around the batch kernel, kept for tests
-   and direct callers. *)
-let stream_agg (schema : Schema.t) ~keys ~(aggs : Agg.t list) rows =
-  let key_idx = Array.of_list (List.map (fun k -> Schema.index k schema) keys) in
-  let aggs_a = Array.of_list aggs in
-  let cargs = Array.map (fun a -> Expr.compile schema a.Agg.arg) aggs_a in
-  let out_schema =
-    List.map
-      (fun k ->
-        match Schema.find k schema with
-        | Some c -> c
-        | None -> Schema.column k Schema.Tint)
-      keys
-    @ List.map
-        (fun a -> Schema.column a.Agg.output (Agg.output_type schema a))
-        aggs
-  in
-  Batch.to_rows
-    (Batch.stream_agg out_schema ~key_idx ~aggs:aggs_a ~cargs
-       [ Batch.of_rows schema rows ])
+  if List.for_all (fun b -> Batch.live b = 0) bs then []
+  else Batch.split ~size:batch_size (Batch.sort keys (Batch.concat schema bs))
 
 (* Two-phase exchange: each input partition's batches compute their
    per-destination routing selections in parallel (no column data moves),

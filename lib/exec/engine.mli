@@ -115,15 +115,6 @@ val dist_of_parts : Relalg.Schema.t -> Relalg.Value.t array list array -> dist
     Sequential convenience entry point for tests and examples. *)
 val exchange : t -> dist -> Relalg.Colset.t -> dist
 
-(** Streaming aggregation over rows whose groups are contiguous —
-    row-level convenience wrapper around the batch kernel. *)
-val stream_agg :
-  Relalg.Schema.t ->
-  keys:string list ->
-  aggs:Relalg.Agg.t list ->
-  Relalg.Value.t array list ->
-  Relalg.Value.t array list
-
 (** Compile the plan to a stage graph and execute it, returning the sink
     stage's output stream. Counters accumulate across calls; outputs
     append. Raises {!Scheduler.Recovery_exhausted} when fault injection

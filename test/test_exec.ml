@@ -119,18 +119,106 @@ let test_stream_agg_equals_reference () =
     |> List.map (fun (k, v) -> [| Value.Int k; Value.Int v |])
   in
   let sorted = List.sort (fun a b -> Value.compare a.(0) b.(0)) rows in
+  let agg = Agg.make Agg.Sum (Expr.Col "V") "S" in
+  let expected = Table.group_by (Table.make s rows) ~keys:[ "K" ] ~aggs:[ agg ] in
   let out =
-    Sexec.Engine.stream_agg s ~keys:[ "K" ]
-      ~aggs:[ Agg.make Agg.Sum (Expr.Col "V") "S" ]
-      sorted
-  in
-  let expected =
-    Table.group_by (Table.make s rows) ~keys:[ "K" ]
-      ~aggs:[ Agg.make Agg.Sum (Expr.Col "V") "S" ]
+    Sexec.Batch.stream_agg expected.Table.schema ~key_idx:[| 0 |]
+      ~aggs:[| agg |]
+      ~cargs:[| Expr.compile s agg.Agg.arg |]
+      [ Sexec.Batch.of_rows s sorted ]
   in
   Alcotest.(check bool) "stream = hash reference" true
     (Table.same_contents expected
-       (Table.make expected.Table.schema out))
+       (Table.make expected.Table.schema (Sexec.Batch.to_rows out)))
+
+(* Key column flavours for the two [Batch.sort] paths: small-range ints
+   (counting sort), and for the boxed comparator wide-range ints (span
+   above the row count), ints that reach [min_int]/[max_int] (span
+   overflow) and mixed [Null]/[Int]/[Float]/[Str]. *)
+let gen_key_value =
+  let open QCheck.Gen in
+  let int lo hi = map (fun x -> Value.Int x) (int_range lo hi) in
+  function
+  | `Small -> int (-3) 4
+  | `Wide -> int (-100_000) 100_000
+  | `Extreme ->
+      map
+        (fun x -> Value.Int x)
+        (oneofl [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ])
+  | `Mixed ->
+      oneof
+        [
+          return Value.Null;
+          int (-2) 2;
+          map (fun f -> Value.Float f) (oneofl [ -1.5; 0.0; 0.5; 2.0 ]);
+          map (fun s -> Value.Str s) (oneofl [ ""; "a"; "b" ]);
+        ]
+
+(* Lexicographic, direction-adjusted order on key tuples — the order
+   [Batch.sort] must reproduce stably. *)
+let cmp_keys keys a b =
+  let rec go = function
+    | [] -> 0
+    | (c, dir) :: rest ->
+        let r =
+          match dir with
+          | Sphys.Sortorder.Asc -> Value.compare a.(c) b.(c)
+          | Sphys.Sortorder.Desc -> Value.compare b.(c) a.(c)
+        in
+        if r <> 0 then r else go rest
+  in
+  go keys
+
+(* A batch of up to 300 rows: key columns [0, nk) in a random key order
+   and direction, then a row-id column that makes any instability
+   visible.  Optionally pre-sorted, optionally behind a selection
+   vector. *)
+let gen_sort_case =
+  let open QCheck.Gen in
+  let* nk = int_range 1 3 in
+  let* kinds = list_repeat nk (oneofl [ `Small; `Wide; `Extreme; `Mixed ]) in
+  let* dirs = list_repeat nk (oneofl Sphys.Sortorder.[ Asc; Desc ]) in
+  let* cols = shuffle_l (List.init nk Fun.id) in
+  let keys = List.combine cols dirs in
+  let kinds = Array.of_list kinds in
+  let* n = int_range 0 300 in
+  let* rows =
+    list_repeat n (flatten_l (List.init nk (fun c -> gen_key_value kinds.(c))))
+  in
+  let* presorted = frequency [ (1, return true); (3, return false) ] in
+  let rows = List.map Array.of_list rows in
+  let rows = if presorted then List.stable_sort (cmp_keys keys) rows else rows in
+  let rows = List.mapi (fun i r -> Array.append r [| Value.Int i |]) rows in
+  let* mask = option (list_repeat n bool) in
+  let sel =
+    Option.map
+      (fun m ->
+        Array.of_list
+          (List.filter_map Fun.id
+             (List.mapi (fun i live -> if live then Some i else None) m)))
+      mask
+  in
+  return (keys, rows, sel)
+
+let print_sort_case (keys, rows, sel) =
+  let dir = function Sphys.Sortorder.Asc -> "asc" | Sphys.Sortorder.Desc -> "desc" in
+  Fmt.str "keys=%a sel=%a@.%a"
+    Fmt.(Dump.list (pair ~sep:(any ":") int (using dir string)))
+    keys
+    Fmt.(Dump.option (Dump.array int))
+    sel
+    Fmt.(list ~sep:cut (Dump.array Value.pp))
+    rows
+
+let prop_sort_matches_stable_sort =
+  Thelpers.qtest ~count:500 "sort = List.stable_sort"
+    (QCheck.make ~print:print_sort_case gen_sort_case)
+    (fun (keys, rows, sel) ->
+      let s = schema (List.init (List.length keys + 1) (Printf.sprintf "C%d")) in
+      let b = { (Sexec.Batch.of_rows s rows) with Sexec.Batch.sel } in
+      let expected = List.stable_sort (cmp_keys keys) (Sexec.Batch.to_rows b) in
+      let actual = Sexec.Batch.to_rows (Sexec.Batch.sort keys b) in
+      List.equal (Array.for_all2 Value.equal) expected actual)
 
 let test_full_validation_both_plans () =
   List.iter
@@ -694,6 +782,7 @@ let () =
       ( "operators",
         [
           Alcotest.test_case "stream aggregation" `Quick test_stream_agg_equals_reference;
+          prop_sort_matches_stable_sort;
           Alcotest.test_case "reference evaluator" `Quick test_reference_spools_transparent;
         ] );
       ( "end to end",
