@@ -14,9 +14,9 @@
      [opt-time]  optimization times via bechamel (Section IX timing)
 
    Run with:  dune exec bench/main.exe
-   [--serve] instead replays a session stream through the long-running
-   serve engine (plan-cache warm/cold throughput); [--json PATH] writes
-   the machine-readable optimizer-perf baseline. *)
+   [--json PATH] instead writes the machine-readable optimizer-perf
+   baseline.  Serve throughput is measured by perfbench/ (the
+   serve_hot and serve_churn workloads). *)
 
 let section name = Fmt.pr "@.==================== %s ====================@." name
 
@@ -507,83 +507,6 @@ let exec_time ~workers reports =
      has that many cores)@."
     workers
 
-(* --- serve: plan-cache and cross-script sharing throughput --------------- *)
-
-(* Replay a generated session stream through the long-running serve
-   engine twice: the cold pass populates the fingerprint-keyed plan
-   cache, the warm pass replays the identical stream against it.  The
-   delta is the cache's whole value proposition — warm sessions skip
-   bind/optimize entirely — and the combined-batch rows show what
-   cross-script sharing saves on top.  Wall times are environment-
-   dependent, so this section stays out of BENCH_opt.json and its
-   drift gates; run it with [--serve]. *)
-let serve_bench ~workers () =
-  section "serve: plan cache and cross-script sharing (40-script stream, seed 7)";
-  let items =
-    Sserve.Session.items_of_string
-      (Sworkload.Session_gen.generate ~seed:7 ~scripts:40 ())
-  in
-  let engine =
-    Sserve.Engine.create ~workers (Sworkload.Session_gen.catalog ())
-  in
-  let replay () =
-    let batches = ref [] in
-    let flush () =
-      match Sserve.Engine.flush engine with
-      | None -> ()
-      | Some b -> batches := b :: !batches
-    in
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (function
-        | Sserve.Session.Script { id; text } ->
-            Sserve.Engine.submit engine ~id ~text
-        | Sserve.Session.Flush -> flush ()
-        | Sserve.Session.Catalog_bump ->
-            flush ();
-            ignore (Sserve.Engine.catalog_bump engine)
-        | Sserve.Session.Tenant _ | Sserve.Session.Stats
-        | Sserve.Session.Dump ->
-            ()
-        | Sserve.Session.Quit -> flush ())
-      items;
-    (Unix.gettimeofday () -. t0, List.rev !batches)
-  in
-  let stats (wall, batches) =
-    let sessions = ref 0 and hits = ref 0 and cross = ref 0 in
-    let saved = ref 0.0 in
-    List.iter
-      (fun (b : Sserve.Engine.batch_result) ->
-        List.iter
-          (fun (r : Sserve.Engine.session_result) ->
-            incr sessions;
-            match r.Sserve.Engine.status with
-            | Sserve.Engine.Done { cache_hit = true; _ } -> incr hits
-            | _ -> ())
-          b.Sserve.Engine.results;
-        cross := !cross + b.Sserve.Engine.cross_script_shares;
-        match (b.Sserve.Engine.combined_cost, b.Sserve.Engine.solo_cost_sum) with
-        | Some c, Some s -> saved := !saved +. (s -. c)
-        | _ -> ())
-      batches;
-    (!sessions, !hits, !cross, !saved, wall)
-  in
-  let cold = stats (replay ()) in
-  let warm = stats (replay ()) in
-  Fmt.pr "%-6s %9s %10s %13s %14s %9s %13s@." "pass" "sessions" "cache hits"
-    "cross shares" "est. saved" "wall" "sessions/s";
-  List.iter
-    (fun (label, (sessions, hits, cross, saved, wall)) ->
-      Fmt.pr "%-6s %9d %10d %13d %14.5g %8.2fs %13.1f@." label sessions hits
-        cross saved wall
-        (float_of_int sessions /. Float.max 1e-9 wall))
-    [ ("cold", cold); ("warm", warm) ];
-  let _, _, _, _, cold_wall = cold and _, _, _, _, warm_wall = warm in
-  Fmt.pr
-    "(identical stream both passes; warm hits serve cached plans without \
-     bind/optimize: %.1fx the cold throughput)@."
-    (cold_wall /. Float.max 1e-9 warm_wall)
-
 (* --- opt-time via bechamel ----------------------------------------------- *)
 
 let measure_seconds name f =
@@ -811,7 +734,6 @@ let () =
         Option.value ~default:"BENCH_opt.json" (after rest)
       in
       bench_json ~quick ~workers ~config path
-  | _ :: rest when List.mem "--serve" rest -> serve_bench ~workers ()
   | _ ->
   let t0 = Unix.gettimeofday () in
   let reports = List.map (fun w -> (w, run_pipeline w)) (workloads ()) in

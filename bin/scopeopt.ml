@@ -47,21 +47,6 @@ let make_catalog script =
   Sworkload.Large_gen.register_files catalog script;
   catalog
 
-(* Write [contents] to [path], closing the descriptor on every path and
-   removing the partial file when the write fails, so an ENOSPC or
-   permission error cannot leave a truncated artifact behind. *)
-let write_file path contents =
-  let oc = open_out path in
-  let ok = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      close_out_noerr oc;
-      if not !ok then try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      output_string oc contents;
-      flush oc;
-      ok := true)
-
 (* --- common arguments -------------------------------------------------- *)
 
 let file_arg =
@@ -269,17 +254,6 @@ let explain_cmd =
 
 (* --- optimize ---------------------------------------------------------- *)
 
-let exec_counters (c : Sexec.Engine.counters) =
-  [
-    ("exec.stages_run", c.Sexec.Engine.stages_run);
-    ("exec.vertices_run", c.Sexec.Engine.vertices_run);
-    ("exec.batches", c.Sexec.Engine.batches);
-    ("exec.retries", c.Sexec.Engine.retries);
-    ("exec.recomputed_rows", c.Sexec.Engine.recomputed_rows);
-    ("exec.partitions_lost", c.Sexec.Engine.partitions_lost);
-    ("exec.machines_failed", c.Sexec.Engine.machines_failed);
-  ]
-
 let exec_summary workers (v : Sexec.Validate.outcome) =
   {
     Cse.Pipeline.workers;
@@ -288,32 +262,6 @@ let exec_summary workers (v : Sexec.Validate.outcome) =
     wall_s = v.Sexec.Validate.wall;
     busy_s = v.Sexec.Validate.busy;
   }
-
-(* Finish an in-progress trace: stop, merge, write the Chrome file, then
-   hold it to the well-formedness checker and — when stages executed —
-   the SA045 audit against the engine's per-run attempt counts. *)
-let finish_trace ?(ppf = Fmt.stdout) ~attempts path =
-  Sobs.Trace.stop ();
-  let events = Sobs.Trace.collect () in
-  match Sobs.Trace.export ~path events with
-  | exception Sys_error msg -> Error (`Msg msg)
-  | () ->
-  Fmt.pf ppf "wrote %s (%d events%s)@." path (List.length events)
-    (match Sobs.Trace.dropped () with
-    | 0 -> ""
-    | d -> Printf.sprintf ", %d dropped" d);
-  match Sobs.Trace.check events with
-  | _ :: _ as errs ->
-      List.iter (fun e -> Fmt.epr "trace: %s@." e) errs;
-      Error (`Msg "trace is not well-formed")
-  | [] -> (
-      let diags = Sanalysis.Trace_audit.run ~attempts events in
-      if diags <> [] then Fmt.pf ppf "%a" Sanalysis.Diag.pp_report diags;
-      (* propagate the worst severity to the process exit status instead
-         of silently swallowing non-error findings *)
-      match Sanalysis.Diag.worst diags with
-      | Some Sanalysis.Diag.Error -> Error (`Msg "trace audit (SA045) failed")
-      | Some _ | None -> Ok ())
 
 let optimize run_exec =
   let f machines budget no_ext no_prune verbose audit dot inject rate workers
@@ -345,7 +293,7 @@ let optimize run_exec =
       (fun prefix ->
         let write suffix plan =
           let file = prefix ^ "-" ^ suffix ^ ".dot" in
-          write_file file (Sphys.Plan_pp.to_dot ~name:suffix plan);
+          Sobs.Flight.write_file file (Sphys.Plan_pp.to_dot ~name:suffix plan);
           Fmt.pr "wrote %s@." file
         in
         write "conventional" r.Cse.Pipeline.conventional_plan;
@@ -400,7 +348,7 @@ let optimize run_exec =
                     (if vf.Sexec.Validate.ok then ""
                      else "; reference MISMATCH");
                   Fmt.pr "%a" Cse.Pipeline.pp_counters
-                    (exec_counters vf.Sexec.Validate.counters);
+                    (Sexec.Engine.named_counters vf.Sexec.Validate.counters);
                   Fmt.pr "stage attempts: %s@."
                     (String.concat ","
                        (Array.to_list
@@ -419,7 +367,7 @@ let optimize run_exec =
     let trace_result =
       match trace with
       | None -> Ok ()
-      | Some path -> finish_trace ~attempts:!attempts_acc path
+      | Some path -> Sanalysis.Trace_audit.finish ~attempts:!attempts_acc path
     in
     match exec_result with
     | Error _ as e -> e
@@ -456,14 +404,9 @@ let run_cmd =
 
 (* --- serve -------------------------------------------------------------- *)
 
-(* The long-running multi-script engine: read a session stream (file,
-   stdin, or the built-in generator), submit scripts to Sserve.Engine,
-   flush batches, and report plan-cache and cross-script sharing
-   figures.  With --trace PREFIX each batch gets its own trace epoch and
-   file (PREFIX-batchN.json), checked and SA045-audited against that
-   batch's stage attempts; with --audit every distinct optimization
-   behind a batch — cached plans included — goes through the deep strict
-   static-analysis audit. *)
+(* The long-running multi-script engine: the flags below, the engine
+   they configure and the stream they choose (a file, stdin or --gen);
+   Sserve.Driver runs the session loop. *)
 let serve_cmd =
   let gen_arg =
     Arg.(
@@ -533,7 +476,6 @@ let serve_cmd =
       budget gen seed stats_file stats_interval profile inject rate file =
     setup_logs verbose;
     Sexec.Profile.set profile;
-    let out = if json then Fmt.epr else Fmt.pr in
     let catalog = Relalg.Catalog.default () in
     Sworkload.Session_gen.register catalog;
     let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
@@ -547,295 +489,26 @@ let serve_cmd =
           | spec -> Ok (Some spec))
     in
     Result.bind faults @@ fun faults ->
-    let engine =
-      Sserve.Engine.create ~config ?max_seconds:budget ~cluster ~workers
-        ~batch_size ?faults catalog
-    in
-    (* The flight recorder rides in the trace ring whenever no explicit
-       --trace session owns the tracer. *)
-    if trace = None then Sobs.Flight.enable ();
-    let stats_rows () =
-      Sobs.Metrics.snapshot (Sserve.Engine.metrics engine)
-      @ Sexec.Profile.snapshot ()
-    in
-    let stats_json () =
-      Sobs.Json.to_string (Sobs.Metrics.to_json (stats_rows ()))
-    in
-    let write_stats () =
-      Option.iter (fun path -> write_file path (stats_json ())) stats_file
-    in
-    let flight_dump reason =
-      match Sobs.Flight.dump ~metrics:(stats_json ()) ~prefix:"scopeopt-serve" () with
-      | paths ->
-          out "flight recorder dumped (%s): %s@." reason
-            (String.concat ", " paths)
-      | exception Sys_error msg -> out "flight dump failed: %s@." msg
-    in
     let next =
       match (gen, file) with
       | Some _, Some _ -> Error (`Msg "give either a stream file or --gen, not both")
       | Some n, None ->
-          let items =
-            ref
-              (Sserve.Session.items_of_string
-                 (Sworkload.Session_gen.generate ~seed ~scripts:n ()))
-          in
           Ok
-            (fun () ->
-              match !items with
-              | [] -> None
-              | it :: rest ->
-                  items := rest;
-                  Some it)
+            (Sserve.Session.of_string
+               (Sworkload.Session_gen.generate ~seed ~scripts:n ()))
       | None, Some f ->
           let ic = open_in f in
           at_exit (fun () -> close_in_noerr ic);
           Ok (fun () -> Sserve.Session.read ic)
       | None, None -> Ok (fun () -> Sserve.Session.read stdin)
     in
-    Result.bind next (fun next ->
-        let failed = ref 0 and audit_failed = ref 0 and trace_failed = ref 0 in
-        let batch_json = ref [] in
-        let batches_done = ref 0 in
-        let tenant = ref None in
-        let flush () =
-          match Sserve.Engine.flush engine with
-          | None -> ()
-          | Some b ->
-              List.iter
-                (fun (r : Sserve.Engine.session_result) ->
-                  match r.Sserve.Engine.status with
-                  | Sserve.Engine.Failed msg ->
-                      incr failed;
-                      out "batch %d: %s FAILED: %s@." b.Sserve.Engine.seq
-                        r.Sserve.Engine.id msg
-                  | Sserve.Engine.Done { cache_hit; combined } ->
-                      out
-                        "batch %d: %s %s%s cse cost %.5g (conventional \
-                         %.5g), %d output(s), %d row(s)@."
-                        b.Sserve.Engine.seq r.Sserve.Engine.id
-                        (if cache_hit then "cache hit" else "cache miss")
-                        (if combined then ", combined run" else "")
-                        r.Sserve.Engine.cse_cost
-                        r.Sserve.Engine.conventional_cost
-                        (List.length r.Sserve.Engine.outputs)
-                        r.Sserve.Engine.rows)
-                b.Sserve.Engine.results;
-              if b.Sserve.Engine.combined then
-                out
-                  "batch %d: combined cost %.5g vs solo sum %.5g; %d \
-                   cross-script share(s)@."
-                  b.Sserve.Engine.seq
-                  (Option.value ~default:0.0 b.Sserve.Engine.combined_cost)
-                  (Option.value ~default:0.0 b.Sserve.Engine.solo_cost_sum)
-                  b.Sserve.Engine.cross_script_shares;
-              (match trace with
-              | None -> ()
-              | Some prefix -> (
-                  let path =
-                    Printf.sprintf "%s-batch%d.json" prefix b.Sserve.Engine.seq
-                  in
-                  match
-                    finish_trace
-                      ~ppf:(if json then Fmt.stderr else Fmt.stdout)
-                      ~attempts:b.Sserve.Engine.attempts path
-                  with
-                  | Ok () -> ()
-                  | Error (`Msg msg) ->
-                      incr trace_failed;
-                      out "batch %d: trace: %s@." b.Sserve.Engine.seq msg));
-              if audit then
-                List.iter
-                  (fun r ->
-                    (* like run_audit ~deep ~strict, but narrating through
-                       [out] so --json keeps stdout pure JSON *)
-                    let diags =
-                      Sanalysis.Audit.report ~deep:true ~cluster ~catalog r
-                    in
-                    if diags <> [] then
-                      out "%a%a" Sanalysis.Diag.pp_report diags
-                        Sanalysis.Diag.pp_summary diags;
-                    if
-                      Sanalysis.Diag.exit_code
-                        ~fail_on:Sanalysis.Diag.Warning diags
-                      <> 0
-                    then incr audit_failed)
-                  b.Sserve.Engine.reports;
-              (if json then
-                let num f = Sobs.Json.Num f in
-                let int i = num (float_of_int i) in
-                let opt = function None -> Sobs.Json.Null | Some c -> num c in
-                batch_json :=
-                  Sobs.Json.Obj
-                    [
-                      ("seq", int b.Sserve.Engine.seq);
-                      ("combined", Sobs.Json.Bool b.Sserve.Engine.combined);
-                      ("combined_cost", opt b.Sserve.Engine.combined_cost);
-                      ("solo_cost_sum", opt b.Sserve.Engine.solo_cost_sum);
-                      ( "cross_script_shares",
-                        int b.Sserve.Engine.cross_script_shares );
-                      ("wall_s", num b.Sserve.Engine.wall_s);
-                      ( "sessions",
-                        Sobs.Json.Arr
-                          (List.map
-                             (fun (r : Sserve.Engine.session_result) ->
-                               Sobs.Json.Obj
-                                 (( "id",
-                                    Sobs.Json.Str r.Sserve.Engine.id )
-                                 :: (match r.Sserve.Engine.fingerprint with
-                                    | None -> []
-                                    | Some fp ->
-                                        (* fingerprints exceed double
-                                           precision: keep them exact *)
-                                        [
-                                          ( "fingerprint",
-                                            Sobs.Json.Str (string_of_int fp)
-                                          );
-                                        ])
-                                 @
-                                 match r.Sserve.Engine.status with
-                                 | Sserve.Engine.Failed msg ->
-                                     [
-                                       ("status", Sobs.Json.Str "failed");
-                                       ("error", Sobs.Json.Str msg);
-                                     ]
-                                 | Sserve.Engine.Done { cache_hit; combined }
-                                   ->
-                                     [
-                                       ("status", Sobs.Json.Str "done");
-                                       ( "cache_hit",
-                                         Sobs.Json.Bool cache_hit );
-                                       ("combined", Sobs.Json.Bool combined);
-                                       ( "conventional_cost",
-                                         num
-                                           r.Sserve.Engine.conventional_cost
-                                       );
-                                       ("cse_cost", num r.Sserve.Engine.cse_cost);
-                                       ( "outputs",
-                                         int
-                                           (List.length
-                                              r.Sserve.Engine.outputs) );
-                                       ("rows", int r.Sserve.Engine.rows);
-                                     ]))
-                             b.Sserve.Engine.results) );
-                    ]
-                  :: !batch_json);
-              incr batches_done;
-              if !batches_done mod max 1 stats_interval = 0 then write_stats ()
-        in
-        let rec loop () =
-          match next () with
-          | None -> flush ()
-          | Some (Sserve.Session.Script { id; text }) ->
-              if trace <> None && Sserve.Engine.pending_count engine = 0 then
-                Sobs.Trace.start ();
-              Sserve.Engine.submit ?tenant:!tenant engine ~id ~text;
-              loop ()
-          | Some Sserve.Session.Flush ->
-              flush ();
-              loop ()
-          | Some (Sserve.Session.Tenant name) ->
-              tenant := Some name;
-              loop ()
-          | Some Sserve.Session.Stats ->
-              out "%s@?" (Sobs.Metrics.to_prom (stats_rows ()));
-              loop ()
-          | Some Sserve.Session.Dump ->
-              flight_dump "#dump";
-              loop ()
-          | Some Sserve.Session.Catalog_bump ->
-              flush ();
-              let purged = Sserve.Engine.catalog_bump engine in
-              out "catalog bump: statistics epoch %d, %d cache entr%s purged@."
-                (Relalg.Catalog.version catalog)
-                purged
-                (if purged = 1 then "y" else "ies");
-              loop ()
-          | Some Sserve.Session.Quit -> flush ()
-        in
-        match loop () with
-        | exception Sserve.Session.Protocol_error msg ->
-            write_stats ();
-            Error (`Msg msg)
-        | exception Sexec.Scheduler.Recovery_exhausted { stage; attempts } ->
-            (* a stage burned its whole attempt budget: dump the recent-
-               span window and the metrics so the post-mortem needs no
-               rerun, then fail loudly *)
-            flight_dump "recovery exhaustion";
-            write_stats ();
-            Error
-              (`Msg
-                (Printf.sprintf
-                   "stage %d exhausted its recovery budget after %d \
-                    attempt(s); flight recorder dumped"
-                   stage attempts))
-        | () ->
-            write_stats ();
-            let t = Sserve.Engine.totals engine in
-            out
-              "serve: sessions=%d batches=%d cache_hits=%d cache_misses=%d \
-               cache_invalidations=%d cache_size=%d combined_runs=%d \
-               cross_script_shares=%d@."
-              t.Sserve.Engine.sessions t.Sserve.Engine.batches
-              t.Sserve.Engine.cache_hits t.Sserve.Engine.cache_misses
-              t.Sserve.Engine.cache_invalidations t.Sserve.Engine.cache_size
-              t.Sserve.Engine.combined_runs
-              t.Sserve.Engine.cross_script_shares;
-            if json then begin
-              let int i = Sobs.Json.Num (float_of_int i) in
-              print_string
-                (Sobs.Json.to_string
-                   (Sobs.Json.Obj
-                      [
-                        ( "schema",
-                          Sobs.Json.Str "scopecse-run-report/5" );
-                        ("machines", int machines);
-                        ( "serve",
-                          Sobs.Json.Obj
-                            [
-                              ("sessions", int t.Sserve.Engine.sessions);
-                              ("batches", int t.Sserve.Engine.batches);
-                              ("cache_hits", int t.Sserve.Engine.cache_hits);
-                              ( "cache_misses",
-                                int t.Sserve.Engine.cache_misses );
-                              ( "cache_invalidations",
-                                int t.Sserve.Engine.cache_invalidations );
-                              ("cache_size", int t.Sserve.Engine.cache_size);
-                              ( "combined_runs",
-                                int t.Sserve.Engine.combined_runs );
-                              ( "cross_script_shares",
-                                int t.Sserve.Engine.cross_script_shares );
-                              ( "batches_detail",
-                                Sobs.Json.Arr (List.rev !batch_json) );
-                            ] );
-                        ( "metrics",
-                          Sobs.Metrics.to_json (stats_rows ()) );
-                      ]))
-            end;
-            (* hold the engine's own registry to its accounting story
-               (SA046); an inconsistent snapshot is a serve failure, with
-               the flight window dumped for the post-mortem *)
-            let sa46 =
-              Sanalysis.Serve_audit.run
-                ~cache_entries:
-                  (Sserve.Plan_cache.size (Sserve.Engine.cache engine))
-                (Sobs.Metrics.snapshot (Sserve.Engine.metrics engine))
-            in
-            if sa46 <> [] then begin
-              out "%a" Sanalysis.Diag.pp_report sa46;
-              flight_dump "SA046 metrics audit failure"
-            end;
-            if !failed > 0 then
-              Error (`Msg (Printf.sprintf "%d session(s) failed" !failed))
-            else if sa46 <> [] then
-              Error (`Msg "serve metrics audit (SA046) failed")
-            else if !audit_failed > 0 then
-              Error
-                (`Msg (Printf.sprintf "%d audit failure(s)" !audit_failed))
-            else if !trace_failed > 0 then
-              Error
-                (`Msg (Printf.sprintf "%d trace failure(s)" !trace_failed))
-            else Ok ())
+    Result.bind next @@ fun next ->
+    let engine =
+      Sserve.Engine.create ~config ?max_seconds:budget ~cluster ~workers
+        ~batch_size ?faults catalog
+    in
+    Sserve.Driver.run ~json ~audit ?trace ?stats_file ~stats_interval engine
+      ~next
   in
   Cmd.v
     (Cmd.info "serve"
@@ -999,7 +672,7 @@ let report_cmd =
       match trace with
       | None -> Ok ()
       | Some path ->
-          finish_trace ~attempts:[ v.Sexec.Validate.attempts ] path
+          Sanalysis.Trace_audit.finish ~attempts:[ v.Sexec.Validate.attempts ] path
     in
     if json then
       print_string

@@ -83,3 +83,26 @@ let run ~(attempts : int array list) (events : Sobs.Trace.event list) :
         bad sid "traced span for unknown stage %d (attempt %d)" sid attempt)
     (List.sort_uniq compare spans);
   List.rev !diags
+
+let finish ?(ppf = Fmt.stdout) ~attempts path =
+  Sobs.Trace.stop ();
+  let events = Sobs.Trace.collect () in
+  match Sobs.Trace.export ~path events with
+  | exception Sys_error msg -> Error (`Msg msg)
+  | () -> (
+      Fmt.pf ppf "wrote %s (%d events%s)@." path (List.length events)
+        (match Sobs.Trace.dropped () with
+        | 0 -> ""
+        | d -> Printf.sprintf ", %d dropped" d);
+      match Sobs.Trace.check events with
+      | _ :: _ as errs ->
+          List.iter (fun e -> Fmt.epr "trace: %s@." e) errs;
+          Error (`Msg "trace is not well-formed")
+      | [] -> (
+          let diags = run ~attempts events in
+          if diags <> [] then Fmt.pf ppf "%a" Diag.pp_report diags;
+          (* propagate the worst severity to the process exit status
+             instead of silently swallowing non-error findings *)
+          match Diag.worst diags with
+          | Some Diag.Error -> Error (`Msg "trace audit (SA045) failed")
+          | Some _ | None -> Ok ()))

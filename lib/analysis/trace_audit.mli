@@ -10,3 +10,13 @@
     an unaccounted execution. *)
 
 val run : attempts:int array list -> Sobs.Trace.event list -> Diag.t list
+
+(** Finish an in-progress trace: stop the tracer, write the Chrome file
+    to [path] (narrating it on [ppf], default stdout), then hold it to
+    the well-formedness checker and to {!run}.  An unwritable file, a
+    malformed trace or an SA045 error is an [Error]. *)
+val finish :
+  ?ppf:Format.formatter ->
+  attempts:int array list ->
+  string ->
+  (unit, [ `Msg of string ]) result

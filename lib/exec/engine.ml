@@ -58,6 +58,17 @@ type counters = {
   mutable machines_failed : int;
 }
 
+let named_counters (c : counters) =
+  [
+    ("exec.stages_run", c.stages_run);
+    ("exec.vertices_run", c.vertices_run);
+    ("exec.batches", c.batches);
+    ("exec.retries", c.retries);
+    ("exec.recomputed_rows", c.recomputed_rows);
+    ("exec.partitions_lost", c.partitions_lost);
+    ("exec.machines_failed", c.machines_failed);
+  ]
+
 type t = {
   machines : int;
   workers : int;  (* domain-pool width; 1 = fully sequential *)

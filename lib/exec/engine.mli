@@ -43,6 +43,11 @@ type counters = {
   mutable machines_failed : int;
 }
 
+(** The stage/retry counters under their global [exec.*] names:
+    stages, vertices, batches, retries, recomputed rows, lost
+    partitions, failed machines. *)
+val named_counters : counters -> (string * int) list
+
 type t = {
   machines : int;
   workers : int;  (** domain-pool width; 1 = fully sequential *)

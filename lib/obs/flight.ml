@@ -25,6 +25,9 @@ let enable ?(capacity = default_capacity) () =
 
 let active () = Atomic.get owner
 
+(* Close the descriptor on every path and remove the partial file when
+   the write fails, so an ENOSPC or permission error cannot leave a
+   truncated artifact behind. *)
 let write_file path text =
   let oc = open_out path in
   let ok = ref false in

@@ -13,6 +13,10 @@ val enable : ?capacity:int -> unit -> unit
 (** Whether {!enable} owns the current trace session. *)
 val active : unit -> bool
 
+(** Write [text] to [path], removing the partial file when the write
+    fails; the [Sys_error] propagates. *)
+val write_file : string -> string -> unit
+
 (** Dump the current window: writes [<prefix>-flight-trace.json]
     (Chrome trace, ring-flagged when recording in ring mode) and, when
     [metrics] is given (a pre-rendered snapshot),

@@ -27,17 +27,12 @@
    misbehaves (optimizer failure, output-count mismatch) falls back to
    executing each miss's cached solo plan. *)
 
-let c_sessions = Sutil.Counters.counter "serve.sessions"
-let c_batches = Sutil.Counters.counter "serve.batches"
-let c_combined = Sutil.Counters.counter "serve.combined_runs"
-let c_cross = Sutil.Counters.counter "serve.cross_script_shares"
-
-(* Every engine also keeps a structured, per-engine [Sobs.Metrics]
-   registry (the process-global serve.* counters above are kept
-   unchanged for existing reports): per-path end-to-end session latency
-   histograms, cache occupancy gauges and per-tenant traffic counters.
-   Per-engine, so tests and embedded engines never see each other's
-   readings — the reason the lifetime counters above cannot serve.
+(* Every figure the engine counts lives in its own [Sobs.Metrics]
+   registry: batches, submissions and outcomes, cache hits, misses and
+   invalidations, combined runs and cross-script shares, per-path
+   end-to-end session latency histograms, cache occupancy gauges and
+   per-tenant traffic counters.  Per-engine, so tests and embedded
+   engines never see each other's readings; [totals] reads it too.
 
    Invariants the SA046 audit holds a snapshot to:
    every session lands in [serve.sessions_submitted]; failures land in
@@ -70,7 +65,9 @@ type batch_result = {
   combined_cost : float option;  (* DAG cost of the combined plan *)
   solo_cost_sum : float option;  (* sum of the combined members' solo costs *)
   cross_script_shares : int;  (* spools read by >= 2 sessions *)
-  counters : (string * int) list;  (* counter deltas over this flush *)
+  counters : (string * int) list;
+      (* executor counters summed over this flush's runs, plus the
+         counter deltas of its fresh optimizations *)
   wall_s : float;  (* executor wall seconds, summed over runs *)
   attempts : int array list;  (* per-run stage attempts, for trace audit *)
   reports : Cse.Pipeline.report list;
@@ -89,7 +86,6 @@ type t = {
   metrics : Sobs.Metrics.t;
   mutable pending : (string * string * string) list;
       (* (id, tenant, text), reversed *)
-  mutable batches : int;
 }
 
 let create ?(config = Cse.Config.default) ?max_tasks ?max_seconds
@@ -106,12 +102,12 @@ let create ?(config = Cse.Config.default) ?max_tasks ?max_seconds
       Sexec.Engine.create ~workers ?batch_size ?faults
         ~machines:cluster.Scost.Cluster.machines catalog;
     pending = [];
-    batches = 0;
     metrics = Sobs.Metrics.create ();
   }
 
 let cache t = t.cache
-
+let catalog t = t.catalog
+let cluster t = t.cluster
 let metrics t = t.metrics
 
 let default_tenant = "default"
@@ -123,8 +119,12 @@ let pending_count t = List.length t.pending
 
 let catalog_bump t =
   Relalg.Catalog.bump_version t.catalog;
-  Plan_cache.purge_stale t.cache
-    ~current_version:(Relalg.Catalog.version t.catalog)
+  let purged =
+    Plan_cache.purge_stale t.cache
+      ~current_version:(Relalg.Catalog.version t.catalog)
+  in
+  Sobs.Metrics.bump t.metrics "serve.cache_invalidations" ~by:purged;
+  purged
 
 (* A fresh budget per optimization: budgets are mutable task/time
    accumulators, so sharing one across pipeline runs would starve later
@@ -145,8 +145,9 @@ let describe = function
   | e -> Printexc.to_string e
 
 (* Record the executor's figures for the run that just finished into the
-   report, and account wall time / stage attempts to the batch. *)
-let note_run t wall attempts (report : Cse.Pipeline.report) =
+   report, and account wall time, stage attempts and counters to the
+   batch. *)
+let note_run t wall attempts counts (report : Cse.Pipeline.report) =
   report.Cse.Pipeline.exec <-
     Some
       {
@@ -157,7 +158,20 @@ let note_run t wall attempts (report : Cse.Pipeline.report) =
         busy_s = t.exec.Sexec.Engine.last_busy;
       };
   wall := !wall +. t.exec.Sexec.Engine.last_wall;
-  attempts := t.exec.Sexec.Engine.last_attempts :: !attempts
+  attempts := t.exec.Sexec.Engine.last_attempts :: !attempts;
+  counts := Sexec.Engine.named_counters t.exec.Sexec.Engine.counters :: !counts
+
+(* Named counter lists summed by name: the nonzero totals, sorted. *)
+let sum_counters lists =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (List.iter (fun (name, n) ->
+         Hashtbl.replace tbl name
+           (n + Option.value ~default:0 (Hashtbl.find_opt tbl name))))
+    lists;
+  List.sort compare
+    (Hashtbl.fold (fun name n acc -> if n = 0 then acc else (name, n) :: acc)
+       tbl [])
 
 (* Distinct spool nodes (physical identity) reachable from [roots]. *)
 let spool_set roots =
@@ -244,12 +258,9 @@ let flush t : batch_result option =
   t.pending <- [];
   if pending = [] then None
   else begin
-    let before = Sutil.Counters.baseline () in
-    t.batches <- t.batches + 1;
-    Sutil.Counters.bump c_batches 1;
-    Sutil.Counters.bump c_sessions (List.length pending);
+    Sobs.Metrics.bump t.metrics "serve.batches";
     let version = Relalg.Catalog.version t.catalog in
-    let wall = ref 0.0 and attempts = ref [] in
+    let wall = ref 0.0 and attempts = ref [] and exec_counts = ref [] in
     (* classify in submission order; the first occurrence of a fresh
        fingerprint solo-optimizes and populates the cache *)
     let classified =
@@ -271,9 +282,7 @@ let flush t : batch_result option =
               }
             in
             match Plan_cache.find t.cache fp with
-            | Some e ->
-                Plan_cache.note_hit e;
-                mk e true
+            | Some e -> mk e true
             | None ->
                 let report =
                   Cse.Pipeline.run ~config:t.config ?budget:(budget t)
@@ -286,7 +295,6 @@ let flush t : batch_result option =
                     outputs = Normalize.outputs_of norm;
                     catalog_version = version;
                     report;
-                    hits = 0;
                   }
                 in
                 Plan_cache.add t.cache e;
@@ -336,7 +344,7 @@ let flush t : batch_result option =
               ~cluster:t.cluster ~catalog:t.catalog combined_text
           in
           let outs = Sexec.Engine.run t.exec report.Cse.Pipeline.cse_plan in
-          note_run t wall attempts report;
+          note_run t wall attempts exec_counts report;
           let combined_wall = t.exec.Sexec.Engine.last_wall in
           let counts = List.map (fun c -> c.c_entry.Plan_cache.outputs) misses in
           match split_by counts outs with
@@ -345,8 +353,9 @@ let flush t : batch_result option =
               let shares =
                 cross_script_spools report.Cse.Pipeline.cse_plan counts
               in
-              Sutil.Counters.bump c_cross shares;
-              Sutil.Counters.bump c_combined 1;
+              Sobs.Metrics.bump t.metrics "serve.cross_script_shares"
+                ~by:shares;
+              Sobs.Metrics.bump t.metrics "serve.combined_runs";
               let per_session =
                 List.map2
                   (fun c slice ->
@@ -416,7 +425,8 @@ let flush t : batch_result option =
                     Sexec.Engine.run t.exec
                       c.c_entry.Plan_cache.report.Cse.Pipeline.cse_plan
                   in
-                  note_run t wall attempts c.c_entry.Plan_cache.report;
+                  note_run t wall attempts exec_counts
+                    c.c_entry.Plan_cache.report;
                   note_served c
                     (if c.c_hit then `Hit else `Miss)
                     t.exec.Sexec.Engine.last_wall
@@ -450,7 +460,7 @@ let flush t : batch_result option =
     in
     Some
       {
-        seq = t.batches;
+        seq = Sobs.Metrics.get t.metrics "serve.batches";
         results;
         combined = combined_info <> None;
         combined_cost =
@@ -469,32 +479,30 @@ let flush t : batch_result option =
                    0.0 misses));
         cross_script_shares =
           (match combined_info with Some (_, s, _, _) -> s | None -> 0);
-        counters = Sutil.Counters.deltas before;
+        counters =
+          sum_counters
+            (!exec_counts
+            @ List.map
+                (fun (r : Cse.Pipeline.report) -> r.Cse.Pipeline.counters)
+                (List.map (fun c -> c.c_entry.Plan_cache.report) misses
+                @ match combined_info with
+                  | Some (r, _, _, _) -> [ r ]
+                  | None -> []));
         wall_s = !wall;
         attempts = List.rev !attempts;
         reports;
       }
   end
 
-type totals = {
-  sessions : int;
-  batches : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_invalidations : int;
-  cache_size : int;
-  combined_runs : int;
-  cross_script_shares : int;
-}
-
 let totals t =
-  {
-    sessions = Sutil.Counters.get "serve.sessions";
-    batches = Sutil.Counters.get "serve.batches";
-    cache_hits = Sutil.Counters.get "serve.cache_hits";
-    cache_misses = Sutil.Counters.get "serve.cache_misses";
-    cache_invalidations = Sutil.Counters.get "serve.cache_invalidations";
-    cache_size = Plan_cache.size t.cache;
-    combined_runs = Sutil.Counters.get "serve.combined_runs";
-    cross_script_shares = Sutil.Counters.get "serve.cross_script_shares";
-  }
+  let get = Sobs.Metrics.get t.metrics in
+  [
+    ("sessions", get "serve.sessions_submitted");
+    ("batches", get "serve.batches");
+    ("cache_hits", get "serve.cache_hits");
+    ("cache_misses", get "serve.cache_misses");
+    ("cache_invalidations", get "serve.cache_invalidations");
+    ("cache_size", Plan_cache.size t.cache);
+    ("combined_runs", get "serve.combined_runs");
+    ("cross_script_shares", get "serve.cross_script_shares");
+  ]

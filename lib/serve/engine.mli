@@ -11,15 +11,15 @@
     a single executor run.  Combined plans are never cached — a cache
     entry always describes the script alone.
 
-    [serve.*] counters ({!Sutil.Counters}) record sessions, batches,
-    cache hits/misses/invalidations, combined runs and cross-script
-    spool shares.  Each engine additionally owns a structured
-    {!Sobs.Metrics} registry ({!metrics}): per-path session latency
+    Each engine counts into its own {!Sobs.Metrics} registry
+    ({!metrics}), the one place serve figures are kept: batches,
+    submissions and failures, cache hits/misses/invalidations, combined
+    runs and cross-script spool shares, per-path session latency
     histograms ([serve.session_seconds{path=hit|share|miss}]), cache
     occupancy gauges ([serve.cache_size], [serve.cache_hit_ratio]) and
-    per-tenant traffic counters ([serve.tenant_*{tenant=...}]) — the
-    registry the [#stats] verb, [--stats-file] exposition and the SA046
-    consistency audit read. *)
+    per-tenant traffic counters ([serve.tenant_*{tenant=...}]).
+    {!totals}, the [#stats] verb, [--stats-file] exposition and the
+    SA046 consistency audit all read it. *)
 
 type status =
   | Done of { cache_hit : bool; combined : bool }
@@ -45,7 +45,10 @@ type batch_result = {
   solo_cost_sum : float option;
       (** what the combined members would have cost run separately *)
   cross_script_shares : int;  (** spools read by two or more sessions *)
-  counters : (string * int) list;  (** counter deltas over this flush *)
+  counters : (string * int) list;
+      (** the executor's [exec.*] counters summed over this flush's
+          runs, plus the optimizer counter deltas of its fresh
+          optimizations; sorted by name, zeros dropped *)
   wall_s : float;  (** executor wall seconds, summed over the runs *)
   attempts : int array list;
       (** per-run stage-attempt arrays, for the trace audit *)
@@ -77,10 +80,11 @@ val create :
   t
 
 val cache : t -> Plan_cache.t
+val catalog : t -> Relalg.Catalog.t
+val cluster : t -> Scost.Cluster.t
 
-(** The engine's structured metrics registry (latency histograms, cache
-    gauges, per-tenant counters); per-engine, unlike the process-global
-    [serve.*] counters. *)
+(** The engine's metrics registry: every serve count, latency
+    histogram, cache gauge and per-tenant counter of this engine. *)
 val metrics : t -> Sobs.Metrics.t
 
 (** Queue a script; nothing runs until {!flush}.  [tenant] (default
@@ -98,16 +102,9 @@ val catalog_bump : t -> int
     pending. *)
 val flush : t -> batch_result option
 
-type totals = {
-  sessions : int;
-  batches : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_invalidations : int;
-  cache_size : int;
-  combined_runs : int;
-  cross_script_shares : int;
-}
-
-(** Lifetime figures, read from the [serve.*] counters and the cache. *)
-val totals : t -> totals
+(** Lifetime figures of this engine, by name, in report order:
+    [sessions] (every submission, failed ones included), [batches],
+    [cache_hits] and [cache_misses] (together, the sessions that did
+    not fail), [cache_invalidations], [cache_size], [combined_runs] and
+    [cross_script_shares].  Read from its registry and its cache. *)
+val totals : t -> (string * int) list

@@ -7,17 +7,12 @@
    report of the original optimization: the caller re-executes the
    cached physical plan and skips parse/bind/optimize entirely. *)
 
-let c_hits = Sutil.Counters.counter "serve.cache_hits"
-let c_misses = Sutil.Counters.counter "serve.cache_misses"
-let c_invalidations = Sutil.Counters.counter "serve.cache_invalidations"
-
 type entry = {
   fingerprint : int;
   normalized : string;  (* canonical text, for diagnostics / collisions *)
   outputs : int;  (* OUTPUT statements in the script *)
   catalog_version : int;  (* epoch the plan was optimized under *)
   report : Cse.Pipeline.report;
-  mutable hits : int;
 }
 
 type t = { table : (int, entry) Hashtbl.t }
@@ -28,20 +23,7 @@ let key ~catalog_version normalized =
   Cse.Fingerprint.hash_string
     (normalized ^ "\x00catalog-v" ^ string_of_int catalog_version)
 
-let note_hit e =
-  e.hits <- e.hits + 1;
-  Sutil.Counters.bump c_hits 1
-
-(* [find] reports the miss; the caller reports the hit via [note_hit]
-   once it decides the entry is actually being reused (within-batch
-   duplicates of a fresh miss count as hits too, and they never call
-   [find] twice). *)
-let find t fp =
-  match Hashtbl.find_opt t.table fp with
-  | Some e -> Some e
-  | None ->
-      Sutil.Counters.bump c_misses 1;
-      None
+let find t fp = Hashtbl.find_opt t.table fp
 
 let add t (e : entry) = Hashtbl.replace t.table e.fingerprint e
 
@@ -55,6 +37,4 @@ let purge_stale t ~current_version =
       t.table []
   in
   List.iter (Hashtbl.remove t.table) stale;
-  let n = List.length stale in
-  Sutil.Counters.bump c_invalidations n;
-  n
+  List.length stale

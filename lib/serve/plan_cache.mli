@@ -3,9 +3,9 @@
     Keys are {!Cse.Fingerprint.hash_string} over the normalized script
     text with the catalog version folded in, so bumping the statistics
     epoch makes every prior key unreachable — invalidation is free and
-    {!purge_stale} only reclaims memory.  Hits, misses and purges bump
-    the [serve.cache_hits] / [serve.cache_misses] /
-    [serve.cache_invalidations] counters. *)
+    {!purge_stale} only reclaims memory.  The cache counts nothing
+    itself: the engine records hits, misses and purges in its metrics
+    registry. *)
 
 type entry = {
   fingerprint : int;
@@ -15,7 +15,6 @@ type entry = {
   report : Cse.Pipeline.report;
       (** the original optimization, plans included — a hit re-executes
           [report.cse_plan] and skips parse/bind/optimize *)
-  mutable hits : int;
 }
 
 type t
@@ -25,18 +24,11 @@ val create : unit -> t
 (** The cache key for a normalized script under a catalog version. *)
 val key : catalog_version:int -> string -> int
 
-(** Lookup; a [None] counts as a miss.  A [Some] does {e not} count as a
-    hit yet — call {!note_hit} when the entry is actually reused, so
-    within-batch duplicates can be credited without a second lookup. *)
 val find : t -> int -> entry option
-
-(** Credit a reuse of [entry] (bumps the entry and the global hit
-    counter). *)
-val note_hit : entry -> unit
 
 val add : t -> entry -> unit
 val size : t -> int
 
 (** Drop entries optimized under a different statistics epoch; returns
-    the number removed (also counted as invalidations). *)
+    the number removed. *)
 val purge_stale : t -> current_version:int -> int

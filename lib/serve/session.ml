@@ -85,7 +85,7 @@ let next_item (next : unit -> string option) : item option =
 
 let read ic = next_item (fun () -> In_channel.input_line ic)
 
-let items_of_string s =
+let of_string s =
   let lines = ref (String.split_on_char '\n' s) in
   let next () =
     match !lines with
@@ -94,9 +94,11 @@ let items_of_string s =
         lines := rest;
         Some l
   in
+  fun () -> next_item next
+
+let items_of_string s =
+  let next = of_string s in
   let rec all acc =
-    match next_item next with
-    | None -> List.rev acc
-    | Some it -> all (it :: acc)
+    match next () with None -> List.rev acc | Some it -> all (it :: acc)
   in
   all []

@@ -32,5 +32,9 @@ exception Protocol_error of string
     block is consumed whole. *)
 val read : in_channel -> item option
 
+(** Items of a stream held in a string, one per call, like {!read}:
+    a malformed item raises when it is reached. *)
+val of_string : string -> unit -> item option
+
 (** Parse a whole stream held in a string (generators, tests). *)
 val items_of_string : string -> item list

@@ -8,7 +8,7 @@
    fetch-and-add, which on uncontended counters costs the same as the
    plain increment it replaced.  The registry is global and append-only
    (guarded by a mutex for concurrent first-registration); per-run
-   figures come from diffing snapshots ([since]). *)
+   figures come from diffing against a [baseline] ([deltas]). *)
 
 let registry : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 16
 let registry_mu = Mutex.create ()
@@ -29,17 +29,9 @@ let counter name =
 
 let bump r n = ignore (Atomic.fetch_and_add r n)
 
-let get name =
-  Mutex.protect registry_mu (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some r -> Atomic.get r
-      | None -> 0)
-
 let snapshot_unlocked () =
   Hashtbl.fold (fun name r acc -> (name, Atomic.get r) :: acc) registry []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let snapshot () = Mutex.protect registry_mu snapshot_unlocked
 
 (* Union-diff of two value lists by name: every name either side has seen
    is reported, with nonzero deltas only.  Diffing only the current
@@ -59,7 +51,7 @@ let union_diff before now =
 (* Reset-safe per-run scoping: a baseline records the reset epoch next to
    the values, so [deltas] of a baseline taken before an intervening
    [reset_all] diffs against zero (the counters restarted) instead of
-   reporting negative figures — the quirk the plain [since] had. *)
+   reporting negative figures. *)
 type baseline = { gen : int; values : (string * int) list }
 
 let baseline () =
@@ -72,8 +64,6 @@ let deltas b =
   in
   let before = if gen_now = b.gen then b.values else [] in
   union_diff before now
-
-let since before = union_diff before (snapshot ())
 
 let reset_all () =
   Mutex.protect registry_mu (fun () ->

@@ -11,7 +11,7 @@
     Cells are [Atomic.t], so worker domains of the parallel staged
     executor can bump the same counter concurrently without losing
     increments.  The registry is global and append-only; per-run figures
-    come from diffing snapshots with {!since}. *)
+    come from diffing against a {!baseline} with {!deltas}. *)
 
 (** The atomic cell behind a named counter, registering it at zero on
     first sight.  Callers keep the cell so the per-event cost is one
@@ -21,35 +21,19 @@ val counter : string -> int Atomic.t
 (** [bump c n] adds [n] to the counter, atomically. *)
 val bump : int Atomic.t -> int -> unit
 
-(** Current value of a named counter; 0 if never registered. *)
-val get : string -> int
-
-(** All counters with their current values, sorted by name. *)
-val snapshot : unit -> (string * int) list
-
-(** Counters whose value changed since [before] (a {!snapshot} result),
-    with their deltas, diffed by name over the {e union} of the two
-    snapshots.  Counters registered after the snapshot count from zero;
-    counters present in [before] but back at their old value (e.g.
-    bumped and reset by a nested run) are absent — only nonzero deltas
-    are reported.  A bare snapshot cannot see an intervening
-    {!reset_all}, so deltas across one can go negative — sequenced runs
-    in one process (the serve loop, back-to-back pipelines) should use
-    {!baseline}/{!deltas} instead, which are reset-safe.  Sorted by
-    name. *)
-val since : (string * int) list -> (string * int) list
-
 (** A per-run scope: the counter values {e and} the reset epoch at the
     moment it was taken. *)
 type baseline
 
 val baseline : unit -> baseline
 
-(** Nonzero per-name deltas since the baseline, union-diffed like
-    {!since}.  If {!reset_all} ran after the baseline was taken, the
-    counters restarted from zero and the baseline values are treated as
-    zero — deltas never go negative, so back-to-back runs in one process
-    report clean figures. *)
+(** Nonzero per-name deltas since the baseline, sorted by name and
+    diffed over the {e union} of the names then and now: counters
+    registered after the baseline count from zero, and counters back at
+    their baseline value are absent.  If {!reset_all} ran after the
+    baseline was taken, the counters restarted from zero and the
+    baseline values are treated as zero — deltas never go negative, so
+    back-to-back runs in one process report clean figures. *)
 val deltas : baseline -> (string * int) list
 
 (** Zero every registered counter and start a new reset epoch (tests,

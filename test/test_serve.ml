@@ -1,10 +1,12 @@
 (* Serve-mode tests: script normalization, the fingerprint-keyed plan
    cache (hits on whitespace/alias-renamed variants, invalidation on
    catalog bumps), cross-script sharing over combined memos with
-   byte-identical outputs, and the session protocol + stream generator.
+   byte-identical outputs, the session protocol + stream generator, and
+   the session loop (Sserve.Driver): its accounting, its error paths and
+   a generated-stream replay.
 
-   Counters are process-global, so assertions read per-batch results
-   and cache entries, never the lifetime totals. *)
+   Every engine counts into its own registry, so each test reads the
+   totals of the engine it built. *)
 
 module N = Sserve.Normalize
 module E = Sserve.Engine
@@ -370,45 +372,107 @@ let test_generator_stream () =
   Alcotest.(check bool) "has batch breaks" true
     (List.exists (function S.Flush -> true | _ -> false) items)
 
+(* --- the session loop ----------------------------------------------------- *)
+
+(* Run the session loop over a protocol stream on [e]; returns the
+   loop's result and its narration. *)
+let drive ?stats_file e stream =
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  let r =
+    Sserve.Driver.run ~out:ppf ~err:ppf ?stats_file e
+      ~next:(S.of_string stream)
+  in
+  Format.pp_print_flush ppf ();
+  (r, Buffer.contents buf)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let block id text = "#script " ^ id ^ "\n" ^ text ^ "#end\n"
+
+let total e name = List.assoc name (E.totals e)
+let totals e names = List.map (total e) names
+
+let test_driver_miss_count () =
+  (* a bind failure is not a cache miss: the serve line and the SA046
+     registry tell the same story, and a second engine in the process
+     sees only its own sessions *)
+  let e = fresh_engine () in
+  let r, narration =
+    drive e
+      (block "good" plain ^ block "bad" "OUTPUT Nope TO \"serve_unbound\";\n")
+  in
+  Alcotest.(check bool) "a failed session fails the run" true
+    (Result.is_error r);
+  Alcotest.(check (list int)) "two sessions, no hit, one miss" [ 2; 0; 1 ]
+    (totals e [ "sessions"; "cache_hits"; "cache_misses" ]);
+  Alcotest.(check int) "hits + misses = submitted - failed"
+    (count (metric_rows e) "serve.sessions_submitted" []
+    - count (metric_rows e) "serve.sessions_failed" [])
+    (List.fold_left ( + ) 0 (totals e [ "cache_hits"; "cache_misses" ]));
+  Alcotest.(check bool) "serve line shows one miss" true
+    (contains narration "cache_misses=1 ");
+  let other = fresh_engine () in
+  let r, _ = drive other (block "dup" plain ^ block "dup2" plain) in
+  Alcotest.(check bool) "second engine serves cleanly" true (Result.is_ok r);
+  Alcotest.(check (list int)) "second engine counts only its own sessions"
+    [ 2; 1; 1; 1 ]
+    (totals other [ "sessions"; "batches"; "cache_hits"; "cache_misses" ]);
+  Alcotest.(check (list int)) "first engine unchanged" [ 2 ]
+    (totals e [ "sessions" ])
+
+let test_driver_protocol_error () =
+  (* a protocol error after an accepted script: the script still runs and
+     is narrated, the stats file is written, then the error returns *)
+  let stats_file = Filename.temp_file "serve-stats" ".json" in
+  let e = fresh_engine () in
+  let r, narration = drive ~stats_file e (block "good" plain ^ "#bogus\n") in
+  let written = In_channel.with_open_text stats_file In_channel.input_all in
+  Sys.remove stats_file;
+  Alcotest.(check (result unit string)) "protocol error returned"
+    (Error "unknown directive \"#bogus\"")
+    (Result.map_error (fun (`Msg m) -> m) r);
+  Alcotest.(check (list int)) "accepted script flushed" [ 1; 1 ]
+    (totals e [ "sessions"; "batches" ]);
+  Alcotest.(check bool) "accepted script narrated" true
+    (contains narration "batch 1: good cache miss");
+  Alcotest.(check bool) "stats written" true
+    (contains written "serve.sessions_submitted")
+
+let test_driver_unwritable_stats () =
+  let stats_file =
+    Filename.concat
+      (Filename.concat (Filename.get_temp_dir_name ()) "no-such-serve-dir")
+      "stats.json"
+  in
+  let e = fresh_engine () in
+  let r, _ =
+    drive ~stats_file e (block "a" plain ^ "#batch\n" ^ block "b" plain)
+  in
+  (match r with
+  | Error (`Msg m) ->
+      Alcotest.(check bool) ("names the stats file: " ^ m) true
+        (contains m "stats file")
+  | Ok () -> Alcotest.fail "an unwritable stats file must fail the run");
+  Alcotest.(check (list int)) "serving went on" [ 2; 2 ]
+    (totals e [ "sessions"; "batches" ])
+
 let test_generator_replay () =
   (* run a small generated stream end to end: the prelude guarantees
      cache hits and at least one cross-script share at any seed *)
-  let catalog = Sworkload.Session_gen.catalog () in
-  let e = E.create catalog in
-  let hits = ref 0 and cross = ref 0 and failed = ref 0 in
-  let flush () =
-    match E.flush e with
-    | None -> ()
-    | Some b ->
-        cross := !cross + b.E.cross_script_shares;
-        List.iter
-          (fun (r : E.session_result) ->
-            match r.E.status with
-            | E.Done { cache_hit = true; _ } -> incr hits
-            | E.Done _ -> ()
-            | E.Failed _ -> incr failed)
-          b.E.results
-  in
-  let tenant = ref None in
-  List.iter
-    (function
-      | S.Script { id; text } -> E.submit ?tenant:!tenant e ~id ~text
-      | S.Flush -> flush ()
-      | S.Catalog_bump -> ignore (E.catalog_bump e)
-      | S.Tenant t -> tenant := Some t
-      | S.Stats | S.Dump -> ()
-      | S.Quit -> ())
-    (S.items_of_string (Sworkload.Session_gen.generate ~seed:11 ~scripts:7 ()));
-  flush ();
-  Alcotest.(check int) "no failed sessions" 0 !failed;
-  Alcotest.(check bool) "cache hits happened" true (!hits >= 2);
-  Alcotest.(check bool) "cross-script sharing happened" true (!cross >= 1);
-  (* the engine's registry must survive the SA046 consistency audit *)
-  Alcotest.(check (list string)) "SA046 clean on replay" []
-    (List.map Sanalysis.Diag.to_string
-       (Sanalysis.Serve_audit.run
-          ~cache_entries:(PC.size (E.cache e))
-          (Sobs.Metrics.snapshot (E.metrics e))))
+  let e = fresh_engine () in
+  let r, _ = drive e (Sworkload.Session_gen.generate ~seed:11 ~scripts:7 ()) in
+  (* [Ok] also means no failed session and a clean SA046 audit *)
+  Alcotest.(check bool) "replay succeeds" true (Result.is_ok r);
+  Alcotest.(check bool) "cache hits happened" true
+    (total e "cache_hits" >= 2);
+  Alcotest.(check bool) "cross-script sharing happened" true
+    (total e "cross_script_shares" >= 1)
 
 let () =
   Alcotest.run "serve"
@@ -455,5 +519,14 @@ let () =
         [
           Alcotest.test_case "accounting and SA046" `Quick
             test_metrics_accounting;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "bind failure is not a miss" `Quick
+            test_driver_miss_count;
+          Alcotest.test_case "protocol error keeps accepted scripts" `Quick
+            test_driver_protocol_error;
+          Alcotest.test_case "unwritable stats file" `Quick
+            test_driver_unwritable_stats;
         ] );
     ]

@@ -97,7 +97,7 @@ let test_counters_atomic_hammer () =
   (* 4 domains bumping one shared counter concurrently: the atomic cells
      must not lose a single increment *)
   let c = Sutil.Counters.counter "test.hammer" in
-  let before = Sutil.Counters.get "test.hammer" in
+  let before = Sutil.Counters.baseline () in
   let per_domain = 25_000 in
   let domains =
     List.init 4 (fun _ ->
@@ -107,32 +107,27 @@ let test_counters_atomic_hammer () =
             done))
   in
   List.iter Domain.join domains;
-  Alcotest.(check int) "exact total" (before + (4 * per_domain))
-    (Sutil.Counters.get "test.hammer")
+  Alcotest.(check (option int)) "exact total" (Some (4 * per_domain))
+    (List.assoc_opt "test.hammer" (Sutil.Counters.deltas before))
 
-let test_counters_since_union () =
-  (* [since] diffs by name over the union of the two snapshots: counters
-     registered after the snapshot count from zero, unchanged counters
-     are absent, and a reset in between yields a negative delta *)
-  let before = Sutil.Counters.snapshot () in
-  let c = Sutil.Counters.counter "test.since_union" in
+let test_counters_deltas_union () =
+  (* [deltas] diffs by name over the union of the baseline's names and
+     the current ones: a counter registered after the baseline counts
+     from zero, and unchanged counters are absent *)
+  let b = Sutil.Counters.baseline () in
+  let c = Sutil.Counters.counter "test.deltas_union" in
   Sutil.Counters.bump c 3;
-  let d = Sutil.Counters.since before in
-  Alcotest.(check (option int)) "counter born after snapshot is reported"
+  Alcotest.(check (option int)) "counter born after the baseline is reported"
     (Some 3)
-    (List.assoc_opt "test.since_union" d);
+    (List.assoc_opt "test.deltas_union" (Sutil.Counters.deltas b));
   Alcotest.(check (list (pair string int))) "no change means empty delta" []
-    (Sutil.Counters.since (Sutil.Counters.snapshot ()));
-  let before = Sutil.Counters.snapshot () in
-  Sutil.Counters.reset_all ();
-  Alcotest.(check (option int)) "reset shows as negative delta" (Some (-3))
-    (List.assoc_opt "test.since_union" (Sutil.Counters.since before))
+    (Sutil.Counters.deltas (Sutil.Counters.baseline ()))
 
 let test_counters_baseline_reset_safe () =
-  (* [baseline]/[deltas] are the reset-safe variant of
-     [snapshot]/[since]: a [reset_all] between the two restarts every
-     counter from zero and the baseline is ignored for them, so deltas
-     never go negative across sequenced runs in one process *)
+  (* [baseline]/[deltas] are reset-safe: a [reset_all] between the two
+     restarts every counter from zero and the baseline is ignored for
+     them, so deltas never go negative across sequenced runs in one
+     process *)
   let c = Sutil.Counters.counter "test.baseline_reset" in
   Sutil.Counters.bump c 5;
   let b = Sutil.Counters.baseline () in
@@ -142,7 +137,7 @@ let test_counters_baseline_reset_safe () =
   let b = Sutil.Counters.baseline () in
   Sutil.Counters.reset_all ();
   (* counter restarted from zero: baseline value (7) must not be
-     subtracted — [since] would report -7 here *)
+     subtracted, which would report -7 here *)
   Alcotest.(check (option int)) "reset alone yields no delta" None
     (List.assoc_opt "test.baseline_reset" (Sutil.Counters.deltas b));
   Sutil.Counters.bump c 3;
@@ -218,8 +213,8 @@ let () =
         [
           Alcotest.test_case "4-domain hammer" `Quick
             test_counters_atomic_hammer;
-          Alcotest.test_case "since diffs over union" `Quick
-            test_counters_since_union;
+          Alcotest.test_case "deltas diffs over union" `Quick
+            test_counters_deltas_union;
           Alcotest.test_case "baseline survives reset_all" `Quick
             test_counters_baseline_reset_safe;
         ] );
