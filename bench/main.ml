@@ -580,9 +580,9 @@ type opt_record = {
   lint_deep_ms : float;
 }
 
-(* Counters and memo figures come from the first rep (later reps re-use
-   the globally interned requirements, so their intern.misses would read
-   near zero); times are the min across reps. *)
+(* Counters and memo figures come from the first rep; every rep interns
+   its requirements in its own optimizer's table, so any rep would report
+   the same counts.  Times are the min across reps. *)
 let bench_opt_record ~workers ~config (w : prepared) =
   let first = run_pipeline ~audit:false ~config w in
   let conv_time = ref first.Cse.Pipeline.conventional_time in

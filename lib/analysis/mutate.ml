@@ -410,7 +410,7 @@ let sa013 =
           let clone = { s with Plan.op_cost = s.Plan.op_cost } in
           plan :=
             Plan.make ~op:Physop.P_sequence ~children:[ s; clone ] ~group:(-1)
-              ~schema:s.Plan.schema ~stats:s.Plan.stats ~op_cost:0.0 ))
+              ~schema:s.Plan.schema ~stats:s.Plan.stats ~op_cost:0.0 ()))
 
 let sa014 =
   mutation "SA014 plan spooling a group not marked shared" "SA014" (fun () ->
@@ -518,7 +518,7 @@ let sa043 =
                     ~op:(Physop.P_output { file = "__mutant.out" })
                     ~children:[ st.Stage.root ] ~group:(-1)
                     ~schema:st.Stage.root.Plan.schema
-                    ~stats:st.Stage.root.Plan.stats ~op_cost:0.0;
+                    ~stats:st.Stage.root.Plan.stats ~op_cost:0.0 ();
               })
           g.Stage.stages
       in

@@ -82,42 +82,56 @@ let after_winner state (t : Optimizer.t) (g : Smemo.Memo.group) _extreq plan =
   if t.Optimizer.phase = 1 && g.Smemo.Memo.shared then
     History.note_best state.history g.Smemo.Memo.id plan
 
-let child_extreq state (t : Optimizer.t) ~(child : Smemo.Memo.group) creq
-    (parent : Extreq.t) =
-  if t.Optimizer.phase <> 2 || parent.Extreq.enforce = [] then Extreq.plain creq
+(* [restricted] maps (map id, class of the child's shared_below set),
+   packed with [Intern.pair], to the map restricted to that set: children
+   with equal sets share the entry. *)
+let child_extreq state restricted (t : Optimizer.t)
+    ~(child : Smemo.Memo.group) (creq : Extreq.t) (parent : Extreq.t) =
+  if t.Optimizer.phase <> 2 || Intern.is_empty parent.Extreq.enforce then creq
   else begin
     let si = shared_info state in
     let cid = child.Smemo.Memo.id in
     let enforce =
       (* prune to paths that still lead to an enforced shared group; keep
          everything for groups unknown to the (pre-phase-2) analysis *)
-      if Hashtbl.mem si.Shared_info.info cid then
-        let below = Shared_info.shared_below si cid in
-        List.filter (fun (gid, _) -> List.mem gid below) parent.Extreq.enforce
-      else parent.Extreq.enforce
+      match Hashtbl.find_opt si.Shared_info.below_class cid with
+      | None -> parent.Extreq.enforce
+      | Some cls -> (
+          let key = Intern.pair parent.Extreq.enforce.Intern.id cls in
+          match Intern.Id_tbl.find_opt restricted key with
+          | Some m -> m
+          | None ->
+              let below = Shared_info.shared_below si cid in
+              let m =
+                Intern.filter t.Optimizer.intern
+                  (fun gid -> List.mem gid below)
+                  parent.Extreq.enforce
+              in
+              Intern.Id_tbl.add restricted key m;
+              m)
     in
-    { Extreq.req = creq; enforce }
+    { creq with Extreq.enforce }
   end
 
 (* Per-consumer compensation above a pinned shared plan: layer enforcers
    until the consumer's original requirement is satisfied. *)
 let rec compensate (t : Optimizer.t) (g : Smemo.Memo.group)
-    (req : Reqprops.t) (base : Plan.t) : Plan.t option =
-  if Reqprops.satisfied base.Plan.props req then Some base
+    (req : Extreq.t) (base : Plan.t) : Plan.t option =
+  if Reqprops.satisfied base.Plan.props req.Extreq.req then Some base
   else
     let candidates =
       List.filter_map
-        (fun (alt : Enforcers.alt) ->
-          match compensate t g alt.Enforcers.inner base with
+        (fun (alt : Optimizer.enforcer) ->
+          match compensate t g alt.Optimizer.inner base with
           | None -> None
           | Some inner ->
-              let node = Optimizer.mk_plan t g alt.Enforcers.op [ inner ] in
+              let node = Optimizer.mk_plan t g alt.Optimizer.eop [ inner ] in
               if
-                Plan_check.check_op node = []
-                && Reqprops.satisfied node.Plan.props req
+                Optimizer.valid_candidate t ~static_ok:alt.Optimizer.estatic
+                  req.Extreq.req node
               then Some node
               else None)
-        (Enforcers.alternatives req)
+        (Optimizer.enforcers t g req)
     in
     Optimizer.cheapest t candidates
 
@@ -216,8 +230,12 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
       | Some assignment ->
           let bound = round_bound () in
           let ext' =
-            Extreq.normalize
-              { extreq with Extreq.enforce = extreq.Extreq.enforce @ assignment }
+            {
+              extreq with
+              Extreq.enforce =
+                Intern.of_list t.Optimizer.intern
+                  (extreq.Extreq.enforce.Intern.bindings @ assignment);
+            }
           in
           if traced then
             Sobs.Trace.begin_span ~pid:Sobs.Trace.pid_phase2
@@ -292,7 +310,10 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
      Sobs.Trace.instant ~pid:Sobs.Trace.pid_phase2 ~args "round.winner");
   winner
 
-let intercept state (t : Optimizer.t) (g : Smemo.Memo.group)
+(* [pinned_inner] maps (map id, pinned shared group), packed with
+   [Intern.pair], to the requirement the group's base plan is optimized
+   under. *)
+let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
     (extreq : Extreq.t) ~self ~log_phys_opt =
   if t.Optimizer.phase <> 2 then None
   else
@@ -311,35 +332,41 @@ let intercept state (t : Optimizer.t) (g : Smemo.Memo.group)
                 ("props", Sobs.Trace.Str (Fmt.str "%a" Reqprops.pp pinned));
               ]
             "pinned.shared";
-        let keep =
-          (* layer 3, cross-round winner reuse: beyond the group's own
-             entry, drop enforcement entries for shared groups that are
-             not below this one — they are unreachable from here (every
-             descendant prunes to its own shared_below anyway), so they
-             cannot influence the plan, yet they differ between adjacent
-             mixed-radix rounds and would fragment the winner cache into
-             one cold entry per round *)
-          let si = shared_info state in
-          if
-            state.config.Config.use_slice_reuse
-            && Hashtbl.mem si.Shared_info.info g.Smemo.Memo.id
-          then begin
-            let below = Shared_info.shared_below si g.Smemo.Memo.id in
-            fun (gid, _) -> gid <> g.Smemo.Memo.id && List.mem gid below
-          end
-          else fun (gid, _) -> gid <> g.Smemo.Memo.id
-        in
         let inner =
-          Extreq.normalize
-            {
-              Extreq.req = pinned;
-              enforce = List.filter keep extreq.Extreq.enforce;
-            }
+          let key = Intern.pair extreq.Extreq.enforce.Intern.id g.Smemo.Memo.id in
+          match Intern.Id_tbl.find_opt pinned_inner key with
+          | Some x -> x
+          | None ->
+              let keep =
+                (* layer 3, cross-round winner reuse: beyond the group's
+                   own entry, drop enforcement entries for shared groups
+                   that are not below this one — they are unreachable from
+                   here (every descendant prunes to its own shared_below
+                   anyway), so they cannot influence the plan, yet they
+                   differ between adjacent mixed-radix rounds and would
+                   fragment the winner cache into one cold entry per
+                   round *)
+                let si = shared_info state in
+                if
+                  state.config.Config.use_slice_reuse
+                  && Hashtbl.mem si.Shared_info.info g.Smemo.Memo.id
+                then begin
+                  let below = Shared_info.shared_below si g.Smemo.Memo.id in
+                  fun gid -> gid <> g.Smemo.Memo.id && List.mem gid below
+                end
+                else fun gid -> gid <> g.Smemo.Memo.id
+              in
+              let x =
+                Extreq.make t.Optimizer.intern pinned
+                  (Intern.filter t.Optimizer.intern keep extreq.Extreq.enforce)
+              in
+              Intern.Id_tbl.add pinned_inner key x;
+              x
         in
         Some
           (match self g inner with
           | None -> None
-          | Some base -> compensate t g extreq.Extreq.req base)
+          | Some base -> compensate t g extreq base)
     | _ ->
         let si = shared_info state in
         let lcas = Shared_info.lca_groups si g.Smemo.Memo.id in
@@ -356,8 +383,8 @@ let intercept state (t : Optimizer.t) (g : Smemo.Memo.group)
 let make_ext state : Optimizer.ext =
   {
     Optimizer.before_optimize = before_optimize state;
-    child_extreq = child_extreq state;
-    intercept = intercept state;
+    child_extreq = child_extreq state (Intern.Id_tbl.create 256);
+    intercept = intercept state (Intern.Id_tbl.create 64);
     after_winner = after_winner state;
   }
 
@@ -370,10 +397,12 @@ type outcome = {
   budget : Budget.t;
 }
 
-let optimize ?(config = Config.default) ?budget ~cluster
+let optimize ?(config = Config.default) ?budget ?observe ~cluster
     (memo : Smemo.Memo.t) : outcome =
   let state = create config in
-  let t = Optimizer.create ?budget ~ext:(make_ext state) ~cluster memo in
+  let t =
+    Optimizer.create ?budget ?observe ~ext:(make_ext state) ~cluster memo
+  in
   t.Optimizer.phase <- 1;
   let p1 =
     Sobs.Trace.with_span ~pid:Sobs.Trace.pid_phase1 "phase 1" (fun () ->

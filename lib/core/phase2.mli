@@ -30,21 +30,8 @@ type state = {
   mutable lca_sites : int;
 }
 
-val create : Config.t -> state
-
 (** The computed shared-group information; raises before phase 2. *)
 val shared_info : state -> Shared_info.t
-
-(** The hook record plugging the framework into the engine. *)
-val make_ext : state -> Sopt.Optimizer.ext
-
-(** Layer enforcers on a pinned base plan until the requirement holds. *)
-val compensate :
-  Sopt.Optimizer.t ->
-  Smemo.Memo.group ->
-  Sphys.Reqprops.t ->
-  Sphys.Plan.t ->
-  Sphys.Plan.t option
 
 type outcome = {
   plan : Sphys.Plan.t option;  (** best of both phases *)
@@ -58,6 +45,7 @@ type outcome = {
 val optimize :
   ?config:Config.t ->
   ?budget:Sopt.Budget.t ->
+  ?observe:(Sphys.Reqprops.t -> Sphys.Plan.t -> bool -> unit) ->
   cluster:Scost.Cluster.t ->
   Smemo.Memo.t ->
   outcome

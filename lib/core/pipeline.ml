@@ -175,13 +175,7 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
         Spool.identify ~config memo)
   in
   let outcome, cse_time =
-    timed (fun () ->
-        let budget =
-          match budget with
-          | Some b -> Some b
-          | None -> None
-        in
-        Phase2.optimize ~config ?budget ~cluster memo)
+    timed (fun () -> Phase2.optimize ~config ?budget ~cluster memo)
   in
   let cse_plan =
     match outcome.Phase2.plan with

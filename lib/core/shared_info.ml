@@ -35,6 +35,12 @@ type t = {
   lca : (int, int) Hashtbl.t;
   (* shared group -> its distinct consumer groups *)
   consumers_of : (int, int list) Hashtbl.t;
+  (* group -> the shared groups it is the LCA of, ascending; the inverse
+     of [lca], built once by [compute] *)
+  lca_of_group : (int, int list) Hashtbl.t;
+  (* group -> id of its set of shared groups below; groups with equal
+     sets share the id *)
+  below_class : (int, int) Hashtbl.t;
 }
 
 let info t gid = Option.value ~default:[] (Hashtbl.find_opt t.info gid)
@@ -43,8 +49,7 @@ let lca_of_shared t shared = Hashtbl.find_opt t.lca shared
 
 (* Shared groups this group is the LCA of. *)
 let lca_groups t gid =
-  Hashtbl.fold (fun s l acc -> if l = gid then s :: acc else acc) t.lca []
-  |> List.sort Int.compare
+  Option.value ~default:[] (Hashtbl.find_opt t.lca_of_group gid)
 
 (* Shared groups at or below [gid] (including [gid] itself if shared). *)
 let shared_below t gid = List.map (fun s -> s.shared) (info t gid)
@@ -149,6 +154,8 @@ let compute (memo : Smemo.Memo.t) : t =
       info = Hashtbl.create 64;
       lca = Hashtbl.create 8;
       consumers_of = Hashtbl.create 8;
+      lca_of_group = Hashtbl.create 8;
+      below_class = Hashtbl.create 64;
     }
   in
   let parents = Smemo.Memo.parents memo in
@@ -220,6 +227,28 @@ let compute (memo : Smemo.Memo.t) : t =
       | Some l -> Hashtbl.replace t.lca shared l
       | None -> Hashtbl.remove t.lca shared)
     t.consumers_of;
+  Hashtbl.iter
+    (fun s l ->
+      let others = Option.value ~default:[] (Hashtbl.find_opt t.lca_of_group l) in
+      Hashtbl.replace t.lca_of_group l (s :: others))
+    t.lca;
+  Hashtbl.filter_map_inplace
+    (fun _ shared -> Some (List.sort Int.compare shared))
+    t.lca_of_group;
+  let classes = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun gid _ ->
+      let set = List.sort_uniq Int.compare (shared_below t gid) in
+      let cls =
+        match Hashtbl.find_opt classes set with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length classes in
+            Hashtbl.add classes set c;
+            c
+      in
+      Hashtbl.replace t.below_class gid cls)
+    t.info;
   t
 
 let pp ppf t =

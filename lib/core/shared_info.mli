@@ -22,6 +22,11 @@ type t = {
   info : (int, shrd list) Hashtbl.t;
   lca : (int, int) Hashtbl.t;
   consumers_of : (int, int list) Hashtbl.t;
+  lca_of_group : (int, int list) Hashtbl.t;
+      (** group -> the shared groups it is the LCA of, ascending *)
+  below_class : (int, int) Hashtbl.t;
+      (** group -> id of its {!shared_below} set: groups with equal sets
+          share the id; groups unknown to the analysis have none *)
 }
 
 (** Shared-group annotations of a group ([[]] when none). *)
@@ -30,7 +35,7 @@ val info : t -> int -> shrd list
 (** The LCA of a shared group's consumers. *)
 val lca_of_shared : t -> int -> int option
 
-(** Shared groups whose LCA is the given group. *)
+(** Shared groups whose LCA is the given group, ascending. *)
 val lca_groups : t -> int -> int list
 
 (** Shared groups at or below the given group. *)

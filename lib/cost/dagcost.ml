@@ -51,16 +51,15 @@ let cached_cost (cluster : Cluster.t) (plan : Plan.t) : float =
   match plan.Plan.srefs with
   | [] when plan.Plan.op <> Physop.P_spool -> plan.Plan.sbase
   | _ ->
-      let produced : (int, Plan.t list) Hashtbl.t = Hashtbl.create 8 in
+      (* the distinct spool values met so far: a plan references few, so
+         a physical-identity list beats a table built per call *)
+      let produced = ref [] in
       let already_produced (n : Plan.t) =
-        let prev =
-          Option.value ~default:[] (Hashtbl.find_opt produced n.Plan.group)
-        in
-        if List.exists (fun p -> p == n) prev then true
-        else begin
-          Hashtbl.replace produced n.Plan.group (n :: prev);
-          false
-        end
+        List.memq n !produced
+        || begin
+             produced := n :: !produced;
+             false
+           end
       in
       let total = ref 0.0 in
       let pending = Queue.create () in

@@ -40,13 +40,14 @@ type group = {
   (* referrer gid -> number of child slots in its exprs pointing here *)
   parent_refs : (int, int) Hashtbl.t;
   schema : Schema.t;
+  cols : Colset.t; (* [Schema.colset schema], built once for plan nodes *)
   mutable stats : Slogical.Stats.t;
   (* highest optimization phase whose exploration rules ran on this group *)
   mutable explored_phase : int;
   (* set by Algorithm 1 on spool groups that root a shared subexpression *)
   mutable shared : bool;
-  (* winner table, keyed by the interned (phase x extended-required-
-     property) id the optimizer computes (Sopt.Intern) *)
+  (* winner table, keyed by the (phase x extended-required-property) id
+     the optimizer packs from its run's interned ids (Sopt.Intern) *)
   winners : (int, winner) Hashtbl.t;
 }
 
@@ -127,6 +128,7 @@ let add_group t (e : mexpr) schema =
       expr_index = Hashtbl.create 4;
       parent_refs = Hashtbl.create 4;
       schema;
+      cols = Schema.colset schema;
       stats = derive_stats t e schema;
       explored_phase = 0;
       shared = false;

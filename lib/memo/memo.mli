@@ -33,14 +33,15 @@ type group = {
   parent_refs : (int, int) Hashtbl.t;
       (** internal: referrer gid → number of child slots pointing here *)
   schema : Relalg.Schema.t;
+  cols : Relalg.Colset.t;  (** the schema's column set *)
   mutable stats : Slogical.Stats.t;
   mutable explored_phase : int;
       (** highest phase whose exploration rules ran on this group *)
   mutable shared : bool;
       (** set by Algorithm 1 on spool groups rooting a shared subexpression *)
   winners : (int, winner) Hashtbl.t;
-      (** best plan per interned (phase × extended-requirement) id
-          (see [Sopt.Intern]) *)
+      (** best plan per (phase × extended-requirement) key, packed from
+          one optimizer run's interned ids (see [Sopt.Intern]) *)
 }
 
 type t = {

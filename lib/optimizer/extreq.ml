@@ -2,26 +2,12 @@ open Sphys
 
 (* Extended required properties (Section VII): the conventional requirement
    plus [PropForSharedGrps] -- the property sets to be enforced at shared
-   groups encountered below, keyed by group id. *)
+   groups encountered below, keyed by group id.  Both parts carry their
+   interned ids ([Intern]), so the winner key of an extended requirement
+   is two integers and never needs hashing or normalizing. *)
 
-type t = { req : Reqprops.t; enforce : (int * Reqprops.t) list }
+type t = { req : Reqprops.t; rid : int; enforce : Intern.map }
 
-let plain req = { req; enforce = [] }
-
-let normalize t =
-  { t with enforce = List.sort_uniq Stdlib.compare t.enforce }
-
-let enforcement t gid = List.assoc_opt gid t.enforce
-
-let with_req t req = { t with req }
-
-let pp ppf t =
-  Fmt.pf ppf "%a" Reqprops.pp t.req;
-  if t.enforce <> [] then
-    Fmt.pf ppf " enforce{%s}"
-      (String.concat "; "
-         (List.map
-            (fun (g, p) -> Fmt.str "%d↦%a" g Reqprops.pp p)
-            t.enforce))
-
-let to_string t = Fmt.str "%a" pp t
+let make intern req enforce = { req; rid = Intern.req intern req; enforce }
+let plain intern req = make intern req Intern.empty
+let enforcement t gid = Intern.find t.enforce gid

@@ -1,29 +1,45 @@
-(** Interned integer ids for normalized extended requirements.
+(** Integer identities for the requirements of one optimizer run.
 
-    Winner-table keys used to be canonical strings rebuilt on every
-    {!Optimizer.optimize_group} call; interning assigns each distinct
-    normalized {!Extreq.t} a small integer once, making the per-call work
-    a single structural hash lookup over int-keyed tables.
+    Each {!Optimizer.t} owns one table and drops it with the run.  The
+    table interns conventional requirements ({!Sphys.Reqprops.t}) and
+    hash-conses enforcement maps (shared group ↦ pinned properties), so
+    an extended requirement's winner key is two small integers.  Ids are
+    meaningful only within the table that assigned them. *)
 
-    The table is global and append-only: ids denote structural
-    requirement values.  Group ids inside enforcement maps are only
-    meaningful within one memo, but winner tables are per-group, so ids
-    never leak winners across memos. *)
+type t
 
-(** The id of a requirement, allocating a fresh one on first sight.
-    The argument must be normalized ({!Extreq.normalize}): ids are
-    assigned per distinct structural value, and an un-normalized
-    enforcement list would intern as a different requirement. *)
-val id : Extreq.t -> int
+(** An enforcement map: bindings sorted by group id (then properties),
+    duplicates removed.  Maps of one table are equal exactly when their
+    ids are; the empty map has id 0 in every table. *)
+type map = private {
+  id : int;
+  bindings : (int * Sphys.Reqprops.t) list;
+  tail : tail;
+}
 
-(** The requirement a given id was assigned to, if any. *)
-val lookup : int -> Extreq.t option
+and tail
 
-(** Number of distinct requirements interned so far. *)
-val size : unit -> int
+val create : unit -> t
 
-(** Lookups served from the table / lookups that allocated a fresh id,
-    since program start. *)
-val hit_count : unit -> int
+(** [pair hi lo]: two ids packed into one int; [lo] must be below
+    [2^28]. *)
+val pair : int -> int -> int
 
-val miss_count : unit -> int
+(** Int-keyed hash tables, for ids and {!pair}s. *)
+module Id_tbl : Hashtbl.S with type key = int
+
+(** The id of a requirement, assigned on first sight. *)
+val req : t -> Sphys.Reqprops.t -> int
+
+val empty : map
+val is_empty : map -> bool
+
+(** The map holding these bindings, in any order. *)
+val of_list : t -> (int * Sphys.Reqprops.t) list -> map
+
+(** The bindings whose group passes the predicate; the map itself when
+    every binding does. *)
+val filter : t -> (int -> bool) -> map -> map
+
+(** The property set a map pins at a group, if any. *)
+val find : map -> int -> Sphys.Reqprops.t option

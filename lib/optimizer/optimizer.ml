@@ -10,6 +10,27 @@ open Sphys
    optimization at LCA groups to run re-optimization rounds
    (Algorithm 4). *)
 
+(* An implementation alternative of a memo expression under one
+   requirement, prepared once per (group, requirement id): its children's
+   groups with their interned conventional requirements, and the verdict
+   of the checks that depend only on the operator and those groups'
+   schemas. *)
+type impl = {
+  iop : Physop.t;
+  inputs : (Smemo.Memo.group * Extreq.t) list;
+  istatic : bool;
+}
+
+type enforcer = { eop : Physop.t; inner : Extreq.t; estatic : bool }
+
+(* A phase-2 memo entry, kept from its key's second request on.  Phase 1
+   asks for each (group, requirement id) once -- its winner keys carry no
+   enforcement map.  Phase 2 asks for most pairs once too; the ones it asks
+   for again are asked for in every round at an LCA above them.  Keeping
+   only those leaves the single requests nothing to hold past the minor
+   heap. *)
+type 'a entry = Seen | Kept of 'a
+
 type t = {
   memo : Smemo.Memo.t;
   cluster : Scost.Cluster.t;
@@ -23,6 +44,16 @@ type t = {
          branch-and-bound protocol below); tainted results are never
          memoized *)
   ext : ext;
+  intern : Intern.t;
+  observe : (Reqprops.t -> Plan.t -> bool -> unit) option;
+  cache : cache;
+}
+
+(* The alternatives phase 2 keeps, keyed by (group id, requirement id)
+   packed with [Intern.pair]. *)
+and cache = {
+  impls : impl list entry Intern.Id_tbl.t;
+  enforcers : enforcer list entry Intern.Id_tbl.t;
 }
 
 and ext = {
@@ -30,10 +61,10 @@ and ext = {
      history recording hooks in here *)
   before_optimize : t -> Smemo.Memo.group -> Extreq.t -> unit;
   (* Algorithm 5, lines 9-17: build the child's extended requirement from
-     the conventional DetChildProp result and the parent's enforcement
-     map *)
+     the conventional DetChildProp result (an unenforced requirement) and
+     the parent's enforcement map *)
   child_extreq :
-    t -> child:Smemo.Memo.group -> Reqprops.t -> Extreq.t -> Extreq.t;
+    t -> child:Smemo.Memo.group -> Extreq.t -> Extreq.t -> Extreq.t;
   (* Algorithm 4, lines 4-12: a [Some result] bypasses the default
      optimization (used for LCA rounds and pinned shared groups) *)
   intercept :
@@ -50,12 +81,12 @@ and ext = {
 let default_ext =
   {
     before_optimize = (fun _ _ _ -> ());
-    child_extreq = (fun _ ~child:_ creq _ -> Extreq.plain creq);
+    child_extreq = (fun _ ~child:_ creq _ -> creq);
     intercept = (fun _ _ _ ~self:_ ~log_phys_opt:_ -> None);
     after_winner = (fun _ _ _ _ -> ());
   }
 
-let create ?(ext = default_ext) ?(budget = Budget.unlimited ())
+let create ?(ext = default_ext) ?(budget = Budget.unlimited ()) ?observe
     ~(cluster : Scost.Cluster.t) (memo : Smemo.Memo.t) =
   {
     memo;
@@ -65,12 +96,19 @@ let create ?(ext = default_ext) ?(budget = Budget.unlimited ())
     phase2_winner_hits = 0;
     tainted = false;
     ext;
+    intern = Intern.create ();
+    observe;
+    cache =
+      {
+        impls = Intern.Id_tbl.create 256;
+        enforcers = Intern.Id_tbl.create 256;
+      };
   }
 
-(* Winner-table key: the interned requirement id packed with the phase
-   (1 or 2).  [extreq] must already be normalized -- [optimize_group]
-   normalizes once at entry. *)
-let winner_key t extreq = (Intern.id extreq lsl 2) lor t.phase
+(* Winner-table key: the enforcement map's id, the requirement's id and
+   the phase (1 or 2) packed into one int. *)
+let winner_key t (x : Extreq.t) =
+  (Intern.pair x.Extreq.enforce.Intern.id x.Extreq.rid lsl 2) lor t.phase
 
 let winner_hits = Sutil.Counters.counter "optimizer.winner_hits"
 let winner_misses = Sutil.Counters.counter "optimizer.winner_misses"
@@ -80,8 +118,8 @@ let ticks = Sutil.Counters.counter "optimizer.tasks"
 let mk_plan t (g : Smemo.Memo.group) op children =
   let stats = g.Smemo.Memo.stats in
   let op_cost = Scost.Costmodel.op_cost t.cluster op children ~out:stats in
-  Plan.make ~op ~children ~group:g.Smemo.Memo.id ~schema:g.Smemo.Memo.schema
-    ~stats ~op_cost
+  Plan.make ~out_cols:g.Smemo.Memo.cols ~op ~children ~group:g.Smemo.Memo.id
+    ~schema:g.Smemo.Memo.schema ~stats ~op_cost ()
 
 let plan_cost t p = Scost.Dagcost.cached_cost t.cluster p
 
@@ -120,9 +158,75 @@ let cheapest t plans =
 (* A candidate is kept only if the operator's own input requirements hold
    against the children actually delivered (enforcement may have overridden
    what was requested) and the delivered properties satisfy the caller's
-   requirement. *)
-let valid_candidate (req : Reqprops.t) (node : Plan.t) =
-  Plan_check.check_op node = [] && Reqprops.satisfied node.Plan.props req
+   requirement: [Plan_check.check_op node = []] and [satisfied], with the
+   static half of [check_op] decided once per alternative ([static_ok]),
+   and without its re-derivation of [node.props], which [Plan.make] has
+   just derived. *)
+let valid_candidate t ~static_ok (req : Reqprops.t) (node : Plan.t) =
+  let ok =
+    static_ok
+    && Plan_check.inputs_ok node.Plan.op
+         (List.map (fun (c : Plan.t) -> c.Plan.props) node.Plan.children)
+    && Reqprops.satisfied node.Plan.props req
+  in
+  (match t.observe with Some f -> f req node ok | None -> ());
+  ok
+
+(* [prepare ()], or, in phase 2, the value a [Kept] entry holds for
+   [key]. *)
+let memo t tbl key prepare =
+  if t.phase < 2 then prepare ()
+  else
+    match Intern.Id_tbl.find_opt tbl key with
+    | Some (Kept v) -> v
+    | Some Seen ->
+        let v = prepare () in
+        Intern.Id_tbl.replace tbl key (Kept v);
+        v
+    | None ->
+        Intern.Id_tbl.add tbl key Seen;
+        prepare ()
+
+(* The implementation alternatives of group [g]'s expressions under
+   [x.req], prepared once per (group, requirement id).  A group's
+   expressions are final once phase 2 has explored it, which
+   [log_phys_opt] does before asking for them. *)
+let impls t (g : Smemo.Memo.group) (x : Extreq.t) =
+  memo t t.cache.impls (Intern.pair g.Smemo.Memo.id x.Extreq.rid) (fun () ->
+      List.concat_map
+        (fun (e : Smemo.Memo.mexpr) ->
+          let groups = List.map (Smemo.Memo.group t.memo) e.Smemo.Memo.children in
+          let schemas =
+            List.map (fun (cg : Smemo.Memo.group) -> cg.Smemo.Memo.schema) groups
+          in
+          List.map
+            (fun (alt : Impl.alt) ->
+              {
+                iop = alt.Impl.op;
+                inputs =
+                  List.map2
+                    (fun cg creq ->
+                      (* a requirement passed through is already interned *)
+                      if creq == x.Extreq.req then
+                        (cg, { x with Extreq.enforce = Intern.empty })
+                      else (cg, Extreq.plain t.intern creq))
+                    groups alt.Impl.child_reqs;
+                istatic = Plan_check.static_ok alt.Impl.op schemas;
+              })
+            (Impl.alternatives e x.Extreq.req))
+        (Smemo.Memo.exprs g))
+
+let enforcers t (g : Smemo.Memo.group) (x : Extreq.t) =
+  memo t t.cache.enforcers (Intern.pair g.Smemo.Memo.id x.Extreq.rid)
+    (fun () ->
+      List.map
+        (fun (alt : Enforcers.alt) ->
+          {
+            eop = alt.Enforcers.op;
+            inner = Extreq.plain t.intern alt.Enforcers.inner;
+            estatic = Plan_check.static_ok alt.Enforcers.op [ g.Smemo.Memo.schema ];
+          })
+        (Enforcers.alternatives x.Extreq.req))
 
 (* Incremental deduplicated lower bound over a set of sibling subplans,
    mirroring [Dagcost.cached_cost]: each plan contributes its spool-free
@@ -136,21 +240,18 @@ let valid_candidate (req : Reqprops.t) (node : Plan.t) =
 module Lower_bound = struct
   type acc = {
     mutable sum : float;
-    produced : (int, Plan.t list) Hashtbl.t;
+    mutable produced : Plan.t list; (* distinct spool values, by identity *)
   }
 
-  let create () = { sum = 0.0; produced = Hashtbl.create 4 }
+  let create () = { sum = 0.0; produced = [] }
 
   let add (cluster : Scost.Cluster.t) acc (p : Plan.t) =
     let already (n : Plan.t) =
-      let prev =
-        Option.value ~default:[] (Hashtbl.find_opt acc.produced n.Plan.group)
-      in
-      if List.exists (fun q -> q == n) prev then true
-      else begin
-        Hashtbl.replace acc.produced n.Plan.group (n :: prev);
-        false
-      end
+      List.memq n acc.produced
+      || begin
+           acc.produced <- n :: acc.produced;
+           false
+         end
     in
     let pending = Queue.create () in
     (match p.Plan.op with
@@ -197,7 +298,6 @@ end
    identical to the unbounded engine. *)
 let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
     (extreq : Extreq.t) : Plan.t option =
-  let extreq = Extreq.normalize extreq in
   let key = winner_key t extreq in
   match Hashtbl.find_opt g.Smemo.Memo.winners key with
   | Some w ->
@@ -237,7 +337,7 @@ let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
           {
             Smemo.Memo.wphase = t.phase;
             wreq = extreq.Extreq.req;
-            wenforce = extreq.Extreq.enforce;
+            wenforce = extreq.Extreq.enforce.Intern.bindings;
             wplan = result;
           };
         t.ext.after_winner t g extreq result
@@ -275,89 +375,83 @@ and log_phys_opt t ?(bound = infinity) (g : Smemo.Memo.group)
     end
   in
   let impl_candidates =
-    List.concat_map
-      (fun (e : Smemo.Memo.mexpr) ->
-        List.filter_map
-          (fun (alt : Impl.alt) ->
-            if not bounded then begin
-              (* the exact unbounded engine: every child evaluated *)
-              let children =
-                List.map2
-                  (fun cgid creq ->
-                    let child = Smemo.Memo.group t.memo cgid in
-                    let cext = t.ext.child_extreq t ~child creq extreq in
-                    optimize_group t child cext)
-                  e.Smemo.Memo.children alt.Impl.child_reqs
-              in
-              if List.for_all Option.is_some children then
-                let node =
-                  mk_plan t g alt.Impl.op (List.map Option.get children)
-                in
-                if valid_candidate req node then Some node else None
+    List.filter_map
+      (fun (alt : impl) ->
+        if not bounded then begin
+          (* the exact unbounded engine: every child evaluated *)
+          let children =
+            List.map
+              (fun (child, creq) ->
+                optimize_group t child (t.ext.child_extreq t ~child creq extreq))
+              alt.inputs
+          in
+          if List.for_all Option.is_some children then
+            let node = mk_plan t g alt.iop (List.map Option.get children) in
+            if valid_candidate t ~static_ok:alt.istatic req node then Some node
+            else None
+          else None
+        end
+        else begin
+          (* children left to right; the deduplicated cost of the
+             completed prefix is a lower bound on the candidate's final
+             cost *)
+          (* children stay exact (and so memoized — warm for later
+             rounds; a bounded child could taint, and tainted results are
+             not recordable, so every later round would re-pay the same
+             subtree); the bound cuts at this level only *)
+          let lb = Lower_bound.create () in
+          let rec go acc = function
+            | [] -> Some (List.rev acc)
+            | (child, creq) :: inputs ->
+                if lb.Lower_bound.sum > !work_bound then begin
+                  skipped := true;
+                  None
+                end
+                else begin
+                  let cext = t.ext.child_extreq t ~child creq extreq in
+                  match optimize_group t child cext with
+                  | None -> None (* genuinely infeasible child *)
+                  | Some p ->
+                      Lower_bound.add t.cluster lb p;
+                      go (p :: acc) inputs
+                end
+          in
+          match go [] alt.inputs with
+          | None -> None
+          | Some children ->
+              let node = mk_plan t g alt.iop children in
+              if valid_candidate t ~static_ok:alt.istatic req node then
+                note_candidate node
               else None
-            end
-            else begin
-              (* children left to right; the deduplicated cost of the
-                 completed prefix is a lower bound on the candidate's
-                 final cost *)
-              (* children stay exact (and so memoized — warm for later
-                 rounds; a bounded child could taint, and tainted results
-                 are not recordable, so every later round would re-pay
-                 the same subtree); the bound cuts at this level only *)
-              let lb = Lower_bound.create () in
-              let rec go acc cgids creqs =
-                match (cgids, creqs) with
-                | [], [] -> Some (List.rev acc)
-                | cgid :: cgids', creq :: creqs' ->
-                    if lb.Lower_bound.sum > !work_bound then begin
-                      skipped := true;
-                      None
-                    end
-                    else begin
-                      let child = Smemo.Memo.group t.memo cgid in
-                      let cext = t.ext.child_extreq t ~child creq extreq in
-                      match optimize_group t child cext with
-                      | None -> None (* genuinely infeasible child *)
-                      | Some p ->
-                          Lower_bound.add t.cluster lb p;
-                          go (p :: acc) cgids' creqs'
-                    end
-                | _ -> None
-              in
-              match go [] e.Smemo.Memo.children alt.Impl.child_reqs with
-              | None -> None
-              | Some children ->
-                  let node = mk_plan t g alt.Impl.op children in
-                  if valid_candidate req node then note_candidate node
-                  else None
-            end)
-          (Impl.alternatives e req))
-      (Smemo.Memo.exprs g)
+        end)
+      (impls t g extreq)
   in
   let enforcer_candidates =
     List.filter_map
-      (fun (alt : Enforcers.alt) ->
+      (fun (alt : enforcer) ->
         (* exact for the same memoization reason as implementation
            children; the enforcer node itself is bound-filtered below *)
+        let inner = alt.inner in
         match
-          optimize_group t g (Extreq.with_req extreq alt.Enforcers.inner)
+          optimize_group t g
+            { extreq with Extreq.req = inner.Extreq.req; rid = inner.Extreq.rid }
         with
           | None -> None
           | Some inner ->
-              let node = mk_plan t g alt.Enforcers.op [ inner ] in
-              if valid_candidate req node then begin
+              let node = mk_plan t g alt.eop [ inner ] in
+              if valid_candidate t ~static_ok:alt.estatic req node then begin
                 if Sobs.Trace.enabled () then
                   Sobs.Trace.instant ~pid:(Sobs.Trace.pid_of_phase t.phase)
                     ~args:
                       [
                         ("group", Sobs.Trace.Int g.Smemo.Memo.id);
-                        ("op", Sobs.Trace.Str (Physop.to_string alt.Enforcers.op));
+                        ("op", Sobs.Trace.Str (Physop.to_string alt.eop));
                       ]
                     "enforcer";
                 if bounded then note_candidate node else Some node
               end
               else None)
-      (Enforcers.alternatives req)
+      (enforcers t g extreq)
   in
   let result = cheapest t (impl_candidates @ enforcer_candidates) in
   t.tainted <-
@@ -367,4 +461,5 @@ and log_phys_opt t ?(bound = infinity) (g : Smemo.Memo.group)
 
 (* Entry point: optimize the whole memo for the current phase. *)
 let optimize_root t =
-  optimize_group t (Smemo.Memo.root_group t.memo) (Extreq.plain Reqprops.none)
+  optimize_group t (Smemo.Memo.root_group t.memo)
+    (Extreq.plain t.intern Reqprops.none)

@@ -7,6 +7,11 @@
     and interception at LCA groups to run re-optimization rounds
     (Algorithm 4). *)
 
+(** An enforcer alternative of a group under one requirement
+    ({!Enforcers.alternatives}), with its interned inner requirement and
+    the verdict of {!Sphys.Plan_check.static_ok} over the group's schema. *)
+type enforcer = { eop : Sphys.Physop.t; inner : Extreq.t; estatic : bool }
+
 type t = {
   memo : Smemo.Memo.t;
   cluster : Scost.Cluster.t;
@@ -20,15 +25,25 @@ type t = {
           result may have been degraded by bound-driven skips and so must
           not be memoized (see {!optimize_group}) *)
   ext : ext;
+  intern : Intern.t;
+      (** this run's requirement ids; dropped with the run *)
+  observe : (Sphys.Reqprops.t -> Sphys.Plan.t -> bool -> unit) option;
+      (** sees every candidate {!valid_candidate} vets, with its verdict *)
+  cache : cache;
 }
+
+(** The alternatives of each (group, requirement id) that phase 2 asks
+    for more than once. *)
+and cache
 
 and ext = {
   before_optimize : t -> Smemo.Memo.group -> Extreq.t -> unit;
       (** called once per fresh (group, requirement) optimization *)
   child_extreq :
-    t -> child:Smemo.Memo.group -> Sphys.Reqprops.t -> Extreq.t -> Extreq.t;
+    t -> child:Smemo.Memo.group -> Extreq.t -> Extreq.t -> Extreq.t;
       (** Algorithm 5, lines 9-17: the child's extended requirement from
-          the conventional DetChildProp result and the parent's map *)
+          the conventional DetChildProp result (unenforced) and the
+          parent's map *)
   intercept :
     t ->
     Smemo.Memo.group ->
@@ -47,7 +62,12 @@ and ext = {
 val default_ext : ext
 
 val create :
-  ?ext:ext -> ?budget:Budget.t -> cluster:Scost.Cluster.t -> Smemo.Memo.t -> t
+  ?ext:ext ->
+  ?budget:Budget.t ->
+  ?observe:(Sphys.Reqprops.t -> Sphys.Plan.t -> bool -> unit) ->
+  cluster:Scost.Cluster.t ->
+  Smemo.Memo.t ->
+  t
 
 (** Build a costed plan node for an operator over child plans in a
     group. *)
@@ -72,8 +92,17 @@ val cheapest : t -> Sphys.Plan.t list -> Sphys.Plan.t option
 
 (** The candidate filter: the operator's own input requirements hold
     against what the children actually deliver, and the delivered
-    properties satisfy the caller's requirement. *)
-val valid_candidate : Sphys.Reqprops.t -> Sphys.Plan.t -> bool
+    properties satisfy the caller's requirement.  [static_ok] is
+    {!Sphys.Plan_check.static_ok} of the node's operator over its
+    children's schemas; for a node built by {!mk_plan} the verdict is
+    [Plan_check.check_op node = [] && Reqprops.satisfied node.props req].
+    The verdict is passed to [t.observe]. *)
+val valid_candidate :
+  t -> static_ok:bool -> Sphys.Reqprops.t -> Sphys.Plan.t -> bool
+
+(** The enforcer alternatives of a group under a requirement, prepared
+    once per (group, requirement id). *)
+val enforcers : t -> Smemo.Memo.group -> Extreq.t -> enforcer list
 
 (** OptimizeGroup (Algorithm 2): best plan of a group under an extended
     requirement, memoized per phase.  [?bound] (default infinity: off)

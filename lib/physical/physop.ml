@@ -33,14 +33,19 @@ type t =
   | P_gather (* merge all partitions onto one machine, preserving sort *)
 
 (* Derive the delivered physical properties of a plan rooted at [op] from
-   its children's delivered properties (UpdateDlvdProp of Algorithm 2). *)
-let deliver (op : t) (schema : Schema.t) (children : Props.t list) : Props.t =
+   its children's delivered properties (UpdateDlvdProp of Algorithm 2).
+   The output column set is built only for the operators that restrict to
+   it, unless the caller passes it. *)
+let deliver ?out_cols (op : t) (schema : Schema.t) (children : Props.t list) :
+    Props.t =
   let child () =
     match children with
     | [ c ] -> c
     | _ -> invalid_arg "Physop.deliver: expected one child"
   in
-  let out_cols = Schema.colset schema in
+  let out_cols () =
+    match out_cols with Some c -> c | None -> Schema.colset schema
+  in
   match op with
   | P_extract _ -> Props.make Partition.Roundrobin Sortorder.empty
   | P_filter _ | P_spool | P_output _ -> child ()
@@ -62,18 +67,18 @@ let deliver (op : t) (schema : Schema.t) (children : Props.t list) : Props.t =
       (* grouping consumes rows in sort order: both the partitioning (over
          key columns) and the sort order survive, restricted to output
          columns *)
-      Props.restrict out_cols (child ())
+      Props.restrict (out_cols ()) (child ())
   | P_hash_agg _ ->
       let c = child () in
-      Props.restrict out_cols { c with Props.sort = Sortorder.empty }
+      Props.restrict (out_cols ()) { c with Props.sort = Sortorder.empty }
   | P_merge_join _ -> (
       match children with
-      | [ l; _ ] -> Props.restrict out_cols l
+      | [ l; _ ] -> Props.restrict (out_cols ()) l
       | _ -> invalid_arg "Physop.deliver: join expects two children")
   | P_hash_join _ -> (
       match children with
       | [ l; _ ] ->
-          Props.restrict out_cols { l with Props.sort = Sortorder.empty }
+          Props.restrict (out_cols ()) { l with Props.sort = Sortorder.empty }
       | _ -> invalid_arg "Physop.deliver: join expects two children")
   | P_union_all -> (
       (* co-partitioned inputs stay partitioned (per-machine concatenation

@@ -45,8 +45,10 @@ type t =
 
 (** UpdateDlvdProp of Algorithm 2: derive the delivered properties of a
     plan rooted at the operator from its children's delivered
-    properties. *)
-val deliver : t -> Relalg.Schema.t -> Props.t list -> Props.t
+    properties.  [out_cols] must be [Schema.colset] of the schema; it is
+    built on demand when omitted. *)
+val deliver :
+  ?out_cols:Relalg.Colset.t -> t -> Relalg.Schema.t -> Props.t list -> Props.t
 
 val is_enforcer : t -> bool
 

@@ -48,9 +48,9 @@ let add_refs acc refs =
       add acc)
     acc refs
 
-let make ~op ~children ~group ~schema ~stats ~op_cost =
+let make ?out_cols ~op ~children ~group ~schema ~stats ~op_cost () =
   let props =
-    Physop.deliver op schema (List.map (fun c -> c.props) children)
+    Physop.deliver ?out_cols op schema (List.map (fun c -> c.props) children)
   in
   let cost =
     List.fold_left (fun acc c -> acc +. c.cost) op_cost children

@@ -29,15 +29,17 @@ type t = {
     [sbase]/[srefs] through. *)
 val region : t -> float * (t * int) list
 
-(** Build a node, deriving [props] via {!Physop.deliver} and [cost]
-    additively. *)
+(** Build a node, deriving [props] via {!Physop.deliver} (which takes
+    [out_cols]) and [cost] additively. *)
 val make :
+  ?out_cols:Relalg.Colset.t ->
   op:Physop.t ->
   children:t list ->
   group:int ->
   schema:Relalg.Schema.t ->
   stats:Slogical.Stats.t ->
   op_cost:float ->
+  unit ->
   t
 
 (** Hash tables keyed by physical identity ([==]): a walk that records

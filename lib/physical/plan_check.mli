@@ -5,8 +5,9 @@
     their keys and partitioned within them, joins receive co-partitioned
     (and, for merge joins, compatibly sorted) inputs, referenced columns
     exist, and recorded delivered properties match re-derivation. The
-    optimizer uses {!check_op} to vet each candidate; tests run whole plans
-    through {!validate}. *)
+    audits run plans through {!check_op} and {!validate}; the optimizer
+    vets each candidate with the same checks split in two, {!static_ok}
+    and {!inputs_ok}. *)
 
 type violation = { where : string; what : string }
 
@@ -21,6 +22,17 @@ val sorted_on_keys : Sortorder.t -> string list -> bool
     qualify. *)
 val co_partitioned :
   (string * string) list -> Partition.t -> Partition.t -> bool
+
+(** No violation that depends only on the operator and its children's
+    schemas: column references and arity.  [static_ok op schemas] with
+    [inputs_ok op props] holds exactly when {!check_op} reports nothing
+    but, possibly, a delivered-properties mismatch. *)
+val static_ok : Physop.t -> Relalg.Schema.t list -> bool
+
+(** The operator's input requirements hold against its children's
+    delivered properties (sorted and partitioned aggregation inputs,
+    co-partitioned and aligned join inputs). *)
+val inputs_ok : Physop.t -> Props.t list -> bool
 
 (** All violations local to one plan node (children are not recursed
     into). *)

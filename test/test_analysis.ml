@@ -337,7 +337,7 @@ let test_sa013_double_spool () =
   let clone = { s with Plan.op_cost = s.Plan.op_cost } in
   let plan =
     Plan.make ~op:Physop.P_sequence ~children:[ s; clone ] ~group:(-1)
-      ~schema:s.Plan.schema ~stats:s.Plan.stats ~op_cost:0.0
+      ~schema:s.Plan.schema ~stats:s.Plan.stats ~op_cost:0.0 ()
   in
   let diags = Sanalysis.Sharing_audit.plan_diags ~memo plan in
   assert_code "SA013" diags;

@@ -73,19 +73,19 @@ let dummy_plan part sort =
   let extract =
     Plan.make
       ~op:(Physop.P_extract { file = "f"; extractor = "X"; schema })
-      ~children:[] ~group:0 ~schema ~stats ~op_cost:1.0
+      ~children:[] ~group:0 ~schema ~stats ~op_cost:1.0 ()
   in
   let exchanged =
     match part with
     | Partition.Hashed s ->
         Plan.make ~op:(Physop.P_exchange { cols = s }) ~children:[ extract ]
-          ~group:0 ~schema ~stats ~op_cost:1.0
+          ~group:0 ~schema ~stats ~op_cost:1.0 ()
     | _ -> extract
   in
   if Sortorder.is_empty sort then exchanged
   else
     Plan.make ~op:(Physop.P_sort { order = sort }) ~children:[ exchanged ]
-      ~group:0 ~schema ~stats ~op_cost:1.0
+      ~group:0 ~schema ~stats ~op_cost:1.0 ()
 
 let test_frequency_ranking () =
   let h = mk_history () in

@@ -271,10 +271,7 @@ let test_cached_cost_ls1 () =
 
 (* --- requirement interning ------------------------------------------------- *)
 
-(* A spread of distinct normalized extended requirements: every
-   partitioning shape, several sort orders, and enforcement maps over a
-   couple of group ids. *)
-let distinct_extreqs () =
+let reqs_spread () =
   let cs = Thelpers.colset in
   let parts =
     [
@@ -294,51 +291,106 @@ let distinct_extreqs () =
       [ ("B", Sortorder.Asc); ("C", Sortorder.Asc) ];
     ]
   in
-  let reqs =
-    List.concat_map
-      (fun p -> List.map (fun s -> Reqprops.make p s) sorts)
-      parts
-  in
+  List.concat_map (fun p -> List.map (fun s -> Reqprops.make p s) sorts) parts
+
+(* A spread of distinct extended requirements: every partitioning shape,
+   several sort orders, and enforcement maps over a couple of group ids,
+   built in one run's table (fresh allocations on every call). *)
+let distinct_extreqs intern =
+  let cs = Thelpers.colset in
   let enforces =
     [
       [];
       [ (3, Reqprops.make (Reqprops.Hash_exact (cs [ "A" ])) []) ];
       [
-        (3, Reqprops.make (Reqprops.Hash_exact (cs [ "A" ])) []);
         (7, Reqprops.make Reqprops.Serial_req [ ("A", Sortorder.Asc) ]);
+        (3, Reqprops.make (Reqprops.Hash_exact (cs [ "A" ])) []);
       ];
     ]
   in
   List.concat_map
     (fun req ->
       List.map
-        (fun enforce -> Sopt.Extreq.normalize { Sopt.Extreq.req; enforce })
+        (fun enforce ->
+          Sopt.Extreq.make intern req (Sopt.Intern.of_list intern enforce))
         enforces)
-    reqs
+    (reqs_spread ())
 
-(* Interning is injective on distinct normalized requirements, stable on
-   re-interning (including structurally-equal rebuilt values), and the
-   reverse lookup round-trips. *)
+(* The identity of an extended requirement within its run. *)
+let ids (x : Sopt.Extreq.t) = (x.Sopt.Extreq.rid, x.Sopt.Extreq.enforce.Sopt.Intern.id)
+
+(* Interning is injective on distinct requirements and enforcement maps,
+   stable on re-interning (including structurally-equal rebuilt values, in
+   any order), dense within one run's table, and a map's id carries
+   exactly its sorted bindings. *)
 let test_intern_ids () =
-  let reqs = distinct_extreqs () in
-  let ids = List.map Sopt.Intern.id reqs in
+  let intern = Sopt.Intern.create () in
+  let reqs = distinct_extreqs intern in
+  let keys = List.map ids reqs in
   Alcotest.(check int)
     "distinct requirements get distinct ids" (List.length reqs)
-    (List.length (List.sort_uniq Int.compare ids));
-  (* rebuilt structurally-equal values (fresh allocations) hit the same
-     ids, in any order *)
-  let again = List.map Sopt.Intern.id (List.rev (distinct_extreqs ())) in
-  Alcotest.(check (list int)) "equal requirements share their id"
-    (List.rev ids) again;
-  List.iter2
-    (fun r i ->
-      match Sopt.Intern.lookup i with
-      | Some r' ->
-          Alcotest.(check bool) "lookup round-trips" true (r = r')
-      | None -> Alcotest.fail "interned id has no reverse mapping")
-    reqs ids;
-  Alcotest.(check bool) "table covers the interned ids" true
-    (Sopt.Intern.size () >= List.length reqs)
+    (List.length (List.sort_uniq compare keys));
+  let again = List.map ids (List.rev (distinct_extreqs intern)) in
+  Alcotest.(check (list (pair int int))) "equal requirements share their id"
+    (List.rev keys) again;
+  let rids = List.sort_uniq Int.compare (List.map fst keys) in
+  Alcotest.(check (list int)) "requirement ids are dense"
+    (List.init (List.length (reqs_spread ())) Fun.id)
+    rids;
+  List.iter
+    (fun (x : Sopt.Extreq.t) ->
+      let b = x.Sopt.Extreq.enforce.Sopt.Intern.bindings in
+      Alcotest.(check bool) "bindings sorted by group" true
+        (b = List.sort_uniq compare b);
+      List.iter
+        (fun (gid, p) ->
+          Alcotest.(check bool) "enforcement lookup round-trips" true
+            (Sopt.Extreq.enforcement x gid = Some p))
+        b)
+    reqs;
+  (* a second run's table starts over: ids belong to one run *)
+  let other = Sopt.Intern.create () in
+  Alcotest.(check (list (pair int int))) "a fresh table assigns the same ids"
+    keys
+    (List.map ids (distinct_extreqs other))
+
+(* Enforcement maps of 1-20 entries that differ only in their last entry
+   (the largest group id) get distinct ids; rebuilding either from its
+   bindings, in reverse order, gives back the same id. *)
+let prop_intern_last_entry =
+  let reqs = Array.of_list (reqs_spread ()) in
+  let entry = QCheck.Gen.(pair (int_bound 3) (int_bound (Array.length reqs - 1))) in
+  let gen =
+    QCheck.Gen.(
+      int_range 0 19 >>= fun n ->
+      list_repeat n entry >>= fun prefix ->
+      pair entry entry >>= fun (a, b) -> return (prefix, a, b))
+  in
+  let print (prefix, a, b) =
+    let e (g, r) = Printf.sprintf "+%d:%d" g r in
+    String.concat " " (List.map e prefix) ^ " | " ^ e a ^ " vs " ^ e b
+  in
+  Thelpers.qtest ~count:300 "maps differing in their last entry"
+    (QCheck.make ~print gen) (fun (prefix, a, b) ->
+      let intern = Sopt.Intern.create () in
+      (* strictly increasing group ids: gaps drawn from [prefix] *)
+      let bindings last =
+        let gid = ref 0 in
+        List.map
+          (fun (gap, r) ->
+            gid := !gid + gap + 1;
+            (!gid, reqs.(r)))
+          (prefix @ [ last ])
+      in
+      let ba = bindings a and bb = bindings b in
+      let ma = Sopt.Intern.of_list intern ba in
+      let mb = Sopt.Intern.of_list intern bb in
+      let ma' = Sopt.Intern.of_list intern (List.rev ba) in
+      let mb' = Sopt.Intern.of_list intern (List.rev bb) in
+      ma'.Sopt.Intern.id = ma.Sopt.Intern.id
+      && mb'.Sopt.Intern.id = mb.Sopt.Intern.id
+      && ma.Sopt.Intern.bindings = ba
+      && (a = b) = (ma.Sopt.Intern.id = mb.Sopt.Intern.id))
 
 (* The per-run counter deltas surfaced in the pipeline report: every
    budget tick is mirrored in the optimizer.tasks counter, and winner /
@@ -365,16 +417,36 @@ let test_report_counters () =
    requirement must never share an id (rounds with different assignments
    must not reuse each other's winners). *)
 let test_intern_enforcement_distinct () =
+  let intern = Sopt.Intern.create () in
   let pinned =
     Reqprops.make (Reqprops.Hash_exact (Thelpers.colset [ "A" ])) []
   in
-  let plain = Sopt.Extreq.plain Reqprops.none in
+  let plain = Sopt.Extreq.plain intern Reqprops.none in
   let enforced =
-    Sopt.Extreq.normalize
-      { Sopt.Extreq.req = Reqprops.none; enforce = [ (3, pinned) ] }
+    Sopt.Extreq.make intern Reqprops.none
+      (Sopt.Intern.of_list intern [ (3, pinned) ])
   in
+  Alcotest.(check bool) "same conventional requirement id" true
+    (plain.Sopt.Extreq.rid = enforced.Sopt.Extreq.rid);
   Alcotest.(check bool) "enforcement map is part of the identity" true
-    (Sopt.Intern.id plain <> Sopt.Intern.id enforced)
+    (ids plain <> ids enforced)
+
+(* The interner belongs to one optimizer run: a second identical run in the
+   same process interns, searches and counts exactly like the first. *)
+let test_runs_count_alike () =
+  let deltas () =
+    let r = ls_report Sworkload.Large_gen.ls1_spec in
+    List.filter
+      (fun (name, _) ->
+        String.starts_with ~prefix:"intern." name
+        || String.starts_with ~prefix:"optimizer." name)
+      r.Cse.Pipeline.counters
+  in
+  let first = deltas () in
+  Alcotest.(check bool) "intern counted" true
+    (List.mem_assoc "intern.misses" first);
+  Alcotest.(check (list (pair string int))) "identical counter deltas" first
+    (deltas ())
 
 let test_consumer_sweep_monotone () =
   let reductions =
@@ -426,6 +498,9 @@ let () =
             test_intern_ids;
           Alcotest.test_case "enforcement maps keep ids apart" `Quick
             test_intern_enforcement_distinct;
+          prop_intern_last_entry;
+          Alcotest.test_case "two LS1 runs count alike" `Slow
+            test_runs_count_alike;
           Alcotest.test_case "report surfaces counter deltas" `Quick
             test_report_counters;
         ] );

@@ -227,7 +227,17 @@ let test_lca_against_brute_force () =
                 (match expected with Some x -> string_of_int x | None -> "-")
                 (match actual with Some x -> string_of_int x | None -> "-")
           end)
-        shared
+        shared;
+      (* the inverse table lists, per group, the shared groups it is the
+         LCA of, ascending *)
+      for g = 0 to Smemo.Memo.size memo - 1 do
+        Alcotest.(check (list int))
+          (Printf.sprintf "seed %d: lca_groups of %d" seed g)
+          (List.filter
+             (fun s -> Cse.Shared_info.lca_of_shared si s = Some g)
+             (List.sort_uniq Int.compare shared))
+          (Cse.Shared_info.lca_groups si g)
+      done
     end
   done;
   Alcotest.(check bool) "exercised enough cases" true (!checked > 50)

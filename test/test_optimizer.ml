@@ -127,6 +127,70 @@ let test_join_plan_co_partitioned () =
   Alcotest.(check bool) "join present" true
     (Thelpers.count_op "HashJoin" plan + Thelpers.count_op "MergeJoin" plan >= 1)
 
+(* The candidate filter's hot path (static checks decided once per
+   alternative, no re-derivation of delivered properties) against the
+   independent checker, on every candidate the conventional, phase-1 and
+   phase-2 searches build. *)
+let filter_agrees name ~catalog script =
+  let seen = ref 0 and rejected = ref 0 in
+  let observe req (node : Sphys.Plan.t) verdict =
+    incr seen;
+    if not verdict then incr rejected;
+    let expected =
+      Sphys.Plan_check.check_op node = []
+      && Sphys.Reqprops.satisfied node.Sphys.Plan.props req
+    in
+    if verdict <> expected then
+      Alcotest.failf "%s: filter says %b, checker %b, for %s under %s" name
+        verdict expected
+        (Sphys.Physop.to_string node.Sphys.Plan.op)
+        (Sphys.Reqprops.to_string req)
+  in
+  let dag = Thelpers.bind ~catalog script in
+  let conv = Smemo.Memo.of_dag ~catalog ~machines:25 dag in
+  ignore
+    (Sopt.Optimizer.optimize_root (Sopt.Optimizer.create ~observe ~cluster conv));
+  let memo = Smemo.Memo.of_dag ~catalog ~machines:25 dag in
+  ignore (Cse.Spool.identify memo);
+  ignore (Cse.Phase2.optimize ~observe ~cluster memo);
+  (!seen, !rejected)
+
+let test_candidate_filter_equivalence () =
+  let large spec =
+    let script = Sworkload.Large_gen.generate spec in
+    let catalog = Relalg.Catalog.default () in
+    Sworkload.Large_gen.register_files
+      ~shared_rows:spec.Sworkload.Large_gen.shared_rows
+      ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
+    (catalog, script)
+  in
+  let random seed =
+    ( Sworkload.Random_gen.catalog (),
+      Sworkload.Random_gen.generate ~seed ~statements:8 () )
+  in
+  let cases =
+    List.map
+      (fun (name, script) -> (name, (Relalg.Catalog.default (), script)))
+      (Sworkload.Paper_scripts.all
+      @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    @ [
+        ("LS1", large Sworkload.Large_gen.ls1_spec);
+        ("LS2", large Sworkload.Large_gen.ls2_spec);
+      ]
+    @ List.init 25 (fun i ->
+          (Printf.sprintf "random seed %d" (i + 1), random (i + 1)))
+  in
+  let seen, rejected =
+    List.fold_left
+      (fun (s, r) (name, (catalog, script)) ->
+        let s', r' = filter_agrees name ~catalog script in
+        (s + s', r + r'))
+      (0, 0) cases
+  in
+  (* both verdicts occur, so the comparison is not vacuous *)
+  Alcotest.(check bool) "candidates rejected" true (rejected > 0);
+  Alcotest.(check bool) "candidates accepted" true (seen > rejected)
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -153,5 +217,7 @@ let () =
           Alcotest.test_case "winner memoization" `Quick test_winner_memoization;
           Alcotest.test_case "task counting" `Quick test_budget_task_counting;
           Alcotest.test_case "budget flag" `Quick test_budget_exhaustion_flag;
+          Alcotest.test_case "candidate filter = plan checker" `Slow
+            test_candidate_filter_equivalence;
         ] );
     ]

@@ -56,7 +56,7 @@ let test_verification_catches_lies () =
   let extract =
     Sphys.Plan.make
       ~op:(Sphys.Physop.P_extract { file = "test.log"; extractor = "L"; schema })
-      ~children:[] ~group:0 ~schema ~stats ~op_cost:1.0
+      ~children:[] ~group:0 ~schema ~stats ~op_cost:1.0 ()
   in
   (* forge the delivered properties *)
   let lying =
@@ -71,7 +71,7 @@ let test_verification_catches_lies () =
   let out =
     Sphys.Plan.make
       ~op:(Sphys.Physop.P_output { file = "o" })
-      ~children:[ lying ] ~group:1 ~schema ~stats ~op_cost:1.0
+      ~children:[ lying ] ~group:1 ~schema ~stats ~op_cost:1.0 ()
   in
   let engine = Sexec.Engine.create ~verify_props:true ~machines:7 catalog in
   ignore (Sexec.Engine.run engine out);
@@ -90,14 +90,14 @@ let test_verification_catches_missing_columns () =
   let extract =
     Sphys.Plan.make
       ~op:(Sphys.Physop.P_extract { file = "test.log"; extractor = "L"; schema })
-      ~children:[] ~group:0 ~schema ~stats ~op_cost:1.0
+      ~children:[] ~group:0 ~schema ~stats ~op_cost:1.0 ()
   in
   let run_with props =
     let lying = { extract with Sphys.Plan.props = props } in
     let out =
       Sphys.Plan.make
         ~op:(Sphys.Physop.P_output { file = "o" })
-        ~children:[ lying ] ~group:1 ~schema ~stats ~op_cost:1.0
+        ~children:[ lying ] ~group:1 ~schema ~stats ~op_cost:1.0 ()
     in
     let engine = Sexec.Engine.create ~verify_props:true ~machines:7 catalog in
     ignore (Sexec.Engine.run engine out);

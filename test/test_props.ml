@@ -241,7 +241,7 @@ let dummy_stats =
   { Slogical.Stats.rows = 100.0; row_bytes = 8.0; ndvs = [ ("A", 10.0) ] }
 
 let mk op children schema =
-  Plan.make ~op ~children ~group:0 ~schema ~stats:dummy_stats ~op_cost:1.0
+  Plan.make ~op ~children ~group:0 ~schema ~stats:dummy_stats ~op_cost:1.0 ()
 
 let test_checker_catches_unsorted_stream_agg () =
   let extract =
