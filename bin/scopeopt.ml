@@ -302,6 +302,14 @@ let optimize run_exec =
     let exec_result =
       if not run_exec then Ok ()
       else begin
+        (* each run's executor registry: its kernel rows under
+           --profile-kernels *)
+        let print_profile (v : Sexec.Validate.outcome) =
+          if profile then
+            Fmt.pr "%s"
+              (Sobs.Metrics.to_prom
+                 (Sobs.Metrics.snapshot v.Sexec.Validate.metrics))
+        in
         let v =
           Sexec.Validate.check ~verify_props:true ~workers ~batch_size
             ~machines catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
@@ -323,6 +331,7 @@ let optimize run_exec =
           v.Sexec.Validate.counters.Sexec.Engine.vertices_run;
         Fmt.pr "%a" Cse.Pipeline.pp_exec (exec_summary workers v);
         List.iter (fun m -> Fmt.pr "  %s@." m) v.Sexec.Validate.mismatches;
+        print_profile v;
         let injected =
           match inject with
           | None -> Ok ()
@@ -355,11 +364,10 @@ let optimize run_exec =
                           (Array.map string_of_int vf.Sexec.Validate.attempts)));
                   List.iter (fun m -> Fmt.pr "  %s@." m)
                     vf.Sexec.Validate.mismatches;
+                  print_profile vf;
                   if vf.Sexec.Validate.ok && identical then Ok ()
                   else Error (`Msg "fault-injected execution diverged"))
         in
-        if profile then
-          Fmt.pr "%s" (Sobs.Metrics.to_prom (Sexec.Profile.snapshot ()));
         if not v.Sexec.Validate.ok then Error (`Msg "execution mismatch")
         else injected
       end
@@ -428,7 +436,7 @@ let serve_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit one run report as JSON (schema scopecse-run-report/5, \
+            "Emit one run report as JSON (schema scopecse-run-report/6, \
              with the serve and metrics sections) on stdout; the \
              per-batch narration moves to stderr.")
   in
@@ -450,9 +458,9 @@ let serve_cmd =
       & info [ "stats-file" ] ~docv:"PATH"
           ~doc:
             "Rewrite $(docv) with a JSON metrics snapshot (the engine's \
-             registry plus any kernel profile) after every \
-             --stats-interval batches and at exit — live stats exposition \
-             for a watching scraper.")
+             registry, executor and kernel-profile series included) after \
+             every --stats-interval batches and at exit — live stats \
+             exposition for a watching scraper.")
   in
   let stats_interval_arg =
     Arg.(
@@ -529,43 +537,20 @@ let serve_cmd =
 
 (* --- report ------------------------------------------------------------ *)
 
-let json_of_hist (s : Sobs.Hist.summary) =
-  Sobs.Json.Obj
-    [
-      ("count", Sobs.Json.Num (float_of_int s.Sobs.Hist.count));
-      ("sum", Sobs.Json.Num s.Sobs.Hist.sum);
-      ("p50", Sobs.Json.Num s.Sobs.Hist.p50);
-      ("p90", Sobs.Json.Num s.Sobs.Hist.p90);
-      ("min", Sobs.Json.Num s.Sobs.Hist.min);
-      ("max", Sobs.Json.Num s.Sobs.Hist.max);
-      ( "buckets",
-        Sobs.Json.Arr
-          (List.map
-             (fun (ub, c) ->
-               Sobs.Json.Arr
-                 [ Sobs.Json.Num ub; Sobs.Json.Num (float_of_int c) ])
-             s.Sobs.Hist.buckets) );
-    ]
-
-(* The machine-readable run report.  Schema "scopecse-run-report/5":
-   optimization costs and task counts from the pipeline report — since /2
-   including the round-pruning tallies (rounds_pruned,
-   rounds_aborted_bound, phase2_winner_reuse_hits) — the execution
-   outcome (wall, per-worker busy, utilization, per-stage timeline with
-   wave depths), full counter deltas and histogram summaries.  /3 adds
-   the optional "serve" section emitted by the serve subcommand (plan
-   cache and cross-script sharing figures); single-script reports omit
-   it.  /4 adds the vectorized executor's batch figures to "execution"
-   (batch_size, batches; the rows-per-batch histogram rides along in
-   "histograms" as exec.batch_rows).  /5 adds "min" to histogram
-   summaries, the "kernel_profile" metrics rows (per-kernel
-   batch-processing time histograms labeled by kernel and stage; empty
-   unless --profile-kernels) and, on serve reports, the "metrics"
-   section (the engine's structured registry snapshot).  Documented in
-   README.md; new fields may be added, existing ones keep their
-   meaning. *)
+(* The machine-readable run report.  Schema "scopecse-run-report/6":
+   optimization costs and task counts from the pipeline report, with the
+   round-pruning tallies (rounds_pruned, rounds_aborted_bound,
+   phase2_winner_reuse_hits); the execution outcome (wall, per-worker
+   busy, utilization, batch figures, per-stage timeline with wave
+   depths); the run's counters (optimizer and executor, by name); and
+   "metrics", the executor's registry as Sobs.Metrics.to_json rows
+   (exec.batch_rows, exec.stage_rows, exec.stage_seconds, and
+   exec.kernel_seconds{kernel,stage} under --profile-kernels).  The
+   serve subcommand's report shares the schema name, with a "serve"
+   section and the serve engine's registry as "metrics".  Documented in
+   README.md, with the mapping from /5. *)
 let json_report ~machines ~workers (r : Cse.Pipeline.report)
-    (v : Sexec.Validate.outcome) ~counters =
+    (v : Sexec.Validate.outcome) ~counters ~metrics =
   let num f = Sobs.Json.Num f in
   let int i = num (float_of_int i) in
   let graph = Sexec.Stage.build r.Cse.Pipeline.cse_plan in
@@ -584,7 +569,7 @@ let json_report ~machines ~workers (r : Cse.Pipeline.report)
   let exec_sum = exec_summary workers v in
   Sobs.Json.Obj
     [
-      ("schema", Sobs.Json.Str "scopecse-run-report/5");
+      ("schema", Sobs.Json.Str "scopecse-run-report/6");
       ("machines", int machines);
       ( "optimization",
         Sobs.Json.Obj
@@ -633,11 +618,7 @@ let json_report ~machines ~workers (r : Cse.Pipeline.report)
           ] );
       ( "counters",
         Sobs.Json.Obj (List.map (fun (n, c) -> (n, int c)) counters) );
-      ( "histograms",
-        Sobs.Json.Obj
-          (List.map (fun (n, s) -> (n, json_of_hist s)) (Sobs.Hist.snapshot ()))
-      );
-      ("kernel_profile", Sobs.Metrics.to_json (Sexec.Profile.snapshot ()));
+      ("metrics", Sobs.Metrics.to_json metrics);
     ]
 
 let report_cmd =
@@ -646,7 +627,7 @@ let report_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit the run report as JSON (schema scopecse-run-report/5) \
+            "Emit the run report as JSON (schema scopecse-run-report/6) \
              instead of the human-readable summary.")
   in
   let f machines budget no_ext no_prune verbose workers batch_size trace
@@ -654,7 +635,6 @@ let report_cmd =
     setup_logs verbose;
     Sexec.Profile.set profile;
     if trace <> None then Sobs.Trace.start ();
-    let counters_before = Sutil.Counters.baseline () in
     let catalog = make_catalog script in
     let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
     let config = base_config ~no_ext ~no_prune in
@@ -667,23 +647,31 @@ let report_cmd =
         catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
     in
     r.Cse.Pipeline.exec <- Some (exec_summary workers v);
-    let counters = Sutil.Counters.deltas counters_before in
+    let counters =
+      r.Cse.Pipeline.counters
+      @ Sexec.Engine.named_counters v.Sexec.Validate.counters
+      |> List.filter (fun (_, n) -> n <> 0)
+      |> List.sort compare
+    in
+    let metrics = Sobs.Metrics.snapshot v.Sexec.Validate.metrics in
+    (* under --json, stdout carries only the document *)
+    let ppf = if json then Fmt.stderr else Fmt.stdout in
     let trace_result =
       match trace with
       | None -> Ok ()
       | Some path ->
-          Sanalysis.Trace_audit.finish ~attempts:[ v.Sexec.Validate.attempts ] path
+          Sanalysis.Trace_audit.finish ~ppf
+            ~attempts:[ v.Sexec.Validate.attempts ] path
     in
     if json then
       print_string
-        (Sobs.Json.to_string (json_report ~machines ~workers r v ~counters))
+        (Sobs.Json.to_string
+           (json_report ~machines ~workers r v ~counters ~metrics))
     else begin
       Fmt.pr "%a" Cse.Pipeline.pp_steps r;
       Fmt.pr "%a" Cse.Pipeline.pp_exec (exec_summary workers v);
       Fmt.pr "%a" Cse.Pipeline.pp_counters counters;
-      Fmt.pr "%a" Sobs.Hist.pp ();
-      if profile then
-        Fmt.pr "%s" (Sobs.Metrics.to_prom (Sexec.Profile.snapshot ()))
+      Fmt.pr "%s" (Sobs.Metrics.to_prom metrics)
     end;
     if not v.Sexec.Validate.ok then Error (`Msg "execution mismatch")
     else trace_result
@@ -692,7 +680,7 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Optimize and execute a script, then emit one run report: plan \
-          costs, task counts, counter deltas, histograms, per-stage \
+          costs, task counts, counters, the executor's metrics, per-stage \
           timeline and worker utilization (--json for the machine-readable \
           form)")
     Term.(

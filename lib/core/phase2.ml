@@ -23,11 +23,6 @@ let log_src = Logs.Src.create "scopecse.phase2" ~doc:"CSE re-optimization"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Wall time of each re-optimization round, observed only while tracing is
-   enabled so the hot loop stays free of per-round clock reads and trace
-   allocations on the default path (the lib/obs contract). *)
-let round_seconds = Sobs.Hist.hist "opt.round_seconds"
-
 let pp_assignment assignment =
   String.concat "; "
     (List.map
@@ -246,14 +241,11 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
                   ("assignment", Sobs.Trace.Str (pp_assignment assignment));
                 ]
               "ReoptimizeRound";
-          let rt0 = if traced then Unix.gettimeofday () else 0.0 in
           let finish cost =
-            if traced then begin
-              Sobs.Hist.observe round_seconds (Unix.gettimeofday () -. rt0);
+            if traced then
               Sobs.Trace.end_span ~pid:Sobs.Trace.pid_phase2
                 ~args:[ ("cost", Sobs.Trace.Float cost) ]
                 "ReoptimizeRound"
-            end
           in
           let result = log_phys_opt ~bound g ext' in
           if t.Optimizer.tainted then begin
@@ -394,7 +386,7 @@ type outcome = {
   plan : Plan.t option;
   phase1_plan : Plan.t option;
   state : state;
-  budget : Budget.t;
+  ctx : Optimizer.t;
 }
 
 let optimize ?(config = Config.default) ?budget ?observe ~cluster
@@ -437,4 +429,4 @@ let optimize ?(config = Config.default) ?budget ?observe ~cluster
     | Some a, None -> Some a
     | None, b -> b
   in
-  { plan = best; phase1_plan = p1; state; budget = t.Optimizer.budget }
+  { plan = best; phase1_plan = p1; state; ctx = t }

@@ -37,7 +37,8 @@ type outcome = {
   plan : Sphys.Plan.t option;  (** best of both phases *)
   phase1_plan : Sphys.Plan.t option;
   state : state;
-  budget : Sopt.Budget.t;
+  ctx : Sopt.Optimizer.t;
+      (** the context both phases ran in: its budget and counts *)
 }
 
 (** Run both optimization phases over a memo already prepared by

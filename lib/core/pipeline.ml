@@ -63,14 +63,15 @@ type report = {
   (* shared group -> (dropped, kept dominator) pairs (SA060 audits them) *)
   shared_info : Shared_info.t;
   counters : (string * int) list;
-  (* hot-path counter deltas over this run (Sutil.Counters), by name *)
+  (* this run's optimizer counts, summed over both optimizer contexts:
+     nonzero, sorted by name *)
   mutable exec : exec_summary option;
   (* filled in by callers that execute the CSE plan, so downstream
      consumers (JSON report, bench comparison) see utilization and
      wall time instead of a print-only summary *)
 }
 
-(* Named-counter deltas, one "name=value" list on a line.  Shared by
+(* Named counters, one "name=value" list on a line.  Shared by
    [pp_steps] and the CLI's execution report, which prints the engine's
    [exec.*] counters through the same formatter. *)
 let pp_counters ppf (counters : (string * int) list) =
@@ -138,7 +139,6 @@ let timed f =
 
 let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     ~(catalog : Relalg.Catalog.t) (script : string) : report =
-  let counters_before = Sutil.Counters.baseline () in
   let fe = Sobs.Trace.pid_frontend in
   let ast =
     Sobs.Trace.with_span ~pid:fe "parse" (fun () ->
@@ -185,7 +185,7 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
   let phase1_plan =
     match outcome.Phase2.phase1_plan with Some p -> p | None -> cse_plan
   in
-  let state = outcome.Phase2.state in
+  let state = outcome.Phase2.state and ctx = outcome.Phase2.ctx in
   let si = Phase2.shared_info state in
   let lcas =
     List.filter_map
@@ -217,8 +217,8 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     cse_plan;
     cse_cost = Scost.Dagcost.cost cluster cse_plan;
     cse_time;
-    cse_tasks = outcome.Phase2.budget.Sopt.Budget.tasks;
-    budget_exhausted = Sopt.Budget.exhausted outcome.Phase2.budget;
+    cse_tasks = ctx.Sopt.Optimizer.budget.Sopt.Budget.tasks;
+    budget_exhausted = Sopt.Budget.exhausted ctx.Sopt.Optimizer.budget;
     phase1_plan;
     memo;
     shared;
@@ -233,6 +233,12 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     candidate_props;
     pruned_props = state.Phase2.pruned_props;
     shared_info = si;
-    counters = Sutil.Counters.deltas counters_before;
+    counters =
+      List.map2
+        (fun (name, a) (_, b) -> (name, a + b))
+        (Sopt.Optimizer.counters conv_ctx)
+        (Sopt.Optimizer.counters ctx)
+      |> List.filter (fun (_, n) -> n <> 0)
+      |> List.sort compare;
     exec = None;
   }

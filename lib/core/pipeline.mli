@@ -58,10 +58,12 @@ type report = {
           SA060 audit re-verifies each pair against {!History.dominates} *)
   shared_info : Shared_info.t;
   counters : (string * int) list;
-      (** hot-path counter deltas over this run ([Sutil.Counters]): winner
-          hits/misses, optimizer tasks, intern hits/misses — by name.  The
-          execution engine's [exec.*] counters (stages, vertices, retries,
-          recomputed rows) land in the same registry when plans run. *)
+      (** this run's counts ({!Sopt.Optimizer.counters}) summed over its
+          two optimizer contexts, conventional and CSE: optimizer tasks,
+          winner hits/misses, rule firings, intern hits/misses.  Nonzero
+          entries only, sorted by name.  Execution counts are the
+          executor's ({!Sexec.Engine.named_counters}), not part of this
+          list. *)
   mutable exec : exec_summary option;
       (** execution summary of the CSE plan, filled in by callers that
           actually run it ([scopeopt run], the bench harness) so the
@@ -69,7 +71,7 @@ type report = {
           wall time; [None] when the plans were only optimized *)
 }
 
-(** Named-counter deltas as one "counters: name=value; ..." line. *)
+(** Named counters as one "counters: name=value; ..." line. *)
 val pp_counters : (string * int) list Fmt.t
 
 (** One "exec: workers=N wall=..ms busy=[..] util=..%" line. *)

@@ -60,6 +60,10 @@ type counters = {
 
 let named_counters (c : counters) =
   [
+    ("exec.rows_shuffled", c.rows_shuffled);
+    ("exec.rows_extracted", c.rows_extracted);
+    ("exec.spool_executions", c.spool_executions);
+    ("exec.spool_reads", c.spool_reads);
     ("exec.stages_run", c.stages_run);
     ("exec.vertices_run", c.vertices_run);
     ("exec.batches", c.batches);
@@ -79,6 +83,9 @@ type t = {
   faults : Faults.spec option;
   counters : counters;
   mu : Mutex.t;  (* guards [counters] merges from worker domains *)
+  (* the engine's distributions: exec.batch_rows, exec.stage_rows,
+     exec.stage_seconds, and exec.kernel_seconds when profiling *)
+  metrics : Sobs.Metrics.t;
   (* per-(file, schema) extract batches: [Datagen] is deterministic, so a
      re-extraction — another stage over the same file, a later rep on a
      reused engine, a fault recovery — returns byte-identical rows by
@@ -103,18 +110,6 @@ type t = {
   (* per-worker busy seconds of the most recent [execute] *)
   mutable last_busy : float array;
 }
-
-let c_stages = Sutil.Counters.counter "exec.stages_run"
-let c_vertices = Sutil.Counters.counter "exec.vertices_run"
-let c_retries = Sutil.Counters.counter "exec.retries"
-let c_recomputed = Sutil.Counters.counter "exec.recomputed_rows"
-let c_partitions_lost = Sutil.Counters.counter "exec.partitions_lost"
-let c_machines_failed = Sutil.Counters.counter "exec.machines_failed"
-let c_wall_us = Sutil.Counters.counter "exec.wall_us"
-let c_batches = Sutil.Counters.counter "exec.batches"
-
-(* Distribution of live rows per stage-output batch. *)
-let batch_rows_h = Sobs.Hist.hist "exec.batch_rows"
 
 let default_batch_size = 1024
 
@@ -160,6 +155,7 @@ let create ?(datagen = Datagen.default) ?(verify_props = false) ?faults
         machines_failed = 0;
       };
     mu = Mutex.create ();
+    metrics = Sobs.Metrics.create ();
     extract_mu = Mutex.create ();
     extract_cache = Hashtbl.create 16;
     outputs_rev = [];
@@ -216,7 +212,6 @@ let fresh_tally () =
   }
 
 let merge_tally t (y : tally) =
-  Sutil.Counters.bump c_batches y.t_batches;
   Mutex.protect t.mu (fun () ->
       let c = t.counters in
       c.rows_shuffled <- c.rows_shuffled + y.t_shuffled;
@@ -408,12 +403,13 @@ let check_delivered viols (n : Plan.t) (d : dist) =
    exception is [outputs_rev], written by OUTPUT operators — those are
    confined to the sink stage, which the scheduler always runs in a wave
    of its own (every other stage is one of its transitive dependencies). *)
-let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
-    dist =
+let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
+    (st : Stage.stage) ~read : dist =
   let deps = ref st.Stage.deps in
   (* stage label for the kernel profiler; [Profile.now]/[Profile.note]
      are one atomic load and a branch when profiling is off *)
   let sid = st.Stage.id in
+  let note kernel t0 = Profile.note t.metrics ~kernel ~stage:sid t0 in
   let rec eval (n : Plan.t) : dist =
     let d = eval_op n in
     if t.verify_props then check_delivered viols n d;
@@ -473,7 +469,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                   built)
         in
         tally.t_extracted <- tally.t_extracted + rows;
-        Profile.note ~kernel:"extract" ~stage:sid t0;
+        note "extract" t0;
         { schema = fschema; parts }
     | Physop.P_filter { pred } ->
         let d = eval_child (List.hd n.Plan.children) in
@@ -489,7 +485,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                 bs)
             d schema
         in
-        Profile.note ~kernel:"filter" ~stage:sid t0;
+        note "filter" t0;
         r
     | Physop.P_project { items } ->
         let d = eval_child (List.hd n.Plan.children) in
@@ -499,14 +495,14 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
             (List.map (fun (e, _) -> Expr.compile d.schema e) items)
         in
         let r = map_parts pool (List.map (Batch.project schema ces)) d schema in
-        Profile.note ~kernel:"project" ~stage:sid t0;
+        note "project" t0;
         r
     | Physop.P_sort { order } ->
         let d = eval_child (List.hd n.Plan.children) in
         let t0 = Profile.now () in
         let keys = sort_keys d.schema order in
         let r = map_parts pool (sort_part t.batch_size d.schema keys) d schema in
-        Profile.note ~kernel:"sort" ~stage:sid t0;
+        note "sort" t0;
         r
     | Physop.P_stream_agg { keys; aggs; scope = _ } ->
         let d = eval_child (List.hd n.Plan.children) in
@@ -525,7 +521,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                 (Batch.stream_agg schema ~key_idx ~aggs:aggs_a ~cargs bs))
             d schema
         in
-        Profile.note ~kernel:"aggregate" ~stage:sid t0;
+        note "aggregate" t0;
         r
     | Physop.P_hash_agg { keys; aggs; scope = _ } ->
         let d = eval_child (List.hd n.Plan.children) in
@@ -544,7 +540,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                 (Batch.hash_agg schema ~key_idx ~aggs:aggs_a ~cargs bs))
             d schema
         in
-        Profile.note ~kernel:"aggregate" ~stage:sid t0;
+        note "aggregate" t0;
         r
     | Physop.P_merge_join { kind; pairs; residual }
     | Physop.P_hash_join { kind; pairs; residual } -> (
@@ -575,7 +571,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                 Array.init t.machines join_m
               else Sutil.Pool.parallel_init pool t.machines join_m
             in
-            Profile.note ~kernel:"join" ~stage:sid t0;
+            note "join" t0;
             { schema; parts }
         | _ -> invalid_arg "Engine: join expects two children")
     | Physop.P_union_all -> (
@@ -603,7 +599,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
           List.concat (List.init t.machines (fun m -> part_rows d m))
         in
         t.outputs_rev <- (file, Table.make d.schema rows) :: t.outputs_rev;
-        Profile.note ~kernel:"output" ~stage:sid t0;
+        note "output" t0;
         d
     | Physop.P_sequence ->
         List.iter (fun c -> ignore (eval_child c)) n.Plan.children;
@@ -612,7 +608,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
         let d = eval_child (List.hd n.Plan.children) in
         let t0 = Profile.now () in
         let r = exchange_on pool ~machines:t.machines tally d cols in
-        Profile.note ~kernel:"exchange" ~stage:sid t0;
+        note "exchange" t0;
         r
     | Physop.P_merge_exchange { cols } ->
         let d = eval_child (List.hd n.Plan.children) in
@@ -624,7 +620,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
         let r =
           map_parts pool (sort_part t.batch_size ex.schema keys) ex ex.schema
         in
-        Profile.note ~kernel:"exchange" ~stage:sid t0;
+        note "exchange" t0;
         r
     | Physop.P_gather ->
         let d = eval_child (List.hd n.Plan.children) in
@@ -640,7 +636,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
         let parts = empty_parts t in
         parts.(0) <- all;
         tally.t_shuffled <- tally.t_shuffled + part_live all;
-        Profile.note ~kernel:"gather" ~stage:sid t0;
+        note "gather" t0;
         { schema = d.schema; parts }
   in
   let d = eval st.Stage.root in
@@ -651,7 +647,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
   Array.iter
     (List.iter (fun b ->
          tally.t_batches <- tally.t_batches + 1;
-         Sobs.Hist.observe batch_rows_h (float_of_int (Batch.live b))))
+         Sobs.Hist.observe batch_rows (float_of_int (Batch.live b))))
     d.parts;
   d
 
@@ -672,6 +668,8 @@ let execute t (plan : Plan.t) : dist =
      stage's slot, flattened in stage-id order below — a deterministic
      report at every worker count *)
   let viol_slots = Array.make (Stage.size graph) [] in
+  let hist name = Sobs.Metrics.histogram t.metrics name in
+  let batch_rows = hist "exec.batch_rows" in
   let t0 = Unix.gettimeofday () in
   if Sobs.Trace.enabled () then
     Sobs.Trace.begin_span ~pid:Sobs.Trace.pid_exec
@@ -686,11 +684,13 @@ let execute t (plan : Plan.t) : dist =
     Sutil.Pool.with_pool ~workers:t.workers (fun pool ->
         let outcome =
           Scheduler.run ~machines:t.machines ~pool ?faults ~max_attempts
+            ~stage_seconds:(hist "exec.stage_seconds")
+            ~stage_rows:(hist "exec.stage_rows")
             ~execute:(fun st ~read ->
               let tally = fresh_tally () in
               let viols = ref [] in
               let d =
-                execute_stage t ~pool ~tally ~viols
+                execute_stage t ~pool ~tally ~viols ~batch_rows
                   ~is_sink:(st.Stage.id = graph.Stage.sink)
                   st ~read
               in
@@ -717,14 +717,6 @@ let execute t (plan : Plan.t) : dist =
   c.recomputed_rows <- c.recomputed_rows + m.Scheduler.recomputed_rows;
   c.partitions_lost <- c.partitions_lost + m.Scheduler.partitions_lost;
   c.machines_failed <- c.machines_failed + m.Scheduler.machines_failed;
-  Sutil.Counters.bump c_stages m.Scheduler.stages_run;
-  Sutil.Counters.bump c_vertices m.Scheduler.vertices_run;
-  Sutil.Counters.bump c_retries m.Scheduler.retries;
-  Sutil.Counters.bump c_recomputed m.Scheduler.recomputed_rows;
-  Sutil.Counters.bump c_partitions_lost m.Scheduler.partitions_lost;
-  Sutil.Counters.bump c_machines_failed m.Scheduler.machines_failed;
-  Sutil.Counters.bump c_wall_us
-    (int_of_float (t.last_wall *. 1_000_000.0));
   t.last_attempts <- outcome.Scheduler.attempts;
   t.last_seconds <- outcome.Scheduler.seconds;
   outcome.Scheduler.result

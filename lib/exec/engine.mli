@@ -23,9 +23,10 @@
     installed, cached partitions can be lost between stages and are
     recovered by recomputing the producing stage.  Counters record rows
     shuffled/extracted, spool executions/reads, batches produced, and
-    stage/retry accounting (also surfaced as the global [exec.*] counters
-    in [Sutil.Counters], with a rows-per-batch histogram in
-    [Sobs.Hist]). *)
+    stage/retry accounting ({!named_counters} names them [exec.*]).
+    Distributions live in the engine's own {!Sobs.Metrics} registry:
+    rows per batch, rows and wall seconds per stage attempt, and, with
+    {!Profile} on, seconds per kernel execution. *)
 
 type dist = { schema : Relalg.Schema.t; parts : Batch.t list array }
 
@@ -43,9 +44,8 @@ type counters = {
   mutable machines_failed : int;
 }
 
-(** The stage/retry counters under their global [exec.*] names:
-    stages, vertices, batches, retries, recomputed rows, lost
-    partitions, failed machines. *)
+(** Every field of {!counters} under its [exec.*] name, in field
+    order, zeros included. *)
 val named_counters : counters -> (string * int) list
 
 type t = {
@@ -58,6 +58,12 @@ type t = {
       (** when set, every run draws deterministic fault events *)
   counters : counters;
   mu : Mutex.t;  (** guards [counters] merges from worker domains *)
+  metrics : Sobs.Metrics.t;
+      (** histograms accumulated over every run of the engine:
+          [exec.batch_rows] (live rows per committed batch),
+          [exec.stage_rows] (rows per committed stage output),
+          [exec.stage_seconds] (wall seconds per stage attempt) and, while
+          {!Profile} is enabled, [exec.kernel_seconds{kernel,stage}] *)
   extract_mu : Mutex.t;  (** guards [extract_cache] *)
   extract_cache :
     (int * string * Relalg.Schema.t, int * Batch.t list array) Hashtbl.t;

@@ -5,8 +5,8 @@
    hooks can live inside [Engine.execute_stage]'s kernel branches
    without costing production runs anything.  Enabled (--profile-
    kernels), each kernel execution records its wall seconds into an
-   [exec.kernel_seconds] histogram labeled by kernel and stage in a
-   process-global [Sobs.Metrics] registry.
+   [exec.kernel_seconds] histogram labeled by kernel and stage in the
+   executing engine's [Sobs.Metrics] registry.
 
    Timing wraps only the kernel work (after the operator's children
    have been evaluated), so a kernel's distribution is its own cost,
@@ -18,21 +18,11 @@ let flag = Atomic.make false
 let enabled () = Atomic.get flag
 let set on = Atomic.set flag on
 
-(* Process-global, like the exec.* counters: kernel × stage is a small
-   closed label set, and a per-engine registry would force every engine
-   accessor through the hot path.  [reset] swaps in a fresh registry so
-   a reset profile is indistinguishable from a never-enabled one
-   (snapshot returns [], not zeroed series). *)
-let registry = Atomic.make (Sobs.Metrics.create ())
-
 (* Kernel timestamps: 0.0 (static, no allocation) when disabled. *)
 let now () = if Atomic.get flag then Unix.gettimeofday () else 0.0
 
-let note ~kernel ~stage t0 =
+let note metrics ~kernel ~stage t0 =
   if Atomic.get flag then
-    Sobs.Metrics.observe (Atomic.get registry) "exec.kernel_seconds"
+    Sobs.Metrics.observe metrics "exec.kernel_seconds"
       ~labels:[ ("kernel", kernel); ("stage", string_of_int stage) ]
       (Unix.gettimeofday () -. t0)
-
-let snapshot () = Sobs.Metrics.snapshot (Atomic.get registry)
-let reset () = Atomic.set registry (Sobs.Metrics.create ())

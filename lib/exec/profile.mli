@@ -2,11 +2,13 @@
 
     Disabled by default; every disabled entry point is one atomic load
     and a branch — no allocation, no clock read — so the hooks stay in
-    the executor's kernel branches at zero production cost.  Enabled
-    ([--profile-kernels]), each kernel execution lands its wall seconds
-    in an [exec.kernel_seconds] histogram labeled [kernel] and [stage]
-    in a process-global {!Sobs.Metrics} registry.  Profiling never
-    changes outputs or counters. *)
+    the executor's kernel branches at zero production cost.  The on/off
+    switch is process-wide, like {!Sobs.Trace}'s; the readings are not.
+    Enabled ([--profile-kernels]), each kernel execution lands its wall
+    seconds in an [exec.kernel_seconds] histogram labeled [kernel] and
+    [stage] in the registry of the engine that ran it
+    ({!Engine.t}[.metrics]).  Profiling never changes outputs or
+    counters. *)
 
 val enabled : unit -> bool
 
@@ -16,11 +18,7 @@ val set : bool -> unit
     allocation) when disabled. *)
 val now : unit -> float
 
-(** Record wall seconds since [t0] for one kernel execution of a stage.
-    No-op when disabled. *)
-val note : kernel:string -> stage:int -> float -> unit
-
-(** The profiling registry's rows (empty until enabled and exercised). *)
-val snapshot : unit -> Sobs.Metrics.row list
-
-val reset : unit -> unit
+(** [note metrics ~kernel ~stage t0] records the wall seconds since [t0]
+    of one kernel execution of a stage into [metrics].  No-op when
+    disabled. *)
+val note : Sobs.Metrics.t -> kernel:string -> stage:int -> float -> unit

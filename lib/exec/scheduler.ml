@@ -39,11 +39,6 @@ type metrics = {
   mutable machines_failed : int;
 }
 
-(* Distribution of per-attempt stage wall time and output size; always
-   on (one observation per stage attempt, far off any inner loop). *)
-let stage_seconds_h = Sobs.Hist.hist "exec.stage_seconds"
-let stage_rows_h = Sobs.Hist.hist "exec.stage_rows"
-
 let fresh_metrics () =
   {
     stages_run = 0;
@@ -63,8 +58,11 @@ type 'o outcome = {
   metrics : metrics;
 }
 
+(* [stage_seconds] and [stage_rows] receive one observation per stage
+   attempt: always on, far off any inner loop. *)
 let run ~machines ?pool ?faults ?(max_attempts = Faults.default_attempts)
-    ~execute ~rows (graph : Stage.graph) : 'o outcome =
+    ~stage_seconds ~stage_rows ~execute ~rows (graph : Stage.graph) :
+    'o outcome =
   let n = Array.length graph.Stage.stages in
   let cache : 'o option array = Array.make n None in
   (* lost.(sid) is empty until a fault strikes sid's cached output *)
@@ -182,7 +180,7 @@ let run ~machines ?pool ?faults ?(max_attempts = Faults.default_attempts)
             let out = execute graph.Stage.stages.(sid) ~read in
             let dt = Unix.gettimeofday () -. t0 in
             seconds.(sid) <- seconds.(sid) +. dt;
-            Sobs.Hist.observe stage_seconds_h dt;
+            Sobs.Hist.observe stage_seconds dt;
             if Sobs.Trace.enabled () then
               Sobs.Trace.end_span ~pid:Sobs.Trace.pid_exec
                 (Printf.sprintf "stage %d" sid);
@@ -204,7 +202,7 @@ let run ~machines ?pool ?faults ?(max_attempts = Faults.default_attempts)
           lost.(sid) <- [||];
           metrics.stages_run <- metrics.stages_run + 1;
           metrics.vertices_run <- metrics.vertices_run + machines;
-          Sobs.Hist.observe stage_rows_h (float_of_int (rows out));
+          Sobs.Hist.observe stage_rows (float_of_int (rows out));
           if recovery then begin
             metrics.retries <- metrics.retries + 1;
             metrics.recomputed_rows <- metrics.recomputed_rows + rows out

@@ -22,8 +22,6 @@ type metrics = {
   mutable machines_failed : int;
 }
 
-val fresh_metrics : unit -> metrics
-
 (** A stage exceeded its execution budget while recovering. *)
 exception Recovery_exhausted of { stage : int; attempts : int }
 
@@ -39,7 +37,9 @@ type 'o outcome = {
     [pool] is given.  [execute st ~read] evaluates one stage, calling
     [read dep] for each cached input — it may be called concurrently
     from several domains and must not depend on evaluation order within
-    a wave; [rows] sizes an output for recompute accounting.  Raises
+    a wave; [rows] sizes an output for recompute accounting.  Each
+    stage attempt observes its wall seconds in [stage_seconds] and each
+    committed output its rows in [stage_rows].  Raises
     {!Recovery_exhausted} when a stage's attempt budget (default
     {!Faults.default_attempts}) runs out. *)
 val run :
@@ -47,6 +47,8 @@ val run :
   ?pool:Sutil.Pool.t ->
   ?faults:Faults.t ->
   ?max_attempts:int ->
+  stage_seconds:Sobs.Hist.t ->
+  stage_rows:Sobs.Hist.t ->
   execute:(Stage.stage -> read:(int -> 'o) -> 'o) ->
   rows:('o -> int) ->
   Stage.graph ->

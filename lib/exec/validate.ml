@@ -6,6 +6,7 @@ type outcome = {
   ok : bool;
   mismatches : string list;
   counters : Engine.counters;
+  metrics : Sobs.Metrics.t;
   outputs : (string * Table.t) list;
   attempts : int array;
   seconds : float array;
@@ -110,6 +111,7 @@ let check ?(datagen = Datagen.default) ?(verify_props = false) ?faults
     ok = !mismatches = [];
     mismatches = !mismatches;
     counters = engine.Engine.counters;
+    metrics = engine.Engine.metrics;
     outputs = actual;
     attempts = engine.Engine.last_attempts;
     seconds = engine.Engine.last_seconds;

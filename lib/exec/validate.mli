@@ -4,6 +4,8 @@ type outcome = {
   ok : bool;
   mismatches : string list;
   counters : Engine.counters;
+  metrics : Sobs.Metrics.t;
+      (** the run's engine registry ({!Engine.t}[.metrics]) *)
   outputs : (string * Relalg.Table.t) list;
       (** the engine's OUTPUT tables, in script order *)
   attempts : int array;  (** per-stage execution counts of the run *)

@@ -1,5 +1,5 @@
-(* Log-bucketed histograms over named registry, mirroring the shape of
-   [Sutil.Counters] so reporting code can treat both uniformly.
+(* Log-bucketed histograms.  A histogram is a plain value; the registry
+   that names it and gives it labels is a [Metrics.t].
 
    Observations land in power-of-two buckets chosen by the float's
    binary exponent ([Float.frexp]) — one array index computation, no
@@ -30,7 +30,6 @@ let bucket_of v =
 let upper_bound k = Float.ldexp 1.0 (k - bias)
 
 type t = {
-  name : string;
   buckets : int Atomic.t array;
   sum : float Atomic.t;
   minv : float Atomic.t;
@@ -47,26 +46,13 @@ type summary = {
   buckets : (float * int) list;  (* nonzero buckets: upper bound, count *)
 }
 
-let make name =
+let make () =
   {
-    name;
     buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
     sum = Atomic.make 0.0;
     minv = Atomic.make infinity;
     maxv = Atomic.make neg_infinity;
   }
-
-let mu = Mutex.create ()
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-
-let hist name =
-  Mutex.protect mu (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some h -> h
-      | None ->
-          let h = make name in
-          Hashtbl.add registry name h;
-          h)
 
 let rec cas_update a f =
   let cur = Atomic.get a in
@@ -82,8 +68,6 @@ let observe (h : t) v =
   cas_update h.sum (fun s -> s +. v);
   cas_update h.minv (fun m -> Float.min m v);
   cas_update h.maxv (fun m -> Float.max m v)
-
-let name h = h.name
 
 let summarize (h : t) =
   let counts = Array.map Atomic.get h.buckets in
@@ -120,32 +104,4 @@ let summarize (h : t) =
       max;
       buckets = !buckets;
     }
-  end
-
-let reset (h : t) =
-  Array.iter (fun b -> Atomic.set b 0) h.buckets;
-  Atomic.set h.sum 0.0;
-  Atomic.set h.minv infinity;
-  Atomic.set h.maxv neg_infinity
-
-let snapshot () =
-  let hs = Mutex.protect mu (fun () -> Hashtbl.fold (fun _ h acc -> h :: acc) registry []) in
-  hs
-  |> List.filter_map (fun h ->
-         let s = summarize h in
-         if s.count = 0 then None else Some (h.name, s))
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset_all () =
-  Mutex.protect mu (fun () -> Hashtbl.iter (fun _ h -> reset h) registry)
-
-let pp ppf () =
-  let snap = snapshot () in
-  if snap <> [] then begin
-    Fmt.pf ppf "histograms:@,";
-    List.iter
-      (fun (n, s) ->
-        Fmt.pf ppf "  %-26s count=%-6d sum=%-10.4g p50=%-8.3g p90=%-8.3g max=%.3g@,"
-          n s.count s.sum s.p50 s.p90 s.max)
-      snap
   end

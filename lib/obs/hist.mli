@@ -1,5 +1,5 @@
-(** Log-bucketed histograms in a named registry, the distribution-shaped
-    companion to {!Sutil.Counters}.
+(** Log-bucketed histograms.  A histogram carries no name: the
+    {!Metrics} registry that owns it names and labels it.
 
     Observations are bucketed by their binary exponent into power-of-two
     buckets spanning [2{^-41}..2{^39}] (seconds, rows, anything
@@ -24,30 +24,10 @@ type summary = {
       (** nonzero buckets as [(upper_bound, count)], ascending *)
 }
 
-(** Find or register the histogram named [name]. *)
-val hist : string -> t
-
-(** A free-standing histogram, not in the global registry — the building
-    block for label-scoped registries ({!Metrics}) whose lifecycle the
-    caller owns. *)
-val make : string -> t
+(** An empty histogram. *)
+val make : unit -> t
 
 (** Record one observation.  Domain-safe. *)
 val observe : t -> float -> unit
 
-val name : t -> string
 val summarize : t -> summary
-
-(** Zero one histogram (registered or not). *)
-val reset : t -> unit
-
-(** All registered histograms with at least one observation, sorted by
-    name. *)
-val snapshot : unit -> (string * summary) list
-
-(** Zero every registered histogram (tests, repeated bench runs). *)
-val reset_all : unit -> unit
-
-(** Render the nonempty registry, one line per histogram, inside an
-    open vertical box. *)
-val pp : Format.formatter -> unit -> unit

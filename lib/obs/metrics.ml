@@ -1,8 +1,8 @@
 (* A typed registry of named counters, gauges and histograms with label
-   sets — [Sutil.Counters] structured: instruments live in an explicit
-   registry value (one per serve engine, one per profiler) instead of a
-   single process-global table, so tests and long-running engines can
-   snapshot and reset their own metrics without seeing anyone else's.
+   sets.  Instruments live in an explicit registry value (one per serve
+   engine, one per executor) instead of a process-global table, so tests
+   and long-running engines read their own metrics without seeing anyone
+   else's.
 
    The instrument handles are the atomics themselves: after the one
    mutex-protected get-or-create per (name, labels), recording is a
@@ -43,6 +43,7 @@ let norm labels =
   | [] | [ _ ] -> labels
   | _ -> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) labels
 
+(* [name{k=v,...}], for error messages *)
 let full_name name labels =
   match norm labels with
   | [] -> name
@@ -78,7 +79,7 @@ let gauge t ?(labels = []) name =
 let histogram t ?(labels = []) name =
   match
     find_or_add t name labels (fun () ->
-        Histogram (Hist.make (full_name name (norm labels))))
+        Histogram (Hist.make ()))
   with
   | Histogram h -> h
   | _ -> kind_error name labels "histogram"
@@ -119,15 +120,6 @@ let snapshot t : row list =
          in
          { name; labels; value })
   |> List.sort compare_row
-
-let reset t =
-  Mutex.protect t.mu (fun () ->
-      Hashtbl.iter
-        (fun _ -> function
-          | Counter a -> Atomic.set a 0
-          | Gauge a -> Atomic.set a 0.0
-          | Histogram h -> Hist.reset h)
-        t.tbl)
 
 (* --- exposition -------------------------------------------------------- *)
 
@@ -220,6 +212,12 @@ let to_json (rows : row list) : Json.t =
                  ("p90", Json.Num s.Hist.p90);
                  ("min", Json.Num s.Hist.min);
                  ("max", Json.Num s.Hist.max);
+                 ( "buckets",
+                   Json.Arr
+                     (List.map
+                        (fun (ub, c) ->
+                          Json.Arr [ Json.Num ub; Json.Num (float_of_int c) ])
+                        s.Hist.buckets) );
                ]
          in
          Json.Obj (base @ rest))

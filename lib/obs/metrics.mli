@@ -1,10 +1,11 @@
 (** A typed registry of named counters, gauges and histograms with
-    label sets — {!Sutil.Counters} structured and snapshot-able.
+    label sets.
 
     A registry is an explicit value (one per serve engine, one per
-    profiler) rather than a process-global table, so long-running
-    engines and tests can snapshot and reset their own metrics in
-    isolation.  After the one locked get-or-create per
+    executor) rather than a process-global table, so long-running
+    engines and tests snapshot their own metrics in isolation.  A serve
+    engine records into its executor's registry, so one snapshot holds
+    both layers' series.  After the one locked get-or-create per
     [(name, labels)] series, recording is a plain [Atomic] operation
     (or a {!Hist} observation): lock-free and domain-safe.  Hot paths
     should resolve the instrument handle once and hold it.
@@ -53,18 +54,15 @@ val get : t -> ?labels:labels -> string -> int
 (** Every registered series, sorted by name then labels. *)
 val snapshot : t -> row list
 
-(** Zero every instrument, keeping the series registered. *)
-val reset : t -> unit
-
 (** Prometheus-style text: [# TYPE] declarations, one sample per
     counter/gauge, summary-style quantile + [_count] + [_sum] samples
     per histogram.  Metric and label names are sanitized to
     [[a-zA-Z0-9_:]]. *)
 val to_prom : row list -> string
 
-(** JSON array of row objects (dependency-free, via {!Json}). *)
+(** JSON array of row objects (dependency-free, via {!Json}): [name],
+    [labels] and [kind], then [value] for counters and gauges, or
+    [count], [sum], [p50], [p90], [min], [max] and [buckets] (the
+    nonzero buckets as [[upper_bound, count]] pairs, ascending) for
+    histograms. *)
 val to_json : row list -> Json.t
-
-(** [name{k=v,...}] rendering, the display name used for histogram
-    series. *)
-val full_name : string -> labels -> string

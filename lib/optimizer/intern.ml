@@ -32,9 +32,6 @@ module Id_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-let hits = Sutil.Counters.counter "intern.hits"
-let misses = Sutil.Counters.counter "intern.misses"
-
 type map = { id : int; bindings : (int * Reqprops.t) list; tail : tail }
 and tail = Nil | Cons of { gid : int; rid : int; rest : map }
 
@@ -45,30 +42,38 @@ module Cells = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-type t = { reqs : (Reqprops.t, int) Hashtbl.t; cells : map Cells.t }
+type t = {
+  reqs : (Reqprops.t, int) Hashtbl.t;
+  cells : map Cells.t;
+  mutable hits : int;  (* lookups that found an id already assigned *)
+  mutable misses : int;  (* lookups that assigned a new one *)
+}
 
 (* [Reqprops.none], the requirement of most inputs, is id 0 in every
    table and is recognized without hashing. *)
 let create () =
   let reqs = Hashtbl.create 64 in
   Hashtbl.add reqs Reqprops.none 0;
-  { reqs; cells = Cells.create 64 }
+  { reqs; cells = Cells.create 64; hits = 0; misses = 0 }
+
+let hits t = t.hits
+let misses t = t.misses
 
 let empty = { id = 0; bindings = []; tail = Nil }
 let is_empty m = m.id = 0
 
 let req t (r : Reqprops.t) =
   if r == Reqprops.none then begin
-    Atomic.incr hits;
+    t.hits <- t.hits + 1;
     0
   end
   else
     match Hashtbl.find_opt t.reqs r with
     | Some i ->
-        Atomic.incr hits;
+        t.hits <- t.hits + 1;
         i
     | None ->
-        Atomic.incr misses;
+        t.misses <- t.misses + 1;
         let i = Hashtbl.length t.reqs in
         Hashtbl.add t.reqs r i;
         i
@@ -79,10 +84,10 @@ let cons t gid rid r rest =
   let key = (gid, rid, rest.id) in
   match Cells.find_opt t.cells key with
   | Some m ->
-      Atomic.incr hits;
+      t.hits <- t.hits + 1;
       m
   | None ->
-      Atomic.incr misses;
+      t.misses <- t.misses + 1;
       let m =
         {
           id = Cells.length t.cells + 1;

@@ -21,6 +21,12 @@ and tail
 
 val create : unit -> t
 
+(** Lookups so far that found an id already assigned ([intern.hits]) and
+    that assigned a new one ([intern.misses]). *)
+val hits : t -> int
+
+val misses : t -> int
+
 (** [pair hi lo]: two ids packed into one int; [lo] must be below
     [2^28]. *)
 val pair : int -> int -> int

@@ -38,6 +38,8 @@ type t = {
   mutable phase : int;
   mutable phase2_winner_hits : int;
       (* winner-cache hits while phase = 2: cross-round reuse *)
+  mutable winner_hits : int;
+  mutable rule_firings : int;
   mutable tainted : bool;
       (* the last [optimize_group]/[log_phys_opt] evaluation was cut by a
          cost bound and its result is not the true winner (see the
@@ -94,6 +96,8 @@ let create ?(ext = default_ext) ?(budget = Budget.unlimited ()) ?observe
     budget;
     phase = 1;
     phase2_winner_hits = 0;
+    winner_hits = 0;
+    rule_firings = 0;
     tainted = false;
     ext;
     intern = Intern.create ();
@@ -110,9 +114,18 @@ let create ?(ext = default_ext) ?(budget = Budget.unlimited ()) ?observe
 let winner_key t (x : Extreq.t) =
   (Intern.pair x.Extreq.enforce.Intern.id x.Extreq.rid lsl 2) lor t.phase
 
-let winner_hits = Sutil.Counters.counter "optimizer.winner_hits"
-let winner_misses = Sutil.Counters.counter "optimizer.winner_misses"
-let ticks = Sutil.Counters.counter "optimizer.tasks"
+(* This run's counts under their report names; [optimizer.tasks] and
+   [optimizer.winner_misses] are both the budget's tick count, one per
+   winner miss. *)
+let counters t =
+  [
+    ("optimizer.tasks", t.budget.Budget.tasks);
+    ("optimizer.winner_hits", t.winner_hits);
+    ("optimizer.winner_misses", t.budget.Budget.tasks);
+    ("optimizer.rule_firings", t.rule_firings);
+    ("intern.hits", Intern.hits t.intern);
+    ("intern.misses", Intern.misses t.intern);
+  ]
 
 (* Build a plan node for [op] over [children] in group [g]. *)
 let mk_plan t (g : Smemo.Memo.group) op children =
@@ -301,13 +314,11 @@ let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
   let key = winner_key t extreq in
   match Hashtbl.find_opt g.Smemo.Memo.winners key with
   | Some w ->
-      Atomic.incr winner_hits;
+      t.winner_hits <- t.winner_hits + 1;
       if t.phase = 2 then t.phase2_winner_hits <- t.phase2_winner_hits + 1;
       t.tainted <- false;
       w.Smemo.Memo.wplan
   | None ->
-      Atomic.incr winner_misses;
-      Atomic.incr ticks;
       Budget.tick t.budget;
       (* span only on the miss path: hits are the memoized fast path and
          would dominate the trace without saying where time went *)
@@ -349,7 +360,7 @@ let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
    requirement (the body of Algorithm 5). *)
 and log_phys_opt t ?(bound = infinity) (g : Smemo.Memo.group)
     (extreq : Extreq.t) : Plan.t option =
-  Rules.explore t.memo g ~phase:t.phase;
+  t.rule_firings <- t.rule_firings + Rules.explore t.memo g ~phase:t.phase;
   let req = extreq.Extreq.req in
   let bounded = bound < infinity in
   let skipped = ref false in

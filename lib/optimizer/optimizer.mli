@@ -20,6 +20,8 @@ type t = {
   mutable phase2_winner_hits : int;
       (** winner-cache hits while [phase = 2] — the cross-round reuse
           the enforcement-slice keying buys (reported by the pipeline) *)
+  mutable winner_hits : int;  (** winner-cache lookups that hit *)
+  mutable rule_firings : int;  (** exploration rules applied *)
   mutable tainted : bool;
       (** branch-and-bound honesty flag: true right after a call whose
           result may have been degraded by bound-driven skips and so must
@@ -68,6 +70,13 @@ val create :
   cluster:Scost.Cluster.t ->
   Smemo.Memo.t ->
   t
+
+(** This context's counts so far, by name: [optimizer.tasks] and
+    [optimizer.winner_misses] (both the budget's tick count, one per
+    winner-cache miss), [optimizer.winner_hits],
+    [optimizer.rule_firings], [intern.hits] and [intern.misses]; zeros
+    included. *)
+val counters : t -> (string * int) list
 
 (** Build a costed plan node for an operator over child plans in a
     group. *)

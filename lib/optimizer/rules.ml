@@ -14,13 +14,13 @@
 
 open Relalg
 
-let rule_firings = Sutil.Counters.counter "optimizer.rule_firings"
-
 (* Apply all rules of [phase] to group [g], adding new expressions (and
-   possibly new groups) to the memo.  Idempotent per group and phase. *)
+   possibly new groups) to the memo; returns how many rules fired.
+   Idempotent per group and phase. *)
 let explore (memo : Smemo.Memo.t) (g : Smemo.Memo.group) ~phase =
-  if g.Smemo.Memo.explored_phase >= phase then ()
+  if g.Smemo.Memo.explored_phase >= phase then 0
   else begin
+    let fired = ref 0 in
     g.Smemo.Memo.explored_phase <- phase;
     let originals = Smemo.Memo.exprs g in
     List.iter
@@ -34,7 +34,7 @@ let explore (memo : Smemo.Memo.t) (g : Smemo.Memo.group) ~phase =
                       | Slogical.Logop.Group_by_global _ -> true
                       | _ -> false)
                     (Smemo.Memo.exprs g)) ->
-            Sutil.Counters.bump rule_firings 1;
+            incr fired;
             if Sobs.Trace.enabled () then
               Sobs.Trace.instant ~pid:(Sobs.Trace.pid_of_phase phase)
                 ~args:
@@ -62,5 +62,6 @@ let explore (memo : Smemo.Memo.t) (g : Smemo.Memo.group) ~phase =
                 children = [ local_group.Smemo.Memo.id ];
               }
         | _ -> ())
-      originals
+      originals;
+    !fired
   end

@@ -8,6 +8,7 @@
     of Figure 8. *)
 
 (** Apply the rules of [phase] to a group, adding equivalent expressions
-    (and possibly new groups). Idempotent per group and phase; never
-    duplicates the aggregation split across phases. *)
-val explore : Smemo.Memo.t -> Smemo.Memo.group -> phase:int -> unit
+    (and possibly new groups); returns the number of rules that fired.
+    Idempotent per group and phase; never duplicates the aggregation
+    split across phases. *)
+val explore : Smemo.Memo.t -> Smemo.Memo.group -> phase:int -> int

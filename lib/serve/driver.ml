@@ -44,7 +44,7 @@ let json_of_batch (b : Engine.batch_result) =
 let report_json ~machines totals batches metrics =
   Sobs.Json.Obj
     [
-      ("schema", str "scopecse-run-report/5");
+      ("schema", str "scopecse-run-report/6");
       ("machines", int machines);
       ( "serve",
         Sobs.Json.Obj
@@ -95,9 +95,7 @@ let run ?(out = Fmt.stdout) ?(err = Fmt.stderr) ?(json = false)
   (* The flight recorder rides in the trace ring whenever no explicit
      --trace session owns the tracer. *)
   if trace = None then Sobs.Flight.enable ();
-  let stats_rows () =
-    Sobs.Metrics.snapshot (Engine.metrics engine) @ Sexec.Profile.snapshot ()
-  in
+  let stats_rows () = Sobs.Metrics.snapshot (Engine.metrics engine) in
   let stats_json () =
     Sobs.Json.to_string (Sobs.Metrics.to_json (stats_rows ()))
   in

@@ -5,13 +5,13 @@
     Scripts are submitted under the latest [#tenant]; [#batch], [#quit]
     and the end of the stream flush; [#catalog-bump] flushes, then bumps
     the statistics epoch; [#stats] prints a Prometheus snapshot of the
-    engine's registry plus any kernel profile; [#dump] dumps the flight
+    engine's registry, executor and kernel-profile series included; [#dump] dumps the flight
     recorder.  Each batch is narrated one line per session (plus a
     combined-run line), its trace finished and SA045-audited ([trace]),
     its reports deep-audited with warnings fatal ([audit]), and
     [stats_file] rewritten every [stats_interval] batches.  At the end
     the loop rewrites [stats_file], prints the [serve:] summary line and,
-    under [json], the [scopecse-run-report/5] document, and holds the
+    under [json], the [scopecse-run-report/6] document, and holds the
     registry to SA046.
 
     The optional arguments are the [serve] flags of the same names.

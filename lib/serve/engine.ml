@@ -31,8 +31,10 @@
    registry: batches, submissions and outcomes, cache hits, misses and
    invalidations, combined runs and cross-script shares, per-path
    end-to-end session latency histograms, cache occupancy gauges and
-   per-tenant traffic counters.  Per-engine, so tests and embedded
-   engines never see each other's readings; [totals] reads it too.
+   per-tenant traffic counters.  The executor records its exec.*
+   distributions into the same registry.  Per-engine, so tests and
+   embedded engines never see each other's readings; [totals] reads it
+   too.
 
    Invariants the SA046 audit holds a snapshot to:
    every session lands in [serve.sessions_submitted]; failures land in
@@ -67,7 +69,7 @@ type batch_result = {
   cross_script_shares : int;  (* spools read by >= 2 sessions *)
   counters : (string * int) list;
       (* executor counters summed over this flush's runs, plus the
-         counter deltas of its fresh optimizations *)
+         counters of its fresh optimizations *)
   wall_s : float;  (* executor wall seconds, summed over runs *)
   attempts : int array list;  (* per-run stage attempts, for trace audit *)
   reports : Cse.Pipeline.report list;
@@ -83,7 +85,6 @@ type t = {
   max_seconds : float option;
   cache : Plan_cache.t;
   exec : Sexec.Engine.t;
-  metrics : Sobs.Metrics.t;
   mutable pending : (string * string * string) list;
       (* (id, tenant, text), reversed *)
 }
@@ -102,13 +103,12 @@ let create ?(config = Cse.Config.default) ?max_tasks ?max_seconds
       Sexec.Engine.create ~workers ?batch_size ?faults
         ~machines:cluster.Scost.Cluster.machines catalog;
     pending = [];
-    metrics = Sobs.Metrics.create ();
   }
 
 let cache t = t.cache
 let catalog t = t.catalog
 let cluster t = t.cluster
-let metrics t = t.metrics
+let metrics t = t.exec.Sexec.Engine.metrics
 
 let default_tenant = "default"
 
@@ -123,7 +123,7 @@ let catalog_bump t =
     Plan_cache.purge_stale t.cache
       ~current_version:(Relalg.Catalog.version t.catalog)
   in
-  Sobs.Metrics.bump t.metrics "serve.cache_invalidations" ~by:purged;
+  Sobs.Metrics.bump (metrics t) "serve.cache_invalidations" ~by:purged;
   purged
 
 (* A fresh budget per optimization: budgets are mutable task/time
@@ -258,7 +258,7 @@ let flush t : batch_result option =
   t.pending <- [];
   if pending = [] then None
   else begin
-    Sobs.Metrics.bump t.metrics "serve.batches";
+    Sobs.Metrics.bump (metrics t) "serve.batches";
     let version = Relalg.Catalog.version t.catalog in
     let wall = ref 0.0 and attempts = ref [] and exec_counts = ref [] in
     (* classify in submission order; the first occurrence of a fresh
@@ -309,7 +309,7 @@ let flush t : batch_result option =
        session is never also a hit or a miss — the SA046 invariant. *)
     List.iter
       (fun c ->
-        let m = t.metrics in
+        let m = metrics t in
         match c with
         | Ok c ->
             Sobs.Metrics.bump m "serve.sessions_submitted";
@@ -353,9 +353,9 @@ let flush t : batch_result option =
               let shares =
                 cross_script_spools report.Cse.Pipeline.cse_plan counts
               in
-              Sobs.Metrics.bump t.metrics "serve.cross_script_shares"
+              Sobs.Metrics.bump (metrics t) "serve.cross_script_shares"
                 ~by:shares;
-              Sobs.Metrics.bump t.metrics "serve.combined_runs";
+              Sobs.Metrics.bump (metrics t) "serve.combined_runs";
               let per_session =
                 List.map2
                   (fun c slice ->
@@ -381,7 +381,7 @@ let flush t : batch_result option =
        wall of the run that produced its outputs) in the histogram of
        its execution path — exactly one of hit / share / miss. *)
     let note_served (c : classified) path exec_wall (r : session_result) =
-      let m = t.metrics in
+      let m = metrics t in
       Sobs.Metrics.observe m "serve.session_seconds"
         ~labels:[ ("path", path_label path) ]
         (c.c_opt_s +. exec_wall);
@@ -434,12 +434,12 @@ let flush t : batch_result option =
         classified
     in
     (* occupancy gauges reflect the cache as of the end of this flush *)
-    Sobs.Metrics.set t.metrics "serve.cache_size"
+    Sobs.Metrics.set (metrics t) "serve.cache_size"
       (float_of_int (Plan_cache.size t.cache));
-    let m_hits = Sobs.Metrics.get t.metrics "serve.cache_hits" in
-    let m_misses = Sobs.Metrics.get t.metrics "serve.cache_misses" in
+    let m_hits = Sobs.Metrics.get (metrics t) "serve.cache_hits" in
+    let m_misses = Sobs.Metrics.get (metrics t) "serve.cache_misses" in
     if m_hits + m_misses > 0 then
-      Sobs.Metrics.set t.metrics "serve.cache_hit_ratio"
+      Sobs.Metrics.set (metrics t) "serve.cache_hit_ratio"
         (float_of_int m_hits /. float_of_int (m_hits + m_misses));
     (* distinct optimizations behind this batch, for auditing: one per
        distinct fingerprint (cached plans included), plus the combined
@@ -460,7 +460,7 @@ let flush t : batch_result option =
     in
     Some
       {
-        seq = Sobs.Metrics.get t.metrics "serve.batches";
+        seq = Sobs.Metrics.get (metrics t) "serve.batches";
         results;
         combined = combined_info <> None;
         combined_cost =
@@ -495,7 +495,7 @@ let flush t : batch_result option =
   end
 
 let totals t =
-  let get = Sobs.Metrics.get t.metrics in
+  let get = Sobs.Metrics.get (metrics t) in
   [
     ("sessions", get "serve.sessions_submitted");
     ("batches", get "serve.batches");

@@ -17,9 +17,11 @@
     runs and cross-script spool shares, per-path session latency
     histograms ([serve.session_seconds{path=hit|share|miss}]), cache
     occupancy gauges ([serve.cache_size], [serve.cache_hit_ratio]) and
-    per-tenant traffic counters ([serve.tenant_*{tenant=...}]).
-    {!totals}, the [#stats] verb, [--stats-file] exposition and the
-    SA046 consistency audit all read it. *)
+    per-tenant traffic counters ([serve.tenant_*{tenant=...}]).  The
+    registry is the executor's ({!Sexec.Engine.t}[.metrics]), which
+    adds the [exec.*] distributions.  {!totals}, the
+    [#stats] verb, [--stats-file] exposition, flight dumps and the SA046
+    consistency audit all read it. *)
 
 type status =
   | Done of { cache_hit : bool; combined : bool }
@@ -47,7 +49,7 @@ type batch_result = {
   cross_script_shares : int;  (** spools read by two or more sessions *)
   counters : (string * int) list;
       (** the executor's [exec.*] counters summed over this flush's
-          runs, plus the optimizer counter deltas of its fresh
+          runs, plus the optimizer counters of its fresh
           optimizations; sorted by name, zeros dropped *)
   wall_s : float;  (** executor wall seconds, summed over the runs *)
   attempts : int array list;
@@ -84,7 +86,8 @@ val catalog : t -> Relalg.Catalog.t
 val cluster : t -> Scost.Cluster.t
 
 (** The engine's metrics registry: every serve count, latency
-    histogram, cache gauge and per-tenant counter of this engine. *)
+    histogram, cache gauge and per-tenant counter of this engine, and
+    its executor's [exec.*] distributions. *)
 val metrics : t -> Sobs.Metrics.t
 
 (** Queue a script; nothing runs until {!flush}.  [tenant] (default

@@ -665,7 +665,7 @@ let m_gauge name v : Sobs.Metrics.row =
   { Sobs.Metrics.name; labels = []; value = Sobs.Metrics.Value v }
 
 let m_latency path n : Sobs.Metrics.row =
-  let h = Sobs.Hist.make "synthetic" in
+  let h = Sobs.Hist.make () in
   for _ = 1 to n do
     Sobs.Hist.observe h 0.001
   done;

@@ -649,6 +649,11 @@ let test_parallel_large_scripts () =
 
 (* --- kernel profiling ------------------------------------------------------ *)
 
+let kernel_rows metrics =
+  List.filter
+    (fun (r : Sobs.Metrics.row) -> r.Sobs.Metrics.name = "exec.kernel_seconds")
+    (Sobs.Metrics.snapshot metrics)
+
 (* Profiling must be observation-only: enabling it changes no output
    byte and no fault/retry counter, and the profiled engine still obeys
    the whole worker-count determinism contract (the profiled column of
@@ -659,15 +664,12 @@ let test_profile_invariance () =
     Sexec.Validate.check ~oversubscribe:true ~machines:6 ~workers:2 catalog
       dag plan
   in
-  Sexec.Profile.reset ();
   Sexec.Profile.set false;
   let off = run () in
-  Alcotest.(check bool) "unprofiled run records nothing" true
-    (Sexec.Profile.snapshot () = []);
+  Alcotest.(check bool) "unprofiled run records no kernel rows" true
+    (kernel_rows off.Sexec.Validate.metrics = []);
   Fun.protect
-    ~finally:(fun () ->
-      Sexec.Profile.set false;
-      Sexec.Profile.reset ())
+    ~finally:(fun () -> Sexec.Profile.set false)
     (fun () ->
       Sexec.Profile.set true;
       let on_ = run () in
@@ -679,13 +681,12 @@ let test_profile_invariance () =
       Alcotest.(check int) "retries identical"
         off.Sexec.Validate.counters.Sexec.Engine.retries
         on_.Sexec.Validate.counters.Sexec.Engine.retries;
-      let rows = Sexec.Profile.snapshot () in
+      let rows = kernel_rows on_.Sexec.Validate.metrics in
       Alcotest.(check bool) "kernel histograms recorded" true (rows <> []);
       Alcotest.(check bool) "rows carry kernel and stage labels" true
         (List.for_all
            (fun (r : Sobs.Metrics.row) ->
-             r.Sobs.Metrics.name = "exec.kernel_seconds"
-             && List.mem_assoc "kernel" r.Sobs.Metrics.labels
+             List.mem_assoc "kernel" r.Sobs.Metrics.labels
              && List.mem_assoc "stage" r.Sobs.Metrics.labels)
            rows);
       (* the profiled column of the determinism matrix, fault-free and
@@ -698,14 +699,14 @@ let test_profile_invariance () =
 
 let test_profile_disabled_zero_alloc () =
   Sexec.Profile.set false;
-  Sexec.Profile.reset ();
+  let m = Sobs.Metrics.create () in
   (* warm up once so any one-time initialization is out of the way *)
-  Sexec.Profile.note ~kernel:"warm" ~stage:0 (Sexec.Profile.now ());
+  Sexec.Profile.note m ~kernel:"warm" ~stage:0 (Sexec.Profile.now ());
   let m0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
     let t0 = Sexec.Profile.now () in
-    Sexec.Profile.note ~kernel:"hot" ~stage:1 t0;
-    Sexec.Profile.note ~kernel:"hotter" ~stage:2 t0
+    Sexec.Profile.note m ~kernel:"hot" ~stage:1 t0;
+    Sexec.Profile.note m ~kernel:"hotter" ~stage:2 t0
   done;
   let m1 = Gc.minor_words () in
   Alcotest.(check bool)
@@ -714,7 +715,55 @@ let test_profile_disabled_zero_alloc () =
     true
     (m1 -. m0 < 256.0);
   Alcotest.(check bool) "disabled path records nothing" true
-    (Sexec.Profile.snapshot () = [])
+    (Sobs.Metrics.snapshot m = [])
+
+(* Each engine records into its own registry: with two engines in one
+   process, each one's stage-time histogram counts exactly its own stage
+   executions, and its kernel rows are exactly those a lone engine
+   running the same plan records. *)
+let test_engines_keep_own_metrics () =
+  let catalog1, _, plan1 = optimize Sworkload.Paper_scripts.s1 in
+  let catalog2, _, plan2 = optimize Sworkload.Paper_scripts.s2 in
+  let stage_count (e : Sexec.Engine.t) =
+    List.fold_left
+      (fun acc (r : Sobs.Metrics.row) ->
+        match r.Sobs.Metrics.value with
+        | Sobs.Metrics.Dist s when r.Sobs.Metrics.name = "exec.stage_seconds" ->
+            acc + s.Sobs.Hist.count
+        | _ -> acc)
+      0
+      (Sobs.Metrics.snapshot e.Sexec.Engine.metrics)
+  in
+  let kernels (e : Sexec.Engine.t) =
+    List.map
+      (fun (r : Sobs.Metrics.row) ->
+        ( r.Sobs.Metrics.labels,
+          match r.Sobs.Metrics.value with
+          | Sobs.Metrics.Dist s -> s.Sobs.Hist.count
+          | _ -> -1 ))
+      (kernel_rows e.Sexec.Engine.metrics)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sexec.Profile.set false)
+    (fun () ->
+      Sexec.Profile.set true;
+      let run catalog plan =
+        let e = Sexec.Engine.create ~machines:6 catalog in
+        ignore (Sexec.Engine.run e plan);
+        e
+      in
+      let e1 = run catalog1 plan1 in
+      let e2 = run catalog2 plan2 in
+      List.iter
+        (fun (name, e) ->
+          Alcotest.(check int)
+            (name ^ ": stage_seconds counts its own stages")
+            e.Sexec.Engine.counters.Sexec.Engine.stages_run (stage_count e))
+        [ ("S1 engine", e1); ("S2 engine", e2) ];
+      let alone = run catalog1 plan1 in
+      Alcotest.(check bool) "kernel rows recorded" true (kernels e1 <> []);
+      Alcotest.(check (list (pair (list (pair string string)) int)))
+        "kernel rows are the engine's own" (kernels alone) (kernels e1))
 
 let test_parallel_cross_script () =
   (* the serve batch path: two scripts sharing a scan chain are combined
@@ -836,5 +885,7 @@ let () =
             test_profile_invariance;
           Alcotest.test_case "disabled path zero-alloc" `Quick
             test_profile_disabled_zero_alloc;
+          Alcotest.test_case "engines keep their own metrics" `Quick
+            test_engines_keep_own_metrics;
         ] );
     ]

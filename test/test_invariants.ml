@@ -413,6 +413,26 @@ let test_report_counters () =
     (get "optimizer.winner_misses" = get "optimizer.tasks");
   Alcotest.(check bool) "intern lookups counted" true (get "intern.hits" > 0)
 
+(* The S1 counts are pinned: they are the figures the process-global
+   counters reported as this run's deltas, and BENCH_opt.json's
+   winner/intern columns are built from them. *)
+let test_report_counters_pinned () =
+  let r =
+    Cse.Pipeline.run
+      ~catalog:(Relalg.Catalog.default ())
+      Sworkload.Paper_scripts.s1
+  in
+  Alcotest.(check (list (pair string int))) "S1 counters"
+    [
+      ("intern.hits", 794);
+      ("intern.misses", 61);
+      ("optimizer.rule_firings", 6);
+      ("optimizer.tasks", 400);
+      ("optimizer.winner_hits", 958);
+      ("optimizer.winner_misses", 400);
+    ]
+    r.Cse.Pipeline.counters
+
 (* An un-enforced and an enforced variant of the same conventional
    requirement must never share an id (rounds with different assignments
    must not reuse each other's winners). *)
@@ -503,6 +523,8 @@ let () =
             test_runs_count_alike;
           Alcotest.test_case "report surfaces counter deltas" `Quick
             test_report_counters;
+          Alcotest.test_case "S1 counters pinned" `Quick
+            test_report_counters_pinned;
         ] );
       ( "large scripts",
         [

@@ -247,8 +247,7 @@ let test_pipeline_trace_stability () =
 (* --- histograms ----------------------------------------------------------- *)
 
 let test_hist_quantiles () =
-  H.reset_all ();
-  let h = H.hist "test.quantiles" in
+  let h = H.make () in
   List.iter (H.observe h) [ 0.5; 1.0; 4.0 ];
   let s = H.summarize h in
   Alcotest.(check int) "count" 3 s.H.count;
@@ -262,8 +261,7 @@ let test_hist_quantiles () =
     (List.map fst s.H.buckets = [ 1.0; 2.0; 8.0 ])
 
 let test_hist_low_bucket () =
-  H.reset_all ();
-  let h = H.hist "test.lowbucket" in
+  let h = H.make () in
   H.observe h 0.0;
   H.observe h (-1.0);
   let s = H.summarize h in
@@ -273,8 +271,7 @@ let test_hist_low_bucket () =
   Alcotest.(check (float 1e-9)) "max clamps to zero" 0.0 s.H.max
 
 let test_hist_hammer () =
-  H.reset_all ();
-  let h = H.hist "test.hammer" in
+  let h = H.make () in
   let ds =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
@@ -288,27 +285,12 @@ let test_hist_hammer () =
   Alcotest.(check (float 1e-6)) "no lost sum" 40_000.0 s.H.sum;
   Alcotest.(check (float 1e-9)) "max" 1.0 s.H.max
 
-let test_hist_snapshot_reset () =
-  H.reset_all ();
-  let b = H.hist "test.snap.b" in
-  let a = H.hist "test.snap.a" in
-  H.observe b 1.0;
-  H.observe a 2.0;
-  let names = List.map fst (H.snapshot ()) in
-  Alcotest.(check bool) "snapshot sorted by name" true
-    (names = List.sort String.compare names);
-  Alcotest.(check bool) "both histograms present" true
-    (List.mem "test.snap.a" names && List.mem "test.snap.b" names);
-  H.reset_all ();
-  Alcotest.(check (list string)) "reset empties the snapshot" []
-    (List.map fst (H.snapshot ()))
-
 (* Quantiles must be well-defined at 0 and 1 observations: an empty
    histogram reads as all zeros (never NaN or a bucket bound), and a
    single observation reports itself as every quantile — the
    log-bucket upper bound is clamped to the exact extremes. *)
 let test_hist_empty_summary () =
-  let h = H.make "test.empty" in
+  let h = H.make () in
   let s = H.summarize h in
   Alcotest.(check int) "count" 0 s.H.count;
   Alcotest.(check (float 0.0)) "sum" 0.0 s.H.sum;
@@ -319,7 +301,7 @@ let test_hist_empty_summary () =
   Alcotest.(check bool) "no buckets" true (s.H.buckets = [])
 
 let test_hist_single_observation () =
-  let h = H.make "test.single" in
+  let h = H.make () in
   H.observe h 3.0;
   let s = H.summarize h in
   Alcotest.(check int) "count" 1 s.H.count;
@@ -330,7 +312,7 @@ let test_hist_single_observation () =
   Alcotest.(check (float 0.0)) "max" 3.0 s.H.max
 
 let test_hist_quantiles_within_extremes () =
-  let h = H.make "test.extremes" in
+  let h = H.make () in
   List.iter (H.observe h) [ 3.0; 3.5; 3.7 ];
   let s = H.summarize h in
   Alcotest.(check bool) "p50 within [min,max]" true
@@ -355,17 +337,13 @@ let test_metrics_counter_gauge () =
   Alcotest.(check int) "absent counter reads zero" 0 (M.get m "req.other");
   M.set m "queue.depth" 7.5;
   M.set m "queue.depth" 3.0;
-  (match M.snapshot m with
+  match M.snapshot m with
   | [ g; c ] ->
       Alcotest.(check string) "sorted by name" "queue.depth" g.M.name;
       Alcotest.(check bool) "gauge keeps last value" true
         (g.M.value = M.Value 3.0);
       Alcotest.(check bool) "counter row" true (c.M.value = M.Count 5)
-  | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows));
-  M.reset m;
-  Alcotest.(check int) "reset zeroes counters" 0 (M.get m "req.total");
-  Alcotest.(check int) "reset keeps series registered" 2
-    (List.length (M.snapshot m))
+  | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows)
 
 let test_metrics_labels_normalized () =
   let m = M.create () in
@@ -373,9 +351,11 @@ let test_metrics_labels_normalized () =
   M.bump m ~labels:[ ("a", "1"); ("b", "2") ] "x";
   Alcotest.(check int) "label order does not split the series" 2
     (M.get m ~labels:[ ("b", "2"); ("a", "1") ] "x");
-  Alcotest.(check int) "one row" 1 (List.length (M.snapshot m));
-  Alcotest.(check string) "full name renders sorted" "x{a=1,b=2}"
-    (M.full_name "x" [ ("b", "2"); ("a", "1") ])
+  match M.snapshot m with
+  | [ r ] ->
+      Alcotest.(check (list (pair string string))) "labels stored sorted"
+        [ ("a", "1"); ("b", "2") ] r.M.labels
+  | rows -> Alcotest.failf "expected 1 row, got %d" (List.length rows)
 
 let test_metrics_kind_mismatch () =
   let m = M.create () in
@@ -409,7 +389,18 @@ let test_metrics_histogram_and_exposition () =
     (has "served{tenant=\"blue\"} 1");
   match M.to_json rows with
   | Sobs.Json.Arr objs ->
-      Alcotest.(check int) "json row per series" 2 (List.length objs)
+      Alcotest.(check int) "json row per series" 2 (List.length objs);
+      let num x = Sobs.Json.Num x in
+      Alcotest.(check bool) "histogram rows carry their buckets" true
+        (List.filter_map
+           (function
+             | Sobs.Json.Obj kv -> List.assoc_opt "buckets" kv | _ -> None)
+           objs
+        = [
+            Sobs.Json.Arr
+              [ Sobs.Json.Arr [ num 2.0; num 1.0 ];
+                Sobs.Json.Arr [ num 4.0; num 1.0 ] ];
+          ])
   | _ -> Alcotest.fail "to_json is not an array"
 
 let test_metrics_hammer () =
@@ -463,8 +454,6 @@ let () =
           Alcotest.test_case "zero and negative bucket" `Quick
             test_hist_low_bucket;
           Alcotest.test_case "4-domain hammer" `Quick test_hist_hammer;
-          Alcotest.test_case "snapshot and reset" `Quick
-            test_hist_snapshot_reset;
           Alcotest.test_case "empty summary well-defined" `Quick
             test_hist_empty_summary;
           Alcotest.test_case "single observation quantiles" `Quick

@@ -358,6 +358,31 @@ let test_metrics_accounting () =
           ~cache_entries:(PC.size (E.cache e))
           rows))
 
+(* The serve engine records into its executor's registry: after a few
+   flushes the registry holds exec.stage_seconds with one observation per
+   stage the flushes ran, as the batches' exec.stages_run counters sum. *)
+let test_metrics_include_executor () =
+  let a, b = shared_pair in
+  let e = fresh_engine () in
+  let batches =
+    List.map
+      (fun subs ->
+        List.iter (fun (id, text) -> E.submit e ~id ~text) subs;
+        flush_exn e)
+      [ [ ("cold", plain) ]; [ ("dup", plain) ]; [ ("xa", a); ("xb", b) ] ]
+  in
+  let stages =
+    List.fold_left
+      (fun acc (bt : E.batch_result) ->
+        acc
+        + Option.value ~default:0
+            (List.assoc_opt "exec.stages_run" bt.E.counters))
+      0 batches
+  in
+  Alcotest.(check bool) "stages ran" true (stages > 0);
+  Alcotest.(check int) "exec.stage_seconds counts every stage" stages
+    (hist_count (metric_rows e) "exec.stage_seconds" [])
+
 let test_generator_stream () =
   let stream = Sworkload.Session_gen.generate ~seed:3 ~scripts:8 () in
   let items = S.items_of_string stream in
@@ -519,6 +544,8 @@ let () =
         [
           Alcotest.test_case "accounting and SA046" `Quick
             test_metrics_accounting;
+          Alcotest.test_case "executor series in the engine registry" `Quick
+            test_metrics_include_executor;
         ] );
       ( "driver",
         [

@@ -93,60 +93,6 @@ let prop_subsets_subset =
         (fun s -> List.for_all (fun x -> List.mem x l) s)
         (Sutil.Combi.subsets l))
 
-let test_counters_atomic_hammer () =
-  (* 4 domains bumping one shared counter concurrently: the atomic cells
-     must not lose a single increment *)
-  let c = Sutil.Counters.counter "test.hammer" in
-  let before = Sutil.Counters.baseline () in
-  let per_domain = 25_000 in
-  let domains =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              Sutil.Counters.bump c 1
-            done))
-  in
-  List.iter Domain.join domains;
-  Alcotest.(check (option int)) "exact total" (Some (4 * per_domain))
-    (List.assoc_opt "test.hammer" (Sutil.Counters.deltas before))
-
-let test_counters_deltas_union () =
-  (* [deltas] diffs by name over the union of the baseline's names and
-     the current ones: a counter registered after the baseline counts
-     from zero, and unchanged counters are absent *)
-  let b = Sutil.Counters.baseline () in
-  let c = Sutil.Counters.counter "test.deltas_union" in
-  Sutil.Counters.bump c 3;
-  Alcotest.(check (option int)) "counter born after the baseline is reported"
-    (Some 3)
-    (List.assoc_opt "test.deltas_union" (Sutil.Counters.deltas b));
-  Alcotest.(check (list (pair string int))) "no change means empty delta" []
-    (Sutil.Counters.deltas (Sutil.Counters.baseline ()))
-
-let test_counters_baseline_reset_safe () =
-  (* [baseline]/[deltas] are reset-safe: a [reset_all] between the two
-     restarts every counter from zero and the baseline is ignored for
-     them, so deltas never go negative across sequenced runs in one
-     process *)
-  let c = Sutil.Counters.counter "test.baseline_reset" in
-  Sutil.Counters.bump c 5;
-  let b = Sutil.Counters.baseline () in
-  Sutil.Counters.bump c 2;
-  Alcotest.(check (option int)) "plain delta" (Some 2)
-    (List.assoc_opt "test.baseline_reset" (Sutil.Counters.deltas b));
-  let b = Sutil.Counters.baseline () in
-  Sutil.Counters.reset_all ();
-  (* counter restarted from zero: baseline value (7) must not be
-     subtracted, which would report -7 here *)
-  Alcotest.(check (option int)) "reset alone yields no delta" None
-    (List.assoc_opt "test.baseline_reset" (Sutil.Counters.deltas b));
-  Sutil.Counters.bump c 3;
-  let d = Sutil.Counters.deltas b in
-  Alcotest.(check (option int)) "post-reset bumps count from zero" (Some 3)
-    (List.assoc_opt "test.baseline_reset" d);
-  Alcotest.(check bool) "no negative delta anywhere" true
-    (List.for_all (fun (_, v) -> v > 0) d)
-
 let test_pool_parallel_for () =
   Sutil.Pool.with_pool ~workers:4 (fun pool ->
       let n = 1000 in
@@ -208,15 +154,6 @@ let () =
           Alcotest.test_case "take/drop" `Quick test_take_drop;
           prop_take_drop;
           prop_subsets_subset;
-        ] );
-      ( "counters",
-        [
-          Alcotest.test_case "4-domain hammer" `Quick
-            test_counters_atomic_hammer;
-          Alcotest.test_case "deltas diffs over union" `Quick
-            test_counters_deltas_union;
-          Alcotest.test_case "baseline survives reset_all" `Quick
-            test_counters_baseline_reset_safe;
         ] );
       ( "pool",
         [
