@@ -9,7 +9,7 @@
    machines while still catching a plan-quality or search-effort
    regression the moment it lands.
 
-   Two further modes serve the ISSUE 7 round-pruning gates:
+   Three further modes:
 
    - [--equivalence] compares only the plan-quality fields (the costs).
      Used on a pruned run vs a [--no-prune] run of the *same* build,
@@ -18,139 +18,115 @@
 
    - [--perf FACTOR] additionally requires, per workload, that the fresh
      run's [rounds_executed] is at most baseline / FACTOR, and that its
-     [cse_time_s] does not exceed the baseline's.  Used on a pruned run
-     vs a same-machine [--no-prune] run to enforce the >= FACTOR round
-     reduction the pruning layers claim (wall clocks are only compared
-     within one machine, never against the committed baseline).
+     [cse_time_s] does not exceed the baseline's by more than 10%.  Used
+     on a pruned run vs a same-machine [--no-prune] run to enforce the
+     >= FACTOR round reduction the pruning layers claim (wall clocks are
+     only compared within one machine, never against the committed
+     baseline).
 
-   - [--exec-perf FACTOR] gates the vectorized executor (ISSUE 9): per
-     workload, the fresh run's measured [exec_wall_w1_s] must be at most
+   - [--exec-perf FACTOR] gates the vectorized executor: per workload,
+     the fresh run's measured [exec_wall_w1_s] must be at most
      baseline / FACTOR, and its [exec_wall_wN_s] must not exceed its own
      [exec_wall_w1_s] by more than 25% (the hardware-parallelism cap
      promises the parallel configuration never regresses the sequential
      one).  The wN check is skipped when [exec_wall_w1_s] is under 20ms:
      below that, scheduler jitter alone exceeds the 25% margin and the
      assertion would flake.  FACTOR > 1 demands a speedup over the
-     baseline (used once,
-     to prove the >= 2x vectorization win against the pre-vectorization
-     BENCH_opt.json); FACTOR < 1 is a regression allowance (CI runs
+     baseline; FACTOR < 1 is a regression allowance (CI runs
      [--exec-perf 0.6], i.e. at most ~1.7x the committed wall, which
      absorbs shared-runner noise).  Wall-clock gates stay restricted to
      the large workloads ([--only LS1,LS2]) where the signal is outside
      the noise floor.
 
-   The parser matches the writer in main.ml: flat records of numbers
-   keyed by "name", scanned with string search — no JSON dependency,
-   same as the writer.
+   Both files must be [scopecse-bench-opt/2] documents; fields are read
+   by path with Sobs.Json.  A gated field missing from either file is a
+   drift: a renamed field must fail the gate, not disable it.
 
    Usage: compare [--equivalence | --perf FACTOR | --exec-perf FACTOR]
                   [--only W1,W2] BASELINE.json FRESH.json *)
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let schema = "scopecse-bench-opt/2"
 
-(* Split the workloads array into one chunk per record, keyed by its
-   "name" value. *)
-let records text =
-  let key = {|{"name": "|} in
-  let rec go acc from =
-    match
-      if from >= String.length text then None
-      else
-        let rec find i =
-          if i + String.length key > String.length text then None
-          else if String.sub text i (String.length key) = key then Some i
-          else find (i + 1)
-        in
-        find from
-    with
-    | None -> List.rev acc
-    | Some start ->
-        let name_start = start + String.length key in
-        let name_end = String.index_from text name_start '"' in
-        let name = String.sub text name_start (name_end - name_start) in
-        let chunk_end =
-          let rec find i =
-            if i + String.length key > String.length text then
-              String.length text
-            else if String.sub text i (String.length key) = key then i
-            else find (i + 1)
-          in
-          find (start + 1)
-        in
-        go ((name, String.sub text start (chunk_end - start)) :: acc) chunk_end
-  in
-  go [] 0
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
 
-(* Value of "field": NUMBER inside a record chunk. *)
-let field chunk name =
-  let key = Printf.sprintf "\"%s\": " name in
-  let rec find i =
-    if i + String.length key > String.length chunk then None
-    else if String.sub chunk i (String.length key) = key then
-      Some (i + String.length key)
-    else find (i + 1)
+(* The workloads of a bench document, by name. *)
+let load path =
+  let text =
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
   in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < String.length chunk
-        &&
-        match chunk.[!stop] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub chunk start (!stop - start))
+  let doc =
+    try Sobs.Json.parse text
+    with Sobs.Json.Parse_error msg -> fail "%s: %s" path msg
+  in
+  (match Option.bind (Sobs.Json.member "schema" doc) Sobs.Json.to_str with
+  | Some s when s = schema -> ()
+  | s ->
+      fail "%s: schema %s, expected %s" path
+        (Option.value ~default:"missing" s)
+        schema);
+  List.map
+    (fun w ->
+      match Option.bind (Sobs.Json.member "name" w) Sobs.Json.to_str with
+      | Some name -> (name, w)
+      | None -> fail "%s: a workload without a name" path)
+    (Option.value ~default:[]
+       (Option.bind (Sobs.Json.member "workloads" doc) Sobs.Json.to_list))
+
+let field w path =
+  Option.bind
+    (List.fold_left
+       (fun v key -> Option.bind v (Sobs.Json.member key))
+       (Some w) path)
+    Sobs.Json.to_float
+
+let opt name = [ "optimization"; name ]
 
 (* The deterministic fields: identical runs of the same code must agree
-   exactly.  Costs are doubles printed with %.17g (round-trip exact);
-   tasks, rounds and the pruning counters are integers. *)
+   exactly.  Costs are doubles written round-trip exact; tasks, rounds
+   and the pruning counters are integers. *)
 let drift_fields =
-  [
-    "conv_cost";
-    "cse_cost";
-    "conv_tasks";
-    "cse_tasks";
-    "rounds_executed";
-    "rounds_pruned";
-    "rounds_aborted_bound";
-    "phase2_winner_reuse_hits";
-  ]
+  List.map opt
+    [
+      "conventional_cost";
+      "cse_cost";
+      "conventional_tasks";
+      "cse_tasks";
+      "rounds_executed";
+      "rounds_pruned";
+      "rounds_aborted_bound";
+      "phase2_winner_reuse_hits";
+    ]
 
 (* Plan quality alone: what a pruned and an exhaustive run of the same
    build must agree on bit-for-bit. *)
-let equivalence_fields = [ "conv_cost"; "cse_cost" ]
+let equivalence_fields = List.map opt [ "conventional_cost"; "cse_cost" ]
 
 type mode = Drift | Equivalence | Perf of float | ExecPerf of float
 
 let usage () =
-  prerr_endline
+  fail
     "usage: compare [--equivalence | --perf FACTOR | --exec-perf FACTOR] \
-     [--only W1,W2] BASELINE.json FRESH.json";
-  exit 2
+     [--only W1,W2] BASELINE.json FRESH.json"
 
 let () =
   let mode = ref Drift in
   let only = ref None in
   let files = ref [] in
+  let factor f =
+    match float_of_string_opt f with Some f when f > 0.0 -> f | _ -> usage ()
+  in
   let rec parse = function
     | "--equivalence" :: tl -> mode := Equivalence; parse tl
-    | "--perf" :: f :: tl -> (
-        match float_of_string_opt f with
-        | Some f when f > 0.0 -> mode := Perf f; parse tl
-        | _ -> usage ())
-    | "--exec-perf" :: f :: tl -> (
-        match float_of_string_opt f with
-        | Some f when f > 0.0 -> mode := ExecPerf f; parse tl
-        | _ -> usage ())
+    | "--perf" :: f :: tl -> mode := Perf (factor f); parse tl
+    | "--exec-perf" :: f :: tl -> mode := ExecPerf (factor f); parse tl
     | "--only" :: names :: tl ->
         only := Some (String.split_on_char ',' names);
         parse tl
@@ -161,13 +137,18 @@ let () =
   let baseline_path, fresh_path =
     match List.rev !files with [ b; f ] -> (b, f) | _ -> usage ()
   in
-  let baseline = records (read_file baseline_path) in
-  let fresh = records (read_file fresh_path) in
+  let baseline = load baseline_path in
+  let fresh = load fresh_path in
   let wanted name =
     match !only with None -> true | Some names -> List.mem name names
   in
   let drift = ref 0 in
   let compared = ref 0 in
+  let fields_compared = ref 0 in
+  let report fmt =
+    incr drift;
+    Printf.printf fmt
+  in
   (* perf mode compares a pruned against an exhaustive run: costs must
      still match bit-for-bit, but the search-effort counters (tasks,
      rounds, pruning tallies) legitimately differ *)
@@ -180,105 +161,94 @@ let () =
     | ExecPerf _ -> []
   in
   List.iter
-    (fun (name, fresh_chunk) ->
+    (fun (name, fresh_w) ->
       match List.assoc_opt name baseline with
       | _ when not (wanted name) -> ()
       | None -> Printf.printf "%-5s not in baseline, skipped\n" name
-      | Some base_chunk ->
+      | Some base_w ->
           incr compared;
+          (* the (baseline, fresh) values of a gated field; a side
+             without it is a drift *)
+          let both path k =
+            let p = String.concat "." path in
+            match (field base_w path, field fresh_w path) with
+            | Some b, Some v ->
+                incr fields_compared;
+                k b v
+            | None, _ -> report "%-5s %s missing from baseline\n" name p
+            | _, None -> report "%-5s %s missing from fresh run\n" name p
+          in
           List.iter
-            (fun f ->
-              match (field base_chunk f, field fresh_chunk f) with
-              | Some b, Some v when b <> v ->
-                  incr drift;
-                  Printf.printf "%-5s %s drifted: baseline %.17g, now %.17g\n"
-                    name f b v
-              | Some _, Some _ -> ()
-              | None, _ ->
-                  (* field added after the baseline was committed *)
-                  ()
-              | _, None ->
-                  incr drift;
-                  Printf.printf "%-5s %s missing from fresh run\n" name f)
+            (fun path ->
+              both path (fun b v ->
+                  if b <> v then
+                    report "%-5s %s drifted: baseline %.17g, now %.17g\n" name
+                      (String.concat "." path) b v))
             checked_fields;
-          (match !mode with
+          match !mode with
           | Perf factor ->
-              (match (field base_chunk "rounds_executed",
-                      field fresh_chunk "rounds_executed") with
-              | Some b, Some v when v *. factor > b ->
-                  incr drift;
-                  Printf.printf
-                    "%-5s rounds_executed %.0f not %.2gx under baseline %.0f\n"
-                    name v factor b
-              | Some b, Some v ->
-                  Printf.printf "%-5s rounds_executed %.0f <= %.0f / %.2g\n"
-                    name v b factor
-              | _ ->
-                  incr drift;
-                  Printf.printf "%-5s rounds_executed missing\n" name);
+              both (opt "rounds_executed") (fun b v ->
+                  if v *. factor > b then
+                    report
+                      "%-5s rounds_executed %.0f not %.2gx under baseline \
+                       %.0f\n"
+                      name v factor b
+                  else
+                    Printf.printf "%-5s rounds_executed %.0f <= %.0f / %.2g\n"
+                      name v b factor);
               (* same-machine wall clock: the pruned run must not be
                  slower than the exhaustive one beyond scheduler noise *)
-              (match (field base_chunk "cse_time_s", field fresh_chunk "cse_time_s")
-               with
-              | Some b, Some v when v > b *. 1.1 ->
-                  incr drift;
-                  Printf.printf
-                    "%-5s cse_time_s %.4f exceeds baseline %.4f (+10%%)\n"
-                    name v b
-              | _ -> ())
+              both (opt "cse_time_s") (fun b v ->
+                  if v > b *. 1.1 then
+                    report
+                      "%-5s cse_time_s %.4f exceeds baseline %.4f (+10%%)\n"
+                      name v b)
           | ExecPerf factor ->
               (* the committed sequential wall must improve >= FACTOR *)
-              (match (field base_chunk "exec_wall_w1_s",
-                      field fresh_chunk "exec_wall_w1_s") with
-              | Some b, Some v when v *. factor > b ->
-                  incr drift;
-                  Printf.printf
-                    "%-5s exec_wall_w1_s %.6f not %.2gx under baseline %.6f\n"
-                    name v factor b
-              | Some b, Some v ->
-                  Printf.printf "%-5s exec_wall_w1_s %.6f <= %.6f / %.2g\n"
-                    name v b factor
-              | _ ->
-                  incr drift;
-                  Printf.printf "%-5s exec_wall_w1_s missing\n" name);
+              both [ "exec_wall_w1_s" ] (fun b v ->
+                  if v *. factor > b then
+                    report
+                      "%-5s exec_wall_w1_s %.6f not %.2gx under baseline %.6f\n"
+                      name v factor b
+                  else
+                    Printf.printf "%-5s exec_wall_w1_s %.6f <= %.6f / %.2g\n"
+                      name v b factor);
               (* same-run comparison: the parallel configuration must not
                  regress the sequential one beyond scheduler noise; on
                  walls under 20ms the jitter alone exceeds the margin,
                  so the check only applies where the signal is real *)
-              (match (field fresh_chunk "exec_wall_w1_s",
-                      field fresh_chunk "exec_wall_wN_s") with
+              (match
+                 (field fresh_w [ "exec_wall_w1_s" ],
+                  field fresh_w [ "exec_wall_wN_s" ])
+               with
               | Some w1, Some wn when w1 < 0.02 ->
                   Printf.printf
                     "%-5s exec_wall_w1_s %.6f under noise floor, wN check \
                      skipped (wN %.6f)\n"
                     name w1 wn
               | Some w1, Some wn when wn > w1 *. 1.25 ->
-                  incr drift;
-                  Printf.printf
+                  report
                     "%-5s exec_wall_wN_s %.6f exceeds exec_wall_w1_s %.6f \
                      (+25%%)\n"
                     name wn w1
               | Some w1, Some wn ->
                   Printf.printf "%-5s exec_wall_wN_s %.6f <= %.6f +25%%\n"
                     name wn w1
-              | _ ->
-                  incr drift;
-                  Printf.printf "%-5s exec_wall_wN_s missing\n" name)
-          | Drift | Equivalence -> ()))
+              | _ -> report "%-5s exec_wall_wN_s missing from fresh run\n" name)
+          | Drift | Equivalence -> ())
     fresh;
   if !compared = 0 then begin
     print_endline "no workloads in common: nothing compared";
     exit 2
   end;
   if !drift = 0 then
-    Printf.printf "baseline match (%s): %d workload(s), %d field(s) each\n"
+    Printf.printf "baseline match (%s): %d workload(s), %d field(s) compared\n"
       (match !mode with
       | Drift -> "drift"
       | Equivalence -> "equivalence"
       | Perf f -> Printf.sprintf "perf %.2gx" f
       | ExecPerf f -> Printf.sprintf "exec-perf %.2gx" f)
-      !compared
-      (List.length checked_fields)
+      !compared !fields_compared
   else begin
     Printf.printf "%d drift(s) against the committed baseline\n" !drift;
     exit 1

@@ -54,18 +54,17 @@ let workloads () =
       prepare_large Sworkload.Large_gen.ls2_spec 60.0;
     ]
 
-(* Every pipeline run in this harness is audited (Cse.Config.audit): the
-   full static-analysis suite over the memo, sharing structure, logical
-   DAG and all three plans, failing loudly if anything does not
-   reproduce.  The timing section opts out so the audit does not pollute
-   the Section IX optimization-time measurements. *)
+(* Every pipeline run in this harness is audited: the full
+   static-analysis suite over the memo, sharing structure, logical DAG
+   and all three plans, failing loudly if anything does not reproduce.
+   The timing section opts out so the audit does not pollute the Section
+   IX optimization-time measurements. *)
 let run_pipeline ?(audit = true) ?(config = Cse.Config.default) (w : prepared) =
-  let config = { config with Cse.Config.audit = audit } in
   let budget =
     Option.map (fun s -> Sopt.Budget.create ~max_seconds:s ()) w.budget_seconds
   in
   let r = Cse.Pipeline.run ~config ?budget ~catalog:w.catalog w.script in
-  if config.Cse.Config.audit then
+  if audit then
     Sanalysis.Audit.assert_clean ~cluster:Scost.Cluster.default
       ~catalog:w.catalog r;
   r
@@ -550,12 +549,13 @@ let opt_time () =
 
 (* --- machine-readable baseline (BENCH_opt.json) -------------------------- *)
 
-(* One optimizer-perf record per workload: wall times (min of three
-   unbudgeted reps, so budget caps never saturate the numbers), task and
-   counter figures, memo size, peak heap, and the estimated costs pinning
-   plan quality alongside speed.  [--quick] keeps the small scripts only
-   (CI runs it on every push); the JSON is hand-rolled -- flat records of
-   numbers and names need no dependency. *)
+(* One optimizer-perf record per workload (schema scopecse-bench-opt/2):
+   the run report's optimization and counters sections, with the wall
+   times the min of three unbudgeted reps so budget caps never saturate
+   them, then the bench's own measurements: memo size, peak heap, the
+   execution walls and modeled makespans, and the deep-lint time.
+   [--quick] keeps the small scripts only (CI runs it on every push).
+   EXPERIMENTS.md maps the /1 field names onto these. *)
 
 let json_workloads ~quick =
   List.map prepare_small
@@ -571,9 +571,7 @@ let json_workloads ~quick =
 
 type opt_record = {
   rname : string;
-  conv_time : float;
-  cse_time : float;
-  report : Cse.Pipeline.report;
+  report : Cse.Pipeline.report;  (* min-of-3 optimization times *)
   top_heap_words : int;
   exec : exec_times;
   exec_workers : int;
@@ -585,11 +583,12 @@ type opt_record = {
    the same counts.  Times are the min across reps. *)
 let bench_opt_record ~workers ~config (w : prepared) =
   let first = run_pipeline ~audit:false ~config w in
-  let conv_time = ref first.Cse.Pipeline.conventional_time in
+  let conventional_time = ref first.Cse.Pipeline.conventional_time in
   let cse_time = ref first.Cse.Pipeline.cse_time in
   for _ = 2 to 3 do
     let r = run_pipeline ~audit:false ~config w in
-    conv_time := Float.min !conv_time r.Cse.Pipeline.conventional_time;
+    conventional_time :=
+      Float.min !conventional_time r.Cse.Pipeline.conventional_time;
     cse_time := Float.min !cse_time r.Cse.Pipeline.cse_time
   done;
   (* cost of the full verifier, deep cross-layer passes included, over
@@ -602,102 +601,70 @@ let bench_opt_record ~workers ~config (w : prepared) =
          ~catalog:w.catalog first);
     (Unix.gettimeofday () -. t0) *. 1000.0
   in
+  let top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
+  let exec = exec_times ~workers w first in
   {
     rname = w.name;
-    conv_time = !conv_time;
-    cse_time = !cse_time;
-    report = first;
-    top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
-    exec = exec_times ~workers w first;
+    report =
+      {
+        first with
+        Cse.Pipeline.conventional_time = !conventional_time;
+        cse_time = !cse_time;
+      };
+    top_heap_words;
+    exec;
     exec_workers = workers;
     lint_deep_ms;
   }
 
 let json_of_record (o : opt_record) =
   let r = o.report in
-  let counter n =
-    Option.value ~default:0 (List.assoc_opt n r.Cse.Pipeline.counters)
-  in
-  String.concat ""
-    [
-      Printf.sprintf "    {\"name\": %S,\n" o.rname;
-      Printf.sprintf "     \"conv_time_s\": %.6f, \"cse_time_s\": %.6f,\n"
-        o.conv_time o.cse_time;
-      Printf.sprintf "     \"conv_tasks\": %d, \"cse_tasks\": %d,\n"
-        r.Cse.Pipeline.conventional_tasks r.Cse.Pipeline.cse_tasks;
-      Printf.sprintf "     \"memo_groups\": %d, \"memo_exprs\": %d,\n"
-        (Smemo.Memo.size r.Cse.Pipeline.memo)
-        (Smemo.Memo.expr_count r.Cse.Pipeline.memo);
-      Printf.sprintf
-        "     \"winner_hits\": %d, \"winner_misses\": %d, \"intern_hits\": %d, \
-         \"intern_misses\": %d,\n"
-        (counter "optimizer.winner_hits")
-        (counter "optimizer.winner_misses")
-        (counter "intern.hits") (counter "intern.misses");
-      Printf.sprintf "     \"rounds_executed\": %d, \"top_heap_words\": %d,\n"
-        r.Cse.Pipeline.rounds_executed o.top_heap_words;
-      (* round-pruning layers (ISSUE 7): dominance-filtered rounds, bound
-         aborts, and phase-2 winner-cache hits.  Deterministic, so the
-         drift checker pins them exactly like the task counts. *)
-      Printf.sprintf
-        "     \"rounds_pruned\": %d, \"rounds_aborted_bound\": %d, \
-         \"phase2_winner_reuse_hits\": %d,\n"
-        r.Cse.Pipeline.rounds_pruned r.Cse.Pipeline.rounds_aborted_bound
-        r.Cse.Pipeline.phase2_winner_reuse_hits;
-      (* execution timing: measured wall at workers=1 and workers=N, and
-         the modeled wave-schedule makespans the speedup figure comes
-         from (wall times are environment-dependent; the drift checker
-         exempts them) *)
-      Printf.sprintf "     \"stages\": %d, \"stage_width\": %d, \"exec_workers\": %d,\n"
-        o.exec.e_stages o.exec.e_width o.exec_workers;
-      Printf.sprintf
-        "     \"exec_wall_w1_s\": %.6f, \"exec_wall_wN_s\": %.6f,\n"
-        o.exec.e_wall1 o.exec.e_walln;
-      (* utilization of the best workers=N rep, from the report's exec
-         summary (environment-dependent, exempt from drift checks) *)
-      Printf.sprintf
-        "     \"exec_busy_wN_s\": %.6f, \"exec_util_wN\": %.4f,\n"
-        (Array.fold_left ( +. ) 0.0 o.exec.e_busyn)
-        (match r.Cse.Pipeline.exec with
-        | Some e -> Cse.Pipeline.utilization e
-        | None -> 0.0);
-      (* columnar batch figures of the workers=N run: the batch count is
-         a pure function of the plan, the data and the batch size, so
-         the drift checker pins it like the task counts *)
-      Printf.sprintf "     \"exec_batch_size\": %d, \"exec_batches\": %d,\n"
-        (match r.Cse.Pipeline.exec with
-        | Some e -> e.Cse.Pipeline.batch_size
-        | None -> 0)
-        (match r.Cse.Pipeline.exec with
-        | Some e -> e.Cse.Pipeline.batches
-        | None -> 0);
-      Printf.sprintf
-        "     \"exec_modeled_w1_s\": %.6f, \"exec_modeled_wN_s\": %.6f, \
-         \"exec_modeled_speedup\": %.2f,\n"
-        o.exec.e_model1 o.exec.e_modeln
-        (o.exec.e_model1 /. Float.max 1e-9 o.exec.e_modeln);
-      Printf.sprintf "     \"lint.deep_ms\": %.3f,\n" o.lint_deep_ms;
-      Printf.sprintf
-        "     \"conv_cost\": %.17g, \"cse_cost\": %.17g, \
-         \"reduction_percent\": %.2f}"
-        r.Cse.Pipeline.conventional_cost r.Cse.Pipeline.cse_cost
-        (Cse.Pipeline.reduction_percent r);
-    ]
+  let num f = Sobs.Json.Num f in
+  let int i = num (float_of_int i) in
+  let e = Option.get r.Cse.Pipeline.exec in
+  Sobs.Json.Obj
+    ((("name", Sobs.Json.Str o.rname) :: Sserve.Report.optimized r)
+    @ [
+        ("memo_groups", int (Smemo.Memo.size r.Cse.Pipeline.memo));
+        ("memo_exprs", int (Smemo.Memo.expr_count r.Cse.Pipeline.memo));
+        ("top_heap_words", int o.top_heap_words);
+        (* execution: measured wall at workers=1 and workers=N, the best
+           workers=N rep's busy time and utilization, its batch figures
+           (the batch count is a pure function of the plan, the data and
+           the batch size), and the modeled wave-schedule makespans the
+           speedup figure comes from *)
+        ("stages", int o.exec.e_stages);
+        ("stage_width", int o.exec.e_width);
+        ("exec_workers", int o.exec_workers);
+        ("exec_wall_w1_s", num o.exec.e_wall1);
+        ("exec_wall_wN_s", num o.exec.e_walln);
+        ("exec_busy_wN_s", num (Array.fold_left ( +. ) 0.0 o.exec.e_busyn));
+        ("exec_util_wN", num (Cse.Pipeline.utilization e));
+        ("exec_batch_size", int e.Cse.Pipeline.batch_size);
+        ("exec_batches", int e.Cse.Pipeline.batches);
+        ("exec_modeled_w1_s", num o.exec.e_model1);
+        ("exec_modeled_wN_s", num o.exec.e_modeln);
+        ( "exec_modeled_speedup",
+          num (o.exec.e_model1 /. Float.max 1e-9 o.exec.e_modeln) );
+        ("lint.deep_ms", num o.lint_deep_ms);
+      ])
 
 let bench_json ~quick ~workers ~config path =
   let records =
     List.map (bench_opt_record ~workers ~config) (json_workloads ~quick)
   in
-  let oc = open_out path in
-  output_string oc "{\n  \"schema\": \"scopecse-bench-opt/1\",\n";
-  Printf.fprintf oc "  \"quick\": %b,\n  \"workloads\": [\n" quick;
-  output_string oc (String.concat ",\n" (List.map json_of_record records));
-  output_string oc "\n  ]\n}\n";
-  close_out oc;
+  Sobs.Flight.write_file path
+    (Sobs.Json.to_string
+       (Sobs.Json.Obj
+          [
+            ("schema", Sobs.Json.Str "scopecse-bench-opt/2");
+            ("quick", Sobs.Json.Bool quick);
+            ("workloads", Sobs.Json.Arr (List.map json_of_record records));
+          ]));
   List.iter
     (fun o ->
       Fmt.pr "%-5s conv %.4fs  cse %.4fs  (reduction %.1f%%)@." o.rname
-        o.conv_time o.cse_time
+        o.report.Cse.Pipeline.conventional_time o.report.Cse.Pipeline.cse_time
         (Cse.Pipeline.reduction_percent o.report))
     records;
   Fmt.pr "wrote %s@." path

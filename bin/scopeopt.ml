@@ -7,15 +7,15 @@
      run         - optimize, execute on the simulated cluster, show outputs
      serve       - long-running engine over a stream of script submissions,
                    with a fingerprint-keyed plan cache and cross-script CSE
-     report      - optimize + execute, emit a machine-readable run report
      check-trace - validate a Chrome trace file written by --trace
      lint        - optimize, then run the full static-analysis audit
      workload    - print a built-in workload script (S1-S4, LS1, LS2)
 
    Scripts are read from a file argument or from one of the built-in
    workloads via --builtin.  [optimize] and [run] accept --audit to run
-   the same audit as [lint] after printing their reports, and --trace to
-   record the whole pipeline as Chrome trace-event JSON (Perfetto). *)
+   the same audit as [lint] after printing their reports, --trace to
+   record the whole pipeline as Chrome trace-event JSON (Perfetto), and
+   --json to print the run report (Sserve.Report) on stdout. *)
 
 open Cmdliner
 
@@ -183,11 +183,11 @@ let audit_arg =
 
 (* Run every analyzer pass over a finished pipeline report; returns the
    exit code from the diagnostic severity mapping. *)
-let run_audit ~deep ~strict ~cluster ~catalog r =
+let run_audit ?(ppf = Fmt.stdout) ~deep ~strict ~cluster ~catalog r =
   let diags = Sanalysis.Audit.report ~deep ~cluster ~catalog r in
-  if diags = [] then Fmt.pr "audit clean: no diagnostics@."
-  else Fmt.pr "%a" Sanalysis.Diag.pp_report diags;
-  Fmt.pr "%a" Sanalysis.Diag.pp_summary diags;
+  if diags = [] then Fmt.pf ppf "audit clean: no diagnostics@."
+  else Fmt.pf ppf "%a" Sanalysis.Diag.pp_report diags;
+  Fmt.pf ppf "%a" Sanalysis.Diag.pp_summary diags;
   let fail_on =
     if strict then Sanalysis.Diag.Warning else Sanalysis.Diag.Error
   in
@@ -254,59 +254,72 @@ let explain_cmd =
 
 (* --- optimize ---------------------------------------------------------- *)
 
-let exec_summary workers (v : Sexec.Validate.outcome) =
-  {
-    Cse.Pipeline.workers;
-    batch_size = v.Sexec.Validate.batch_size;
-    batches = v.Sexec.Validate.counters.Sexec.Engine.batches;
-    wall_s = v.Sexec.Validate.wall;
-    busy_s = v.Sexec.Validate.busy;
-  }
+let json_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:
+          "Emit the run report as JSON on stdout and move all narration \
+           to stderr.  $(b,optimize) reports the optimization and its \
+           counters; $(b,run) adds the fault-free execution and the \
+           executor's metrics; $(b,serve) reports the serve totals, every \
+           batch and the engine's metrics.")
 
 let optimize run_exec =
-  let f machines budget no_ext no_prune verbose audit dot inject rate workers
-      batch_size trace profile script =
+  let f machines budget no_ext no_prune verbose audit json dot inject rate
+      workers batch_size trace profile script =
     setup_logs verbose;
     Sexec.Profile.set profile;
     if trace <> None then Sobs.Trace.start ();
+    (* under --json, stdout carries only the document *)
+    let ppf = if json then Fmt.stderr else Fmt.stdout in
+    let say fmt = Fmt.pf ppf fmt in
     let attempts_acc = ref [] in
     let catalog = make_catalog script in
     let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
-    let config = { (base_config ~no_ext ~no_prune) with Cse.Config.audit } in
+    let config = base_config ~no_ext ~no_prune in
     let budget = Option.map (fun s -> Sopt.Budget.create ~max_seconds:s ()) budget in
     let r = Cse.Pipeline.run ~config ?budget ~cluster ~catalog script in
-    Fmt.pr "=== conventional plan (estimated cost %.5g; %.3f s) ===@.%a@."
+    say "=== conventional plan (estimated cost %.5g; %.3f s) ===@.%a@."
       r.Cse.Pipeline.conventional_cost r.Cse.Pipeline.conventional_time
       Sphys.Plan_pp.pp r.Cse.Pipeline.conventional_plan;
-    Fmt.pr
+    say
       "=== CSE plan (estimated cost %.5g; %.3f s; %d rounds over %d shared \
        groups) ===@.%a@."
       r.Cse.Pipeline.cse_cost r.Cse.Pipeline.cse_time
       r.Cse.Pipeline.rounds_executed
       (List.length r.Cse.Pipeline.shared)
       Sphys.Plan_pp.pp r.Cse.Pipeline.cse_plan;
-    Fmt.pr "cost ratio %.1f%% (a reduction of %.1f%%)@.@."
+    say "cost ratio %.1f%% (a reduction of %.1f%%)@.@."
       (100.0 *. Cse.Pipeline.ratio r)
       (Cse.Pipeline.reduction_percent r);
-    Fmt.pr "%a" Cse.Pipeline.pp_steps r;
+    say "%a" Cse.Pipeline.pp_steps r;
     Option.iter
       (fun prefix ->
         let write suffix plan =
           let file = prefix ^ "-" ^ suffix ^ ".dot" in
           Sobs.Flight.write_file file (Sphys.Plan_pp.to_dot ~name:suffix plan);
-          Fmt.pr "wrote %s@." file
+          say "wrote %s@." file
         in
         write "conventional" r.Cse.Pipeline.conventional_plan;
         write "cse" r.Cse.Pipeline.cse_plan)
       dot;
+    let print_report exec =
+      if json then
+        print_string
+          (Sobs.Json.to_string (Sserve.Report.run ~machines ?exec r))
+    in
     let exec_result =
-      if not run_exec then Ok ()
+      if not run_exec then begin
+        print_report None;
+        Ok ()
+      end
       else begin
         (* each run's executor registry: its kernel rows under
            --profile-kernels *)
         let print_profile (v : Sexec.Validate.outcome) =
           if profile then
-            Fmt.pr "%s"
+            say "%s"
               (Sobs.Metrics.to_prom
                  (Sobs.Metrics.snapshot v.Sexec.Validate.metrics))
         in
@@ -315,8 +328,9 @@ let optimize run_exec =
             ~machines catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
         in
         attempts_acc := !attempts_acc @ [ v.Sexec.Validate.attempts ];
-        r.Cse.Pipeline.exec <- Some (exec_summary workers v);
-        Fmt.pr
+        let summary = Sserve.Report.exec_summary ~workers v in
+        r.Cse.Pipeline.exec <- Some summary;
+        say
           "execution: results %s; %d rows shuffled, %d rows extracted, shared \
            results materialized %d time(s), read %d time(s)@."
           (if v.Sexec.Validate.ok then
@@ -326,12 +340,14 @@ let optimize run_exec =
           v.Sexec.Validate.counters.Sexec.Engine.rows_extracted
           v.Sexec.Validate.counters.Sexec.Engine.spool_executions
           v.Sexec.Validate.counters.Sexec.Engine.spool_reads;
-        Fmt.pr "staged: %d stage(s), %d vertex executions@."
+        say "staged: %d stage(s), %d vertex executions@."
           v.Sexec.Validate.counters.Sexec.Engine.stages_run
           v.Sexec.Validate.counters.Sexec.Engine.vertices_run;
-        Fmt.pr "%a" Cse.Pipeline.pp_exec (exec_summary workers v);
-        List.iter (fun m -> Fmt.pr "  %s@." m) v.Sexec.Validate.mismatches;
+        say "%a" Cse.Pipeline.pp_exec summary;
+        List.iter (fun m -> say "  %s@." m) v.Sexec.Validate.mismatches;
         print_profile v;
+        (* the document describes the fault-free run *)
+        print_report (Some (workers, v));
         let injected =
           match inject with
           | None -> Ok ()
@@ -349,20 +365,20 @@ let optimize run_exec =
                     Sexec.Validate.identical_outputs v.Sexec.Validate.outputs
                       vf.Sexec.Validate.outputs
                   in
-                  Fmt.pr
+                  say
                     "fault injection (seed %d, rate %.2f): outputs %s the \
                      fault-free run%s@."
                     seed rate
                     (if identical then "byte-identical to" else "DIVERGE from")
                     (if vf.Sexec.Validate.ok then ""
                      else "; reference MISMATCH");
-                  Fmt.pr "%a" Cse.Pipeline.pp_counters
+                  say "%a" Cse.Pipeline.pp_counters
                     (Sexec.Engine.named_counters vf.Sexec.Validate.counters);
-                  Fmt.pr "stage attempts: %s@."
+                  say "stage attempts: %s@."
                     (String.concat ","
                        (Array.to_list
                           (Array.map string_of_int vf.Sexec.Validate.attempts)));
-                  List.iter (fun m -> Fmt.pr "  %s@." m)
+                  List.iter (fun m -> say "  %s@." m)
                     vf.Sexec.Validate.mismatches;
                   print_profile vf;
                   if vf.Sexec.Validate.ok && identical then Ok ()
@@ -375,7 +391,8 @@ let optimize run_exec =
     let trace_result =
       match trace with
       | None -> Ok ()
-      | Some path -> Sanalysis.Trace_audit.finish ~attempts:!attempts_acc path
+      | Some path ->
+          Sanalysis.Trace_audit.finish ~ppf ~attempts:!attempts_acc path
     in
     match exec_result with
     | Error _ as e -> e
@@ -383,19 +400,21 @@ let optimize run_exec =
         match trace_result with
         | Error _ as e -> e
         | Ok () ->
-            if config.Cse.Config.audit then begin
-              let code = run_audit ~deep:true ~strict:false ~cluster ~catalog r in
+            if audit then begin
+              let code =
+                run_audit ~ppf ~deep:true ~strict:false ~cluster ~catalog r
+              in
               if code <> 0 then Error (`Msg "audit found errors") else Ok ()
             end
             else Ok ())
   in
   Term.(
     term_result
-      (const (fun m b e np v a d i p w bs t pk file builtin ->
+      (const (fun m b e np v a j d i p w bs t pk file builtin ->
            Result.bind (read_script file builtin)
-             (guard (f m b e np v a d i p w bs t pk)))
+             (guard (f m b e np v a j d i p w bs t pk)))
       $ machines_arg $ budget_arg $ no_ext_arg $ no_prune_arg $ verbose_arg
-      $ audit_arg $ dot_arg $ inject_arg $ rate_arg $ workers_arg
+      $ audit_arg $ json_arg $ dot_arg $ inject_arg $ rate_arg $ workers_arg
       $ batch_size_arg $ trace_arg $ profile_arg $ file_arg $ builtin_arg))
 
 let optimize_cmd =
@@ -430,15 +449,6 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed for --gen.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit one run report as JSON (schema scopecse-run-report/6, \
-             with the serve and metrics sections) on stdout; the \
-             per-batch narration moves to stderr.")
   in
   let trace_prefix_arg =
     Arg.(
@@ -535,163 +545,6 @@ let serve_cmd =
        $ stats_interval_arg $ profile_arg $ serve_inject_arg $ rate_arg
        $ file_arg))
 
-(* --- report ------------------------------------------------------------ *)
-
-(* The machine-readable run report.  Schema "scopecse-run-report/6":
-   optimization costs and task counts from the pipeline report, with the
-   round-pruning tallies (rounds_pruned, rounds_aborted_bound,
-   phase2_winner_reuse_hits); the execution outcome (wall, per-worker
-   busy, utilization, batch figures, per-stage timeline with wave
-   depths); the run's counters (optimizer and executor, by name); and
-   "metrics", the executor's registry as Sobs.Metrics.to_json rows
-   (exec.batch_rows, exec.stage_rows, exec.stage_seconds, and
-   exec.kernel_seconds{kernel,stage} under --profile-kernels).  The
-   serve subcommand's report shares the schema name, with a "serve"
-   section and the serve engine's registry as "metrics".  Documented in
-   README.md, with the mapping from /5. *)
-let json_report ~machines ~workers (r : Cse.Pipeline.report)
-    (v : Sexec.Validate.outcome) ~counters ~metrics =
-  let num f = Sobs.Json.Num f in
-  let int i = num (float_of_int i) in
-  let graph = Sexec.Stage.build r.Cse.Pipeline.cse_plan in
-  let depths = Sexec.Stage.depths graph in
-  let stages =
-    Sobs.Json.Arr
-      (List.init (Array.length v.Sexec.Validate.attempts) (fun sid ->
-           Sobs.Json.Obj
-             [
-               ("id", int sid);
-               ("depth", int depths.(sid));
-               ("attempts", int v.Sexec.Validate.attempts.(sid));
-               ("seconds", num v.Sexec.Validate.seconds.(sid));
-             ]))
-  in
-  let exec_sum = exec_summary workers v in
-  Sobs.Json.Obj
-    [
-      ("schema", Sobs.Json.Str "scopecse-run-report/6");
-      ("machines", int machines);
-      ( "optimization",
-        Sobs.Json.Obj
-          [
-            ("conventional_cost", num r.Cse.Pipeline.conventional_cost);
-            ("cse_cost", num r.Cse.Pipeline.cse_cost);
-            ("cost_ratio", num (Cse.Pipeline.ratio r));
-            ("conventional_tasks", int r.Cse.Pipeline.conventional_tasks);
-            ("cse_tasks", int r.Cse.Pipeline.cse_tasks);
-            ("conventional_time_s", num r.Cse.Pipeline.conventional_time);
-            ("cse_time_s", num r.Cse.Pipeline.cse_time);
-            ("shared_groups", int (List.length r.Cse.Pipeline.shared));
-            ("rounds_executed", int r.Cse.Pipeline.rounds_executed);
-            ("rounds_naive", int r.Cse.Pipeline.rounds_naive);
-            ("rounds_sequential", int r.Cse.Pipeline.rounds_sequential);
-            ("rounds_pruned", int r.Cse.Pipeline.rounds_pruned);
-            ( "rounds_aborted_bound",
-              int r.Cse.Pipeline.rounds_aborted_bound );
-            ( "phase2_winner_reuse_hits",
-              int r.Cse.Pipeline.phase2_winner_reuse_hits );
-            ( "budget_exhausted",
-              Sobs.Json.Bool r.Cse.Pipeline.budget_exhausted );
-            ( "lcas",
-              Sobs.Json.Arr
-                (List.map
-                   (fun (s, l) ->
-                     Sobs.Json.Obj [ ("shared", int s); ("lca", int l) ])
-                   r.Cse.Pipeline.lcas) );
-          ] );
-      ( "execution",
-        Sobs.Json.Obj
-          [
-            ("ok", Sobs.Json.Bool v.Sexec.Validate.ok);
-            ("workers", int workers);
-            ("batch_size", int v.Sexec.Validate.batch_size);
-            ( "batches",
-              int v.Sexec.Validate.counters.Sexec.Engine.batches );
-            ("wall_s", num v.Sexec.Validate.wall);
-            ( "busy_s",
-              Sobs.Json.Arr
-                (Array.to_list (Array.map num v.Sexec.Validate.busy)) );
-            ("utilization", num (Cse.Pipeline.utilization exec_sum));
-            ("stage_count", int (Array.length v.Sexec.Validate.attempts));
-            ("stage_depth", int (1 + Array.fold_left max (-1) depths));
-            ("stages", stages);
-          ] );
-      ( "counters",
-        Sobs.Json.Obj (List.map (fun (n, c) -> (n, int c)) counters) );
-      ("metrics", Sobs.Metrics.to_json metrics);
-    ]
-
-let report_cmd =
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the run report as JSON (schema scopecse-run-report/6) \
-             instead of the human-readable summary.")
-  in
-  let f machines budget no_ext no_prune verbose workers batch_size trace
-      profile json script =
-    setup_logs verbose;
-    Sexec.Profile.set profile;
-    if trace <> None then Sobs.Trace.start ();
-    let catalog = make_catalog script in
-    let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
-    let config = base_config ~no_ext ~no_prune in
-    let budget =
-      Option.map (fun s -> Sopt.Budget.create ~max_seconds:s ()) budget
-    in
-    let r = Cse.Pipeline.run ~config ?budget ~cluster ~catalog script in
-    let v =
-      Sexec.Validate.check ~verify_props:true ~workers ~batch_size ~machines
-        catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
-    in
-    r.Cse.Pipeline.exec <- Some (exec_summary workers v);
-    let counters =
-      r.Cse.Pipeline.counters
-      @ Sexec.Engine.named_counters v.Sexec.Validate.counters
-      |> List.filter (fun (_, n) -> n <> 0)
-      |> List.sort compare
-    in
-    let metrics = Sobs.Metrics.snapshot v.Sexec.Validate.metrics in
-    (* under --json, stdout carries only the document *)
-    let ppf = if json then Fmt.stderr else Fmt.stdout in
-    let trace_result =
-      match trace with
-      | None -> Ok ()
-      | Some path ->
-          Sanalysis.Trace_audit.finish ~ppf
-            ~attempts:[ v.Sexec.Validate.attempts ] path
-    in
-    if json then
-      print_string
-        (Sobs.Json.to_string
-           (json_report ~machines ~workers r v ~counters ~metrics))
-    else begin
-      Fmt.pr "%a" Cse.Pipeline.pp_steps r;
-      Fmt.pr "%a" Cse.Pipeline.pp_exec (exec_summary workers v);
-      Fmt.pr "%a" Cse.Pipeline.pp_counters counters;
-      Fmt.pr "%s" (Sobs.Metrics.to_prom metrics)
-    end;
-    if not v.Sexec.Validate.ok then Error (`Msg "execution mismatch")
-    else trace_result
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Optimize and execute a script, then emit one run report: plan \
-          costs, task counts, counters, the executor's metrics, per-stage \
-          timeline and worker utilization (--json for the machine-readable \
-          form)")
-    Term.(
-      term_result
-        (const (fun m b e np v w bs t pk j file builtin ->
-             Result.bind (read_script file builtin)
-               (guard (f m b e np v w bs t pk j)))
-        $ machines_arg $ budget_arg $ no_ext_arg $ no_prune_arg $ verbose_arg
-        $ workers_arg $ batch_size_arg $ trace_arg $ profile_arg $ json_arg
-        $ file_arg $ builtin_arg))
-
 (* --- check-trace -------------------------------------------------------- *)
 
 let check_trace_cmd =
@@ -774,21 +627,16 @@ let lint_cmd =
     let budget =
       Option.map (fun s -> Sopt.Budget.create ~max_seconds:s ()) budget
     in
-    match Cse.Pipeline.run ~config ?budget ~cluster ~catalog script with
-    | r -> (
-        Fmt.pr
-          "optimized: %d operators, %d shared groups, conventional %.5g, CSE \
-           %.5g@."
-          (Slogical.Dag.size r.Cse.Pipeline.dag)
-          (List.length r.Cse.Pipeline.shared)
-          r.Cse.Pipeline.conventional_cost r.Cse.Pipeline.cse_cost;
-        match run_audit ~deep ~strict ~cluster ~catalog r with
-        | 0 -> Ok ()
-        | code -> exit code)
-    | exception Slang.Parser.Error (msg, _) -> Error (`Msg msg)
-    | exception Slang.Lexer.Error (msg, _) -> Error (`Msg msg)
-    | exception Slogical.Binder.Error msg -> Error (`Msg msg)
-    | exception Cse.Pipeline.No_plan msg -> Error (`Msg msg)
+    let r = Cse.Pipeline.run ~config ?budget ~cluster ~catalog script in
+    Fmt.pr
+      "optimized: %d operators, %d shared groups, conventional %.5g, CSE \
+       %.5g@."
+      (Slogical.Dag.size r.Cse.Pipeline.dag)
+      (List.length r.Cse.Pipeline.shared)
+      r.Cse.Pipeline.conventional_cost r.Cse.Pipeline.cse_cost;
+    match run_audit ~deep ~strict ~cluster ~catalog r with
+    | 0 -> Ok ()
+    | code -> exit code
   in
   Cmd.v
     (Cmd.info "lint"
@@ -804,7 +652,9 @@ let lint_cmd =
                Fmt.pr "%a" Sanalysis.Diag.pp_catalog ();
                Ok ()
              end
-             else Result.bind (read_script file builtin) (f m b e np v s d))
+             else
+               Result.bind (read_script file builtin)
+                 (guard (f m b e np v s d)))
         $ machines_arg $ budget_arg $ no_ext_arg $ no_prune_arg $ verbose_arg
         $ strict_arg $ deep_arg $ list_codes_arg $ file_arg $ builtin_arg))
 
@@ -840,7 +690,6 @@ let main =
       optimize_cmd;
       run_cmd;
       serve_cmd;
-      report_cmd;
       check_trace_cmd;
       lint_cmd;
       workload_cmd;

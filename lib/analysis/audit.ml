@@ -1,10 +1,5 @@
 (* Facade: compose the analyzer passes over a pipeline report. *)
 
-let memo_and_plan ~cluster ?plan (memo : Smemo.Memo.t) =
-  Memo_audit.run ~cluster memo
-  @ Sharing_audit.run ?plan memo
-  @ match plan with Some p -> Plan_audit.run p | None -> []
-
 (* The deep (cross-layer) passes: semantic equivalence, lineage and
    interference over every plan the pipeline produced.  Costlier than the
    per-layer shape audits, so they sit behind [deep]

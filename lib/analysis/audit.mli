@@ -3,8 +3,8 @@
 
     The individual passes live in {!Memo_audit}, {!Sharing_audit},
     {!Logical_audit} and {!Plan_audit}; this module composes them over a
-    full {!Cse.Pipeline.report} and offers an assertion helper for
-    harnesses honoring {!Cse.Config.audit}. *)
+    full {!Cse.Pipeline.report} and offers an assertion helper for the
+    harnesses (tests, bench) that audit every run. *)
 
 (** Diagnostics of every pass over a full pipeline report: logical-DAG
     lint over the bound DAG, memo audit over the CSE memo, sharing audit
@@ -21,17 +21,9 @@ val report :
   Cse.Pipeline.report ->
   Diag.t list
 
-(** Audit a single optimized memo and plan outside the pipeline. *)
-val memo_and_plan :
-  cluster:Scost.Cluster.t ->
-  ?plan:Sphys.Plan.t ->
-  Smemo.Memo.t ->
-  Diag.t list
-
 (** Raise [Failure] with the pretty report when the audit of a pipeline
     report finds any error-severity diagnostic.  [deep] defaults to
-    [true]: harnesses honoring {!Cse.Config.audit} get the cross-layer
-    passes too. *)
+    [true]: auditing harnesses get the cross-layer passes too. *)
 val assert_clean :
   ?deep:bool ->
   cluster:Scost.Cluster.t ->

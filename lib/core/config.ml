@@ -26,10 +26,6 @@ type t = {
       (* key pinned-shared-group winners on the enforcement slice visible
          below the group, so unrelated assignment changes between rounds
          still hit the winner cache *)
-  audit : bool;
-      (* ask harnesses (tests, bench, CLI) to run the full static-analysis
-         audit on every optimized plan; the pipeline itself cannot run it
-         (the analysis library sits above this one), so callers honor it *)
 }
 
 let default =
@@ -43,7 +39,6 @@ let default =
     use_dominance_pruning = true;
     use_round_bound = true;
     use_slice_reuse = true;
-    audit = false;
   }
 
 (* Base framework with every large-script extension disabled. *)

@@ -23,13 +23,9 @@ type t = {
   use_slice_reuse : bool;
       (** key pinned-shared-group winners on the enforcement slice visible
           below the group (cross-round winner reuse) *)
-  audit : bool;
-      (** ask harnesses (tests, bench, CLI) to run the full static-analysis
-          audit on every optimized plan; honored by the callers since the
-          analysis library sits above this one *)
 }
 
-(** Everything on; expansion cap 4; no property cap; audit off. *)
+(** Everything on; expansion cap 4; no property cap. *)
 val default : t
 
 (** The base framework with all Section VIII extensions disabled. *)

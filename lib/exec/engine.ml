@@ -174,9 +174,6 @@ let part_live bs = List.fold_left (fun acc b -> acc + Batch.live b) 0 bs
 let dist_rows (d : dist) =
   Array.fold_left (fun acc bs -> acc + part_live bs) 0 d.parts
 
-let dist_batches (d : dist) =
-  Array.fold_left (fun acc bs -> acc + List.length bs) 0 d.parts
-
 (* Row view of one machine's partition, in live order. *)
 let part_rows (d : dist) m = List.concat_map Batch.to_rows d.parts.(m)
 

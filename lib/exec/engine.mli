@@ -112,9 +112,6 @@ val create :
 (** Total live rows of a stream. *)
 val dist_rows : dist -> int
 
-(** Total batches of a stream. *)
-val dist_batches : dist -> int
-
 (** Row view of one machine's partition, in live order. *)
 val part_rows : dist -> int -> Relalg.Value.t array list
 

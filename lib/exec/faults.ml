@@ -58,8 +58,3 @@ let draw t ~stage ~attempt ~cached ~cached_count =
     else
       let stage = cached.(Sutil.Rng.int rng cached_count) in
       [ Lose_partition { stage; machine = Sutil.Rng.int rng t.machines } ]
-
-let pp_event ppf = function
-  | Lose_partition { stage; machine } ->
-      Fmt.pf ppf "lost partition %d of stage %d" machine stage
-  | Kill_machine m -> Fmt.pf ppf "machine %d failed" m

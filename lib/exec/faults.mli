@@ -47,5 +47,3 @@ val draw :
   cached:int array ->
   cached_count:int ->
   event list
-
-val pp_event : event Fmt.t

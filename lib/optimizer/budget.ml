@@ -9,7 +9,6 @@ type t = {
   max_seconds : float option;
   started : float;
   mutable tasks : int;
-  mutable rounds_generated : int;
   mutable rounds_executed : int;
   mutable rounds_aborted : int; (* branch-and-bound early exits *)
 }
@@ -20,7 +19,6 @@ let create ?max_tasks ?max_seconds () =
     max_seconds;
     started = Unix.gettimeofday ();
     tasks = 0;
-    rounds_generated = 0;
     rounds_executed = 0;
     rounds_aborted = 0;
   }
@@ -35,6 +33,5 @@ let exhausted t =
   (match t.max_tasks with Some m -> t.tasks >= m | None -> false)
   || match t.max_seconds with Some s -> elapsed t >= s | None -> false
 
-let note_round_generated t = t.rounds_generated <- t.rounds_generated + 1
 let note_round_executed t = t.rounds_executed <- t.rounds_executed + 1
 let note_round_aborted t = t.rounds_aborted <- t.rounds_aborted + 1

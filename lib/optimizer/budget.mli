@@ -9,7 +9,6 @@ type t = {
   max_seconds : float option;
   started : float;
   mutable tasks : int;
-  mutable rounds_generated : int;
   mutable rounds_executed : int;
   mutable rounds_aborted : int;  (** branch-and-bound early exits *)
 }
@@ -22,6 +21,5 @@ val tick : t -> unit
 
 val elapsed : t -> float
 val exhausted : t -> bool
-val note_round_generated : t -> unit
 val note_round_executed : t -> unit
 val note_round_aborted : t -> unit

@@ -82,7 +82,5 @@ let rec fold f acc t =
   let acc = List.fold_left (fold f) acc t.children in
   f acc t
 
-let count_ops pred t = fold (fun n node -> if pred node.op then n + 1 else n) 0 t
-
 (* Operators of the plan as a list, leaves first. *)
 let operators t = List.rev (fold (fun acc n -> n.op :: acc) [] t)

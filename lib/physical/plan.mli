@@ -51,9 +51,5 @@ module Tbl : Hashtbl.S with type key = t
     visited once per reference. *)
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 
-(** Number of nodes whose operator satisfies the predicate (per
-    reference). *)
-val count_ops : (Physop.t -> bool) -> t -> int
-
 (** All operators, leaves first (per reference). *)
 val operators : t -> Physop.t list

@@ -36,11 +36,6 @@ let pp ppf (t : Plan.t) =
 
 let to_string t = Fmt.str "%a" pp t
 
-(* Compact single-line chain rendering used in tests: operator names from
-   root to leaves, depth-first. *)
-let signature (t : Plan.t) =
-  String.concat " <- " (List.rev_map Physop.short_name (Plan.operators t))
-
 (* Graphviz rendering: physically shared subplans (spool references) become
    one node, making the executed DAG visible.  Edges point from consumers
    to producers. *)

@@ -6,9 +6,6 @@ val pp_node : Plan.t Fmt.t
 val pp : Plan.t Fmt.t
 val to_string : Plan.t -> string
 
-(** Compact operator-chain rendering used by tests. *)
-val signature : Plan.t -> string
-
 (** Graphviz (dot) rendering; physically shared subplans appear once, so
     the executed DAG structure is visible. *)
 val to_dot : ?name:string -> Plan.t -> string

@@ -12,8 +12,6 @@ type t =
   | Not of t
 
 let col c = Col c
-let int_lit i = Lit (Value.Int i)
-let str_lit s = Lit (Value.Str s)
 
 let rec columns = function
   | Col c -> Colset.singleton c

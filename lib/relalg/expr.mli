@@ -14,8 +14,6 @@ type t =
   | Not of t
 
 val col : string -> t
-val int_lit : int -> t
-val str_lit : string -> t
 
 (** Columns referenced by the expression. *)
 val columns : t -> Colset.t

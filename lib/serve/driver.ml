@@ -2,57 +2,6 @@
    narration, trace and audit work, the stats cadence, the flight-dump
    policy and the end-of-run report, for the CLI and the tests alike. *)
 
-let num f = Sobs.Json.Num f
-let int i = num (float_of_int i)
-let str s = Sobs.Json.Str s
-
-let json_of_session (r : Engine.session_result) =
-  Sobs.Json.Obj
-    ((("id", str r.Engine.id)
-     ::
-     (match r.Engine.fingerprint with
-     | None -> []
-     (* fingerprints exceed double precision: keep them exact *)
-     | Some fp -> [ ("fingerprint", str (string_of_int fp)) ]))
-    @
-    match r.Engine.status with
-    | Engine.Failed msg -> [ ("status", str "failed"); ("error", str msg) ]
-    | Engine.Done { cache_hit; combined } ->
-        [
-          ("status", str "done");
-          ("cache_hit", Sobs.Json.Bool cache_hit);
-          ("combined", Sobs.Json.Bool combined);
-          ("conventional_cost", num r.Engine.conventional_cost);
-          ("cse_cost", num r.Engine.cse_cost);
-          ("outputs", int (List.length r.Engine.outputs));
-          ("rows", int r.Engine.rows);
-        ])
-
-let json_of_batch (b : Engine.batch_result) =
-  let opt = function None -> Sobs.Json.Null | Some c -> num c in
-  Sobs.Json.Obj
-    [
-      ("seq", int b.Engine.seq);
-      ("combined", Sobs.Json.Bool b.Engine.combined);
-      ("combined_cost", opt b.Engine.combined_cost);
-      ("solo_cost_sum", opt b.Engine.solo_cost_sum);
-      ("cross_script_shares", int b.Engine.cross_script_shares);
-      ("wall_s", num b.Engine.wall_s);
-      ("sessions", Sobs.Json.Arr (List.map json_of_session b.Engine.results));
-    ]
-
-let report_json ~machines totals batches metrics =
-  Sobs.Json.Obj
-    [
-      ("schema", str "scopecse-run-report/6");
-      ("machines", int machines);
-      ( "serve",
-        Sobs.Json.Obj
-          (List.map (fun (name, n) -> (name, int n)) totals
-          @ [ ("batches_detail", Sobs.Json.Arr batches) ]) );
-      ("metrics", metrics);
-    ]
-
 (* One line per session, plus the combined run's cost line; returns the
    number of failed sessions. *)
 let narrate ppf (b : Engine.batch_result) =
@@ -153,7 +102,7 @@ let run ?(out = Fmt.stdout) ?(err = Fmt.stderr) ?(json = false)
                 <> 0
               then incr audit_failed)
             b.Engine.reports;
-        if json then batch_json := json_of_batch b :: !batch_json;
+        if json then batch_json := Report.batch b :: !batch_json;
         if b.Engine.seq mod max 1 stats_interval = 0 then write_stats ()
   in
   let rec loop () =
@@ -217,9 +166,8 @@ let run ?(out = Fmt.stdout) ?(err = Fmt.stderr) ?(json = false)
       if json then
         Fmt.pf out "%s@?"
           (Sobs.Json.to_string
-             (report_json ~machines:cluster.Scost.Cluster.machines t
-                (List.rev !batch_json)
-                (Sobs.Metrics.to_json (stats_rows ()))));
+             (Report.serve ~machines:cluster.Scost.Cluster.machines ~totals:t
+                (List.rev !batch_json) (Engine.metrics engine)));
       (* hold the engine's registry to its accounting story (SA046); an
          inconsistent snapshot is a serve failure, with the flight window
          dumped for the post-mortem *)

@@ -11,8 +11,8 @@
     its reports deep-audited with warnings fatal ([audit]), and
     [stats_file] rewritten every [stats_interval] batches.  At the end
     the loop rewrites [stats_file], prints the [serve:] summary line and,
-    under [json], the [scopecse-run-report/6] document, and holds the
-    registry to SA046.
+    under [json], the {!Report.serve} document, and holds the registry
+    to SA046.
 
     The optional arguments are the [serve] flags of the same names.
     Narration goes to [out] (default stdout), or to [err] (default

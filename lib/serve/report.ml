@@ -1,0 +1,157 @@
+(* The run report: every JSON document a run publishes, built here and
+   nowhere else.  Sections are plain builders over the figures the
+   pipeline, the executor and the serve engine already hold; callers
+   pick the sections, this module names every field. *)
+
+let schema = "scopecse-run-report/6"
+let num f = Sobs.Json.Num f
+let int i = num (float_of_int i)
+let str s = Sobs.Json.Str s
+
+let exec_summary ~workers (v : Sexec.Validate.outcome) =
+  {
+    Cse.Pipeline.workers;
+    batch_size = v.Sexec.Validate.batch_size;
+    batches = v.Sexec.Validate.counters.Sexec.Engine.batches;
+    wall_s = v.Sexec.Validate.wall;
+    busy_s = v.Sexec.Validate.busy;
+  }
+
+let optimization (r : Cse.Pipeline.report) =
+  Sobs.Json.Obj
+    [
+      ("conventional_cost", num r.Cse.Pipeline.conventional_cost);
+      ("cse_cost", num r.Cse.Pipeline.cse_cost);
+      ("cost_ratio", num (Cse.Pipeline.ratio r));
+      ("conventional_tasks", int r.Cse.Pipeline.conventional_tasks);
+      ("cse_tasks", int r.Cse.Pipeline.cse_tasks);
+      ("conventional_time_s", num r.Cse.Pipeline.conventional_time);
+      ("cse_time_s", num r.Cse.Pipeline.cse_time);
+      ("shared_groups", int (List.length r.Cse.Pipeline.shared));
+      ("rounds_executed", int r.Cse.Pipeline.rounds_executed);
+      ("rounds_naive", int r.Cse.Pipeline.rounds_naive);
+      ("rounds_sequential", int r.Cse.Pipeline.rounds_sequential);
+      ("rounds_pruned", int r.Cse.Pipeline.rounds_pruned);
+      ("rounds_aborted_bound", int r.Cse.Pipeline.rounds_aborted_bound);
+      ( "phase2_winner_reuse_hits",
+        int r.Cse.Pipeline.phase2_winner_reuse_hits );
+      ("budget_exhausted", Sobs.Json.Bool r.Cse.Pipeline.budget_exhausted);
+      ( "lcas",
+        Sobs.Json.Arr
+          (List.map
+             (fun (s, l) ->
+               Sobs.Json.Obj [ ("shared", int s); ("lca", int l) ])
+             r.Cse.Pipeline.lcas) );
+    ]
+
+let execution ~workers (r : Cse.Pipeline.report) (v : Sexec.Validate.outcome)
+    =
+  let depths =
+    Sexec.Stage.depths (Sexec.Stage.build r.Cse.Pipeline.cse_plan)
+  in
+  let stages =
+    List.init (Array.length v.Sexec.Validate.attempts) (fun sid ->
+        Sobs.Json.Obj
+          [
+            ("id", int sid);
+            ("depth", int depths.(sid));
+            ("attempts", int v.Sexec.Validate.attempts.(sid));
+            ("seconds", num v.Sexec.Validate.seconds.(sid));
+          ])
+  in
+  Sobs.Json.Obj
+    [
+      ("ok", Sobs.Json.Bool v.Sexec.Validate.ok);
+      ("workers", int workers);
+      ("batch_size", int v.Sexec.Validate.batch_size);
+      ("batches", int v.Sexec.Validate.counters.Sexec.Engine.batches);
+      ("wall_s", num v.Sexec.Validate.wall);
+      ( "busy_s",
+        Sobs.Json.Arr (Array.to_list (Array.map num v.Sexec.Validate.busy)) );
+      ( "utilization",
+        num (Cse.Pipeline.utilization (exec_summary ~workers v)) );
+      ("stage_count", int (Array.length v.Sexec.Validate.attempts));
+      ("stage_depth", int (1 + Array.fold_left max (-1) depths));
+      ("stages", Sobs.Json.Arr stages);
+    ]
+
+let counters named =
+  Sobs.Json.Obj
+    (named
+    |> List.filter (fun (_, n) -> n <> 0)
+    |> List.sort compare
+    |> List.map (fun (name, n) -> (name, int n)))
+
+let metrics m = Sobs.Metrics.to_json (Sobs.Metrics.snapshot m)
+
+let document ~machines sections =
+  Sobs.Json.Obj
+    (("schema", str schema) :: ("machines", int machines) :: sections)
+
+let optimized (r : Cse.Pipeline.report) =
+  [
+    ("optimization", optimization r);
+    ("counters", counters r.Cse.Pipeline.counters);
+  ]
+
+let run ~machines ?exec (r : Cse.Pipeline.report) =
+  match exec with
+  | None -> document ~machines (optimized r)
+  | Some (workers, (v : Sexec.Validate.outcome)) ->
+      document ~machines
+        [
+          ("optimization", optimization r);
+          ("execution", execution ~workers r v);
+          ( "counters",
+            counters
+              (r.Cse.Pipeline.counters
+              @ Sexec.Engine.named_counters v.Sexec.Validate.counters) );
+          ("metrics", metrics v.Sexec.Validate.metrics);
+        ]
+
+(* --- serve ------------------------------------------------------------- *)
+
+let session (r : Engine.session_result) =
+  Sobs.Json.Obj
+    ((("id", str r.Engine.id)
+     ::
+     (match r.Engine.fingerprint with
+     | None -> []
+     (* fingerprints exceed double precision: keep them exact *)
+     | Some fp -> [ ("fingerprint", str (string_of_int fp)) ]))
+    @
+    match r.Engine.status with
+    | Engine.Failed msg -> [ ("status", str "failed"); ("error", str msg) ]
+    | Engine.Done { cache_hit; combined } ->
+        [
+          ("status", str "done");
+          ("cache_hit", Sobs.Json.Bool cache_hit);
+          ("combined", Sobs.Json.Bool combined);
+          ("conventional_cost", num r.Engine.conventional_cost);
+          ("cse_cost", num r.Engine.cse_cost);
+          ("outputs", int (List.length r.Engine.outputs));
+          ("rows", int r.Engine.rows);
+        ])
+
+let batch (b : Engine.batch_result) =
+  let opt = function None -> Sobs.Json.Null | Some c -> num c in
+  Sobs.Json.Obj
+    [
+      ("seq", int b.Engine.seq);
+      ("combined", Sobs.Json.Bool b.Engine.combined);
+      ("combined_cost", opt b.Engine.combined_cost);
+      ("solo_cost_sum", opt b.Engine.solo_cost_sum);
+      ("cross_script_shares", int b.Engine.cross_script_shares);
+      ("wall_s", num b.Engine.wall_s);
+      ("sessions", Sobs.Json.Arr (List.map session b.Engine.results));
+    ]
+
+let serve ~machines ~totals batches m =
+  document ~machines
+    [
+      ( "serve",
+        Sobs.Json.Obj
+          (List.map (fun (name, n) -> (name, int n)) totals
+          @ [ ("batches_detail", Sobs.Json.Arr batches) ]) );
+      ("metrics", metrics m);
+    ]

@@ -53,11 +53,6 @@ OUTPUT RR TO "result3.out";
 
 let all = [ ("S1", s1); ("S2", s2); ("S3", s3); ("S4", s4) ]
 
-(* The Figure 3(c) shape: the shared group's consumers are joined *and*
-   output directly, so the LCA is the root rather than the join (their
-   lowest common ancestor). *)
-let fig3c = s4
-
 (* Figure 5 / Section VIII-A: two independent shared groups under a single
    LCA, used by the round-count experiments. *)
 let independent_pair =

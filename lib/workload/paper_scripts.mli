@@ -16,9 +16,6 @@ val s4 : string
 
 val all : (string * string) list
 
-(** Alias of {!s4} (the Figure 3(c) shape). *)
-val fig3c : string
-
 (** Two independent shared groups under a single LCA (Figure 5 /
     Section VIII-A). *)
 val independent_pair : string

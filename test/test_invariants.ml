@@ -208,7 +208,7 @@ let test_dot_export () =
   in
   let dot = Sphys.Plan_pp.to_dot r.Cse.Pipeline.cse_plan in
   Alcotest.(check bool) "digraph" true
-    (Sutil.Strutil.starts_with ~prefix:"digraph" dot);
+    (String.starts_with ~prefix:"digraph" dot);
   (* the shared spool appears once as a node but is referenced twice *)
   let count_sub needle s =
     let n = String.length needle and m = String.length s in

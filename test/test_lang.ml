@@ -51,7 +51,7 @@ let test_lexer_unterminated_string () =
   match Slang.Lexer.tokenize {|X = "unterminated|} with
   | exception Slang.Lexer.Error (msg, _) ->
       Alcotest.(check bool) "message" true
-        (Sutil.Strutil.starts_with ~prefix:"unterminated" msg)
+        (String.starts_with ~prefix:"unterminated" msg)
   | _ -> Alcotest.fail "expected a lexer error"
 
 (* --- parser ------------------------------------------------------------ *)
@@ -149,7 +149,7 @@ let test_parse_error_reports_position () =
   | exception Slang.Parser.Error (msg, pos) ->
       Alcotest.(check int) "line" 2 pos.Slang.Token.line;
       Alcotest.(check bool) "msg mentions line" true
-        (Sutil.Strutil.starts_with ~prefix:"line 2" msg)
+        (String.starts_with ~prefix:"line 2" msg)
   | _ -> Alcotest.fail "expected error"
 
 (* printing a parsed script and re-parsing gives the same AST *)

@@ -135,7 +135,7 @@ let test_ordering_check_catches_violations () =
   in
   Alcotest.(check bool) "violation detected" true
     (List.exists
-       (fun m -> Sutil.Strutil.starts_with ~prefix:"output r.out violates" m)
+       (fun m -> String.starts_with ~prefix:"output r.out violates" m)
        v.Sexec.Validate.mismatches)
 
 let test_distinct_semantics () =

@@ -201,9 +201,7 @@ let traced_run workers =
   let catalog = Thelpers.default_catalog () in
   T.start ();
   let r =
-    Thelpers.pipeline
-      ~config:{ Cse.Config.default with Cse.Config.audit = false }
-      ~catalog Sworkload.Paper_scripts.s2
+    Thelpers.pipeline ~audit:false ~catalog Sworkload.Paper_scripts.s2
   in
   let engine = Sexec.Engine.create ~workers ~machines:25 catalog in
   ignore (Sexec.Engine.run engine r.Cse.Pipeline.cse_plan);

@@ -3,7 +3,8 @@
    catalog bumps), cross-script sharing over combined memos with
    byte-identical outputs, the session protocol + stream generator, and
    the session loop (Sserve.Driver): its accounting, its error paths and
-   a generated-stream replay.
+   a generated-stream replay, and the run-report documents
+   (Sserve.Report).
 
    Every engine counts into its own registry, so each test reads the
    totals of the engine it built. *)
@@ -499,6 +500,104 @@ let test_generator_replay () =
   Alcotest.(check bool) "cross-script sharing happened" true
     (total e "cross_script_shares" >= 1)
 
+(* --- the run report --------------------------------------------------------- *)
+
+let member_path doc path =
+  List.fold_left
+    (fun v key -> Option.bind v (Sobs.Json.member key))
+    (Some doc) path
+
+let num_at doc path =
+  match Option.bind (member_path doc path) Sobs.Json.to_float with
+  | Some f -> f
+  | None -> Alcotest.failf "no number at %s" (String.concat "." path)
+
+let test_run_report () =
+  (* S1 optimized, executed and reported: the document re-parses, its
+     optimization figures are the pipeline report's bit for bit, and its
+     counters are the pipeline's plus the executor's *)
+  let catalog = Catalog.default () in
+  let r = Cse.Pipeline.run ~catalog Sworkload.Paper_scripts.s1 in
+  let v =
+    Sexec.Validate.check ~workers:2 ~machines:25 catalog r.Cse.Pipeline.dag
+      r.Cse.Pipeline.cse_plan
+  in
+  let doc = Sserve.Report.run ~machines:25 ~exec:(2, v) r in
+  let parsed = Sobs.Json.parse (Sobs.Json.to_string doc) in
+  Alcotest.(check bool) "round-trips through the parser" true (parsed = doc);
+  Alcotest.(check (option string)) "schema" (Some "scopecse-run-report/6")
+    (Option.bind (Sobs.Json.member "schema" parsed) Sobs.Json.to_str);
+  let opt name = num_at parsed [ "optimization"; name ] in
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check bool) ("optimization." ^ name ^ " bit for bit") true
+        (Int64.equal (Int64.bits_of_float (opt name))
+           (Int64.bits_of_float expected)))
+    [
+      ("conventional_cost", r.Cse.Pipeline.conventional_cost);
+      ("cse_cost", r.Cse.Pipeline.cse_cost);
+      ("cost_ratio", Cse.Pipeline.ratio r);
+      ("conventional_time_s", r.Cse.Pipeline.conventional_time);
+      ("cse_time_s", r.Cse.Pipeline.cse_time);
+      ("conventional_tasks", float_of_int r.Cse.Pipeline.conventional_tasks);
+      ("cse_tasks", float_of_int r.Cse.Pipeline.cse_tasks);
+      ("rounds_executed", float_of_int r.Cse.Pipeline.rounds_executed);
+      ("rounds_pruned", float_of_int r.Cse.Pipeline.rounds_pruned);
+      ( "rounds_aborted_bound",
+        float_of_int r.Cse.Pipeline.rounds_aborted_bound );
+      ( "phase2_winner_reuse_hits",
+        float_of_int r.Cse.Pipeline.phase2_winner_reuse_hits );
+    ];
+  let counters =
+    match member_path parsed [ "counters" ] with
+    | Some (Sobs.Json.Obj fields) ->
+        List.map
+          (fun (name, n) ->
+            (name, int_of_float (Option.get (Sobs.Json.to_float n))))
+          fields
+    | _ -> Alcotest.fail "no counters object"
+  in
+  Alcotest.(check (list (pair string int)))
+    "pipeline counters plus the executor's"
+    (List.sort compare
+       (List.filter
+          (fun (_, n) -> n <> 0)
+          (r.Cse.Pipeline.counters
+          @ Sexec.Engine.named_counters v.Sexec.Validate.counters)))
+    counters;
+  Alcotest.(check bool) "execution section" true
+    (member_path parsed [ "execution"; "stages" ] <> None);
+  (* without execution: optimization and the pipeline's counters only *)
+  let opt_only = Sserve.Report.run ~machines:25 r in
+  Alcotest.(check (list string)) "optimize-only sections"
+    [ "schema"; "machines"; "optimization"; "counters" ]
+    (match opt_only with
+    | Sobs.Json.Obj fields -> List.map fst fields
+    | _ -> [])
+
+let test_serve_report () =
+  let e = fresh_engine () in
+  let buf = Buffer.create 1024 in
+  let out = Format.formatter_of_buffer buf in
+  let err = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let r =
+    Sserve.Driver.run ~out ~err ~json:true e
+      ~next:(S.of_string (block "a" plain ^ "#batch\n" ^ block "b" plain))
+  in
+  Format.pp_print_flush out ();
+  Alcotest.(check bool) "serve succeeds" true (Result.is_ok r);
+  let doc = Sobs.Json.parse (Buffer.contents buf) in
+  Alcotest.(check (option string)) "schema" (Some "scopecse-run-report/6")
+    (Option.bind (Sobs.Json.member "schema" doc) Sobs.Json.to_str);
+  Alcotest.(check (float 0.0)) "serve section totals" 1.0
+    (num_at doc [ "serve"; "cache_hits" ]);
+  Alcotest.(check int) "one entry per batch" 2
+    (List.length
+       (Option.value ~default:[]
+          (Option.bind
+             (member_path doc [ "serve"; "batches_detail" ])
+             Sobs.Json.to_list)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -555,5 +654,11 @@ let () =
             test_driver_protocol_error;
           Alcotest.test_case "unwritable stats file" `Quick
             test_driver_unwritable_stats;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "run report matches the pipeline" `Quick
+            test_run_report;
+          Alcotest.test_case "serve document" `Quick test_serve_report;
         ] );
     ]

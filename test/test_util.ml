@@ -123,15 +123,6 @@ let test_pool_init_and_errors () =
       Sutil.Pool.parallel_for pool 5 (fun i -> r := !r + i);
       Alcotest.(check int) "inline sum" 10 !r)
 
-let test_strutil () =
-  Alcotest.(check string) "indent" "  a\n  b" (Sutil.Strutil.indent 2 "a\nb");
-  Alcotest.(check bool) "starts_with" true
-    (Sutil.Strutil.starts_with ~prefix:"ab" "abc");
-  Alcotest.(check bool) "not starts_with" false
-    (Sutil.Strutil.starts_with ~prefix:"abc" "ab");
-  Alcotest.(check (float 0.001)) "percent" 50.0
-    (Sutil.Strutil.percent ~base:4.0 2.0)
-
 let () =
   Alcotest.run "util"
     [
@@ -161,5 +152,4 @@ let () =
           Alcotest.test_case "init and errors" `Quick
             test_pool_init_and_errors;
         ] );
-      ("strutil", [ Alcotest.test_case "basics" `Quick test_strutil ]);
     ]

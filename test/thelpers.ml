@@ -18,12 +18,12 @@ let assert_valid_plan name plan =
         (Sphys.Plan_check.violations_to_string errs)
 
 (* Run the full pipeline on a script with the default catalog.  Tests run
-   the full static-analysis audit on every optimized plan (the
-   Cse.Config.audit knob); pass a config with [audit = false] to skip. *)
-let pipeline ?(config = { Cse.Config.default with Cse.Config.audit = true })
-    ?budget ?(catalog = default_catalog ()) script =
-  let r = Cse.Pipeline.run ~config ?budget ~catalog script in
-  if config.Cse.Config.audit then
+   the full static-analysis audit on every optimized plan; pass
+   [~audit:false] to skip. *)
+let pipeline ?(audit = true) ?config ?budget ?(catalog = default_catalog ())
+    script =
+  let r = Cse.Pipeline.run ?config ?budget ~catalog script in
+  if audit then
     Sanalysis.Audit.assert_clean ~cluster:Scost.Cluster.default ~catalog r;
   r
 
