@@ -35,10 +35,11 @@ let report ?(deep = false) ~cluster ~catalog (r : Cse.Pipeline.report) =
      design, and the phase-1 plan materializes a shared group once per
      property requirement with the same winner subplan under each
      materialization — so SA042 (unspooled physical sharing) applies to
-     the final CSE plan only *)
+     the final CSE plan only, and not when that plan is the conventional
+     one because no sharing plan was cheaper *)
   @ Stage_audit.check_graph ~expect_spooled_sharing:false conv g_conv
   @ Stage_audit.check_graph ~expect_spooled_sharing:false phase1 g_phase1
-  @ Stage_audit.check_graph cse g_cse
+  @ Stage_audit.check_graph ~expect_spooled_sharing:(cse != conv) cse g_cse
   @ if deep then deep_report r graphs else []
 
 let assert_clean ?(deep = true) ~cluster ~catalog r =

@@ -165,16 +165,37 @@ let winner_loc (g : Smemo.Memo.group) (w : Smemo.Memo.winner) =
       Printf.sprintf "phase %d, %s" w.Smemo.Memo.wphase
         (Reqprops.to_string w.Smemo.Memo.wreq) )
 
-let winner_diags ~cluster ~clean (g : Smemo.Memo.group) =
+(* SA007 for the conventional pass's winner of a shared (spool) group:
+   the pass bypasses the spool, so the winner must be the spooled child's
+   phase-0 winner under the same requirement, node for node. *)
+let bypass_diags memo ~loc (g : Smemo.Memo.group) (w : Smemo.Memo.winner) =
+  let child = Smemo.Memo.group memo (List.hd (Smemo.Memo.group_children g)) in
+  let same (cw : Smemo.Memo.winner) =
+    cw.Smemo.Memo.wphase = 0
+    && Reqprops.equal cw.Smemo.Memo.wreq w.Smemo.Memo.wreq
+    && Option.equal ( == ) cw.Smemo.Memo.wplan w.Smemo.Memo.wplan
+  in
+  if List.exists same (Smemo.Memo.winners_of child) then []
+  else
+    [
+      Diag.make ~code:"SA007" ~loc:(Lazy.force loc)
+        (Printf.sprintf "conventional winner is not group %d's winner"
+           child.Smemo.Memo.id);
+    ]
+
+let winner_diags ~cluster ~clean memo (g : Smemo.Memo.group) =
   let winners = Smemo.Memo.winners_of g in
   List.concat_map
     (fun (w : Smemo.Memo.winner) ->
       (* printed only once a diagnostic needs it *)
       let loc = lazy (winner_loc g w) in
+      let bypassed = w.Smemo.Memo.wphase = 0 && g.Smemo.Memo.shared in
+      (if bypassed then bypass_diags memo ~loc g w else [])
+      @
       match w.Smemo.Memo.wplan with
       | Some p ->
           let root_diags =
-            if p.Plan.group = g.Smemo.Memo.id then []
+            if bypassed || p.Plan.group = g.Smemo.Memo.id then []
             else
               [
                 Diag.make ~code:"SA007" ~loc:(Lazy.force loc)
@@ -249,6 +270,6 @@ let run ~cluster (memo : Smemo.Memo.t) : Diag.t list =
             @ Logical_audit.stats_diags
                 ~loc:(Diag.Group g.Smemo.Memo.id)
                 g.Smemo.Memo.stats
-            @ winner_diags ~cluster ~clean g)
+            @ winner_diags ~cluster ~clean memo g)
             !rest_rev);
   cycles @ List.rev !rest_rev

@@ -9,7 +9,10 @@
     cost is recomputed bottom-up from the cost model (SA003), the plan is
     run through the independent plan checker (SA004), its delivered
     properties are checked against the recorded requirement (SA005), its
-    root must implement the audited group (SA007), and every infeasibility
+    root must implement the audited group (SA007) — except a
+    conventional-pass (phase 0) winner of a shared group, which must be
+    the spooled child's phase-0 winner under the same requirement
+    (SA007) — and every infeasibility
     marker is checked against feasible winners of the same group, phase and
     enforcement map (SA006).
 

@@ -9,12 +9,6 @@ type t = {
   use_independent_groups : bool; (* Section VIII-A *)
   use_group_ranking : bool; (* Section VIII-B *)
   use_property_ranking : bool; (* Section VIII-C *)
-  subset_expansion_cap : int;
-      (* partitioning ranges over more columns than this are expanded to
-         the full set, singletons and pairs instead of all subsets
-         (Section V expansion, bounded for wide keys) *)
-  max_properties_per_group : int option;
-      (* optional cap on the per-shared-group history used for rounds *)
   use_dominance_pruning : bool;
       (* drop round candidates dominated by a kept candidate with the same
          partitioning and a strictly stronger sort at equal enforcement
@@ -34,8 +28,6 @@ let default =
     use_independent_groups = true;
     use_group_ranking = true;
     use_property_ranking = true;
-    subset_expansion_cap = 4;
-    max_properties_per_group = None;
     use_dominance_pruning = true;
     use_round_bound = true;
     use_slice_reuse = true;

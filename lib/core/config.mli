@@ -8,11 +8,6 @@ type t = {
   use_independent_groups : bool;  (** Section VIII-A *)
   use_group_ranking : bool;  (** Section VIII-B *)
   use_property_ranking : bool;  (** Section VIII-C *)
-  subset_expansion_cap : int;
-      (** ranges over more columns than this expand to full set +
-          singletons + adjacent pairs instead of all subsets *)
-  max_properties_per_group : int option;
-      (** optional cap on the per-shared-group history used for rounds *)
   use_dominance_pruning : bool;
       (** drop round candidates dominated by a kept candidate with the
           same partitioning and a strictly stronger sort at equal
@@ -25,7 +20,7 @@ type t = {
           below the group (cross-round winner reuse) *)
 }
 
-(** Everything on; expansion cap 4; no property cap. *)
+(** Everything on. *)
 val default : t
 
 (** The base framework with all Section VIII extensions disabled. *)

@@ -22,10 +22,14 @@ let create config = { table = Hashtbl.create 8; config }
 let entries t gid =
   match Hashtbl.find_opt t.table gid with Some l -> !l | None -> []
 
+(* Partitioning ranges over more columns than this are expanded to the
+   full set, singletons and adjacent pairs instead of all subsets. *)
+let subset_expansion_cap = 4
+
 (* Concrete partition sets for a range requirement, mirroring the enforcer
    candidates so that every recorded entry is actually plannable. *)
-let expand_sets config (c : Relalg.Colset.t) =
-  if Relalg.Colset.cardinal c <= config.Config.subset_expansion_cap then
+let expand_sets (c : Relalg.Colset.t) =
+  if Relalg.Colset.cardinal c <= subset_expansion_cap then
     Relalg.Colset.nonempty_subsets c
   else
     let cols = Relalg.Colset.to_list c in
@@ -36,12 +40,12 @@ let expand_sets config (c : Relalg.Colset.t) =
     in
     c :: (singletons @ pairs cols)
 
-let expand config (req : Reqprops.t) : Reqprops.t list =
+let expand (req : Reqprops.t) : Reqprops.t list =
   match req.Reqprops.part with
   | Reqprops.Hash_subset c ->
       List.map
         (fun s -> Reqprops.make (Reqprops.Hash_exact s) req.Reqprops.sort)
-        (expand_sets config c)
+        (expand_sets c)
   | Reqprops.Any | Reqprops.Serial_req | Reqprops.Hash_exact _ -> [ req ]
 
 (* Record one phase-1 request at a shared group. *)
@@ -58,7 +62,7 @@ let record t gid (req : Reqprops.t) =
     (fun props ->
       if not (List.exists (fun e -> Reqprops.equal e.props props) !slot) then
         slot := !slot @ [ { props; freq = 0 } ])
-    (expand t.config req)
+    (expand req)
 
 (* Section VIII-C: credit the entries matched by the properties a phase-1
    best plan actually delivered. *)
@@ -83,7 +87,7 @@ let note_best t gid (plan : Plan.t option) =
   | _ -> ()
 
 (* Property sets of a shared group for round generation, best-ranked first
-   when VIII-C is enabled, capped when configured. *)
+   when VIII-C is enabled. *)
 let ranked_properties t gid : Reqprops.t list =
   let es = entries t gid in
   let es =
@@ -91,10 +95,7 @@ let ranked_properties t gid : Reqprops.t list =
       List.stable_sort (fun a b -> Int.compare b.freq a.freq) es
     else es
   in
-  let props = List.map (fun e -> e.props) es in
-  match t.config.Config.max_properties_per_group with
-  | Some cap -> Sutil.Combi.take cap props
-  | None -> props
+  List.map (fun e -> e.props) es
 
 (* Round-pruning layer 1: dominance between candidate property sets.
 

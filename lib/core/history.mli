@@ -2,8 +2,9 @@
 
     Every phase-1 request at a shared group is recorded; a partitioning
     {e range} [∅, C] is expanded into one entry per concrete subset (the
-    paper expands [∅,\{A,B,C\}] into its seven non-empty subsets), bounded
-    for wide column sets. Entries carry a frequency counter (Section
+    paper expands [∅,\{A,B,C\}] into its seven non-empty subsets); a
+    range over more than four columns expands to the full set, the
+    singletons and the adjacent pairs instead. Entries carry a frequency counter (Section
     VIII-C): how often they described a best local plan in phase 1. *)
 
 type entry = { props : Sphys.Reqprops.t; mutable freq : int }
@@ -16,7 +17,7 @@ val create : Config.t -> t
 val entries : t -> int -> entry list
 
 (** Expansion of one requirement into concrete enforceable entries. *)
-val expand : Config.t -> Sphys.Reqprops.t -> Sphys.Reqprops.t list
+val expand : Sphys.Reqprops.t -> Sphys.Reqprops.t list
 
 (** Record one phase-1 request (expanded, deduplicated). *)
 val record : t -> int -> Sphys.Reqprops.t -> unit
@@ -26,7 +27,7 @@ val record : t -> int -> Sphys.Reqprops.t -> unit
 val note_best : t -> int -> Sphys.Plan.t option -> unit
 
 (** Property sets for round generation: best-ranked first when VIII-C is
-    enabled, capped when configured. *)
+    enabled. *)
 val ranked_properties : t -> int -> Sphys.Reqprops.t list
 
 (** [dominates ~by p]: pinning [by] can never lose to pinning [p] — same

@@ -2,8 +2,13 @@ open Sphys
 open Sopt
 
 (* The re-optimization framework (Algorithms 4 and 5), realized as an
-   extension of the generic optimization engine:
+   extension of the generic optimization engine, which runs three passes
+   over one memo with spools:
 
+   - phase 0, the conventional pass: [intercept] answers every shared
+     (spool) group with its child's winner under the same requirement, so
+     spools are transparent and a shared relation is computed once per
+     consumer (Figure 8(a));
    - phase 1 records the property history of shared groups (Section V)
      through [before_optimize]/[after_winner];
    - [child_extreq] propagates the enforcement map downwards, pruned to
@@ -17,7 +22,10 @@ open Sopt
          Sort(C,B) above the spool in Figure 8(b));
        * at an LCA, one re-optimization round per property combination is
          executed and the cheapest result kept (Section VIII controls how
-         combinations are enumerated). *)
+         combinations are enumerated).
+
+   The cheapest of the three passes' plans is the result, so the CSE plan
+   never costs more than the conventional one. *)
 
 let log_src = Logs.Src.create "scopecse.phase2" ~doc:"CSE re-optimization"
 
@@ -40,8 +48,6 @@ type state = {
       (* sequential rounds removed by dominance filtering of candidates *)
   mutable rounds_aborted_bound : int;
       (* rounds cut short by the branch-and-bound incumbent check *)
-  mutable phase2_winner_reuse_hits : int;
-      (* winner-cache hits during phase 2 (cross-round reuse) *)
   mutable pruned_props : (int * (Reqprops.t * Reqprops.t) list) list;
       (* shared group -> (dropped, kept dominator) pairs, for SA060 *)
   mutable lca_sites : int;
@@ -57,7 +63,6 @@ let create config =
     rounds_sequential = 0;
     rounds_pruned = 0;
     rounds_aborted_bound = 0;
-    phase2_winner_reuse_hits = 0;
     pruned_props = [];
     lca_sites = 0;
   }
@@ -253,7 +258,6 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
                incumbent (or class best) by more than the slack, so its
                plan can never be chosen; report infinity so the class
                best is as unmoved as it would be by the true cost *)
-            Budget.note_round_aborted t.Optimizer.budget;
             state.rounds_aborted_bound <- state.rounds_aborted_bound + 1;
             Log.debug (fun m ->
                 m "round %d at LCA %d: {%s} aborted (bound %.6g)"
@@ -263,7 +267,6 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
             finish infinity
           end
           else begin
-            Budget.note_round_executed t.Optimizer.budget;
             state.rounds_executed <- state.rounds_executed + 1;
             match result with
             | Some p ->
@@ -307,8 +310,13 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
    under. *)
 let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
     (extreq : Extreq.t) ~self ~log_phys_opt =
-  if t.Optimizer.phase <> 2 then None
-  else
+  match t.Optimizer.phase with
+  | 0 when g.Smemo.Memo.shared ->
+      (* the conventional pass bypasses the spool *)
+      let child = List.hd (Smemo.Memo.group_children g) in
+      Some (self (Smemo.Memo.group t.Optimizer.memo child) extreq)
+  | 0 | 1 -> None
+  | _ -> (
     match
       (g.Smemo.Memo.shared, Extreq.enforcement extreq g.Smemo.Memo.id)
     with
@@ -370,7 +378,7 @@ let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
             lcas
         in
         if to_assign = [] then None
-        else Some (run_rounds state t g extreq to_assign ~log_phys_opt)
+        else Some (run_rounds state t g extreq to_assign ~log_phys_opt))
 
 let make_ext state : Optimizer.ext =
   {
@@ -380,11 +388,15 @@ let make_ext state : Optimizer.ext =
     after_winner = after_winner state;
   }
 
-(* --- the full two-phase optimization of a memo with spools ------------ *)
+(* --- the three passes over a memo with spools ------------------------- *)
 
 type outcome = {
   plan : Plan.t option;
+  conventional_plan : Plan.t option;
   phase1_plan : Plan.t option;
+  conventional_time : float;
+  cse_time : float;
+  conventional_tasks : int;
   state : state;
   ctx : Optimizer.t;
 }
@@ -395,11 +407,15 @@ let optimize ?(config = Config.default) ?budget ?observe ~cluster
   let t =
     Optimizer.create ?budget ?observe ~ext:(make_ext state) ~cluster memo
   in
-  t.Optimizer.phase <- 1;
-  let p1 =
-    Sobs.Trace.with_span ~pid:Sobs.Trace.pid_phase1 "phase 1" (fun () ->
-        Optimizer.optimize_root t)
+  let pass phase ~pid name =
+    t.Optimizer.phase <- phase;
+    Sobs.Trace.with_span ~pid name (fun () -> Optimizer.optimize_root t)
   in
+  let t0 = Unix.gettimeofday () in
+  let p0 = pass 0 ~pid:Sobs.Trace.pid_phase1 "conventional optimize" in
+  let conventional_tasks = t.Optimizer.tasks in
+  let t1 = Unix.gettimeofday () in
+  let p1 = pass 1 ~pid:Sobs.Trace.pid_phase1 "phase 1" in
   (* Step 3: propagate shared-group info and identify LCAs *)
   let si =
     Sobs.Trace.with_span ~pid:Sobs.Trace.pid_phase2
@@ -412,21 +428,29 @@ let optimize ?(config = Config.default) ?budget ?observe ~cluster
            (Hashtbl.fold
               (fun s l acc -> Fmt.str "%d->%d" s l :: acc)
               si.Shared_info.lca [])));
-  t.Optimizer.phase <- 2;
-  let p2 =
-    Sobs.Trace.with_span ~pid:Sobs.Trace.pid_phase2 "phase 2" (fun () ->
-        Optimizer.optimize_root t)
-  in
-  state.phase2_winner_reuse_hits <- t.Optimizer.phase2_winner_hits;
+  let p2 = pass 2 ~pid:Sobs.Trace.pid_phase2 "phase 2" in
   Log.info (fun m ->
       m "phase 2 done: %d rounds executed (%d pruned, %d aborted) at %d LCA \
          sites"
         state.rounds_executed state.rounds_pruned state.rounds_aborted_bound
         state.lca_sites);
+  (* a later pass wins ties: phase 2 over phase 1, the CSE plan over the
+     conventional one *)
   let best =
-    match (p1, p2) with
-    | Some a, Some b -> Some (if Optimizer.plan_le t b a then b else a)
-    | Some a, None -> Some a
-    | None, b -> b
+    List.fold_left
+      (fun acc p ->
+        match (acc, p) with
+        | Some a, Some b -> Some (if Optimizer.plan_le t b a then b else a)
+        | a, None | None, a -> a)
+      None [ p0; p1; p2 ]
   in
-  { plan = best; phase1_plan = p1; state; ctx = t }
+  {
+    plan = best;
+    conventional_plan = p0;
+    phase1_plan = p1;
+    conventional_time = t1 -. t0;
+    cse_time = Unix.gettimeofday () -. t1;
+    conventional_tasks;
+    state;
+    ctx = t;
+  }

@@ -1,6 +1,10 @@
 (** The re-optimization framework (Algorithms 4 and 5), realized as an
-    extension of the generic engine:
+    extension of the generic engine, which runs three passes over one
+    memo with spools:
 
+    - phase 0 is the conventional pass: every shared (spool) group is
+      answered with its child's winner under the same requirement, so a
+      shared relation is computed once per consumer (Figure 8(a));
     - phase 1 records the property history of shared groups (Section V);
     - the enforcement map propagates downwards, pruned to paths that still
       lead to an enforced shared group (Algorithm 5);
@@ -10,7 +14,10 @@
       top (the Sort above the spool in Figure 8(b));
     - at an LCA, one round per property combination runs and the cheapest
       result is kept, subject to the budget (Section VIII controls
-      enumeration). *)
+      enumeration).
+
+    The result is the cheapest of the three passes' plans, so the CSE plan
+    never costs more than the conventional one. *)
 
 type state = {
   config : Config.t;
@@ -23,8 +30,6 @@ type state = {
       (** sequential rounds removed by dominance filtering *)
   mutable rounds_aborted_bound : int;
       (** rounds cut short by the branch-and-bound incumbent check *)
-  mutable phase2_winner_reuse_hits : int;
-      (** winner-cache hits during phase 2 (cross-round reuse) *)
   mutable pruned_props : (int * (Sphys.Reqprops.t * Sphys.Reqprops.t) list) list;
       (** shared group -> (dropped, kept dominator) pairs (SA060 audit) *)
   mutable lca_sites : int;
@@ -34,15 +39,20 @@ type state = {
 val shared_info : state -> Shared_info.t
 
 type outcome = {
-  plan : Sphys.Plan.t option;  (** best of both phases *)
+  plan : Sphys.Plan.t option;
+      (** the cheapest of the three passes' plans; a later pass wins ties *)
+  conventional_plan : Sphys.Plan.t option;  (** phase 0 *)
   phase1_plan : Sphys.Plan.t option;
+  conventional_time : float;  (** phase-0 wall seconds *)
+  cse_time : float;  (** phases 1-2 wall seconds, Algorithm 3 included *)
+  conventional_tasks : int;  (** phase-0 tasks *)
   state : state;
   ctx : Sopt.Optimizer.t;
-      (** the context both phases ran in: its budget and counts *)
+      (** the context all three passes ran in: its budget and counts *)
 }
 
-(** Run both optimization phases over a memo already prepared by
-    {!Spool.identify}. *)
+(** Run the conventional pass and both CSE phases over a memo already
+    prepared by {!Spool.identify}.  The budget bounds phases 1-2 only. *)
 val optimize :
   ?config:Config.t ->
   ?budget:Sopt.Budget.t ->

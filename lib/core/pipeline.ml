@@ -2,12 +2,15 @@ open Sphys
 
 (* End-to-end facade: script text in, optimized plans out.
 
-   Runs both optimizers over the same script, catalog and cluster:
-   - *conventional*: the unmodified engine on a spool-free memo; a shared
-     relation is optimized per consumer requirement and the final plan
-     executes it once per consumer (Figure 8(a));
-   - *CSE*: Algorithm 1 spool insertion, phase 1 with history recording,
-     Algorithm 3, and the phase-2 re-optimization (Figure 8(b)). *)
+   Builds one memo, inserts spools (Algorithm 1), and runs one optimizer
+   context over it in three passes ({!Phase2.optimize}):
+   - *conventional* (phase 0): every spool is bypassed; a shared relation
+     is optimized per consumer requirement and the final plan executes it
+     once per consumer (Figure 8(a));
+   - *CSE*: phase 1 with history recording, Algorithm 3, and the phase-2
+     re-optimization (Figure 8(b)).
+   The CSE plan is the cheapest of the three, so it never costs more than
+   the conventional plan. *)
 
 (* Plain execution-summary data: this module cannot depend on the
    executor (cse sits below sexec in the library order), so callers that
@@ -63,8 +66,8 @@ type report = {
   (* shared group -> (dropped, kept dominator) pairs (SA060 audits them) *)
   shared_info : Shared_info.t;
   counters : (string * int) list;
-  (* this run's optimizer counts, summed over both optimizer contexts:
-     nonzero, sorted by name *)
+  (* this run's optimizer counts over all three passes: nonzero, sorted
+     by name *)
   mutable exec : exec_summary option;
   (* filled in by callers that execute the CSE plan, so downstream
      consumers (JSON report, bench comparison) see utilization and
@@ -132,11 +135,6 @@ let reduction_percent r = 100.0 *. (1.0 -. ratio r)
 
 exception No_plan of string
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
 let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     ~(catalog : Relalg.Catalog.t) (script : string) : report =
   let fe = Sobs.Trace.pid_frontend in
@@ -148,34 +146,20 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     Sobs.Trace.with_span ~pid:fe "bind" (fun () ->
         Slogical.Binder.bind ~catalog ast)
   in
-  let machines = cluster.Scost.Cluster.machines in
-  (* conventional baseline *)
-  let conv_memo =
-    Sobs.Trace.with_span ~pid:fe "memo (conventional)" (fun () ->
-        Smemo.Memo.of_dag ~catalog ~machines dag)
-  in
-  let conv_ctx = Sopt.Optimizer.create ~cluster conv_memo in
-  let conv_plan, conventional_time =
-    timed (fun () ->
-        Sobs.Trace.with_span ~pid:Sobs.Trace.pid_phase1 "conventional optimize"
-          (fun () -> Sopt.Optimizer.optimize_root conv_ctx))
-  in
-  let conventional_plan =
-    match conv_plan with
-    | Some p -> p
-    | None -> raise (No_plan "conventional optimization produced no plan")
-  in
-  (* CSE optimization *)
   let memo =
-    Sobs.Trace.with_span ~pid:fe "memo (cse)" (fun () ->
-        Smemo.Memo.of_dag ~catalog ~machines dag)
+    Sobs.Trace.with_span ~pid:fe "memo" (fun () ->
+        Smemo.Memo.of_dag ~catalog ~machines:cluster.Scost.Cluster.machines
+          dag)
   in
   let shared =
     Sobs.Trace.with_span ~pid:fe "identify shared (Algorithm 1)" (fun () ->
         Spool.identify ~config memo)
   in
-  let outcome, cse_time =
-    timed (fun () -> Phase2.optimize ~config ?budget ~cluster memo)
+  let outcome = Phase2.optimize ~config ?budget ~cluster memo in
+  let conventional_plan =
+    match outcome.Phase2.conventional_plan with
+    | Some p -> p
+    | None -> raise (No_plan "conventional optimization produced no plan")
   in
   let cse_plan =
     match outcome.Phase2.plan with
@@ -212,12 +196,12 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     dag;
     conventional_plan;
     conventional_cost = Scost.Dagcost.cost cluster conventional_plan;
-    conventional_time;
-    conventional_tasks = conv_ctx.Sopt.Optimizer.budget.Sopt.Budget.tasks;
+    conventional_time = outcome.Phase2.conventional_time;
+    conventional_tasks = outcome.Phase2.conventional_tasks;
     cse_plan;
     cse_cost = Scost.Dagcost.cost cluster cse_plan;
-    cse_time;
-    cse_tasks = ctx.Sopt.Optimizer.budget.Sopt.Budget.tasks;
+    cse_time = outcome.Phase2.cse_time;
+    cse_tasks = ctx.Sopt.Optimizer.tasks - outcome.Phase2.conventional_tasks;
     budget_exhausted = Sopt.Budget.exhausted ctx.Sopt.Optimizer.budget;
     phase1_plan;
     memo;
@@ -228,16 +212,13 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     rounds_sequential = state.Phase2.rounds_sequential;
     rounds_pruned = state.Phase2.rounds_pruned;
     rounds_aborted_bound = state.Phase2.rounds_aborted_bound;
-    phase2_winner_reuse_hits = state.Phase2.phase2_winner_reuse_hits;
+    phase2_winner_reuse_hits = ctx.Sopt.Optimizer.phase2_winner_hits;
     history_sizes;
     candidate_props;
     pruned_props = state.Phase2.pruned_props;
     shared_info = si;
     counters =
-      List.map2
-        (fun (name, a) (_, b) -> (name, a + b))
-        (Sopt.Optimizer.counters conv_ctx)
-        (Sopt.Optimizer.counters ctx)
+      Sopt.Optimizer.counters ctx
       |> List.filter (fun (_, n) -> n <> 0)
       |> List.sort compare;
     exec = None;

@@ -1,10 +1,12 @@
 (** End-to-end facade: script text in, optimized plans out.
 
-    Runs both optimizers over the same script, catalog and cluster:
-    {e conventional} — the unmodified engine on a spool-free memo, where a
-    shared relation executes once per consumer (Figure 8(a)); and {e CSE} —
-    Algorithm 1 spool insertion, phase 1 with history recording,
-    Algorithm 3, and the phase-2 re-optimization (Figure 8(b)). *)
+    Builds one memo, inserts spools (Algorithm 1) and runs one optimizer
+    context over it in three passes ({!Phase2.optimize}): {e conventional}
+    — every spool bypassed, so a shared relation executes once per
+    consumer (Figure 8(a)); then {e CSE} — phase 1 with history recording,
+    Algorithm 3, and the phase-2 re-optimization (Figure 8(b)).  The CSE
+    plan is the cheapest of the three passes' plans, so [cse_cost <=
+    conventional_cost]. *)
 
 (** Execution summary handed over by callers that run plans (this module
     does not depend on the executor): domain-pool width, execution wall
@@ -26,18 +28,19 @@ type report = {
   dag : Slogical.Dag.t;
   conventional_plan : Sphys.Plan.t;
   conventional_cost : float;
-  conventional_time : float;
-  conventional_tasks : int;
+  conventional_time : float;  (** phase-0 wall seconds *)
+  conventional_tasks : int;  (** phase-0 tasks *)
   cse_plan : Sphys.Plan.t;
   cse_cost : float;
-  cse_time : float;
-  cse_tasks : int;
+  cse_time : float;  (** phases 1-2 wall seconds *)
+  cse_tasks : int;  (** phases 1-2 tasks *)
   budget_exhausted : bool;
       (** the optimization budget ran out: the CSE plan may be the phase-1
           shape, materializing a shared group once per distinct property
           requirement (the Figure 8(a) baseline) *)
   phase1_plan : Sphys.Plan.t;
-  memo : Smemo.Memo.t;  (** the CSE memo (with spools) *)
+  memo : Smemo.Memo.t;
+      (** the one memo (with spools) all three passes ran over *)
   shared : Spool.shared list;
   lcas : (int * int) list;  (** shared group -> its LCA group *)
   rounds_executed : int;
@@ -58,9 +61,9 @@ type report = {
           SA060 audit re-verifies each pair against {!History.dominates} *)
   shared_info : Shared_info.t;
   counters : (string * int) list;
-      (** this run's counts ({!Sopt.Optimizer.counters}) summed over its
-          two optimizer contexts, conventional and CSE: optimizer tasks,
-          winner hits/misses, rule firings, intern hits/misses.  Nonzero
+      (** this run's counts ({!Sopt.Optimizer.counters}) over all three
+          passes of its one optimizer context: optimizer tasks, winner
+          hits/misses, rule firings, intern hits/misses.  Nonzero
           entries only, sorted by name.  Execution counts are the
           executor's ({!Sexec.Engine.named_counters}), not part of this
           list. *)

@@ -42,8 +42,8 @@ type group = {
   schema : Schema.t;
   cols : Colset.t; (* [Schema.colset schema], built once for plan nodes *)
   mutable stats : Slogical.Stats.t;
-  (* highest optimization phase whose exploration rules ran on this group *)
-  mutable explored_phase : int;
+  (* the exploration rules have run on this group *)
+  mutable explored : bool;
   (* set by Algorithm 1 on spool groups that root a shared subexpression *)
   mutable shared : bool;
   (* winner table, keyed by the (phase x extended-required-property) id
@@ -130,7 +130,7 @@ let add_group t (e : mexpr) schema =
       schema;
       cols = Schema.colset schema;
       stats = derive_stats t e schema;
-      explored_phase = 0;
+      explored = false;
       shared = false;
       winners = Hashtbl.create 8;
     }

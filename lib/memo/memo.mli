@@ -35,8 +35,9 @@ type group = {
   schema : Relalg.Schema.t;
   cols : Relalg.Colset.t;  (** the schema's column set *)
   mutable stats : Slogical.Stats.t;
-  mutable explored_phase : int;
-      (** highest phase whose exploration rules ran on this group *)
+  mutable explored : bool;
+      (** the exploration rules have run on this group (the rule set is
+          the same in every optimization phase) *)
   mutable shared : bool;
       (** set by Algorithm 1 on spool groups rooting a shared subexpression *)
   winners : (int, winner) Hashtbl.t;

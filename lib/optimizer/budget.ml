@@ -9,21 +9,10 @@ type t = {
   max_seconds : float option;
   started : float;
   mutable tasks : int;
-  mutable rounds_executed : int;
-  mutable rounds_aborted : int; (* branch-and-bound early exits *)
 }
 
 let create ?max_tasks ?max_seconds () =
-  {
-    max_tasks;
-    max_seconds;
-    started = Unix.gettimeofday ();
-    tasks = 0;
-    rounds_executed = 0;
-    rounds_aborted = 0;
-  }
-
-let unlimited () = create ()
+  { max_tasks; max_seconds; started = Unix.gettimeofday (); tasks = 0 }
 
 let tick t = t.tasks <- t.tasks + 1
 
@@ -32,6 +21,3 @@ let elapsed t = Unix.gettimeofday () -. t.started
 let exhausted t =
   (match t.max_tasks with Some m -> t.tasks >= m | None -> false)
   || match t.max_seconds with Some s -> elapsed t >= s | None -> false
-
-let note_round_executed t = t.rounds_executed <- t.rounds_executed + 1
-let note_round_aborted t = t.rounds_aborted <- t.rounds_aborted + 1

@@ -36,6 +36,9 @@ type t = {
   cluster : Scost.Cluster.t;
   budget : Budget.t;
   mutable phase : int;
+  mutable tasks : int;
+      (* winner-cache misses in every phase; the budget is ticked in
+         phases 1-2 only, so it never truncates the conventional pass *)
   mutable phase2_winner_hits : int;
       (* winner-cache hits while phase = 2: cross-round reuse *)
   mutable winner_hits : int;
@@ -88,13 +91,14 @@ let default_ext =
     after_winner = (fun _ _ _ _ -> ());
   }
 
-let create ?(ext = default_ext) ?(budget = Budget.unlimited ()) ?observe
+let create ?(ext = default_ext) ?(budget = Budget.create ()) ?observe
     ~(cluster : Scost.Cluster.t) (memo : Smemo.Memo.t) =
   {
     memo;
     cluster;
     budget;
     phase = 1;
+    tasks = 0;
     phase2_winner_hits = 0;
     winner_hits = 0;
     rule_firings = 0;
@@ -110,18 +114,18 @@ let create ?(ext = default_ext) ?(budget = Budget.unlimited ()) ?observe
   }
 
 (* Winner-table key: the enforcement map's id, the requirement's id and
-   the phase (1 or 2) packed into one int. *)
+   the phase (0, 1 or 2) packed into one int. *)
 let winner_key t (x : Extreq.t) =
   (Intern.pair x.Extreq.enforce.Intern.id x.Extreq.rid lsl 2) lor t.phase
 
 (* This run's counts under their report names; [optimizer.tasks] and
-   [optimizer.winner_misses] are both the budget's tick count, one per
-   winner miss. *)
+   [optimizer.winner_misses] are both the task count, one per winner
+   miss. *)
 let counters t =
   [
-    ("optimizer.tasks", t.budget.Budget.tasks);
+    ("optimizer.tasks", t.tasks);
     ("optimizer.winner_hits", t.winner_hits);
-    ("optimizer.winner_misses", t.budget.Budget.tasks);
+    ("optimizer.winner_misses", t.tasks);
     ("optimizer.rule_firings", t.rule_firings);
     ("intern.hits", Intern.hits t.intern);
     ("intern.misses", Intern.misses t.intern);
@@ -202,8 +206,8 @@ let memo t tbl key prepare =
 
 (* The implementation alternatives of group [g]'s expressions under
    [x.req], prepared once per (group, requirement id).  A group's
-   expressions are final once phase 2 has explored it, which
-   [log_phys_opt] does before asking for them. *)
+   expressions are final once it has been explored, which [log_phys_opt]
+   does before asking for them. *)
 let impls t (g : Smemo.Memo.group) (x : Extreq.t) =
   memo t t.cache.impls (Intern.pair g.Smemo.Memo.id x.Extreq.rid) (fun () ->
       List.concat_map
@@ -319,7 +323,8 @@ let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
       t.tainted <- false;
       w.Smemo.Memo.wplan
   | None ->
-      Budget.tick t.budget;
+      t.tasks <- t.tasks + 1;
+      if t.phase > 0 then Budget.tick t.budget;
       (* span only on the miss path: hits are the memoized fast path and
          would dominate the trace without saying where time went *)
       let traced = Sobs.Trace.enabled () in
@@ -360,7 +365,7 @@ let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
    requirement (the body of Algorithm 5). *)
 and log_phys_opt t ?(bound = infinity) (g : Smemo.Memo.group)
     (extreq : Extreq.t) : Plan.t option =
-  t.rule_firings <- t.rule_firings + Rules.explore t.memo g ~phase:t.phase;
+  t.rule_firings <- t.rule_firings + Rules.explore t.memo g;
   let req = extreq.Extreq.req in
   let bounded = bound < infinity in
   let skipped = ref false in

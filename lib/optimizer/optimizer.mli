@@ -1,11 +1,13 @@
 (** The Cascades-style optimization engine (Algorithms 2 and 5).
 
     {!optimize_group} memoizes one winner per (phase, extended
-    requirement). The engine is extended — not modified — by the CSE
-    framework through the {!ext} hook record: phase-1 history recording
-    (Section V), enforcement-map propagation to children (Algorithm 5),
-    and interception at LCA groups to run re-optimization rounds
-    (Algorithm 4). *)
+    requirement).  Phase 0 is the conventional pass, phases 1 and 2 the
+    CSE passes; the phase is part of the winner key, so the passes share
+    one memo without sharing winners.  The engine is extended — not
+    modified — by the CSE framework through the {!ext} hook record:
+    phase-1 history recording (Section V), enforcement-map propagation to
+    children (Algorithm 5), and interception at spool and LCA groups
+    (phase-0 spool bypass, Algorithm 4 rounds). *)
 
 (** An enforcer alternative of a group under one requirement
     ({!Enforcers.alternatives}), with its interned inner requirement and
@@ -16,7 +18,10 @@ type t = {
   memo : Smemo.Memo.t;
   cluster : Scost.Cluster.t;
   budget : Budget.t;
-  mutable phase : int;
+      (** ticked once per task in phases 1-2: the conventional pass
+          (phase 0) is never truncated *)
+  mutable phase : int;  (** 0 conventional, 1 or 2 CSE; 1 at creation *)
+  mutable tasks : int;  (** winner-cache misses, in every phase *)
   mutable phase2_winner_hits : int;
       (** winner-cache hits while [phase = 2] — the cross-round reuse
           the enforcement-slice keying buys (reported by the pipeline) *)
@@ -60,9 +65,6 @@ and ext = {
       (** called when a winner is recorded (VIII-C frequencies) *)
 }
 
-(** Hooks that do nothing: the conventional optimizer. *)
-val default_ext : ext
-
 val create :
   ?ext:ext ->
   ?budget:Budget.t ->
@@ -72,7 +74,7 @@ val create :
   t
 
 (** This context's counts so far, by name: [optimizer.tasks] and
-    [optimizer.winner_misses] (both the budget's tick count, one per
+    [optimizer.winner_misses] (both the [tasks] field, one per
     winner-cache miss), [optimizer.winner_hits],
     [optimizer.rule_firings], [intern.hits] and [intern.misses]; zeros
     included. *)

@@ -14,14 +14,15 @@
 
 open Relalg
 
-(* Apply all rules of [phase] to group [g], adding new expressions (and
-   possibly new groups) to the memo; returns how many rules fired.
-   Idempotent per group and phase. *)
-let explore (memo : Smemo.Memo.t) (g : Smemo.Memo.group) ~phase =
-  if g.Smemo.Memo.explored_phase >= phase then 0
+(* Apply all rules to group [g], adding new expressions (and possibly new
+   groups) to the memo; returns how many rules fired.  Idempotent per
+   group: the rule set does not depend on the optimization phase, so the
+   first phase to reach a group explores it for every later one. *)
+let explore (memo : Smemo.Memo.t) (g : Smemo.Memo.group) =
+  if g.Smemo.Memo.explored then 0
   else begin
     let fired = ref 0 in
-    g.Smemo.Memo.explored_phase <- phase;
+    g.Smemo.Memo.explored <- true;
     let originals = Smemo.Memo.exprs g in
     List.iter
       (fun (e : Smemo.Memo.mexpr) ->
@@ -36,7 +37,7 @@ let explore (memo : Smemo.Memo.t) (g : Smemo.Memo.group) ~phase =
                     (Smemo.Memo.exprs g)) ->
             incr fired;
             if Sobs.Trace.enabled () then
-              Sobs.Trace.instant ~pid:(Sobs.Trace.pid_of_phase phase)
+              Sobs.Trace.instant ~pid:Sobs.Trace.pid_phase1
                 ~args:
                   [
                     ("rule", Sobs.Trace.Str "gb_split");

@@ -7,8 +7,8 @@
     which yields the StreamAgg(Local) / exchange / StreamAgg(Global) plans
     of Figure 8. *)
 
-(** Apply the rules of [phase] to a group, adding equivalent expressions
-    (and possibly new groups); returns the number of rules that fired.
-    Idempotent per group and phase; never duplicates the aggregation
-    split across phases. *)
-val explore : Smemo.Memo.t -> Smemo.Memo.group -> phase:int -> int
+(** Apply the rules to a group, adding equivalent expressions (and
+    possibly new groups); returns the number of rules that fired.
+    Idempotent per group: the rule set is the same in every optimization
+    phase, so a group is explored once, by the first phase to reach it. *)
+val explore : Smemo.Memo.t -> Smemo.Memo.group -> int

@@ -268,6 +268,29 @@ let test_sa007_wrong_group () =
   let diags = Sanalysis.Memo_audit.run ~cluster memo in
   assert_code "SA007" diags
 
+(* SA007: the conventional pass's winner of a spool group is its child's
+   winner, node for node; an equal copy means the spool was re-planned
+   instead of bypassed. *)
+let test_sa007_spool_bypass () =
+  let _, cluster, r = raw_report Sworkload.Paper_scripts.s1 in
+  let memo = r.Cse.Pipeline.memo in
+  let spool = (List.hd r.Cse.Pipeline.shared).Cse.Spool.spool in
+  let sa007 () =
+    List.filter
+      (fun (d : Sanalysis.Diag.t) -> d.Sanalysis.Diag.code = "SA007")
+      (Sanalysis.Memo_audit.run ~cluster memo)
+  in
+  Alcotest.(check int) "bypassed winners audit clean" 0 (List.length (sa007 ()));
+  Hashtbl.filter_map_inplace
+    (fun _ (w : Smemo.Memo.winner) ->
+      match w.Smemo.Memo.wplan with
+      | Some p when w.Smemo.Memo.wphase = 0 ->
+          let copy = { p with Plan.op_cost = p.Plan.op_cost } in
+          Some { w with Smemo.Memo.wplan = Some copy }
+      | _ -> Some w)
+    (Smemo.Memo.group memo spool).Smemo.Memo.winners;
+  assert_code "SA007" (sa007 ())
+
 (* --- negative: sharing auditor ------------------------------------------ *)
 
 (* SA010: a non-spool group marked shared. *)
@@ -798,6 +821,7 @@ let () =
           Alcotest.test_case "SA006 contradiction" `Quick
             test_sa006_contradicted_infeasible;
           Alcotest.test_case "SA007 wrong group" `Quick test_sa007_wrong_group;
+          Alcotest.test_case "SA007 spool bypass" `Quick test_sa007_spool_bypass;
         ] );
       ( "sharing auditor",
         [

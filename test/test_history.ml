@@ -5,7 +5,7 @@ open Sphys
 
 let cs = Thelpers.colset
 
-let mk_history ?(config = Cse.Config.default) () = Cse.History.create config
+let mk_history () = Cse.History.create Cse.Config.default
 
 let test_range_expansion_paper_example () =
   (* the paper's example: [∅,{A,B,C}] expands into the seven non-empty
@@ -29,12 +29,12 @@ let test_range_expansion_paper_example () =
     sets
 
 let test_expansion_cap () =
-  let config = { Cse.Config.default with Cse.Config.subset_expansion_cap = 2 } in
-  let h = mk_history ~config () in
+  let h = mk_history () in
   Cse.History.record h 1
-    (Reqprops.make (Reqprops.Hash_subset (cs [ "A"; "B"; "C" ])) []);
-  (* full set + 3 singletons + 2 adjacent pairs = 6 (not 7) *)
-  Alcotest.(check int) "capped expansion" 6
+    (Reqprops.make (Reqprops.Hash_subset (cs [ "A"; "B"; "C"; "D"; "E" ])) []);
+  (* a range over more than four columns: full set + 5 singletons + 4
+     adjacent pairs = 10 (not 31) *)
+  Alcotest.(check int) "capped expansion" 10
     (List.length (Cse.History.entries h 1))
 
 let test_dedup () =
@@ -114,18 +114,6 @@ let test_frequency_ranking () =
   Alcotest.(check bool) "insertion order kept" true
     (Reqprops.equal first first_recorded)
 
-let test_property_cap () =
-  let config =
-    { Cse.Config.default with Cse.Config.max_properties_per_group = Some 2 }
-  in
-  let h = mk_history ~config () in
-  Cse.History.record h 1
-    (Reqprops.make (Reqprops.Hash_subset (cs [ "A"; "B"; "C" ])) []);
-  Alcotest.(check int) "capped to 2" 2
-    (List.length (Cse.History.ranked_properties h 1));
-  Alcotest.(check int) "entries still complete" 7
-    (List.length (Cse.History.entries h 1))
-
 let test_recorded_during_phase1 () =
   (* driving the actual pipeline records a non-empty history at the spool *)
   let r = Thelpers.pipeline Sworkload.Paper_scripts.s1 in
@@ -149,6 +137,5 @@ let () =
       ( "ranking (VIII-C)",
         [
           Alcotest.test_case "frequency" `Quick test_frequency_ranking;
-          Alcotest.test_case "cap" `Quick test_property_cap;
         ] );
     ]

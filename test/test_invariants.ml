@@ -91,16 +91,14 @@ let colset_arb = QCheck.make ~print:Relalg.Colset.to_string colset_gen
 let prop_expansion_count =
   Thelpers.qtest "range expands to 2^n - 1 entries" colset_arb (fun c ->
       let entries =
-        Cse.History.expand Cse.Config.default
-          (Reqprops.make (Reqprops.Hash_subset c) [])
+        Cse.History.expand (Reqprops.make (Reqprops.Hash_subset c) [])
       in
       List.length entries = (1 lsl Relalg.Colset.cardinal c) - 1)
 
 let prop_expansion_sound =
   Thelpers.qtest "every expanded entry satisfies the range" colset_arb (fun c ->
       let entries =
-        Cse.History.expand Cse.Config.default
-          (Reqprops.make (Reqprops.Hash_subset c) [])
+        Cse.History.expand (Reqprops.make (Reqprops.Hash_subset c) [])
       in
       List.for_all
         (fun (e : Reqprops.t) ->
@@ -413,9 +411,9 @@ let test_report_counters () =
     (get "optimizer.winner_misses" = get "optimizer.tasks");
   Alcotest.(check bool) "intern lookups counted" true (get "intern.hits" > 0)
 
-(* The S1 counts are pinned: they are the figures the process-global
-   counters reported as this run's deltas, and BENCH_opt.json's
-   winner/intern columns are built from them. *)
+(* The S1 counts are pinned: they cover the conventional pass and both
+   CSE phases of the run's one optimizer context, and BENCH_opt.json's
+   counters object for S1 holds the same figures. *)
 let test_report_counters_pinned () =
   let r =
     Cse.Pipeline.run
@@ -424,12 +422,12 @@ let test_report_counters_pinned () =
   in
   Alcotest.(check (list (pair string int))) "S1 counters"
     [
-      ("intern.hits", 794);
-      ("intern.misses", 61);
-      ("optimizer.rule_firings", 6);
-      ("optimizer.tasks", 400);
+      ("intern.hits", 808);
+      ("intern.misses", 47);
+      ("optimizer.rule_firings", 3);
+      ("optimizer.tasks", 407);
       ("optimizer.winner_hits", 958);
-      ("optimizer.winner_misses", 400);
+      ("optimizer.winner_misses", 407);
     ]
     r.Cse.Pipeline.counters
 

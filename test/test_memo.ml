@@ -52,20 +52,21 @@ let test_exploration_adds_two_stage () =
   let memo = Thelpers.memo_of Sworkload.Paper_scripts.s1 in
   let g = Smemo.Memo.group memo 1 in
   Alcotest.(check int) "the split fires once" 1
-    (Sopt.Rules.explore memo g ~phase:1);
+    (Sopt.Rules.explore memo g);
   Alcotest.(check int) "global/local expression added" 2
     (List.length (Smemo.Memo.exprs g));
-  (* idempotent per phase *)
-  Alcotest.(check int) "nothing fires again" 0
-    (Sopt.Rules.explore memo g ~phase:1);
+  (* idempotent per group *)
+  Alcotest.(check int) "nothing fires again" 0 (Sopt.Rules.explore memo g);
   Alcotest.(check int) "idempotent" 2 (List.length (Smemo.Memo.exprs g));
-  (* re-exploring in phase 2 must not duplicate the rewrite *)
+  (* even with the explored flag cleared, the rule itself must not
+     duplicate the rewrite *)
   let before = Smemo.Memo.size memo in
-  g.Smemo.Memo.explored_phase <- 1;
-  Alcotest.(check int) "nothing fires in phase 2" 0
-    (Sopt.Rules.explore memo g ~phase:2);
-  Alcotest.(check int) "no new group in phase 2" before (Smemo.Memo.size memo);
-  Alcotest.(check int) "no new expr in phase 2" 2
+  g.Smemo.Memo.explored <- false;
+  Alcotest.(check int) "nothing fires on re-exploration" 0
+    (Sopt.Rules.explore memo g);
+  Alcotest.(check int) "no new group on re-exploration" before
+    (Smemo.Memo.size memo);
+  Alcotest.(check int) "no new expr on re-exploration" 2
     (List.length (Smemo.Memo.exprs g))
 
 let test_group_children () =
@@ -157,7 +158,7 @@ let test_incremental_maintenance () =
   check_incremental_consistency memo "after identify";
   (* exploration adds groups and expressions *)
   Smemo.Memo.iter_groups memo (fun g ->
-      ignore (Sopt.Rules.explore memo g ~phase:1));
+      ignore (Sopt.Rules.explore memo g));
   check_incremental_consistency memo "after exploration";
   (* a manual redirect through a fresh spool *)
   let target = List.hd (Smemo.Memo.group_children (Smemo.Memo.root_group memo)) in
