@@ -6,7 +6,7 @@
      optimize    - run both optimizers and print plans, costs and statistics
      run         - optimize, execute on the simulated cluster, show outputs
      serve       - long-running engine over a stream of script submissions,
-                   with a fingerprint-keyed plan cache and cross-script CSE
+                   with a normalized-text plan cache and cross-script CSE
      check-trace - validate a Chrome trace file written by --trace
      lint        - optimize, then run the full static-analysis audit
      workload    - print a built-in workload script (S1-S4, LS1, LS2)
@@ -533,7 +533,7 @@ let serve_cmd =
        ~doc:
          "Run the long-running multi-script engine over a session stream \
           (file, stdin, or --gen): scripts are normalized and served from a \
-          fingerprint-keyed plan cache (hits skip bind/optimize entirely; a \
+          plan cache keyed on the normalized text (hits skip bind/optimize entirely; a \
           catalog bump invalidates), and concurrently-batched fresh scripts \
           are optimized as one combined memo so common subexpressions \
           across scripts share scans and spools in a single executor run")

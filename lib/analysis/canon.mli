@@ -39,10 +39,5 @@ val of_logical : ctx -> Slogical.Dag.t -> out list
     meaning. *)
 val of_physical : ctx -> Sphys.Plan.t -> (out * Sphys.Props.t) list
 
-(** Normalized conjunct list of a predicate (exposed for tests). *)
-val conjuncts : Relalg.Expr.t -> Relalg.Expr.t list
-
 (** Render a canonical term (diagnostics and tests). *)
 val to_string : ctx -> int -> string
-
-val pp_cid : ctx -> int Fmt.t

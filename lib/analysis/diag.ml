@@ -166,5 +166,3 @@ let pp_catalog ppf () =
       Fmt.pf ppf "%s  %-7s %-11s %s@." e.ecode sev e.layer e.describe)
     catalog;
   Fmt.pf ppf "%d codes@." (List.length catalog)
-
-let to_string d = Fmt.str "%a" pp d

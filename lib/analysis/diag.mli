@@ -34,11 +34,6 @@ type entry = {
   describe : string;
 }
 
-(** Catalog of every diagnostic code. Analyzer passes only emit codes
-    listed here; a duplicate registration raises [Invalid_argument] when
-    the module is loaded. *)
-val catalog : entry list
-
 (** Catalog lookup by code. *)
 val find_entry : string -> entry option
 
@@ -47,10 +42,6 @@ val find_entry : string -> entry option
 val make : ?severity:severity -> code:string -> loc:location -> string -> t
 
 val errors : t list -> t list
-val warnings : t list -> t list
-
-(** Per-code occurrence counts, catalog order. *)
-val summary : t list -> (string * int) list
 
 (** Highest severity present, [None] on an empty report. *)
 val worst : t list -> severity option
@@ -58,10 +49,6 @@ val worst : t list -> severity option
 (** Exit-code mapping: [0] when no diagnostic at or above [fail_on]
     (default [Error]) was reported, [1] otherwise. *)
 val exit_code : ?fail_on:severity -> t list -> int
-
-val pp_severity : severity Fmt.t
-val pp_location : location Fmt.t
-val pp : t Fmt.t
 
 (** Full human-readable report: one line per diagnostic, sorted by code,
     followed by a count line. *)
@@ -74,5 +61,3 @@ val pp_summary : t list Fmt.t
 (** The registry table, one line per code: code, severity, layer,
     description ([scopeopt lint --list-codes]). *)
 val pp_catalog : unit Fmt.t
-
-val to_string : t -> string

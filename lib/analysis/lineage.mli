@@ -18,12 +18,6 @@ val create : unit -> ctx
 (** Lineage id per column name, in schema order. *)
 type env = (string * int) list
 
-val base : ctx -> file:string -> column:string -> int
-val derived : ctx -> string -> int list -> int
-
-(** Lineage of a scalar expression under an environment. *)
-val of_expr : ctx -> env -> Relalg.Expr.t -> int
-
 (** Per-output lineage environments of the bound DAG, keyed by output
     file. *)
 val of_dag : ctx -> Slogical.Dag.t -> (string * env) list

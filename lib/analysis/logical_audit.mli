@@ -10,14 +10,6 @@
     auditor, which checks group statistics the same way). *)
 val stats_diags : loc:Diag.location -> Slogical.Stats.t -> Diag.t list
 
-(** Column-resolution diagnostics of one operator over its children's
-    schemas. *)
-val op_columns_diags :
-  loc:Diag.location ->
-  Slogical.Logop.t ->
-  Relalg.Schema.t list ->
-  Diag.t list
-
 (** Run the lint over every reachable node of the DAG. *)
 val run :
   catalog:Relalg.Catalog.t -> machines:int -> Slogical.Dag.t -> Diag.t list

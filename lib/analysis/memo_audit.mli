@@ -21,9 +21,6 @@
     cost O(distinct nodes) between them; only a winner with a violation
     below it is walked again to word its diagnostics. *)
 
-(** Relative tolerance for cost-reproduction comparisons. *)
-val cost_tolerance : float
-
 (** Where the winner checks report a memoized winner of a group. *)
 val winner_loc : Smemo.Memo.group -> Smemo.Memo.winner -> Diag.location
 

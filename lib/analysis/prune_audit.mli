@@ -8,13 +8,6 @@
     so a weakened rule fails the audit rather than changing plans
     silently. *)
 
-(** Diagnostics for one group's pair list, given the kept candidates. *)
-val pair_diags :
-  shared:int ->
-  kept:Sphys.Reqprops.t list ->
-  Sphys.Reqprops.t * Sphys.Reqprops.t ->
-  Diag.t list
-
 (** Audit all recorded prunes. [candidates] is the kept
     (post-filter) candidate list per shared group. *)
 val run :

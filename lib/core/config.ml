@@ -1,6 +1,8 @@
-(* Configuration of the CSE optimization framework.  The three [use_*]
-   flags correspond to the Section VIII extensions for large scripts and
-   can be toggled independently for the ablation benchmarks. *)
+(* Configuration of the CSE optimization framework.  The three
+   [use_*_groups]/[use_*_ranking] flags correspond to the Section VIII
+   extensions for large scripts and can be toggled independently for the
+   ablation benchmarks; [prune] switches phase 2's search-space
+   reductions on or off as one. *)
 
 type t = {
   use_fingerprints : bool;
@@ -9,17 +11,14 @@ type t = {
   use_independent_groups : bool; (* Section VIII-A *)
   use_group_ranking : bool; (* Section VIII-B *)
   use_property_ranking : bool; (* Section VIII-C *)
-  use_dominance_pruning : bool;
-      (* drop round candidates dominated by a kept candidate with the same
+  prune : bool;
+      (* phase 2's three pruning layers (see DESIGN.md, round pruning):
+         drop round candidates dominated by a kept candidate with the same
          partitioning and a strictly stronger sort at equal enforcement
-         cost (see DESIGN.md, round pruning) *)
-  use_round_bound : bool;
-      (* branch-and-bound early exit: abort a re-optimization round once
-         its accumulated lower bound exceeds the incumbent round cost *)
-  use_slice_reuse : bool;
-      (* key pinned-shared-group winners on the enforcement slice visible
-         below the group, so unrelated assignment changes between rounds
-         still hit the winner cache *)
+         cost; abort a round once its accumulated lower bound exceeds the
+         incumbent round cost; key pinned-shared-group winners on the
+         enforcement slice visible below the group, so unrelated
+         assignment changes between rounds still hit the winner cache *)
 }
 
 let default =
@@ -28,9 +27,7 @@ let default =
     use_independent_groups = true;
     use_group_ranking = true;
     use_property_ranking = true;
-    use_dominance_pruning = true;
-    use_round_bound = true;
-    use_slice_reuse = true;
+    prune = true;
   }
 
 (* Base framework with every large-script extension disabled. *)
@@ -44,10 +41,4 @@ let no_extensions =
 
 (* Exhaustive phase-2 enumeration: every pruning layer off (the --no-prune
    ablation).  Chosen plans must be byte-identical to [default]. *)
-let no_pruning c =
-  {
-    c with
-    use_dominance_pruning = false;
-    use_round_bound = false;
-    use_slice_reuse = false;
-  }
+let no_pruning c = { c with prune = false }

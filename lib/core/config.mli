@@ -1,5 +1,6 @@
-(** Configuration of the CSE optimization framework; the [use_*] flags gate
-    the Section VIII large-script extensions for ablation. *)
+(** Configuration of the CSE optimization framework; the
+    [use_*_groups]/[use_*_ranking] flags gate the Section VIII
+    large-script extensions for ablation. *)
 
 type t = {
   use_fingerprints : bool;
@@ -8,16 +9,12 @@ type t = {
   use_independent_groups : bool;  (** Section VIII-A *)
   use_group_ranking : bool;  (** Section VIII-B *)
   use_property_ranking : bool;  (** Section VIII-C *)
-  use_dominance_pruning : bool;
-      (** drop round candidates dominated by a kept candidate with the
-          same partitioning and a strictly stronger sort at equal
-          enforcement cost *)
-  use_round_bound : bool;
-      (** branch-and-bound early exit: abort a round once its accumulated
-          lower bound exceeds the incumbent round cost *)
-  use_slice_reuse : bool;
-      (** key pinned-shared-group winners on the enforcement slice visible
-          below the group (cross-round winner reuse) *)
+  prune : bool;
+      (** phase 2's pruning layers, on or off together: dominance
+          pruning of round candidates (same partitioning, strictly
+          stronger sort, equal enforcement cost), the branch-and-bound
+          round abort, and slice-keyed reuse of pinned-shared-group
+          winners across rounds *)
 }
 
 (** Everything on. *)
@@ -26,7 +23,7 @@ val default : t
 (** The base framework with all Section VIII extensions disabled. *)
 val no_extensions : t
 
-(** [no_pruning c]: [c] with every phase-2 pruning layer disabled — the
-    exhaustive enumeration the [--no-prune] ablation runs.  Chosen plans
-    must be byte-identical to the pruned run. *)
+(** [no_pruning c]: [c] with [prune] off — the exhaustive enumeration
+    the [--no-prune] ablation runs.  Chosen plans must be byte-identical
+    to the pruned run. *)
 val no_pruning : t -> t

@@ -7,19 +7,16 @@ F(E) = (OpID xor (xor_i F(child_i))) mod N   otherwise
 
     As in the paper, [OpID] identifies only the operator kind, so equal
     fingerprints are necessary-but-not-sufficient and colliding candidates
-    are verified structurally (Algorithm 1, line 5). *)
+    are verified structurally (Algorithm 1, line 5).  [N] is the prime
+    2{^61} - 1. *)
 
-(** The prime modulus [N] (2^61 - 1). *)
-val modulus : int
-
-val file_id : string -> int
-val op_id : Slogical.Logop.t -> int
-
-(** Fingerprint of an arbitrary string in the same [0, modulus) space as
+(** Fingerprint of an arbitrary string in the same [\[0, N)] space as
     the expression fingerprints: two independent polynomial hashes over
     sub-2{^30} primes, recombined — overflow-free on 63-bit ints.  The
-    serve-mode plan cache keys on [hash_string] of the normalized script
-    text (plus the catalog version). *)
+    serve-mode plan cache labels its entries with [hash_string] of the
+    normalized script text (plus the catalog version); like any
+    fingerprint it can collide, so the cache looks entries up by the
+    text itself. *)
 val hash_string : string -> int
 
 (** Fingerprints of every reachable group, computed bottom-up from each

@@ -128,7 +128,7 @@ let dominates ~(by : Reqprops.t) (p : Reqprops.t) =
    maximal — hence kept — transitive dominator. *)
 let candidates t gid : Reqprops.t list * (Reqprops.t * Reqprops.t) list =
   let props = ranked_properties t gid in
-  if not t.config.Config.use_dominance_pruning then (props, [])
+  if not t.config.Config.prune then (props, [])
   else
     let kept, dropped =
       List.partition

@@ -16,9 +16,6 @@ val create : Config.t -> t
 (** Recorded entries of a shared group, in first-recorded order. *)
 val entries : t -> int -> entry list
 
-(** Expansion of one requirement into concrete enforceable entries. *)
-val expand : Sphys.Reqprops.t -> Sphys.Reqprops.t list
-
 (** Record one phase-1 request (expanded, deduplicated). *)
 val record : t -> int -> Sphys.Reqprops.t -> unit
 
@@ -39,7 +36,7 @@ val dominates : by:Sphys.Reqprops.t -> Sphys.Reqprops.t -> bool
 
 (** {!ranked_properties} after dominance filtering: kept property sets in
     ranked order, plus each dropped set paired with the kept candidate
-    that dominates it.  With [use_dominance_pruning] off, everything is
+    that dominates it.  With [Config.prune] off, everything is
     kept. *)
 val candidates :
   t -> int -> Sphys.Reqprops.t list * (Sphys.Reqprops.t * Sphys.Reqprops.t) list

@@ -178,7 +178,7 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
      naive/sequential counters keep describing the unpruned space so the
      pruning is visible as rounds_pruned *)
   let with_props =
-    if state.config.Config.use_dominance_pruning then
+    if state.config.Config.prune then
       List.map
         (List.map (fun s ->
              let kept, dropped = History.candidates state.history s in
@@ -196,7 +196,7 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
     + (Rounds.sequential_total ranked - Rounds.sequential_total with_props);
   let gen = Rounds.create with_props in
   let candidates = ref [] in
-  let use_bound = state.config.Config.use_round_bound in
+  let use_bound = state.config.Config.prune in
   (* layer 2 incumbent: the cheapest walking cost seen at this LCA so far.
      Bounds carry a hair of relative slack so a round in true near-tie
      territory is never aborted — ties must keep resolving exactly as in
@@ -348,7 +348,7 @@ let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
                    round *)
                 let si = shared_info state in
                 if
-                  state.config.Config.use_slice_reuse
+                  state.config.Config.prune
                   && Hashtbl.mem si.Shared_info.info g.Smemo.Memo.id
                 then begin
                   let below = Shared_info.shared_below si g.Smemo.Memo.id in

@@ -250,12 +250,3 @@ let compute (memo : Smemo.Memo.t) : t =
       Hashtbl.replace t.below_class gid cls)
     t.info;
   t
-
-let pp ppf t =
-  Hashtbl.iter
-    (fun shared l ->
-      Fmt.pf ppf "shared %d: consumers %s, LCA %d@." shared
-        (String.concat ","
-           (List.map string_of_int (consumers t shared)))
-        l)
-    t.lca

@@ -29,9 +29,6 @@ type t = {
           share the id; groups unknown to the analysis have none *)
 }
 
-(** Shared-group annotations of a group ([[]] when none). *)
-val info : t -> int -> shrd list
-
 (** The LCA of a shared group's consumers. *)
 val lca_of_shared : t -> int -> int option
 
@@ -46,5 +43,3 @@ val consumers : t -> int -> int list
 
 (** Run the propagation and LCA identification over the whole memo. *)
 val compute : Smemo.Memo.t -> t
-
-val pp : t Fmt.t

@@ -17,6 +17,8 @@ let key_parallelism ?(skew_aware = true) ~machines k =
   if skew_aware then Float.max 1.0 (machines *. k /. (k +. machines))
   else machines
 
+(* Effective parallelism of a plan's output stream, from its delivered
+   partitioning and estimated NDVs. *)
 let effective_parallelism (cluster : Cluster.t) (p : Plan.t) =
   let m = float_of_int cluster.Cluster.machines in
   match p.Plan.props.Props.part with

@@ -5,10 +5,6 @@
     few keys ⇒ ~k). *)
 val key_parallelism : ?skew_aware:bool -> machines:float -> float -> float
 
-(** Effective parallelism of a plan's output stream, from its delivered
-    partitioning and estimated NDVs. *)
-val effective_parallelism : Cluster.t -> Sphys.Plan.t -> float
-
 (** Cost of one operator over the given child plans, producing output with
     statistics [out]. *)
 val op_cost :

@@ -25,7 +25,6 @@ type t = {
   sel : int array option;  (* live physical indices, ascending; None = all *)
 }
 
-let schema b = b.schema
 let live b = match b.sel with Some s -> Array.length s | None -> b.len
 
 (* Physical index of the [i]-th live row. *)

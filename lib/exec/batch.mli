@@ -17,21 +17,13 @@ type t = {
       (** live physical indices, ascending; [None] = all rows live *)
 }
 
-val schema : t -> Relalg.Schema.t
-
 (** Number of live rows. *)
 val live : t -> int
-
-(** Physical index of the [i]-th live row. *)
-val at : t -> int -> int
 
 val of_rows : Relalg.Schema.t -> Relalg.Value.t array list -> t
 
 (** Live rows in live order. *)
 val to_rows : t -> Relalg.Value.t array list
-
-(** Materialize the selection into dense columns. *)
-val dense : t -> t
 
 (** Concatenate live rows in list order into one dense batch. *)
 val concat : Relalg.Schema.t -> t list -> t
@@ -40,10 +32,6 @@ val concat : Relalg.Schema.t -> t list -> t
     Chunking changes only the framing of the row sequence, never the
     sequence itself. *)
 val split : size:int -> t -> t list
-
-(** Evaluate a compiled expression at physical row [p]. *)
-val eval_at :
-  Relalg.Value.t array array -> int -> Relalg.Expr.compiled -> Relalg.Value.t
 
 (** Narrow the selection vector to live rows satisfying the predicate. *)
 val filter : Relalg.Expr.compiled -> t -> t

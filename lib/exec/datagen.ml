@@ -7,15 +7,13 @@ open Relalg
    the same plans on a few thousand rows) and NDVs are scaled so grouping
    still aggregates.  The same file name always yields the same rows. *)
 
-type config = { max_rows : int }
+(* Rows per input at most. *)
+let max_rows = 2_000
 
-let default = { max_rows = 2_000 }
+let scaled_rows (stats : Catalog.file_stats) = min stats.Catalog.rows max_rows
 
-let scaled_rows config (stats : Catalog.file_stats) =
-  min stats.Catalog.rows config.max_rows
-
-let scaled_ndv config (stats : Catalog.file_stats) ndv =
-  let rows = scaled_rows config stats in
+let scaled_ndv (stats : Catalog.file_stats) ndv =
+  let rows = scaled_rows stats in
   let scale =
     float_of_int rows /. float_of_int (max 1 stats.Catalog.rows)
   in
@@ -28,7 +26,7 @@ let value_for (ty : Schema.coltype) v =
   | Schema.Tfloat -> Value.Float (float_of_int v)
   | Schema.Tstr -> Value.Str (Printf.sprintf "v%d" v)
 
-(* Generation is a pure function of (config, file, schema, stats) — the
+(* Generation is a pure function of (file, schema, stats) — the
    RNG is seeded from the file name alone — so tables are memoized on
    that structural key.  Every consumer (engine extracts, the reference
    evaluator, repeated runs on a reused engine) gets the same physical
@@ -37,19 +35,18 @@ let value_for (ty : Schema.coltype) v =
    domains.  The memo is bounded — property-based tests stream thousands
    of one-shot catalogs through here — by resetting when it outgrows
    [memo_cap]. *)
-let memo :
-    (int * string * Schema.t * Catalog.file_stats, Table.t) Hashtbl.t =
+let memo : (string * Schema.t * Catalog.file_stats, Table.t) Hashtbl.t =
   Hashtbl.create 64
 
 let memo_mu = Mutex.create ()
 let memo_cap = 512
 
-let generate config (stats : Catalog.file_stats) ~(file : string)
+let generate (stats : Catalog.file_stats) ~(file : string)
     ~(schema : Schema.t) : Table.t =
-  let rows = scaled_rows config stats in
+  let rows = scaled_rows stats in
   let rng = Sutil.Rng.create (Hashtbl.hash file) in
   let gen_col (c : Schema.column) =
-    let ndv = scaled_ndv config stats (Catalog.col_ndv stats c.Schema.name) in
+    let ndv = scaled_ndv stats (Catalog.col_ndv stats c.Schema.name) in
     fun () -> value_for c.Schema.ty (Sutil.Rng.int rng ndv)
   in
   let gens = List.map gen_col schema in
@@ -60,17 +57,17 @@ let generate config (stats : Catalog.file_stats) ~(file : string)
 
 (* The full (scaled) table of a catalog file, restricted to [schema]'s
    columns. *)
-let table ?(config = default) (catalog : Catalog.t) ~(file : string)
-    ~(schema : Schema.t) : Table.t =
+let table (catalog : Catalog.t) ~(file : string) ~(schema : Schema.t) :
+    Table.t =
   match Catalog.find catalog file with
   | None -> Table.empty schema
   | Some stats ->
-      let key = (config.max_rows, file, schema, stats) in
+      let key = (file, schema, stats) in
       Mutex.protect memo_mu (fun () ->
           match Hashtbl.find_opt memo key with
           | Some t -> t
           | None ->
-              let t = generate config stats ~file ~schema in
+              let t = generate stats ~file ~schema in
               if Hashtbl.length memo >= memo_cap then Hashtbl.reset memo;
               Hashtbl.add memo key t;
               t)

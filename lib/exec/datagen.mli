@@ -1,21 +1,12 @@
 (** Deterministic synthetic data generation driven by the catalog.
 
     Execution runs on a scaled-down copy of each input: row counts are
-    capped and NDVs scaled so grouping still aggregates. The same file name
-    always yields the same rows. *)
-
-type config = { max_rows : int }
-
-(** 2 000 rows per input. *)
-val default : config
-
-val scaled_rows : config -> Relalg.Catalog.file_stats -> int
-val scaled_ndv : config -> Relalg.Catalog.file_stats -> int -> int
+    capped at 2 000 and NDVs scaled so grouping still aggregates. The
+    same file name always yields the same rows. *)
 
 (** The (scaled) table of a catalog file restricted to [schema]'s columns;
     empty for unknown files. *)
 val table :
-  ?config:config ->
   Relalg.Catalog.t ->
   file:string ->
   schema:Relalg.Schema.t ->

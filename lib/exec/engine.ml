@@ -78,7 +78,6 @@ type t = {
   workers : int;  (* domain-pool width; 1 = fully sequential *)
   batch_size : int;  (* max rows per produced batch *)
   catalog : Catalog.t;
-  datagen : Datagen.config;
   (* when set, every run draws deterministic fault events from this spec *)
   faults : Faults.spec option;
   counters : counters;
@@ -125,7 +124,7 @@ let par_threshold = 8192
    tests to exercise true multi-domain runs regardless of host).  Results
    are byte-identical at every worker count, so the cap is scheduling
    only. *)
-let create ?(datagen = Datagen.default) ?(verify_props = false) ?faults
+let create ?(verify_props = false) ?faults
     ?(oversubscribe = false) ?(workers = 1)
     ?(batch_size = default_batch_size) ~machines catalog =
   let workers = max 1 workers in
@@ -138,7 +137,6 @@ let create ?(datagen = Datagen.default) ?(verify_props = false) ?faults
     workers;
     batch_size = max 1 batch_size;
     catalog;
-    datagen;
     faults;
     counters =
       {
@@ -443,8 +441,7 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
                       if v < version then None else Some cached)
                     t.extract_cache;
                   let table =
-                    Datagen.table ~config:t.datagen t.catalog ~file
-                      ~schema:fschema
+                    Datagen.table t.catalog ~file ~schema:fschema
                   in
                   let parts = Array.make t.machines [] in
                   List.iteri

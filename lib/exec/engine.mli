@@ -53,7 +53,6 @@ type t = {
   workers : int;  (** domain-pool width; 1 = fully sequential *)
   batch_size : int;  (** max rows per produced batch *)
   catalog : Relalg.Catalog.t;
-  datagen : Datagen.config;
   faults : Faults.spec option;
       (** when set, every run draws deterministic fault events *)
   counters : counters;
@@ -82,13 +81,13 @@ type t = {
       (** flattened in stage-id order — deterministic at every worker
           count *)
   mutable last_attempts : int array;
-      (** per-stage execution counts of the most recent [execute] *)
+      (** per-stage execution counts of the most recent {!run} *)
   mutable last_seconds : float array;
-      (** per-stage wall seconds of the most recent [execute] *)
+      (** per-stage wall seconds of the most recent {!run} *)
   mutable last_wall : float;
-      (** execution wall seconds of the most recent [execute] *)
+      (** execution wall seconds of the most recent {!run} *)
   mutable last_busy : float array;
-      (** per-worker busy seconds of the most recent [execute] *)
+      (** per-worker busy seconds of the most recent {!run} *)
 }
 
 val default_batch_size : int
@@ -99,7 +98,6 @@ val default_batch_size : int
     multi-domain runs on any host).  Results are byte-identical at every
     worker count either way. *)
 val create :
-  ?datagen:Datagen.config ->
   ?verify_props:bool ->
   ?faults:Faults.spec ->
   ?oversubscribe:bool ->
@@ -108,9 +106,6 @@ val create :
   machines:int ->
   Relalg.Catalog.t ->
   t
-
-(** Total live rows of a stream. *)
-val dist_rows : dist -> int
 
 (** Row view of one machine's partition, in live order. *)
 val part_rows : dist -> int -> Relalg.Value.t array list
@@ -122,12 +117,6 @@ val dist_of_parts : Relalg.Schema.t -> Relalg.Value.t array list array -> dist
 (** Hash-repartition a stream on a column set (counts shuffled rows).
     Sequential convenience entry point for tests and examples. *)
 val exchange : t -> dist -> Relalg.Colset.t -> dist
-
-(** Compile the plan to a stage graph and execute it, returning the sink
-    stage's output stream. Counters accumulate across calls; outputs
-    append. Raises {!Scheduler.Recovery_exhausted} when fault injection
-    exceeds a stage's attempt budget. *)
-val execute : t -> Sphys.Plan.t -> dist
 
 (** Execute a root plan; returns the OUTPUT files in script order.
     Resets outputs, property violations and counters first, so a reused

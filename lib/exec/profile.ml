@@ -15,7 +15,6 @@
    matrix in test_exec runs one profiled column to prove it. *)
 
 let flag = Atomic.make false
-let enabled () = Atomic.get flag
 let set on = Atomic.set flag on
 
 (* Kernel timestamps: 0.0 (static, no allocation) when disabled. *)

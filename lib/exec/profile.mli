@@ -10,8 +10,6 @@
     ({!Engine.t}[.metrics]).  Profiling never changes outputs or
     counters. *)
 
-val enabled : unit -> bool
-
 val set : bool -> unit
 
 (** Timestamp for a kernel about to run; [0.0] (no clock read, no

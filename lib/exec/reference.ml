@@ -5,8 +5,7 @@ open Relalg
    physical plan -- conventional or CSE, any round -- must produce exactly
    these outputs; tests compare against this ground truth. *)
 
-let run ?(datagen = Datagen.default) (catalog : Catalog.t)
-    (dag : Slogical.Dag.t) : (string * Table.t) list =
+let run (catalog : Catalog.t) (dag : Slogical.Dag.t) =
   let cache : (int, Table.t) Hashtbl.t = Hashtbl.create 16 in
   let outputs = ref [] in
   let rec eval id : Table.t =
@@ -23,7 +22,7 @@ let run ?(datagen = Datagen.default) (catalog : Catalog.t)
         let result =
           match n.Slogical.Dag.op with
           | Slogical.Logop.Extract { file; schema; _ } ->
-              Datagen.table ~config:datagen catalog ~file ~schema
+              Datagen.table catalog ~file ~schema
           | Slogical.Logop.Filter { pred } -> Table.filter (one ()) pred
           | Slogical.Logop.Project { items } -> Table.project (one ()) items
           | Slogical.Logop.Group_by { keys; aggs } ->

@@ -2,8 +2,4 @@
     synthetic tables, with no parallelism or physical operators. Every
     physical plan must reproduce these outputs exactly. *)
 
-val run :
-  ?datagen:Datagen.config ->
-  Relalg.Catalog.t ->
-  Slogical.Dag.t ->
-  (string * Relalg.Table.t) list
+val run : Relalg.Catalog.t -> Slogical.Dag.t -> (string * Relalg.Table.t) list

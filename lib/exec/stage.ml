@@ -131,20 +131,3 @@ let width g =
     Array.iter (fun lvl -> per_level.(lvl) <- per_level.(lvl) + 1) d;
     Array.fold_left max 0 per_level
   end
-
-let describe (s : stage) =
-  Printf.sprintf "stage %d [%s] (%d operator%s, %d input%s)" s.id
-    (Physop.short_name s.root.Plan.op)
-    s.nodes
-    (if s.nodes = 1 then "" else "s")
-    (List.length s.deps)
-    (if List.length s.deps = 1 then "" else "s")
-
-let pp ppf g =
-  Array.iter
-    (fun s ->
-      Fmt.pf ppf "%s%s <- {%s}@." (describe s)
-        (if s.id = g.sink then " (sink)" else "")
-        (String.concat ","
-           (List.map (fun (_, sid) -> string_of_int sid) s.deps)))
-    g.stages

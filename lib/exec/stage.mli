@@ -45,9 +45,3 @@ val depths : graph -> int array
 (** Largest number of stages sharing a depth level — the fault-free
     parallelism available to the wave scheduler. *)
 val width : graph -> int
-
-(** One-line stage description ("stage 3 [Repartition] (5 operators, 1
-    input)"). *)
-val describe : stage -> string
-
-val pp : graph Fmt.t

@@ -64,13 +64,13 @@ let identical_outputs (a : (string * Table.t) list)
 (* Execute [plan] on a simulated cluster and compare every OUTPUT file's
    contents against the reference results for [dag]; outputs with an
    ORDER BY are additionally checked to be globally sorted. *)
-let check ?(datagen = Datagen.default) ?(verify_props = false) ?faults
+let check ?(verify_props = false) ?faults
     ?oversubscribe ?(workers = 1) ?batch_size ~machines (catalog : Catalog.t)
     (dag : Slogical.Dag.t) (plan : Sphys.Plan.t) : outcome =
-  let expected = Reference.run ~datagen catalog dag in
+  let expected = Reference.run catalog dag in
   let engine =
-    Engine.create ~datagen ~verify_props ?faults ?oversubscribe ~workers
-      ?batch_size ~machines catalog
+    Engine.create ~verify_props ?faults ?oversubscribe ~workers ?batch_size
+      ~machines catalog
   in
   let actual = Engine.run engine plan in
   let mismatches = ref [] in

@@ -31,7 +31,6 @@ val identical_outputs :
     granularity — the outcome is identical for every
     value, only wall time changes. *)
 val check :
-  ?datagen:Datagen.config ->
   ?verify_props:bool ->
   ?faults:Faults.spec ->
   ?oversubscribe:bool ->

@@ -40,12 +40,6 @@ type stmt =
 
 type script = stmt list
 
-val pp_expr : expr Fmt.t
-val pp_select_item : select_item Fmt.t
-val pp_source : source Fmt.t
-val pp_query : query Fmt.t
-val pp_stmt : stmt Fmt.t
-
 (** Print a script in re-parseable form (print-then-parse is the
     identity). *)
 val pp : script Fmt.t

@@ -34,18 +34,6 @@ let root t = t.nodes.(t.root)
 let size t = Array.length t.nodes
 let schema t id = (node t id).schema
 
-(* Distinct parents of each node: index i holds the sorted list of node ids
-   referencing i as a child. *)
-let parents t =
-  let ps = Array.make (size t) [] in
-  Array.iter
-    (fun n ->
-      List.iter
-        (fun c -> if not (List.mem n.id ps.(c)) then ps.(c) <- n.id :: ps.(c))
-        n.children)
-    t.nodes;
-  Array.map (List.sort_uniq Int.compare) ps
-
 (* Nodes reachable from the root (the binder can leave dead nodes behind
    when a relation is defined but never consumed). *)
 let reachable t =
@@ -82,5 +70,3 @@ let pp ppf t =
     List.iter (go (indent + 2)) n.children
   in
   go 0 t.root
-
-let to_string t = Fmt.str "%a" pp t

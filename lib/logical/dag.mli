@@ -29,9 +29,6 @@ val root : t -> node
 val size : t -> int
 val schema : t -> int -> Relalg.Schema.t
 
-(** Distinct parents of each node, indexed by node id. *)
-val parents : t -> int list array
-
 (** Which nodes are reachable from the root. *)
 val reachable : t -> bool array
 
@@ -39,4 +36,3 @@ val reachable : t -> bool array
 val fold_topological : t -> ('a -> node -> 'a) -> 'a -> 'a
 
 val pp : t Fmt.t
-val to_string : t -> string

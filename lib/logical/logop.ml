@@ -27,8 +27,7 @@ type t =
   | Sequence
 
 (* Operator identifiers for fingerprints (Definition 1): every operator of
-   the same kind shares an [op_id]; parameters are folded into the
-   fingerprint separately via [param_hash]. *)
+   the same kind shares an [op_id]. *)
 let op_id = function
   | Extract _ -> 1
   | Filter _ -> 2
@@ -41,8 +40,6 @@ let op_id = function
   | Spool -> 9
   | Output _ -> 10
   | Sequence -> 11
-
-let param_hash op = Hashtbl.hash op
 
 (* Number of children each operator expects; [None] means variadic. *)
 let arity = function
@@ -145,5 +142,3 @@ let pp ppf op =
             ^ String.concat ", "
                 (List.map (fun (c, d) -> c ^ if d then " DESC" else "") o))
   | Sequence -> Fmt.string ppf "Sequence"
-
-let to_string op = Fmt.str "%a" pp op

@@ -35,9 +35,6 @@ type t =
     share one id, all joins another, and so on. *)
 val op_id : t -> int
 
-(** Hash of the full operator including parameters. *)
-val param_hash : t -> int
-
 (** Number of children the operator expects; [None] = variadic. *)
 val arity : t -> int option
 
@@ -47,4 +44,3 @@ val derive_schema : t -> Relalg.Schema.t list -> Relalg.Schema.t
 
 val short_name : t -> string
 val pp : t Fmt.t
-val to_string : t -> string

@@ -171,6 +171,3 @@ let derive ~machines (op : Logop.t) ~(catalog : Catalog.t)
       | _ -> invalid_arg "Stats.derive: union expects two children")
   | Logop.Spool | Logop.Output _ -> child ()
   | Logop.Sequence -> { rows = 0.0; row_bytes = 0.0; ndvs = [] }
-
-let pp ppf t =
-  Fmt.pf ppf "rows=%.3g width=%.0fB" t.rows t.row_bytes

@@ -13,23 +13,9 @@ type t = {
       (** per-column distinct values; absent columns default to [rows] *)
 }
 
-(** Selectivity assumed for predicates with no usable shape. *)
-val filter_selectivity : float
-
-val col_ndv : t -> string -> float
-
 (** NDV of a combined key: product of column NDVs capped by the row
     count. *)
 val colset_ndv : t -> Relalg.Colset.t -> float
-
-(** Estimated width of a row with the given schema, in bytes. *)
-val schema_bytes : Relalg.Schema.t -> float
-
-(** Estimated fraction of rows satisfying the predicate. *)
-val selectivity : t -> Relalg.Expr.t -> float
-
-(** Statistics of a base file restricted to [schema]'s columns. *)
-val of_file : Relalg.Catalog.file_stats -> Relalg.Schema.t -> t
 
 (** Output statistics of one operator application. [machines] bounds the
     output of per-machine pre-aggregation. *)
@@ -40,5 +26,3 @@ val derive :
   schema:Relalg.Schema.t ->
   t list ->
   t
-
-val pp : t Fmt.t

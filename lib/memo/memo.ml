@@ -114,6 +114,7 @@ let index_remove g e =
 
 let mem_expr g e = Hashtbl.mem g.expr_index e
 
+(* Output statistics of a new expression, derived from its children. *)
 let derive_stats t (e : mexpr) schema =
   Slogical.Stats.derive ~machines:t.machines e.mop ~catalog:t.catalog ~schema
     (List.map (fun c -> (group t c).stats) e.children)
@@ -335,5 +336,3 @@ let pp ppf t =
         (if g.id = t.root then " (root)" else "")
         Fmt.(list ~sep:(any " | ") pp_mexpr)
         (exprs g))
-
-let to_string t = Fmt.str "%a" pp t

@@ -67,9 +67,6 @@ val iter_groups : t -> (group -> unit) -> unit
 (** The group's expressions in insertion order. O(1) amortized. *)
 val exprs : group -> mexpr list
 
-(** Derive a new expression's output statistics from its children. *)
-val derive_stats : t -> mexpr -> Relalg.Schema.t -> Slogical.Stats.t
-
 (** Append a fresh group holding one expression. *)
 val add_group : t -> mexpr -> Relalg.Schema.t -> group
 
@@ -108,6 +105,4 @@ val winners_of : group -> winner list
 (** Total number of logical expressions. *)
 val expr_count : t -> int
 
-val pp_mexpr : mexpr Fmt.t
 val pp : t Fmt.t
-val to_string : t -> string

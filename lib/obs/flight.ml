@@ -12,18 +12,17 @@
    [#dump] protocol verb, so a crash never loses the in-flight window
    to a run that was not started under [--trace]. *)
 
-let default_capacity = 1 lsl 14
+(* Events kept per domain. *)
+let capacity = 1 lsl 14
 
 (* Whether [enable] owns the current trace session (vs. a --trace run). *)
 let owner = Atomic.make false
 
-let enable ?(capacity = default_capacity) () =
+let enable () =
   if not (Trace.enabled ()) then begin
     Trace.start ~capacity ~ring:true ();
     Atomic.set owner true
   end
-
-let active () = Atomic.get owner
 
 (* Close the descriptor on every path and remove the partial file when
    the write fails, so an ENOSPC or permission error cannot leave a

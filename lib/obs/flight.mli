@@ -5,13 +5,10 @@
     Serve enables it at startup and dumps on recovery exhaustion, audit
     failure, or the [#dump] protocol verb. *)
 
-(** Begin ring-mode tracing with a bounded window (default [2{^14}]
-    events per domain) — unless a trace session is already active
-    (an explicit [--trace] run), which is left untouched. *)
-val enable : ?capacity:int -> unit -> unit
-
-(** Whether {!enable} owns the current trace session. *)
-val active : unit -> bool
+(** Begin ring-mode tracing with a bounded window ([2{^14}] events per
+    domain) — unless a trace session is already active (an explicit
+    [--trace] run), which is left untouched. *)
+val enable : unit -> unit
 
 (** Write [text] to [path], removing the partial file when the write
     fails; the [Sys_error] propagates. *)

@@ -30,11 +30,6 @@ val create : unit -> t
 
 (** Find or register; raises [Invalid_argument] when the series exists
     with a different instrument kind. *)
-
-val counter : t -> ?labels:labels -> string -> int Atomic.t
-
-val gauge : t -> ?labels:labels -> string -> float Atomic.t
-
 val histogram : t -> ?labels:labels -> string -> Hist.t
 
 (** {1 One-shot recording} (resolves the handle each call) *)

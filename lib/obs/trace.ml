@@ -176,13 +176,6 @@ let start ?capacity:(cap = 1 lsl 18) ?(ring = false) () =
 
 let stop () = Atomic.set enabled_flag false
 
-(* The current trace epoch.  [start] begins a new epoch: buffers from
-   earlier epochs are dropped at the next recording, timestamps restart
-   at zero and [collect] returns this epoch's events only — the per-run
-   scoping the serve loop relies on for back-to-back runs in one
-   process. *)
-let epoch () = Mutex.protect mu (fun () -> !generation)
-
 let dropped () =
   Mutex.protect mu (fun () ->
       List.fold_left (fun acc b -> acc + b.dropped) 0 !registry)
@@ -343,24 +336,6 @@ let export ?(ring = false) ~path events =
       flush oc;
       ok := true)
 
-let chrome_string ?(ring = false) events =
-  let path = Filename.temp_file "trace" ".json" in
-  (* the temp file must not outlive the round-trip, whichever way it
-     ends: remove it on success and on any write/read failure *)
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          write_chrome ~ring oc events;
-          flush oc);
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic)))
-
 (* --- re-reading (the CI checker's entry point) ------------------------- *)
 
 exception Malformed of string
@@ -424,8 +399,6 @@ let parse_doc (text : string) : bool * event list =
             }
       | None -> raise (Malformed "event missing ph"))
       events )
-
-let parse_chrome text = snd (parse_doc text)
 
 (* --- well-formedness --------------------------------------------------- *)
 

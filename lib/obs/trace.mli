@@ -9,7 +9,7 @@
     executor's pool ({!Sutil.Pool.current_slot}; the main domain is 0).
 
     Typical lifecycle: {!start}, run the pipeline, {!stop}, {!collect},
-    {!write_chrome}.  {!collect} must only be called after worker
+    {!export}.  {!collect} must only be called after worker
     domains have been joined (i.e. outside [Sutil.Pool.with_pool]). *)
 
 type arg = Str of string | Int of int | Float of float
@@ -40,9 +40,6 @@ val pid_exec : int  (** staged execution *)
 (** Phase id for an optimizer pass number (1 or 2). *)
 val pid_of_phase : int -> int
 
-(** Human-readable phase name, used for Chrome process metadata. *)
-val pid_name : int -> string
-
 (** {1 Control} *)
 
 (** Enable tracing into fresh buffers.  [capacity] bounds the events
@@ -59,13 +56,6 @@ val stop : unit -> unit
 
 (** Whether the current trace session records in ring mode. *)
 val ring : unit -> bool
-
-(** The current trace epoch.  Each {!start} begins a new epoch:
-    timestamps restart at zero, buffers from earlier epochs are dropped,
-    and {!collect} returns this epoch's events only.  Long-running
-    callers (the serve loop) use the epoch to assert per-run scoping
-    across back-to-back runs in one process. *)
-val epoch : unit -> int
 
 val enabled : unit -> bool
 
@@ -94,30 +84,21 @@ val with_span : pid:int -> ?args:(string * arg) list -> string -> (unit -> 'a) -
     Only call after the worker pool has been joined. *)
 val collect : unit -> event list
 
-(** Write events as a Chrome trace-event JSON document, with metadata
-    records naming each phase (process) and worker (thread).
+(** Write events to a file as a Chrome trace-event JSON document, with
+    metadata records naming each phase (process) and worker (thread).
     [ring:true] marks the document as a flight-recorder dump with a
-    top-level ["ring": true] field, recovered by {!parse_doc}. *)
-val write_chrome : ?ring:bool -> out_channel -> event list -> unit
-
-(** {!write_chrome} to a file.  The descriptor is closed on every path;
-    if the write fails (disk full, permissions) the partial file is
-    removed before the exception propagates, so no truncated trace is
-    left looking like a complete artifact. *)
+    top-level ["ring": true] field, recovered by {!parse_doc}.  The
+    descriptor is closed on every path; if the write fails (disk full,
+    permissions) the partial file is removed before the exception
+    propagates, so no truncated trace is left looking like a complete
+    artifact. *)
 val export : ?ring:bool -> path:string -> event list -> unit
-
-(** {!write_chrome} to a string (convenience for tests). *)
-val chrome_string : ?ring:bool -> event list -> string
 
 exception Malformed of string
 
-(** Re-read a Chrome trace-event document written by {!write_chrome}
-    (metadata records are skipped).  Raises {!Malformed} on documents
-    that are not traces. *)
-val parse_chrome : string -> event list
-
-(** Like {!parse_chrome}, also recovering the top-level ["ring"] flag
-    (false when absent) so checkers know to expect ring truncation. *)
+(** Parse a Chrome trace-event document back into events, also
+    recovering the top-level ["ring"] flag (false when absent) so
+    checkers know to expect ring truncation.  Raises {!Malformed}. *)
 val parse_doc : string -> bool * event list
 
 (** Well-formedness: per [tid], timestamps never decrease, every [End]

@@ -6,9 +6,4 @@
 
 type alt = { op : Sphys.Physop.t; inner : Sphys.Reqprops.t }
 
-(** Concrete partition sets tried for a range requirement [∅, C]: all
-    non-empty subsets for narrow [C]; full set, singletons and adjacent
-    pairs beyond four columns. *)
-val candidate_sets : Relalg.Colset.t -> Relalg.Colset.t list
-
 val alternatives : Sphys.Reqprops.t -> alt list

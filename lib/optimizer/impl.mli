@@ -6,17 +6,6 @@
 
 type alt = { op : Sphys.Physop.t; child_reqs : Sphys.Reqprops.t list }
 
-(** Intersection of a parent partitioning requirement with "within
-    [keys]" — the input condition of a global/full aggregation. [None] =
-    incompatible. *)
-val part_within_keys :
-  Sphys.Reqprops.part_req -> Relalg.Colset.t -> Sphys.Reqprops.part_req option
-
-(** Requirement mapped backwards through a projection's rename items;
-    [None] when a required column is computed. *)
-val project_pushdown :
-  (Relalg.Expr.t * string) list -> Sphys.Reqprops.t -> Sphys.Reqprops.t option
-
 (** All implementation alternatives of one expression under the
     requirement. *)
 val alternatives : Smemo.Memo.mexpr -> Sphys.Reqprops.t -> alt list

@@ -138,6 +138,8 @@ let mk_plan t (g : Smemo.Memo.group) op children =
   Plan.make ~out_cols:g.Smemo.Memo.cols ~op ~children ~group:g.Smemo.Memo.id
     ~schema:g.Smemo.Memo.schema ~stats ~op_cost ()
 
+(* DAG-deduplicated cost used for every plan comparison, served from the
+   region summaries cached at plan construction. *)
 let plan_cost t p = Scost.Dagcost.cached_cost t.cluster p
 
 (* On spool-free plans the cached region cost is bit-for-bit the walking

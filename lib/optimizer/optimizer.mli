@@ -1,6 +1,6 @@
 (** The Cascades-style optimization engine (Algorithms 2 and 5).
 
-    {!optimize_group} memoizes one winner per (phase, extended
+    The winner lookup memoizes one winner per (phase, extended
     requirement).  Phase 0 is the conventional pass, phases 1 and 2 the
     CSE passes; the phase is part of the winner key, so the passes share
     one memo without sharing winners.  The engine is extended — not
@@ -30,7 +30,7 @@ type t = {
   mutable tainted : bool;
       (** branch-and-bound honesty flag: true right after a call whose
           result may have been degraded by bound-driven skips and so must
-          not be memoized (see {!optimize_group}) *)
+          not be memoized by the winner lookup *)
   ext : ext;
   intern : Intern.t;
       (** this run's requirement ids; dropped with the run *)
@@ -85,11 +85,6 @@ val counters : t -> (string * int) list
 val mk_plan :
   t -> Smemo.Memo.group -> Sphys.Physop.t -> Sphys.Plan.t list -> Sphys.Plan.t
 
-(** DAG-deduplicated cost used for every plan comparison, served from the
-    region summaries cached at plan construction
-    ({!Scost.Dagcost.cached_cost}). *)
-val plan_cost : t -> Sphys.Plan.t -> float
-
 (** [plan_le t p q]: is [p] no costlier than [q]? Far-apart costs are
     decided on the cached values; near-ties between spool-bearing plans
     (ulp-noise territory for either summation order) fall back to the
@@ -97,7 +92,7 @@ val plan_cost : t -> Sphys.Plan.t -> float
     walking-cost comparison. *)
 val plan_le : t -> Sphys.Plan.t -> Sphys.Plan.t -> bool
 
-(** Cheapest of a candidate list by {!plan_cost}, each candidate costed
+(** Cheapest of a candidate list by total plan cost, each candidate costed
     once, with the {!plan_le} near-tie rules. *)
 val cheapest : t -> Sphys.Plan.t list -> Sphys.Plan.t option
 
@@ -114,21 +109,6 @@ val valid_candidate :
 (** The enforcer alternatives of a group under a requirement, prepared
     once per (group, requirement id). *)
 val enforcers : t -> Smemo.Memo.group -> Extreq.t -> enforcer list
-
-(** OptimizeGroup (Algorithm 2): best plan of a group under an extended
-    requirement, memoized per phase.  [?bound] (default infinity: off)
-    enables branch-and-bound: alternatives whose deduplicated
-    partial-children cost provably exceeds [bound] are abandoned.  After a
-    bounded call the result is exact iff [t.tainted] is false; a tainted
-    result's true value is provably above [bound] and is not memoized. *)
-val optimize_group :
-  t -> ?bound:float -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option
-
-(** Logical exploration + physical optimization of one group under one
-    requirement — the body of Algorithm 5 (no winner lookup).  [?bound]
-    as in {!optimize_group}. *)
-val log_phys_opt :
-  t -> ?bound:float -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option
 
 (** Optimize the memo's root with no requirement. *)
 val optimize_root : t -> Sphys.Plan.t option

@@ -81,6 +81,3 @@ end)
 let rec fold f acc t =
   let acc = List.fold_left (fold f) acc t.children in
   f acc t
-
-(* Operators of the plan as a list, leaves first. *)
-let operators t = List.rev (fold (fun acc n -> n.op :: acc) [] t)

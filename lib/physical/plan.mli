@@ -50,6 +50,3 @@ module Tbl : Hashtbl.S with type key = t
 (** Fold over every node, children before parents; shared subtrees are
     visited once per reference. *)
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
-
-(** All operators, leaves first (per reference). *)
-val operators : t -> Physop.t list

@@ -41,5 +41,4 @@ val check_op : Plan.t -> violation list
 (** Check the whole plan; [Ok ()] when no operator is violated. *)
 val validate : Plan.t -> (unit, violation list) result
 
-val pp_violation : violation Fmt.t
 val violations_to_string : violation list -> string

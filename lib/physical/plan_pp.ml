@@ -34,8 +34,6 @@ let pp ppf (t : Plan.t) =
   in
   go 0 t
 
-let to_string t = Fmt.str "%a" pp t
-
 (* Graphviz rendering: physically shared subplans (spool references) become
    one node, making the executed DAG visible.  Edges point from consumers
    to producers. *)

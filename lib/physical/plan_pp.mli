@@ -2,9 +2,7 @@
     its delivered properties and costs; a shared spool subplan is printed
     once and back-referenced afterwards. *)
 
-val pp_node : Plan.t Fmt.t
 val pp : Plan.t Fmt.t
-val to_string : Plan.t -> string
 
 (** Graphviz (dot) rendering; physically shared subplans appear once, so
     the executed DAG structure is visible. *)

@@ -6,13 +6,8 @@ open Relalg
 type t = { part : Partition.t; sort : Sortorder.t }
 
 let make part sort = { part; sort }
-let any = { part = Partition.Roundrobin; sort = Sortorder.empty }
 
 let equal a b = Partition.equal a.part b.part && Sortorder.equal a.sort b.sort
-
-(* Rename both components through a partial column mapping. *)
-let rename f t =
-  { part = Partition.rename f t.part; sort = Sortorder.rename f t.sort }
 
 (* Keep only properties expressible over [cols]. *)
 let restrict cols t =

@@ -5,13 +5,7 @@ type t = { part : Partition.t; sort : Sortorder.t }
 
 val make : Partition.t -> Sortorder.t -> t
 
-(** Round-robin, unsorted: the properties of a raw extraction. *)
-val any : t
-
 val equal : t -> t -> bool
-
-(** Rename both components through a partial column mapping. *)
-val rename : (string -> string option) -> t -> t
 
 (** Drop anything not expressible over the given output columns. *)
 val restrict : Relalg.Colset.t -> t -> t

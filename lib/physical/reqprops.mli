@@ -36,6 +36,5 @@ val weight : t -> int
 (** Canonical winner-table key. *)
 val to_key : t -> string
 
-val pp_part : part_req Fmt.t
 val pp : t Fmt.t
 val to_string : t -> string

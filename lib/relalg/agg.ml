@@ -25,8 +25,6 @@ let step_value a st v =
   | Min -> st.acc <- (if st.count = 1 then v else Value.min st.acc v)
   | Max -> st.acc <- (if st.count = 1 then v else Value.max st.acc v)
 
-let step a st schema row = step_value a st (Expr.eval schema row a.arg)
-
 let finish a st =
   match a.func with
   | Count -> Value.Int st.count

@@ -12,10 +12,9 @@ val make : func -> Expr.t -> string -> t
 type state
 
 val init : unit -> state
-val step : t -> state -> Schema.t -> Value.t array -> unit
 
-(** Fold an already-evaluated argument value into the state — for callers
-    that precompiled [arg] and evaluate it themselves. *)
+(** Fold one evaluated [arg] value into the state (callers compile and
+    evaluate [arg] themselves). *)
 val step_value : t -> state -> Value.t -> unit
 
 val finish : t -> state -> Value.t
@@ -26,5 +25,4 @@ val global_combinator : t -> t
 
 val func_name : func -> string
 val output_type : Schema.t -> t -> Schema.coltype
-val pp : t Fmt.t
 val to_string : t -> string

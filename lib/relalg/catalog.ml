@@ -45,13 +45,6 @@ let col_ndv stats name =
   | Some c -> c.ndv
   | None -> max 1 (stats.rows / 10)
 
-(* NDV of a combined key: independence assumption capped by row count. *)
-let colset_ndv stats cols =
-  let product =
-    List.fold_left (fun acc c -> acc * col_ndv stats c) 1 (Colset.to_list cols)
-  in
-  max 1 (min stats.rows product)
-
 let mk_file ~path ~rows ~row_bytes cols =
   {
     path;

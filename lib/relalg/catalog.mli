@@ -36,10 +36,6 @@ val file_schema : file_stats -> Schema.t
 (** NDV of a column; a coarse default when the column is unknown. *)
 val col_ndv : file_stats -> string -> int
 
-(** NDV of a combined key under the independence assumption, capped by the
-    row count. *)
-val colset_ndv : file_stats -> Colset.t -> int
-
 val mk_file :
   path:string ->
   rows:int ->

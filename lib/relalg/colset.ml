@@ -24,8 +24,6 @@ let subset (a : t) (b : t) = List.for_all (fun c -> mem c b) a
 
 let equal (a : t) (b : t) = a = b
 
-let compare (a : t) (b : t) = Stdlib.compare a b
-
 (* All non-empty subsets, useful for expanding partitioning ranges. *)
 let nonempty_subsets (s : t) : t list =
   List.map of_list (Sutil.Combi.nonempty_subsets s)

@@ -21,7 +21,6 @@ val diff : t -> t -> t
 val subset : t -> t -> bool
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 (** All non-empty subsets (2^n - 1 of them). *)
 val nonempty_subsets : t -> t list

@@ -52,22 +52,6 @@ let eval_cmp op a b =
   in
   Value.Int (if r then 1 else 0)
 
-(* Evaluate against a row laid out according to [schema]. *)
-let rec eval schema (row : Value.t array) = function
-  | Col c -> row.(Schema.index c schema)
-  | Lit v -> v
-  | Binop (op, a, b) -> eval_binop op (eval schema row a) (eval schema row b)
-  | Cmp (op, a, b) -> eval_cmp op (eval schema row a) (eval schema row b)
-  | And (a, b) ->
-      if Value.is_truthy (eval schema row a) then eval schema row b
-      else Value.Int 0
-  | Or (a, b) ->
-      if Value.is_truthy (eval schema row a) then Value.Int 1
-      else eval schema row b
-  | Not a -> Value.Int (if Value.is_truthy (eval schema row a) then 0 else 1)
-
-let eval_pred schema row e = Value.is_truthy (eval schema row e)
-
 (* Compiled form: every column reference is resolved to its row-layout
    position once, so per-row evaluation does no schema walking (no
    per-row string comparisons).  The constructors are public so columnar

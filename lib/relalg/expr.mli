@@ -21,18 +21,10 @@ val columns : t -> Colset.t
 (** Rename every column reference through the given function. *)
 val rename : (string -> string) -> t -> t
 
-(** Evaluate against a row laid out per the schema.
-    Raises [Not_found] when a referenced column is missing. *)
-val eval : Schema.t -> Value.t array -> t -> Value.t
-
-(** Evaluate as a predicate (SQL-ish truthiness). *)
-val eval_pred : Schema.t -> Value.t array -> t -> bool
-
 (** Compiled expression: column references resolved to row-layout
     positions once, so repeated evaluation does no schema walking.  The
     constructors are public so columnar interpreters can walk the same
-    tree with their own data access pattern; [ceval]/[ceval_pred] mirror
-    [eval]/[eval_pred] exactly. *)
+    tree with their own data access pattern. *)
 type compiled =
   | CCol of int
   | CLit of Value.t

@@ -23,6 +23,5 @@ val index : string -> t -> int
 
 val index_opt : string -> t -> int option
 val equal : t -> t -> bool
-val pp_coltype : coltype Fmt.t
 val pp : t Fmt.t
 val to_string : t -> string

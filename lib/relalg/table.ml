@@ -112,14 +112,3 @@ let same_contents a b =
   List.equal
     (fun x y -> Array.for_all2 Value.equal x y)
     (norm a) (norm b)
-
-let pp ppf t =
-  Fmt.pf ppf "%a@." Schema.pp t.schema;
-  List.iter
-    (fun row ->
-      Fmt.pf ppf "%s@."
-        (String.concat " | "
-           (Array.to_list (Array.map Value.to_string row))))
-    t.rows
-
-let to_string t = Fmt.str "%a" pp t

@@ -24,6 +24,3 @@ val union_all : t -> t -> t
 (** Multiset equality of rows (order-insensitive), requiring equal column
     names. *)
 val same_contents : t -> t -> bool
-
-val pp : t Fmt.t
-val to_string : t -> string

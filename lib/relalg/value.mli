@@ -15,9 +15,6 @@ val hash : t -> int
 (** SQL-ish truthiness for predicate results. *)
 val is_truthy : t -> bool
 
-(** Numeric coercion; [Null] coerces to [0.]; raises on strings. *)
-val to_float : t -> float
-
 (** Arithmetic with [Null] treated as the neutral element for [add]
     (so running sums can start from [Null]); division by zero yields
     [Null]. *)

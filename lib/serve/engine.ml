@@ -10,7 +10,7 @@
       session only;
    2. classify against the cache.  A hit reuses the cached pipeline
       report — parse happened but bind/optimize are skipped.  The first
-      occurrence of a fresh fingerprint is a miss and is solo-optimized
+      occurrence of a fresh normalized text is a miss and is solo-optimized
       to populate the cache (so later submissions anywhere in the stream
       reuse it); further occurrences in the same batch count as hits;
    3. execute.  Hits and duplicates run their cached [cse_plan]
@@ -74,7 +74,7 @@ type batch_result = {
   attempts : int array list;  (* per-run stage attempts, for trace audit *)
   reports : Cse.Pipeline.report list;
       (* distinct optimizations behind this batch (one per distinct
-         fingerprint, plus the combined run) — audit targets *)
+         cache entry, plus the combined run) — audit targets *)
 }
 
 type t = {
@@ -262,7 +262,7 @@ let flush t : batch_result option =
     let version = Relalg.Catalog.version t.catalog in
     let wall = ref 0.0 and attempts = ref [] and exec_counts = ref [] in
     (* classify in submission order; the first occurrence of a fresh
-       fingerprint solo-optimizes and populates the cache *)
+       normalized text solo-optimizes and populates the cache *)
     let classified =
       List.map
         (fun (id, tenant, text) ->
@@ -270,7 +270,6 @@ let flush t : batch_result option =
           match
             let norm = Normalize.parse text in
             let ntext = Normalize.to_text norm in
-            let fp = Plan_cache.key ~catalog_version:version ntext in
             let mk e hit =
               {
                 c_id = id;
@@ -281,7 +280,7 @@ let flush t : batch_result option =
                 c_opt_s = Unix.gettimeofday () -. ct0;
               }
             in
-            match Plan_cache.find t.cache fp with
+            match Plan_cache.find t.cache ~catalog_version:version ntext with
             | Some e -> mk e true
             | None ->
                 let report =
@@ -290,7 +289,8 @@ let flush t : batch_result option =
                 in
                 let e =
                   {
-                    Plan_cache.fingerprint = fp;
+                    Plan_cache.fingerprint =
+                      Plan_cache.key ~catalog_version:version ntext;
                     normalized = ntext;
                     outputs = Normalize.outputs_of norm;
                     catalog_version = version;
@@ -323,7 +323,7 @@ let flush t : batch_result option =
               ~labels:[ ("tenant", tenant) ];
             Sobs.Metrics.bump m "serve.sessions_failed")
       classified;
-    (* the actual misses, one per fresh fingerprint, in batch order *)
+    (* the actual misses, one per fresh normalized text, in batch order *)
     let misses =
       List.filter_map
         (function Ok c when not c.c_hit -> Some c | _ -> None)
@@ -442,7 +442,7 @@ let flush t : batch_result option =
       Sobs.Metrics.set (metrics t) "serve.cache_hit_ratio"
         (float_of_int m_hits /. float_of_int (m_hits + m_misses));
     (* distinct optimizations behind this batch, for auditing: one per
-       distinct fingerprint (cached plans included), plus the combined
+       distinct cache entry (cached plans included), plus the combined
        run *)
     let reports =
       let seen = Hashtbl.create 8 in
@@ -450,10 +450,10 @@ let flush t : batch_result option =
         (function
           | Error _ -> None
           | Ok c ->
-              let fp = c.c_entry.Plan_cache.fingerprint in
-              if Hashtbl.mem seen fp then None
+              let text = c.c_entry.Plan_cache.normalized in
+              if Hashtbl.mem seen text then None
               else (
-                Hashtbl.add seen fp ();
+                Hashtbl.add seen text ();
                 Some c.c_entry.Plan_cache.report))
         classified
       @ match combined_info with Some (r, _, _, _) -> [ r ] | None -> []

@@ -1,5 +1,5 @@
 (** The long-running serve engine: a stream of script submissions, a
-    fingerprint-keyed plan cache, cross-script CSE detection over a
+    plan cache keyed on normalized text, cross-script CSE detection over a
     combined memo, and one persistent executor.
 
     Submissions accumulate with {!submit} and are processed by
@@ -56,7 +56,7 @@ type batch_result = {
       (** per-run stage-attempt arrays, for the trace audit *)
   reports : Cse.Pipeline.report list;
       (** distinct optimizations behind this batch — one per distinct
-          fingerprint (cached plans included) plus the combined run;
+          cache entry (cached plans included) plus the combined run;
           the audit targets *)
 }
 

@@ -8,17 +8,11 @@
     can merge across scripts.  Output-visible names (select-item
     aliases, ORDER BY columns) are untouched. *)
 
-(** Normalize a parsed script: relation names alpha-renamed to
-    [_r0.._rN] in first-assignment order, every SELECT source aliased
-    positionally [_q0..] with qualifiers rewritten, EXTRACT/OUTPUT paths
-    reduced to basenames. *)
-val script : Slang.Ast.script -> Slang.Ast.script
-
-(** Parse then {!script}.  Raises whatever the parser raises on
+(** Parse, then normalize the parsed script.  Raises whatever the parser raises on
     malformed input. *)
 val parse : string -> Slang.Ast.script
 
-(** Re-parseable canonical text — the string the plan cache hashes. *)
+(** Re-parseable canonical text — the string the plan cache keys on. *)
 val to_text : Slang.Ast.script -> string
 
 (** Number of OUTPUT statements (the per-session slice width when

@@ -1,15 +1,16 @@
-(** Fingerprint-keyed plan cache for the serve loop.
+(** Plan cache for the serve loop.
 
-    Keys are {!Cse.Fingerprint.hash_string} over the normalized script
-    text with the catalog version folded in, so bumping the statistics
-    epoch makes every prior key unreachable — invalidation is free and
-    {!purge_stale} only reclaims memory.  The cache counts nothing
-    itself: the engine records hits, misses and purges in its metrics
-    registry. *)
+    Entries are keyed on the normalized script text and the catalog
+    version, so a lookup returns an entry only when both are equal to the
+    request's: a hash collision cannot serve one script's plan to
+    another, and bumping the statistics epoch makes every prior entry
+    unreachable — invalidation is free and {!purge_stale} only reclaims
+    memory.  The cache counts nothing itself: the engine records hits,
+    misses and purges in its metrics registry. *)
 
 type entry = {
-  fingerprint : int;
-  normalized : string;  (** canonical text behind the key *)
+  fingerprint : int;  (** {!key} of the entry: a label for reports *)
+  normalized : string;  (** canonical text, half of the lookup key *)
   outputs : int;  (** OUTPUT statements in the script *)
   catalog_version : int;  (** statistics epoch the plan was built under *)
   report : Cse.Pipeline.report;
@@ -21,10 +22,14 @@ type t
 
 val create : unit -> t
 
-(** The cache key for a normalized script under a catalog version. *)
+(** The fingerprint of a normalized script under a catalog version:
+    {!Cse.Fingerprint.hash_string} of the text with the version folded
+    in.  Reports show it; lookups do not use it. *)
 val key : catalog_version:int -> string -> int
 
-val find : t -> int -> entry option
+(** The entry for exactly this normalized text under this catalog
+    version. *)
+val find : t -> catalog_version:int -> string -> entry option
 
 val add : t -> entry -> unit
 val size : t -> int

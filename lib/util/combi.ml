@@ -1,5 +1,5 @@
-(* Small combinatorics used by the optimizer: subset and permutation
-   enumeration over short lists (column sets are tiny in practice). *)
+(* Small combinatorics used by the optimizer: subset enumeration over
+   short lists (column sets are tiny in practice) and list slicing. *)
 
 let rec subsets = function
   | [] -> [ [] ]
@@ -9,24 +9,6 @@ let rec subsets = function
       with_x @ without
 
 let nonempty_subsets xs = List.filter (fun s -> s <> []) (subsets xs)
-
-let rec insert_everywhere x = function
-  | [] -> [ [ x ] ]
-  | y :: rest as l ->
-      (x :: l) :: List.map (fun r -> y :: r) (insert_everywhere x rest)
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | x :: rest -> List.concat_map (insert_everywhere x) (permutations rest)
-
-(* Cartesian product of a list of choice lists, in row-major order: the
-   first list varies slowest.  [product [[1;2];[3;4]]] is
-   [[1;3];[1;4];[2;3];[2;4]]. *)
-let rec product = function
-  | [] -> [ [] ]
-  | choices :: rest ->
-      let tails = product rest in
-      List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
 
 let rec take n = function
   | [] -> []

@@ -1,16 +1,7 @@
-(** Subset / permutation / product enumeration over short lists. *)
-
-(** All subsets, preserving relative element order. [2^n] results. *)
-val subsets : 'a list -> 'a list list
+(** Subset enumeration and list slicing over short lists. *)
 
 (** All non-empty subsets. [2^n - 1] results. *)
 val nonempty_subsets : 'a list -> 'a list list
-
-(** All permutations. [n!] results. *)
-val permutations : 'a list -> 'a list list
-
-(** Cartesian product of choice lists; first list varies slowest. *)
-val product : 'a list list -> 'a list list
 
 (** First [n] elements (all of them when shorter). *)
 val take : int -> 'a list -> 'a list

@@ -35,7 +35,6 @@ type t = {
   busy : float array;  (* per-worker seconds inside tasks; slot 0 = submitter *)
 }
 
-let size t = t.size
 let busy_seconds t = Array.copy t.busy
 
 (* Marks "this domain is already inside a pool task" so nested groups do

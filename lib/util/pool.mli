@@ -15,9 +15,6 @@ type t
 
 val with_pool : workers:int -> (t -> 'a) -> 'a
 
-(** Worker count, the submitting domain included. *)
-val size : t -> int
-
 (** [parallel_for t n f] runs [f 0 .. f (n-1)], each exactly once, in
     unspecified order across the pool; returns when all finished.  The
     first exception raised by an iteration is re-raised (the remaining

@@ -8,8 +8,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* Core splitmix64 step (Steele, Lea, Flood 2014). *)
 let next_int64 t =
   let open Int64 in
@@ -30,12 +28,6 @@ let int t bound =
 let float t bound =
   let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (x /. 9007199254740992.0)
-
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
 
 let pick_list t xs =
   match xs with

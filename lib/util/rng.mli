@@ -9,26 +9,12 @@ type t
     streams. *)
 val create : int -> t
 
-(** Independent copy with the same future stream. *)
-val copy : t -> t
-
-(** Next raw 64-bit value. *)
-val next_int64 : t -> int64
-
-(** Next non-negative [int]. *)
-val next : t -> int
-
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
     when [bound <= 0]. *)
 val int : t -> int -> int
 
 (** [float t bound] is uniform in [\[0, bound)]. *)
 val float : t -> float -> float
-
-val bool : t -> bool
-
-(** Uniform element of a non-empty array. *)
-val pick : t -> 'a array -> 'a
 
 (** Uniform element of a non-empty list. *)
 val pick_list : t -> 'a list -> 'a

@@ -153,7 +153,7 @@ let test_memo_audit_reference () =
   done;
   (* the corrupted memos exercise the per-winner fallback: every winner
      over a dirty node must be worded exactly as the reference words it *)
-  let corrupted = Sanalysis.Mutate.corrupted_memos () in
+  let corrupted = Mutate.corrupted_memos () in
   let findings = ref 0 in
   List.iter
     (fun (name, cluster, memo) ->
@@ -413,7 +413,9 @@ let test_sa060_unsound_prune () =
   in
   let sound_by = hx [ "A" ] [ "x"; "y" ] in
   let sound_p = hx [ "A" ] [ "x" ] in
-  let pd ~kept pair = Sanalysis.Prune_audit.pair_diags ~shared:7 ~kept pair in
+  let pd ~kept pair =
+    Sanalysis.Prune_audit.run ~candidates:[ (7, kept) ] [ (7, [ pair ]) ]
+  in
   (* a genuinely dominated pair with the dominator kept is clean *)
   Alcotest.(check int)
     "sound pair" 0
@@ -784,17 +786,17 @@ let test_diag_framework () =
   let d2 = Sanalysis.Diag.make ~code:"SA011" ~loc:(Sanalysis.Diag.Group 4) "w" in
   Alcotest.(check int) "SA001 is an error by default" 1
     (List.length (Sanalysis.Diag.errors [ d1; d2 ]));
-  Alcotest.(check int) "SA011 is a warning by default" 1
-    (List.length (Sanalysis.Diag.warnings [ d1; d2 ]));
+  Alcotest.(check bool) "SA011 is a warning by default" true
+    (Sanalysis.Diag.worst [ d2 ] = Some Sanalysis.Diag.Warning);
   Alcotest.(check int) "errors exit 1" 1 (Sanalysis.Diag.exit_code [ d1 ]);
   Alcotest.(check int) "warnings exit 0" 0 (Sanalysis.Diag.exit_code [ d2 ]);
   Alcotest.(check int) "strict mode fails warnings" 1
     (Sanalysis.Diag.exit_code ~fail_on:Sanalysis.Diag.Warning [ d2 ]);
   Alcotest.(check int) "clean exits 0" 0 (Sanalysis.Diag.exit_code []);
-  Alcotest.(check (list (pair string int)))
-    "summary counts per code"
-    [ ("SA001", 1); ("SA011", 1) ]
-    (Sanalysis.Diag.summary [ d1; d2 ])
+  Alcotest.(check string)
+    "summary counts per severity and per code"
+    "lint-summary errors=1 warnings=1 SA001=1 SA011=1\n"
+    (Fmt.str "%a" Sanalysis.Diag.pp_summary [ d1; d2 ])
 
 let () =
   Alcotest.run "analysis"

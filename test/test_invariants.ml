@@ -88,18 +88,21 @@ let colset_gen =
 
 let colset_arb = QCheck.make ~print:Relalg.Colset.to_string colset_gen
 
+(* The entries one recorded request expands to in the property history. *)
+let expand req =
+  let h = Cse.History.create Cse.Config.default in
+  Cse.History.record h 0 req;
+  List.map (fun (e : Cse.History.entry) -> e.Cse.History.props)
+    (Cse.History.entries h 0)
+
 let prop_expansion_count =
   Thelpers.qtest "range expands to 2^n - 1 entries" colset_arb (fun c ->
-      let entries =
-        Cse.History.expand (Reqprops.make (Reqprops.Hash_subset c) [])
-      in
+      let entries = expand (Reqprops.make (Reqprops.Hash_subset c) []) in
       List.length entries = (1 lsl Relalg.Colset.cardinal c) - 1)
 
 let prop_expansion_sound =
   Thelpers.qtest "every expanded entry satisfies the range" colset_arb (fun c ->
-      let entries =
-        Cse.History.expand (Reqprops.make (Reqprops.Hash_subset c) [])
-      in
+      let entries = expand (Reqprops.make (Reqprops.Hash_subset c) []) in
       List.for_all
         (fun (e : Reqprops.t) ->
           match e.Reqprops.part with
@@ -147,8 +150,8 @@ let prop_rename_commutes =
       let row = [| Relalg.Value.Int a; Relalg.Value.Int b |] in
       let renamed = Relalg.Expr.rename (fun c -> "X_" ^ c) e in
       Relalg.Value.equal
-        (Relalg.Expr.eval schema_ab row e)
-        (Relalg.Expr.eval schema_xy row renamed))
+        (Relalg.Expr.ceval row (Relalg.Expr.compile schema_ab e))
+        (Relalg.Expr.ceval row (Relalg.Expr.compile schema_xy renamed)))
 
 (* columns of an expression never grow under evaluation-preserving rename *)
 let prop_columns_rename =

@@ -1,4 +1,4 @@
-(* The mutation-tested audit contract (lib/analysis/mutate.ml).
+(* The mutation-tested audit contract (test/mutate/mutate.ml).
 
    Each mutation corrupts one structure the optimizer or executor trusts
    and demands the responsible analyzer report its specific SA code;
@@ -7,8 +7,6 @@
    pin the guarantees the audit harness advertises: at least twenty
    distinct corruptions, unique labels, and coverage of every layer of
    the diagnostic catalog. *)
-
-module Mutate = Sanalysis.Mutate
 
 let test_mutation (m : Mutate.mutation) () =
   match Mutate.verify m with Ok () -> () | Error msg -> Alcotest.fail msg

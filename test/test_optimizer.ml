@@ -89,7 +89,7 @@ let test_output_order_preserved () =
   let outputs =
     List.filter_map
       (function Sphys.Physop.P_output { file } -> Some file | _ -> None)
-      (Sphys.Plan.operators plan)
+      (Thelpers.operators plan)
   in
   Alcotest.(check (list string)) "three outputs in script order"
     [ "result1.out"; "result2.out"; "result3.out" ]

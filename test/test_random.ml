@@ -48,7 +48,7 @@ let test_seed10_40_statements () =
   let diags =
     Sanalysis.Audit.report ~deep:true ~cluster:Scost.Cluster.default ~catalog r
   in
-  if Sanalysis.Diag.errors diags @ Sanalysis.Diag.warnings diags <> [] then
+  if Sanalysis.Diag.exit_code ~fail_on:Sanalysis.Diag.Warning diags <> 0 then
     Alcotest.failf "audit not clean:@.%a" Sanalysis.Diag.pp_report diags;
   let v =
     Sexec.Validate.check ~machines:7 catalog r.Cse.Pipeline.dag

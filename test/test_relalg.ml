@@ -105,12 +105,13 @@ let row = [| Value.Int 10; Value.Int 3; Value.Str "x" |]
 
 let test_expr_eval () =
   let e = Expr.(Binop (Add, Col "A", Binop (Mul, Col "B", Lit (Value.Int 2)))) in
-  Alcotest.check Thelpers.value_t "10+3*2" (Value.Int 16) (Expr.eval abc row e);
+  Alcotest.check Thelpers.value_t "10+3*2" (Value.Int 16) (Expr.ceval row (Expr.compile abc e));
   let p = Expr.(Cmp (Gt, Col "A", Col "B")) in
-  Alcotest.(check bool) "10 > 3" true (Expr.eval_pred abc row p);
+  let holds e = Expr.ceval_pred row (Expr.compile abc e) in
+  Alcotest.(check bool) "10 > 3" true (holds p);
   let q = Expr.(And (p, Cmp (Eq, Col "C", Lit (Value.Str "x")))) in
-  Alcotest.(check bool) "and" true (Expr.eval_pred abc row q);
-  Alcotest.(check bool) "not" false (Expr.eval_pred abc row (Expr.Not q))
+  Alcotest.(check bool) "and" true (holds q);
+  Alcotest.(check bool) "not" false (holds (Expr.Not q))
 
 let test_expr_columns () =
   let e = Expr.(And (Cmp (Eq, Col "A", Col "B"), Cmp (Lt, Col "C", Lit (Value.Int 1)))) in
@@ -142,7 +143,7 @@ let test_agg_basic () =
   let a = Agg.make Agg.Sum (Expr.Col "A") "S" in
   let st = Agg.init () in
   List.iter
-    (fun v -> Agg.step a st abc [| Value.Int v; Value.Int 0; Value.Str "" |])
+    (fun v -> Agg.step_value a st (Value.Int v))
     [ 1; 2; 3 ];
   Alcotest.check Thelpers.value_t "sum" (Value.Int 6) (Agg.finish a st)
 
@@ -151,7 +152,7 @@ let test_agg_count_min_max () =
     let a = Agg.make f (Expr.Col "A") "X" in
     let st = Agg.init () in
     List.iter
-      (fun v -> Agg.step a st abc [| Value.Int v; Value.Int 0; Value.Str "" |])
+      (fun v -> Agg.step_value a st (Value.Int v))
       [ 5; 1; 9 ];
     Agg.finish a st
   in
@@ -260,10 +261,7 @@ let test_catalog () =
   | Some stats ->
       Alcotest.(check int) "rows" 100_000_000 stats.Catalog.rows;
       Alcotest.(check bool) "ndv(D) large" true (Catalog.col_ndv stats "D" > 1000);
-      let n = Catalog.colset_ndv stats (cs [ "A"; "B" ]) in
-      Alcotest.(check bool) "combined ndv capped by rows" true
-        (n <= stats.Catalog.rows);
-      Alcotest.(check int) "product rule" (60 * 1000) n
+      Alcotest.(check int) "ndv(A)" 60 (Catalog.col_ndv stats "A")
 
 let test_catalog_ensure () =
   let c = Catalog.create () in

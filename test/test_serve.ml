@@ -1,6 +1,6 @@
-(* Serve-mode tests: script normalization, the fingerprint-keyed plan
-   cache (hits on whitespace/alias-renamed variants, invalidation on
-   catalog bumps), cross-script sharing over combined memos with
+(* Serve-mode tests: script normalization, the plan cache (hits on
+   whitespace/alias-renamed variants, misses on colliding cache keys,
+   invalidation on catalog bumps), cross-script sharing over combined memos with
    byte-identical outputs, the session protocol + stream generator, and
    the session loop (Sserve.Driver): its accounting, its error paths and
    a generated-stream replay, and the run-report documents
@@ -84,8 +84,9 @@ let test_normalized_text_binds () =
 
 let test_hash_string () =
   let h = Cse.Fingerprint.hash_string in
-  Alcotest.(check bool) "in range" true
-    (h plain >= 0 && h plain < Cse.Fingerprint.modulus);
+  (* [N] of fingerprint.mli: the prime 2^61 - 1. *)
+  let n = (1 lsl 61) - 1 in
+  Alcotest.(check bool) "in range" true (h plain >= 0 && h plain < n);
   Alcotest.(check int) "deterministic" (h plain) (h plain);
   Alcotest.(check bool) "sensitive to content" true (h plain <> h plain_spaced)
 
@@ -123,7 +124,7 @@ let flush_exn e =
 
 let table_bytes outputs =
   String.concat "\x00"
-    (List.map (fun (f, t) -> f ^ "=" ^ Table.to_string t) outputs)
+    (List.map (fun (f, t) -> f ^ "=" ^ Thelpers.table_string t) outputs)
 
 let run_result b =
   match b.E.results with [ r ] -> r | _ -> Alcotest.fail "expected 1 result"
@@ -214,6 +215,48 @@ let test_cross_script_sharing () =
         (table_bytes reference) (table_bytes r.E.outputs))
     batch.E.results
     [ solo a; solo b ]
+
+(* Two scripts whose cache keys collide: the file names are equal-length
+   strings with the same polynomial hash, and a common prefix and suffix
+   keep them colliding.  A hit must be verified against the entry's
+   normalized text, so the second script is a miss with its own plan. *)
+let collision_pair =
+  let script name =
+    Printf.sprintf
+      "R = EXTRACT A,B,C,D FROM \"%s.log\" USING LogExtractor;\n\
+       OUTPUT R TO \"collide_out\";\n"
+      name
+  in
+  (script "PPPPPPPPPPPPPPPPPPPPPPPP", script "MPRSPNSOOQSQPQQSSNPPPPMQ")
+
+let test_key_collision_is_a_miss () =
+  let a, b = collision_pair in
+  let key s = PC.key ~catalog_version:0 (norm_text s) in
+  Alcotest.(check bool) "normalized texts differ" false
+    (String.equal (norm_text a) (norm_text b));
+  Alcotest.(check int) "cache keys collide" (key a) (key b);
+  let e = fresh_engine () in
+  E.submit e ~id:"a" ~text:a;
+  E.submit e ~id:"b" ~text:b;
+  let batch = flush_exn e in
+  let solo text =
+    let solo_engine = fresh_engine () in
+    E.submit solo_engine ~id:"solo" ~text;
+    (run_result (flush_exn solo_engine)).E.outputs
+  in
+  (match batch.E.results with
+  | [ ra; rb ] ->
+      assert_done ~hit:false ra;
+      assert_done ~hit:false rb;
+      Alcotest.(check string) "a's outputs equal its solo run"
+        (table_bytes (solo a)) (table_bytes ra.E.outputs);
+      Alcotest.(check string) "b's outputs equal its solo run"
+        (table_bytes (solo b)) (table_bytes rb.E.outputs)
+  | _ -> Alcotest.fail "expected two results");
+  Alcotest.(check int) "two cache entries" 2 (PC.size (E.cache e));
+  Alcotest.(check int) "each entry reported once"
+    (if batch.E.combined then 3 else 2)
+    (List.length batch.E.reports)
 
 let test_within_batch_duplicate () =
   let e = fresh_engine () in
@@ -353,11 +396,9 @@ let test_metrics_accounting () =
         (float_of_int (PC.size (E.cache e)))
         v
   | _ -> Alcotest.fail "no serve.cache_size gauge");
-  Alcotest.(check (list string)) "SA046 clean" []
-    (List.map Sanalysis.Diag.to_string
-       (Sanalysis.Serve_audit.run
-          ~cache_entries:(PC.size (E.cache e))
-          rows))
+  Alcotest.(check string) "SA046 clean" "0 error(s), 0 warning(s)\n"
+    (Fmt.str "%a" Sanalysis.Diag.pp_report
+       (Sanalysis.Serve_audit.run ~cache_entries:(PC.size (E.cache e)) rows))
 
 (* The serve engine records into its executor's registry: after a few
    flushes the registry holds exec.stage_seconds with one observation per
@@ -620,6 +661,8 @@ let () =
             test_cache_hit_identical_outputs;
           Alcotest.test_case "catalog bump invalidates" `Quick
             test_catalog_bump_invalidates;
+          Alcotest.test_case "key collision is a miss" `Quick
+            test_key_collision_is_a_miss;
           Alcotest.test_case "within-batch duplicate" `Quick
             test_within_batch_duplicate;
           Alcotest.test_case "failed session contained" `Quick

@@ -27,9 +27,23 @@ let pipeline ?(audit = true) ?config ?budget ?(catalog = default_catalog ())
     Sanalysis.Audit.assert_clean ~cluster:Scost.Cluster.default ~catalog r;
   r
 
+(* A table as text: column names, then one line per row in order. *)
+let table_string (t : Relalg.Table.t) =
+  String.concat "\n"
+    (String.concat "," (Relalg.Schema.names t.Relalg.Table.schema)
+    :: List.map
+         (fun row ->
+           String.concat " | "
+             (Array.to_list (Array.map Relalg.Value.to_string row)))
+         t.Relalg.Table.rows)
+
+(* Operators of a plan, leaves first, a shared subtree once per reference. *)
+let operators plan =
+  List.rev (Sphys.Plan.fold (fun acc n -> n.Sphys.Plan.op :: acc) [] plan)
+
 (* Operator multiset of a plan, as short names. *)
 let op_names plan =
-  List.map Sphys.Physop.short_name (Sphys.Plan.operators plan)
+  List.map Sphys.Physop.short_name (operators plan)
   |> List.sort String.compare
 
 let count_op name plan =
