@@ -349,7 +349,7 @@ let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
                 let si = shared_info state in
                 if
                   state.config.Config.prune
-                  && Hashtbl.mem si.Shared_info.info g.Smemo.Memo.id
+                  && Hashtbl.mem si.Shared_info.below g.Smemo.Memo.id
                 then begin
                   let below = Shared_info.shared_below si g.Smemo.Memo.id in
                   fun gid -> gid <> g.Smemo.Memo.id && List.mem gid below

@@ -32,7 +32,6 @@ let utilization (e : exec_summary) =
   else 0.0
 
 type report = {
-  script : string;
   dag : Slogical.Dag.t;
   (* conventional optimization *)
   conventional_plan : Plan.t;
@@ -192,7 +191,6 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
       shared
   in
   {
-    script;
     dag;
     conventional_plan;
     conventional_cost = Scost.Dagcost.cost cluster conventional_plan;

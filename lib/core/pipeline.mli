@@ -24,7 +24,6 @@ type exec_summary = {
 val utilization : exec_summary -> float
 
 type report = {
-  script : string;
   dag : Slogical.Dag.t;
   conventional_plan : Sphys.Plan.t;
   conventional_cost : float;

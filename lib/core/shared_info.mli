@@ -1,25 +1,23 @@
 (** Algorithm 3: PropagateSharedGrpInfoAndFindLCA.
 
-    Bottom-up propagation of shared-group information through the memo's
-    group DAG, and identification of each shared group's LCA
+    Shared-group facts over the memo's reachable group DAG: the shared
+    groups at or below each group, and each shared group's LCA
     (Definition 2) — the lowest group on every consumer-to-root path,
     which is {e not} necessarily the lowest common ancestor
     (Figure 3(c)).
 
-    Deviation from the paper: the incremental SetLCA-overwrite rule is
+    Deviation from the paper: Algorithm 3 propagates consumer-found
+    flags bottom-up and sets the LCA incrementally, a rule that is
     traversal-order-sensitive (see the implementation comment and
-    EXPERIMENTS.md); the final LCA is computed exactly as the consumers'
-    lowest common postdominator. The paper's propagation is kept — it
-    yields the shared-below sets used for enforcement pruning and the
-    VIII-A independence test. *)
-
-type shrd = {
-  shared : int;  (** the shared (spool) group *)
-  consumers : (int * bool ref) list;  (** consumer -> found below here *)
-}
+    EXPERIMENTS.md).  Here each fact is computed once, exactly: the
+    shared-below sets by reachability (one children-first pass), the LCA
+    as the consumers' lowest common postdominator.  The incremental rule
+    is not computed. *)
 
 type t = {
-  info : (int, shrd list) Hashtbl.t;
+  below : (int, int list) Hashtbl.t;
+      (** reachable group -> the shared groups at or below it, ascending;
+          its key set is the groups known to the analysis *)
   lca : (int, int) Hashtbl.t;
   consumers_of : (int, int list) Hashtbl.t;
   lca_of_group : (int, int list) Hashtbl.t;
@@ -35,11 +33,11 @@ val lca_of_shared : t -> int -> int option
 (** Shared groups whose LCA is the given group, ascending. *)
 val lca_groups : t -> int -> int list
 
-(** Shared groups at or below the given group. *)
+(** Shared groups at or below the given group, ascending. *)
 val shared_below : t -> int -> int list
 
 (** Distinct consumer groups of a shared group. *)
 val consumers : t -> int -> int list
 
-(** Run the propagation and LCA identification over the whole memo. *)
+(** Compute the shared-below sets and LCAs over the whole memo. *)
 val compute : Smemo.Memo.t -> t

@@ -50,11 +50,6 @@ let boundary (n : Plan.t) =
       true
   | _ -> false
 
-let mem_phys x l = List.exists (fun y -> y == x) l
-
-let assq_phys x l =
-  List.find_opt (fun (k, _) -> k == x) l |> Option.map snd
-
 let build (plan : Plan.t) : graph =
   let stages = ref [] in
   let count = ref 0 in
@@ -69,8 +64,8 @@ let build (plan : Plan.t) : graph =
     let rec walk n =
       incr nodes;
       if not (boundary n) then
-        if mem_phys n !interior_seen then begin
-          if not (mem_phys n !shared) then shared := n :: !shared
+        if List.memq n !interior_seen then begin
+          if not (List.memq n !shared) then shared := n :: !shared
         end
         else interior_seen := n :: !interior_seen;
       List.iter
@@ -79,7 +74,7 @@ let build (plan : Plan.t) : graph =
             let sid =
               match c.Plan.op with
               | Physop.P_spool -> (
-                  match assq_phys c !spool_stage with
+                  match List.assq_opt c !spool_stage with
                   | Some sid -> sid
                   | None ->
                       let sid = stage_of c in

@@ -11,7 +11,7 @@
    so instrumented hot loops cost nothing in production runs.
 
    Event coordinates follow the pipeline: [pid] is the pipeline phase
-   (frontend, phase-1 optimization, phase-2 re-optimization, stage-graph
+   (frontend, phase-0/1 optimization, phase-2 re-optimization, stage-graph
    construction, execution) and [tid] is the worker-domain slot of the
    executor's pool ([Sutil.Pool.current_slot]; the main domain is slot
    0).  Timestamps are microseconds since [start], clamped to be
@@ -54,7 +54,7 @@ let pid_of_phase = function 2 -> pid_phase2 | _ -> pid_phase1
 
 let pid_name = function
   | 1 -> "frontend (parse, bind, memo)"
-  | 2 -> "phase-1 optimization"
+  | 2 -> "phase-0 and phase-1 optimization"
   | 3 -> "phase-2 CSE re-optimization"
   | 4 -> "stage-graph construction"
   | 5 -> "execution"

@@ -29,7 +29,7 @@ type event = {
 
 val pid_frontend : int  (** parse, bind, memo construction *)
 
-val pid_phase1 : int  (** phase-1 (conventional) optimization *)
+val pid_phase1 : int  (** phase-0 (conventional) and phase-1 optimization *)
 
 val pid_phase2 : int  (** phase-2 CSE re-optimization *)
 

@@ -81,7 +81,6 @@ type t = {
   catalog : Relalg.Catalog.t;
   cluster : Scost.Cluster.t;
   config : Cse.Config.t;
-  max_tasks : int option;
   max_seconds : float option;
   cache : Plan_cache.t;
   exec : Sexec.Engine.t;
@@ -89,14 +88,13 @@ type t = {
       (* (id, tenant, text), reversed *)
 }
 
-let create ?(config = Cse.Config.default) ?max_tasks ?max_seconds
+let create ?(config = Cse.Config.default) ?max_seconds
     ?(cluster = Scost.Cluster.default) ?(workers = 1) ?batch_size ?faults
     (catalog : Relalg.Catalog.t) =
   {
     catalog;
     cluster;
     config;
-    max_tasks;
     max_seconds;
     cache = Plan_cache.create ();
     exec =
@@ -130,12 +128,9 @@ let catalog_bump t =
    accumulators, so sharing one across pipeline runs would starve later
    scripts. *)
 let budget t =
-  match (t.max_tasks, t.max_seconds) with
-  | None, None -> None
-  | _ ->
-      Some
-        (Sopt.Budget.create ?max_tasks:t.max_tasks ?max_seconds:t.max_seconds
-           ())
+  Option.map
+    (fun max_seconds -> Sopt.Budget.create ~max_seconds ())
+    t.max_seconds
 
 let describe = function
   | Failure m -> m
@@ -339,36 +334,37 @@ let flush t : batch_result option =
             (Normalize.combine (List.map (fun c -> c.c_norm) misses))
         in
         match
-          let report =
-            Cse.Pipeline.run ~config:t.config ?budget:(budget t)
-              ~cluster:t.cluster ~catalog:t.catalog combined_text
-          in
-          let outs = Sexec.Engine.run t.exec report.Cse.Pipeline.cse_plan in
-          note_run t wall attempts exec_counts report;
-          let combined_wall = t.exec.Sexec.Engine.last_wall in
-          let counts = List.map (fun c -> c.c_entry.Plan_cache.outputs) misses in
-          match split_by counts outs with
-          | None -> None (* output miscount: fall back to solo runs *)
-          | Some slices ->
-              let shares =
-                cross_script_spools report.Cse.Pipeline.cse_plan counts
-              in
-              Sobs.Metrics.bump (metrics t) "serve.cross_script_shares"
-                ~by:shares;
-              Sobs.Metrics.bump (metrics t) "serve.combined_runs";
-              let per_session =
-                List.map2
-                  (fun c slice ->
-                    ( c,
-                      List.map
-                        (fun (f, tbl) -> (Normalize.untag_output f, tbl))
-                        slice ))
-                  misses slices
-              in
-              Some (report, shares, per_session, combined_wall)
+          Cse.Pipeline.run ~config:t.config ?budget:(budget t)
+            ~cluster:t.cluster ~catalog:t.catalog combined_text
         with
-        | info -> info
-        | exception _ -> None
+        | exception _ -> None (* combined optimization failed: solo runs *)
+        | report -> (
+            (* executor failures, recovery exhaustion included, propagate *)
+            let outs = Sexec.Engine.run t.exec report.Cse.Pipeline.cse_plan in
+            note_run t wall attempts exec_counts report;
+            let combined_wall = t.exec.Sexec.Engine.last_wall in
+            let counts =
+              List.map (fun c -> c.c_entry.Plan_cache.outputs) misses
+            in
+            match split_by counts outs with
+            | None -> None (* output miscount: fall back to solo runs *)
+            | Some slices ->
+                let shares =
+                  cross_script_spools report.Cse.Pipeline.cse_plan counts
+                in
+                Sobs.Metrics.bump (metrics t) "serve.cross_script_shares"
+                  ~by:shares;
+                Sobs.Metrics.bump (metrics t) "serve.combined_runs";
+                let per_session =
+                  List.map2
+                    (fun c slice ->
+                      ( c,
+                        List.map
+                          (fun (f, tbl) -> (Normalize.untag_output f, tbl))
+                          slice ))
+                    misses slices
+                in
+                Some (report, shares, per_session, combined_wall))
     in
     let combined_outputs =
       match combined_info with Some (_, _, per, _) -> per | None -> []
@@ -465,8 +461,7 @@ let flush t : batch_result option =
         combined = combined_info <> None;
         combined_cost =
           Option.map
-            (fun (r, _, _, _) ->
-              Scost.Dagcost.cost t.cluster r.Cse.Pipeline.cse_plan)
+            (fun (r, _, _, _) -> r.Cse.Pipeline.cse_cost)
             combined_info;
         solo_cost_sum =
           (match combined_info with

@@ -63,16 +63,15 @@ type batch_result = {
 type t
 
 (** [create catalog] builds an engine with an empty cache and a
-    persistent executor.  [max_tasks]/[max_seconds] bound each
-    optimization with a fresh budget (budgets are mutable and cannot be
-    shared across runs).  [workers]/[batch_size] configure the
-    executor's domain pool and columnar batch granularity.  [faults]
-    injects deterministic partition losses into every executor run
-    (recovery drills; exhaustion propagates out of {!flush} so the
-    caller can dump the flight recorder). *)
+    persistent executor.  [max_seconds] bounds each optimization with
+    a fresh budget (budgets are mutable and cannot be shared across
+    runs).  [workers]/[batch_size] configure the executor's domain pool
+    and columnar batch granularity.  [faults] injects deterministic
+    partition losses into every executor run (recovery drills;
+    exhaustion propagates out of {!flush} so the caller can dump the
+    flight recorder). *)
 val create :
   ?config:Cse.Config.t ->
-  ?max_tasks:int ->
   ?max_seconds:float ->
   ?cluster:Scost.Cluster.t ->
   ?workers:int ->

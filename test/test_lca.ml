@@ -204,12 +204,45 @@ let reference_lca memo ~root consumers =
       List.for_all (fun other -> List.mem other ups) !candidates)
     !candidates
 
+(* reference: the groups reachable from [g] downward, [g] included *)
+let descendants memo g =
+  let seen = Hashtbl.create 16 in
+  let rec go x =
+    if not (Hashtbl.mem seen x) then begin
+      Hashtbl.replace seen x ();
+      List.iter go (Smemo.Memo.group_children (Smemo.Memo.group memo x))
+    end
+  in
+  go g;
+  seen
+
 let test_lca_against_brute_force () =
   let checked = ref 0 in
   for seed = 1 to 150 do
     let memo, shared = random_memo seed in
+    let si = Cse.Shared_info.compute memo in
+    let live = Smemo.Memo.reachable memo in
+    let sorted_shared = List.sort_uniq Int.compare shared in
+    (* shared-below sets are reachability: the shared groups at or below
+       each reachable group, ascending *)
+    Array.iteri
+      (fun g is_live ->
+        if is_live then
+          let below = descendants memo g in
+          Alcotest.(check (list int))
+            (Printf.sprintf "seed %d: shared_below of %d" seed g)
+            (List.filter (Hashtbl.mem below) sorted_shared)
+            (Cse.Shared_info.shared_below si g))
+      live;
+    (* a shared group's consumers are its parents *)
+    List.iter
+      (fun s ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "seed %d: consumers of %d" seed s)
+          (Smemo.Memo.parents memo).(s)
+          (Cse.Shared_info.consumers si s))
+      sorted_shared;
     if shared <> [] then begin
-      let si = Cse.Shared_info.compute memo in
       List.iter
         (fun s ->
           let consumers = Cse.Shared_info.consumers si s in

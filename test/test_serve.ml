@@ -216,6 +216,26 @@ let test_cross_script_sharing () =
     batch.E.results
     [ solo a; solo b ]
 
+(* A combined run that exhausts its recovery budget raises out of
+   [flush], as [Engine.create] documents; it must not fall back to solo
+   runs and return normally.  At this rate, seed 3 exhausts a stage of
+   the combined run. *)
+let test_combined_exhaustion_propagates () =
+  let a, b = shared_pair in
+  let e =
+    E.create
+      ~faults:(Sexec.Faults.spec ~rate:0.6 ~max_attempts:2 3)
+      (Sworkload.Session_gen.catalog ())
+  in
+  E.submit e ~id:"xa" ~text:a;
+  E.submit e ~id:"xb" ~text:b;
+  match E.flush e with
+  | exception Sexec.Scheduler.Recovery_exhausted _ -> ()
+  | Some batch ->
+      Alcotest.failf "flush returned normally (combined = %b)"
+        batch.E.combined
+  | None -> Alcotest.fail "flush returned no batch"
+
 (* Two scripts whose cache keys collide: the file names are equal-length
    strings with the same polynomial hash, and a common prefix and suffix
    keep them colliding.  A hit must be verified against the entry's
@@ -672,6 +692,8 @@ let () =
         [
           Alcotest.test_case "sharing and byte-identity" `Quick
             test_cross_script_sharing;
+          Alcotest.test_case "combined-run exhaustion propagates" `Quick
+            test_combined_exhaustion_propagates;
         ] );
       ( "protocol",
         [
