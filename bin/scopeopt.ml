@@ -81,9 +81,9 @@ let no_prune_arg =
     value & flag
     & info [ "no-prune" ]
         ~doc:
-          "Disable the phase-2 round-pruning layers (dominance filtering, \
-           branch-and-bound round aborts, cross-round winner reuse) and \
-           enumerate every round exhaustively.  The chosen plan is \
+          "Disable the two phase-2 round-pruning layers (dominance \
+           filtering, branch-and-bound round aborts) and enumerate every \
+           round exhaustively.  The chosen plan is \
            identical either way; this is the ablation baseline the \
            equivalence tests and CI drift gate compare against.")
 
@@ -329,7 +329,6 @@ let optimize run_exec =
         in
         attempts_acc := !attempts_acc @ [ v.Sexec.Validate.attempts ];
         let summary = Sserve.Report.exec_summary ~workers v in
-        r.Cse.Pipeline.exec <- Some summary;
         say
           "execution: results %s; %d rows shuffled, %d rows extracted, shared \
            results materialized %d time(s), read %d time(s)@."

@@ -5,25 +5,19 @@
    reductions on or off as one. *)
 
 type t = {
-  use_fingerprints : bool;
-      (* merge structurally equal subexpressions (Algorithm 1, lines 2-11);
-         explicit sharing is always detected *)
   use_independent_groups : bool; (* Section VIII-A *)
   use_group_ranking : bool; (* Section VIII-B *)
   use_property_ranking : bool; (* Section VIII-C *)
   prune : bool;
-      (* phase 2's three pruning layers (see DESIGN.md, round pruning):
+      (* phase 2's two pruning layers (see DESIGN.md, round pruning):
          drop round candidates dominated by a kept candidate with the same
          partitioning and a strictly stronger sort at equal enforcement
-         cost; abort a round once its accumulated lower bound exceeds the
-         incumbent round cost; key pinned-shared-group winners on the
-         enforcement slice visible below the group, so unrelated
-         assignment changes between rounds still hit the winner cache *)
+         cost; abort a round ([Optimizer.Above_bound]) once every
+         candidate's lower bound exceeds the incumbent round cost *)
 }
 
 let default =
   {
-    use_fingerprints = true;
     use_independent_groups = true;
     use_group_ranking = true;
     use_property_ranking = true;

@@ -3,18 +3,14 @@
     large-script extensions for ablation. *)
 
 type t = {
-  use_fingerprints : bool;
-      (** merge structurally equal subexpressions (Algorithm 1, lines
-          2-11); explicit sharing is always detected *)
   use_independent_groups : bool;  (** Section VIII-A *)
   use_group_ranking : bool;  (** Section VIII-B *)
   use_property_ranking : bool;  (** Section VIII-C *)
   prune : bool;
-      (** phase 2's pruning layers, on or off together: dominance
+      (** phase 2's two pruning layers, on or off together: dominance
           pruning of round candidates (same partitioning, strictly
-          stronger sort, equal enforcement cost), the branch-and-bound
-          round abort, and slice-keyed reuse of pinned-shared-group
-          winners across rounds *)
+          stronger sort, equal enforcement cost) and the branch-and-bound
+          round abort ({!Sopt.Optimizer.Above_bound}) *)
 }
 
 (** Everything on. *)

@@ -27,16 +27,13 @@ val note_best : t -> int -> Sphys.Plan.t option -> unit
     enabled. *)
 val ranked_properties : t -> int -> Sphys.Reqprops.t list
 
-(** [dominates ~by p]: pinning [by] can never lose to pinning [p] — same
-    concrete (non-[Any]) partitioning, [p]'s sort a non-empty strict
-    prefix of [by]'s.  Sort production cost is key-independent in the cost
-    model, so the longer order satisfies (by prefix closure) every
-    consumer [p] could satisfy at equal enforcement cost. *)
-val dominates : by:Sphys.Reqprops.t -> Sphys.Reqprops.t -> bool
-
 (** {!ranked_properties} after dominance filtering: kept property sets in
     ranked order, plus each dropped set paired with the kept candidate
-    that dominates it.  With [Config.prune] off, everything is
-    kept. *)
+    that dominates it.  [by] dominates [p] when pinning [by] can never
+    lose to pinning [p]: same concrete (non-[Any]) partitioning, [p]'s
+    sort a non-empty strict prefix of [by]'s.  Sort production cost is
+    key-independent in the cost model, so the longer order satisfies (by
+    prefix closure) every consumer [p] could satisfy at equal enforcement
+    cost.  With [Config.prune] off, everything is kept. *)
 val candidates :
   t -> int -> Sphys.Reqprops.t list * (Sphys.Reqprops.t * Sphys.Reqprops.t) list

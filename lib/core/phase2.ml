@@ -13,7 +13,9 @@ open Sopt
      through [before_optimize]/[after_winner];
    - [child_extreq] propagates the enforcement map downwards, pruned to
      paths that still lead to one of the enforced shared groups
-     (Algorithm 5, lines 15-17);
+     (Algorithm 5, lines 15-17), so rounds that differ only in the pins
+     of groups not below a child ask for the same child key and reuse
+     its winner;
    - [intercept] implements the two special cases of Algorithm 4:
        * at a shared group with a pinned property set, the base plan is
          optimized once under the pinned properties (so every consumer
@@ -50,7 +52,6 @@ type state = {
       (* rounds cut short by the branch-and-bound incumbent check *)
   mutable pruned_props : (int * (Reqprops.t * Reqprops.t) list) list;
       (* shared group -> (dropped, kept dominator) pairs, for SA060 *)
-  mutable lca_sites : int;
 }
 
 let create config =
@@ -64,7 +65,6 @@ let create config =
     rounds_pruned = 0;
     rounds_aborted_bound = 0;
     pruned_props = [];
-    lca_sites = 0;
   }
 
 let shared_info state =
@@ -137,10 +137,7 @@ let rec compensate (t : Optimizer.t) (g : Smemo.Memo.group)
 
 (* Algorithm 4, lines 4-12: all re-optimization rounds at an LCA. *)
 let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
-    (extreq : Extreq.t) (to_assign : int list)
-    ~(log_phys_opt :
-       ?bound:float -> Smemo.Memo.group -> Extreq.t -> Plan.t option) =
-  state.lca_sites <- state.lca_sites + 1;
+    (extreq : Extreq.t) (to_assign : int list) =
   let si = shared_info state in
   let ordered =
     if state.config.Config.use_group_ranking then
@@ -215,7 +212,7 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
       | None -> infinity
   in
   (* the plan without any enforcement (the phase-1 shape) also competes *)
-  (match log_phys_opt g extreq with
+  (match Optimizer.log_phys_opt t g extreq with
   | Some p ->
       candidates := [ p ];
       if use_bound then incumbent := Scost.Dagcost.cost t.Optimizer.cluster p
@@ -252,44 +249,42 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
                 ~args:[ ("cost", Sobs.Trace.Float cost) ]
                 "ReoptimizeRound"
           in
-          let result = log_phys_opt ~bound g ext' in
-          if t.Optimizer.tainted then begin
-            (* layer 2 abort: the round's true cost provably exceeds the
-               incumbent (or class best) by more than the slack, so its
-               plan can never be chosen; report infinity so the class
-               best is as unmoved as it would be by the true cost *)
-            state.rounds_aborted_bound <- state.rounds_aborted_bound + 1;
-            Log.debug (fun m ->
-                m "round %d at LCA %d: {%s} aborted (bound %.6g)"
-                  (Rounds.generated gen) g.Smemo.Memo.id
-                  (pp_assignment assignment) bound);
-            Rounds.report gen ~cost:infinity;
-            finish infinity
-          end
-          else begin
-            state.rounds_executed <- state.rounds_executed + 1;
-            match result with
-            | Some p ->
-                (* feedback steering the sequential enumeration: use the
-                   walking cost so the last-ulp noise of the cached
-                   closure cannot flip which assignment a class keeps as
-                   its best *)
-                let cost = Scost.Dagcost.cost t.Optimizer.cluster p in
-                Log.debug (fun m ->
-                    m "round %d at LCA %d: {%s} -> cost %.6g"
-                      (Rounds.generated gen) g.Smemo.Memo.id
-                      (pp_assignment assignment) cost);
-                Rounds.report gen ~cost;
-                candidates := p :: !candidates;
-                if use_bound && cost < !incumbent then incumbent := cost;
-                finish cost
-            | None ->
-                Log.debug (fun m ->
-                    m "round %d at LCA %d: infeasible assignment"
-                      (Rounds.generated gen) g.Smemo.Memo.id);
-                Rounds.report gen ~cost:infinity;
-                finish infinity
-          end
+          match Optimizer.log_phys_opt t ~bound g ext' with
+          | exception Optimizer.Above_bound ->
+              (* layer 2 abort: the round's true cost provably exceeds the
+                 incumbent (or class best) by more than the slack, so its
+                 plan can never be chosen; report infinity so the class
+                 best is as unmoved as it would be by the true cost *)
+              state.rounds_aborted_bound <- state.rounds_aborted_bound + 1;
+              Log.debug (fun m ->
+                  m "round %d at LCA %d: {%s} aborted (bound %.6g)"
+                    (Rounds.generated gen) g.Smemo.Memo.id
+                    (pp_assignment assignment) bound);
+              Rounds.report gen ~cost:infinity;
+              finish infinity
+          | result -> (
+              state.rounds_executed <- state.rounds_executed + 1;
+              match result with
+              | Some p ->
+                  (* feedback steering the sequential enumeration: use the
+                     walking cost so the last-ulp noise of the cached
+                     closure cannot flip which assignment a class keeps as
+                     its best *)
+                  let cost = Scost.Dagcost.cost t.Optimizer.cluster p in
+                  Log.debug (fun m ->
+                      m "round %d at LCA %d: {%s} -> cost %.6g"
+                        (Rounds.generated gen) g.Smemo.Memo.id
+                        (pp_assignment assignment) cost);
+                  Rounds.report gen ~cost;
+                  candidates := p :: !candidates;
+                  if use_bound && cost < !incumbent then incumbent := cost;
+                  finish cost
+              | None ->
+                  Log.debug (fun m ->
+                      m "round %d at LCA %d: infeasible assignment"
+                        (Rounds.generated gen) g.Smemo.Memo.id);
+                  Rounds.report gen ~cost:infinity;
+                  finish infinity)
   done;
   let winner = Optimizer.cheapest t !candidates in
   (if Sobs.Trace.enabled () then
@@ -309,12 +304,15 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
    [Intern.pair], to the requirement the group's base plan is optimized
    under. *)
 let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
-    (extreq : Extreq.t) ~self ~log_phys_opt =
+    (extreq : Extreq.t) =
   match t.Optimizer.phase with
   | 0 when g.Smemo.Memo.shared ->
       (* the conventional pass bypasses the spool *)
       let child = List.hd (Smemo.Memo.group_children g) in
-      Some (self (Smemo.Memo.group t.Optimizer.memo child) extreq)
+      Some
+        (Optimizer.optimize_group t
+           (Smemo.Memo.group t.Optimizer.memo child)
+           extreq)
   | 0 | 1 -> None
   | _ -> (
     match
@@ -337,34 +335,17 @@ let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
           match Intern.Id_tbl.find_opt pinned_inner key with
           | Some x -> x
           | None ->
-              let keep =
-                (* layer 3, cross-round winner reuse: beyond the group's
-                   own entry, drop enforcement entries for shared groups
-                   that are not below this one — they are unreachable from
-                   here (every descendant prunes to its own shared_below
-                   anyway), so they cannot influence the plan, yet they
-                   differ between adjacent mixed-radix rounds and would
-                   fragment the winner cache into one cold entry per
-                   round *)
-                let si = shared_info state in
-                if
-                  state.config.Config.prune
-                  && Hashtbl.mem si.Shared_info.below g.Smemo.Memo.id
-                then begin
-                  let below = Shared_info.shared_below si g.Smemo.Memo.id in
-                  fun gid -> gid <> g.Smemo.Memo.id && List.mem gid below
-                end
-                else fun gid -> gid <> g.Smemo.Memo.id
-              in
               let x =
                 Extreq.make t.Optimizer.intern pinned
-                  (Intern.filter t.Optimizer.intern keep extreq.Extreq.enforce)
+                  (Intern.filter t.Optimizer.intern
+                     (fun gid -> gid <> g.Smemo.Memo.id)
+                     extreq.Extreq.enforce)
               in
               Intern.Id_tbl.add pinned_inner key x;
               x
         in
         Some
-          (match self g inner with
+          (match Optimizer.optimize_group t g inner with
           | None -> None
           | Some base -> compensate t g extreq base)
     | _ ->
@@ -378,7 +359,7 @@ let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
             lcas
         in
         if to_assign = [] then None
-        else Some (run_rounds state t g extreq to_assign ~log_phys_opt))
+        else Some (run_rounds state t g extreq to_assign))
 
 let make_ext state : Optimizer.ext =
   {
@@ -430,10 +411,8 @@ let optimize ?(config = Config.default) ?budget ?observe ~cluster
               si.Shared_info.lca [])));
   let p2 = pass 2 ~pid:Sobs.Trace.pid_phase2 "phase 2" in
   Log.info (fun m ->
-      m "phase 2 done: %d rounds executed (%d pruned, %d aborted) at %d LCA \
-         sites"
-        state.rounds_executed state.rounds_pruned state.rounds_aborted_bound
-        state.lca_sites);
+      m "phase 2 done: %d rounds executed (%d pruned, %d aborted)"
+        state.rounds_executed state.rounds_pruned state.rounds_aborted_bound);
   (* a later pass wins ties: phase 2 over phase 1, the CSE plan over the
      conventional one *)
   let best =

@@ -32,7 +32,6 @@ type state = {
       (** rounds cut short by the branch-and-bound incumbent check *)
   mutable pruned_props : (int * (Sphys.Reqprops.t * Sphys.Reqprops.t) list) list;
       (** shared group -> (dropped, kept dominator) pairs (SA060 audit) *)
-  mutable lca_sites : int;
 }
 
 (** The computed shared-group information; raises before phase 2. *)

@@ -68,9 +68,8 @@ type report = {
   (* this run's optimizer counts over all three passes: nonzero, sorted
      by name *)
   mutable exec : exec_summary option;
-  (* filled in by callers that execute the CSE plan, so downstream
-     consumers (JSON report, bench comparison) see utilization and
-     wall time instead of a print-only summary *)
+  (* filled in by the bench harness and the serve engine, which execute
+     the CSE plan *)
 }
 
 (* Named counters, one "name=value" list on a line.  Shared by
@@ -152,7 +151,7 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
   in
   let shared =
     Sobs.Trace.with_span ~pid:fe "identify shared (Algorithm 1)" (fun () ->
-        Spool.identify ~config memo)
+        Spool.identify memo)
   in
   let outcome = Phase2.optimize ~config ?budget ~cluster memo in
   let conventional_plan =

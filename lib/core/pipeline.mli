@@ -50,14 +50,18 @@ type report = {
   rounds_aborted_bound : int;
       (** rounds cut short by the branch-and-bound incumbent check *)
   phase2_winner_reuse_hits : int;
-      (** winner-cache hits during phase 2 (cross-round reuse) *)
+      (** winner-cache hits during phase 2: cross-round reuse, because
+          {!Phase2}'s [child_extreq] restricts each child's enforcement
+          map to the shared groups below it, so rounds that differ only
+          in other groups' pins ask for the same key *)
   history_sizes : (int * int) list;  (** shared group -> #property sets *)
   candidate_props : (int * Sphys.Reqprops.t list) list;
       (** shared group -> phase-2 candidate property sets after dominance
           filtering, in round order *)
   pruned_props : (int * (Sphys.Reqprops.t * Sphys.Reqprops.t) list) list;
       (** shared group -> (dropped candidate, kept dominator) pairs; the
-          SA060 audit re-verifies each pair against {!History.dominates} *)
+          SA060 audit re-verifies each pair against the dominance rule of
+          {!History.candidates} *)
   shared_info : Shared_info.t;
   counters : (string * int) list;
       (** this run's counts ({!Sopt.Optimizer.counters}) over all three
@@ -67,10 +71,10 @@ type report = {
           executor's ({!Sexec.Engine.named_counters}), not part of this
           list. *)
   mutable exec : exec_summary option;
-      (** execution summary of the CSE plan, filled in by callers that
-          actually run it ([scopeopt run], the bench harness) so the
-          JSON report and [bench/compare] can consume utilization and
-          wall time; [None] when the plans were only optimized *)
+      (** execution summary of the CSE plan, filled in by two callers
+          that run it: the bench harness (for [bench/compare]'s
+          utilization and wall checks) and the serve engine (on each
+          session's report); [None] when the plans were only optimized *)
 }
 
 (** Named counters as one "counters: name=value; ..." line. *)

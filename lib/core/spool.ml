@@ -29,50 +29,48 @@ let insert_spool (memo : Smemo.Memo.t) gid ~consumers =
   spool.Smemo.Memo.shared <- true;
   { spool = spool.Smemo.Memo.id; under = gid; initial_consumers = consumers }
 
-let identify ?(config = Config.default) (memo : Smemo.Memo.t) : shared list =
+let identify (memo : Smemo.Memo.t) : shared list =
   (* --- fingerprint merge of equal subexpressions ---------------------- *)
-  if config.Config.use_fingerprints then begin
-    let fps = Fingerprint.of_memo memo in
-    (* bucket reachable groups by fingerprint *)
-    let buckets : (int, int list) Hashtbl.t = Hashtbl.create 64 in
-    let live = Smemo.Memo.reachable memo in
-    Smemo.Memo.iter_groups memo (fun g ->
-        let gid = g.Smemo.Memo.id in
-        if live.(gid) then
-          match Hashtbl.find_opt fps gid with
-          | Some f ->
-              Hashtbl.replace buckets f
-                (gid :: Option.value ~default:[] (Hashtbl.find_opt buckets f))
-          | None -> ());
-    let merged : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    (* bottom-up: group ids are topological (children first) *)
-    Hashtbl.iter
-      (fun _ gids ->
-        let gids = List.sort Int.compare gids in
-        match gids with
-        | [] | [ _ ] -> ()
-        | rep0 :: rest ->
-            (* several colliding entries: structural comparison decides *)
-            let reps = ref [ rep0 ] in
-            List.iter
-              (fun gid ->
-                match
-                  List.find_opt (fun r -> Fingerprint.equal_subexpr memo r gid) !reps
-                with
-                | Some rep -> Hashtbl.replace merged gid rep
-                | None -> reps := !reps @ [ gid ])
-              rest)
-      buckets;
-    (* apply merges lowest-duplicate first so redirects compose *)
-    let pairs =
-      Hashtbl.fold (fun d r acc -> (d, r) :: acc) merged []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    in
-    List.iter
-      (fun (dup, rep) ->
-        Smemo.Memo.redirect memo ~from_:dup ~to_:rep ~except:rep)
-      pairs
-  end;
+  let fps = Fingerprint.of_memo memo in
+  (* bucket reachable groups by fingerprint *)
+  let buckets : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  let live = Smemo.Memo.reachable memo in
+  Smemo.Memo.iter_groups memo (fun g ->
+      let gid = g.Smemo.Memo.id in
+      if live.(gid) then
+        match Hashtbl.find_opt fps gid with
+        | Some f ->
+            Hashtbl.replace buckets f
+              (gid :: Option.value ~default:[] (Hashtbl.find_opt buckets f))
+        | None -> ());
+  let merged : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  (* bottom-up: group ids are topological (children first) *)
+  Hashtbl.iter
+    (fun _ gids ->
+      let gids = List.sort Int.compare gids in
+      match gids with
+      | [] | [ _ ] -> ()
+      | rep0 :: rest ->
+          (* several colliding entries: structural comparison decides *)
+          let reps = ref [ rep0 ] in
+          List.iter
+            (fun gid ->
+              match
+                List.find_opt (fun r -> Fingerprint.equal_subexpr memo r gid) !reps
+              with
+              | Some rep -> Hashtbl.replace merged gid rep
+              | None -> reps := !reps @ [ gid ])
+            rest)
+    buckets;
+  (* apply merges lowest-duplicate first so redirects compose *)
+  let pairs =
+    Hashtbl.fold (fun d r acc -> (d, r) :: acc) merged []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  List.iter
+    (fun (dup, rep) ->
+      Smemo.Memo.redirect memo ~from_:dup ~to_:rep ~except:rep)
+    pairs;
   (* --- explicit sharing: spool every multi-consumer group -------------- *)
   let parents = Smemo.Memo.parents memo in
   let shared = ref [] in

@@ -12,4 +12,4 @@ type shared = {
 
 (** Run the identification on a freshly built memo; returns the shared
     groups found. Idempotent. *)
-val identify : ?config:Config.t -> Smemo.Memo.t -> shared list
+val identify : Smemo.Memo.t -> shared list

@@ -498,26 +498,13 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
         let r = map_parts pool (sort_part t.batch_size d.schema keys) d schema in
         note "sort" t0;
         r
-    | Physop.P_stream_agg { keys; aggs; scope = _ } ->
-        let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
-        let key_idx =
-          Array.of_list (List.map (fun k -> Schema.index k d.schema) keys)
-        in
-        let aggs_a = Array.of_list aggs in
-        let cargs =
-          Array.map (fun a -> Expr.compile d.schema a.Agg.arg) aggs_a
-        in
-        let r =
-          map_parts pool
-            (fun bs ->
-              Batch.split ~size:t.batch_size
-                (Batch.stream_agg schema ~key_idx ~aggs:aggs_a ~cargs bs))
-            d schema
-        in
-        note "aggregate" t0;
-        r
+    | Physop.P_stream_agg { keys; aggs; scope = _ }
     | Physop.P_hash_agg { keys; aggs; scope = _ } ->
+        let kernel =
+          match n.Plan.op with
+          | Physop.P_stream_agg _ -> Batch.stream_agg
+          | _ -> Batch.hash_agg
+        in
         let d = eval_child (List.hd n.Plan.children) in
         let t0 = Profile.now () in
         let key_idx =
@@ -531,7 +518,7 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
           map_parts pool
             (fun bs ->
               Batch.split ~size:t.batch_size
-                (Batch.hash_agg schema ~key_idx ~aggs:aggs_a ~cargs bs))
+                (kernel schema ~key_idx ~aggs:aggs_a ~cargs bs))
             d schema
         in
         note "aggregate" t0;

@@ -43,11 +43,6 @@ type t = {
       (* winner-cache hits while phase = 2: cross-round reuse *)
   mutable winner_hits : int;
   mutable rule_firings : int;
-  mutable tainted : bool;
-      (* the last [optimize_group]/[log_phys_opt] evaluation was cut by a
-         cost bound and its result is not the true winner (see the
-         branch-and-bound protocol below); tainted results are never
-         memoized *)
   ext : ext;
   intern : Intern.t;
   observe : (Reqprops.t -> Plan.t -> bool -> unit) option;
@@ -72,13 +67,7 @@ and ext = {
     t -> child:Smemo.Memo.group -> Extreq.t -> Extreq.t -> Extreq.t;
   (* Algorithm 4, lines 4-12: a [Some result] bypasses the default
      optimization (used for LCA rounds and pinned shared groups) *)
-  intercept :
-    t ->
-    Smemo.Memo.group ->
-    Extreq.t ->
-    self:(Smemo.Memo.group -> Extreq.t -> Plan.t option) ->
-    log_phys_opt:(?bound:float -> Smemo.Memo.group -> Extreq.t -> Plan.t option) ->
-    Plan.t option option;
+  intercept : t -> Smemo.Memo.group -> Extreq.t -> Plan.t option option;
   (* called when a winner is recorded (frequency statistics, VIII-C) *)
   after_winner : t -> Smemo.Memo.group -> Extreq.t -> Plan.t option -> unit;
 }
@@ -87,7 +76,7 @@ let default_ext =
   {
     before_optimize = (fun _ _ _ -> ());
     child_extreq = (fun _ ~child:_ creq _ -> creq);
-    intercept = (fun _ _ _ ~self:_ ~log_phys_opt:_ -> None);
+    intercept = (fun _ _ _ -> None);
     after_winner = (fun _ _ _ _ -> ());
   }
 
@@ -102,7 +91,6 @@ let create ?(ext = default_ext) ?(budget = Budget.create ()) ?observe
     phase2_winner_hits = 0;
     winner_hits = 0;
     rule_firings = 0;
-    tainted = false;
     ext;
     intern = Intern.create ();
     observe;
@@ -289,6 +277,10 @@ module Lower_bound = struct
     done
 end
 
+(* Raised by a bounded [log_phys_opt] that has cut every candidate it
+   could have completed: the group's answer provably exceeds the bound. *)
+exception Above_bound
+
 (* Branch-and-bound protocol.  [bound] (default infinity: off) is an upper
    bound on any plan still worth finding — phase-2 rounds pass the
    incumbent round cost, with a hair of relative slack so the cutoff sits
@@ -305,24 +297,22 @@ end
    - the working bound tightens to the best candidate completed so far,
      so later alternatives are held to the harder target.
 
-   Child groups and enforcer inners are always optimized exactly: their
-   winners stay memoized and warm for subsequent rounds (a bound-degraded
-   child result would be unrecordable and its work re-paid every round).
+   Child groups and enforcer inners go through [optimize_group], which
+   takes no bound: their winners are exact, memoized and warm for
+   subsequent rounds.
 
-   If anything was skipped and no in-bound candidate remains, the [None]
-   result is not the group's true answer — only a proof that the true
-   answer exceeds [bound].  [t.tainted] signals this to the caller (the
-   round aborts); tainted results are never memoized.  With the default
-   infinite bound nothing is ever skipped or dropped and the behavior is
-   identical to the unbounded engine. *)
-let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
-    (extreq : Extreq.t) : Plan.t option =
+   If anything was cut and no in-bound candidate remains, there is no
+   answer, only a proof that the true answer exceeds [bound]:
+   [log_phys_opt] raises [Above_bound] (the round aborts).  Whatever it
+   returns is the group's true winner.  With the default infinite bound
+   nothing is cut and no candidate is costed. *)
+let rec optimize_group t (g : Smemo.Memo.group) (extreq : Extreq.t) :
+    Plan.t option =
   let key = winner_key t extreq in
   match Hashtbl.find_opt g.Smemo.Memo.winners key with
   | Some w ->
       t.winner_hits <- t.winner_hits + 1;
       if t.phase = 2 then t.phase2_winner_hits <- t.phase2_winner_hits + 1;
-      t.tainted <- false;
       w.Smemo.Memo.wplan
   | None ->
       t.tasks <- t.tasks + 1;
@@ -336,30 +326,19 @@ let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
           ~args:[ ("group", Sobs.Trace.Int g.Smemo.Memo.id) ]
           "OptimizeGroup";
       t.ext.before_optimize t g extreq;
-      t.tainted <- false;
       let result =
-        match
-          t.ext.intercept t g extreq
-            ~self:(fun g' e' -> optimize_group t g' e')
-            ~log_phys_opt:(log_phys_opt t)
-        with
-        | Some r ->
-            (* interception (pinned shared groups, LCA rounds) always
-               produces an honest result *)
-            t.tainted <- false;
-            r
-        | None -> log_phys_opt t ~bound g extreq
+        match t.ext.intercept t g extreq with
+        | Some r -> r
+        | None -> log_phys_opt t g extreq
       in
-      if not t.tainted then begin
-        Hashtbl.replace g.Smemo.Memo.winners key
-          {
-            Smemo.Memo.wphase = t.phase;
-            wreq = extreq.Extreq.req;
-            wenforce = extreq.Extreq.enforce.Intern.bindings;
-            wplan = result;
-          };
-        t.ext.after_winner t g extreq result
-      end;
+      Hashtbl.replace g.Smemo.Memo.winners key
+        {
+          Smemo.Memo.wphase = t.phase;
+          wreq = extreq.Extreq.req;
+          wenforce = extreq.Extreq.enforce.Intern.bindings;
+          wplan = result;
+        };
+      t.ext.after_winner t g extreq result;
       if traced then Sobs.Trace.end_span ~pid "OptimizeGroup";
       result
 
@@ -378,77 +357,56 @@ and log_phys_opt t ?(bound = infinity) (g : Smemo.Memo.group)
      pruned-out runs pick identical winners. *)
   let work_bound = ref bound in
   let note_candidate node =
-    let c = plan_cost t node in
-    if c > bound then begin
-      (* provably never chosen over the caller's incumbent; dropping it
-         (and flagging the skip) lets a round with no in-bound candidate
-         taint instead of completing *)
-      skipped := true;
-      None
-    end
-    else begin
-      let tight = c *. (1.0 +. 1e-6) in
-      if tight < !work_bound then work_bound := tight;
-      Some node
-    end
+    if not bounded then Some node
+    else
+      let c = plan_cost t node in
+      if c > bound then begin
+        (* provably never chosen over the caller's incumbent *)
+        skipped := true;
+        None
+      end
+      else begin
+        let tight = c *. (1.0 +. 1e-6) in
+        if tight < !work_bound then work_bound := tight;
+        Some node
+      end
   in
   let impl_candidates =
     List.filter_map
       (fun (alt : impl) ->
-        if not bounded then begin
-          (* the exact unbounded engine: every child evaluated *)
-          let children =
-            List.map
-              (fun (child, creq) ->
-                optimize_group t child (t.ext.child_extreq t ~child creq extreq))
-              alt.inputs
-          in
-          if List.for_all Option.is_some children then
-            let node = mk_plan t g alt.iop (List.map Option.get children) in
-            if valid_candidate t ~static_ok:alt.istatic req node then Some node
-            else None
-          else None
-        end
-        else begin
-          (* children left to right; the deduplicated cost of the
-             completed prefix is a lower bound on the candidate's final
-             cost *)
-          (* children stay exact (and so memoized — warm for later
-             rounds; a bounded child could taint, and tainted results are
-             not recordable, so every later round would re-pay the same
-             subtree); the bound cuts at this level only *)
-          let lb = Lower_bound.create () in
-          let rec go acc = function
-            | [] -> Some (List.rev acc)
-            | (child, creq) :: inputs ->
-                if lb.Lower_bound.sum > !work_bound then begin
+        (* children left to right; under a bound, the deduplicated cost
+           of the completed prefix is a lower bound on the candidate's
+           final cost *)
+        let lb = if bounded then Some (Lower_bound.create ()) else None in
+        let rec go acc = function
+          | [] -> Some (List.rev acc)
+          | (child, creq) :: inputs -> (
+              match lb with
+              | Some lb when lb.Lower_bound.sum > !work_bound ->
                   skipped := true;
                   None
-                end
-                else begin
+              | _ -> (
                   let cext = t.ext.child_extreq t ~child creq extreq in
                   match optimize_group t child cext with
                   | None -> None (* genuinely infeasible child *)
                   | Some p ->
-                      Lower_bound.add t.cluster lb p;
-                      go (p :: acc) inputs
-                end
-          in
-          match go [] alt.inputs with
-          | None -> None
-          | Some children ->
-              let node = mk_plan t g alt.iop children in
-              if valid_candidate t ~static_ok:alt.istatic req node then
-                note_candidate node
-              else None
-        end)
+                      (match lb with
+                      | Some lb -> Lower_bound.add t.cluster lb p
+                      | None -> ());
+                      go (p :: acc) inputs))
+        in
+        match go [] alt.inputs with
+        | None -> None
+        | Some children ->
+            let node = mk_plan t g alt.iop children in
+            if valid_candidate t ~static_ok:alt.istatic req node then
+              note_candidate node
+            else None)
       (impls t g extreq)
   in
   let enforcer_candidates =
     List.filter_map
       (fun (alt : enforcer) ->
-        (* exact for the same memoization reason as implementation
-           children; the enforcer node itself is bound-filtered below *)
         let inner = alt.inner in
         match
           optimize_group t g
@@ -466,16 +424,14 @@ and log_phys_opt t ?(bound = infinity) (g : Smemo.Memo.group)
                         ("op", Sobs.Trace.Str (Physop.to_string alt.eop));
                       ]
                     "enforcer";
-                if bounded then note_candidate node else Some node
+                note_candidate node
               end
               else None)
       (enforcers t g extreq)
   in
-  let result = cheapest t (impl_candidates @ enforcer_candidates) in
-  t.tainted <-
-    !skipped
-    && (match result with None -> true | Some p -> plan_cost t p > bound);
-  result
+  match cheapest t (impl_candidates @ enforcer_candidates) with
+  | None when !skipped -> raise Above_bound
+  | result -> result
 
 (* Entry point: optimize the whole memo for the current phase. *)
 let optimize_root t =

@@ -23,14 +23,11 @@ type t = {
   mutable phase : int;  (** 0 conventional, 1 or 2 CSE; 1 at creation *)
   mutable tasks : int;  (** winner-cache misses, in every phase *)
   mutable phase2_winner_hits : int;
-      (** winner-cache hits while [phase = 2] — the cross-round reuse
-          the enforcement-slice keying buys (reported by the pipeline) *)
+      (** winner-cache hits while [phase = 2] — cross-round reuse, which
+          comes from the CSE hooks restricting each child's enforcement
+          map to the shared groups below it (reported by the pipeline) *)
   mutable winner_hits : int;  (** winner-cache lookups that hit *)
   mutable rule_firings : int;  (** exploration rules applied *)
-  mutable tainted : bool;
-      (** branch-and-bound honesty flag: true right after a call whose
-          result may have been degraded by bound-driven skips and so must
-          not be memoized by the winner lookup *)
   ext : ext;
   intern : Intern.t;
       (** this run's requirement ids; dropped with the run *)
@@ -51,16 +48,10 @@ and ext = {
       (** Algorithm 5, lines 9-17: the child's extended requirement from
           the conventional DetChildProp result (unenforced) and the
           parent's map *)
-  intercept :
-    t ->
-    Smemo.Memo.group ->
-    Extreq.t ->
-    self:(Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option) ->
-    log_phys_opt:
-      (?bound:float -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option) ->
-    Sphys.Plan.t option option;
+  intercept : t -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option option;
       (** Algorithm 4, lines 4-12: [Some result] bypasses the default
-          optimization (LCA rounds and pinned shared groups) *)
+          optimization (LCA rounds and pinned shared groups); it may call
+          {!optimize_group} and {!log_phys_opt} itself *)
   after_winner : t -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option -> unit;
       (** called when a winner is recorded (VIII-C frequencies) *)
 }
@@ -109,6 +100,26 @@ val valid_candidate :
 (** The enforcer alternatives of a group under a requirement, prepared
     once per (group, requirement id). *)
 val enforcers : t -> Smemo.Memo.group -> Extreq.t -> enforcer list
+
+(** Raised by a bounded {!log_phys_opt} that cut every candidate it could
+    have completed: the group's cheapest plan provably costs more than the
+    bound. *)
+exception Above_bound
+
+(** The winner of a group under an extended requirement in the current
+    phase: a winner-cache lookup, and on a miss the [intercept] hook or
+    {!log_phys_opt}, whose result is memoized. *)
+val optimize_group :
+  t -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option
+
+(** Exploration and physical optimization of one group under one
+    requirement (the body of Algorithm 5), never memoized; children and
+    enforcer inputs go through {!optimize_group}.  Under a finite [bound]
+    (default infinity) alternatives and candidates provably costlier than
+    the bound are cut; a returned plan is the true winner, and
+    {!Above_bound} is raised when cuts left no candidate. *)
+val log_phys_opt :
+  t -> ?bound:float -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option
 
 (** Optimize the memo's root with no requirement. *)
 val optimize_root : t -> Sphys.Plan.t option

@@ -126,25 +126,6 @@ let test_duplicate_merging () =
   Alcotest.(check int) "two consumers" 2
     (List.hd shared).Cse.Spool.initial_consumers
 
-let test_duplicates_not_merged_when_disabled () =
-  let script =
-    {|X = EXTRACT A,B,C,D FROM "test.log" USING L;
-      Y = EXTRACT A,B,C,D FROM "test.log" USING L;
-      GX = SELECT A,Sum(D) AS S FROM X GROUP BY A;
-      GY = SELECT A,Sum(D) AS S FROM Y GROUP BY A;
-      OUTPUT GX TO "o1"; OUTPUT GY TO "o2";|}
-  in
-  let memo = Thelpers.memo_of script in
-  let shared =
-    Cse.Spool.identify
-      ~config:{ Cse.Config.default with Cse.Config.use_fingerprints = false }
-      memo
-  in
-  Alcotest.(check int) "no sharing without fingerprints" 0 (List.length shared);
-  let memo2 = Thelpers.memo_of script in
-  Alcotest.(check int) "sharing with fingerprints" 1
-    (List.length (Cse.Spool.identify memo2))
-
 let test_no_double_spool () =
   let memo = Thelpers.memo_of Sworkload.Paper_scripts.s1 in
   ignore (shared_of memo);
@@ -197,8 +178,6 @@ let () =
         [
           Alcotest.test_case "explicit sharing (S1)" `Quick test_explicit_sharing_s1;
           Alcotest.test_case "duplicate merging" `Quick test_duplicate_merging;
-          Alcotest.test_case "fingerprints disabled" `Quick
-            test_duplicates_not_merged_when_disabled;
           Alcotest.test_case "idempotent" `Quick test_no_double_spool;
           Alcotest.test_case "S2 consumers" `Quick test_s2_three_consumers;
           Alcotest.test_case "S3 shared" `Quick test_s3_two_shared;

@@ -53,6 +53,36 @@ let test_winner_memoization () =
   Alcotest.(check int) "cached" tasks_before
     ctx.Sopt.Optimizer.budget.Sopt.Budget.tasks
 
+(* The branch-and-bound contract, on every memoized winner of S1: with no
+   bound [log_phys_opt] rebuilds the plan [optimize_group] memoized; under
+   bound 0, which every plan exceeds, it raises [Above_bound] instead of
+   returning an answer. *)
+let test_bounded_log_phys_opt () =
+  let _, ctx = conventional Sworkload.Paper_scripts.s1 in
+  let plan_string p = Fmt.str "%a" Sphys.Plan_pp.pp p in
+  let checked = ref 0 in
+  Smemo.Memo.iter_groups ctx.Sopt.Optimizer.memo (fun g ->
+      List.iter
+        (fun (w : Smemo.Memo.winner) ->
+          match w.Smemo.Memo.wplan with
+          | None -> ()
+          | Some p ->
+              incr checked;
+              let x = Sopt.Extreq.plain ctx.Sopt.Optimizer.intern w.Smemo.Memo.wreq in
+              (match Sopt.Optimizer.optimize_group ctx g x with
+              | Some q when q == p -> ()
+              | _ -> Alcotest.fail "optimize_group missed its own winner");
+              (match Sopt.Optimizer.log_phys_opt ctx g x with
+              | Some q ->
+                  Alcotest.(check string) "unbounded = winner" (plan_string p)
+                    (plan_string q)
+              | None -> Alcotest.fail "unbounded call found no plan");
+              Alcotest.check_raises "bound 0" Sopt.Optimizer.Above_bound
+                (fun () ->
+                  ignore (Sopt.Optimizer.log_phys_opt ctx ~bound:0. g x)))
+        (Smemo.Memo.winners_of g));
+  Alcotest.(check bool) "winners checked" true (!checked > 10)
+
 let test_serial_cluster () =
   (* a 1-machine cluster still produces correct plans *)
   let plan, _ = conventional ~machines:1 Sworkload.Paper_scripts.s1 in
@@ -219,5 +249,7 @@ let () =
           Alcotest.test_case "budget flag" `Quick test_budget_exhaustion_flag;
           Alcotest.test_case "candidate filter = plan checker" `Slow
             test_candidate_filter_equivalence;
+          Alcotest.test_case "bounded log_phys_opt" `Quick
+            test_bounded_log_phys_opt;
         ] );
     ]

@@ -34,20 +34,6 @@ let test_generator_deterministic () =
     (Sworkload.Large_gen.ls1 ())
     (Sworkload.Large_gen.ls1 ())
 
-let test_duplicate_module_merged_by_fingerprints () =
-  (* LS1's module 1 is written as a textual duplicate; without the
-     fingerprint pass it is not detected and only 3 shared groups remain *)
-  let script = Sworkload.Large_gen.ls1 () in
-  let catalog = Relalg.Catalog.default () in
-  Sworkload.Large_gen.register_files catalog script;
-  let memo = Thelpers.memo_of ~catalog script in
-  let shared =
-    Cse.Spool.identify
-      ~config:{ Cse.Config.default with Cse.Config.use_fingerprints = false }
-      memo
-  in
-  Alcotest.(check int) "3 without fingerprints" 3 (List.length shared)
-
 let test_filler_sizes_exact () =
   List.iter
     (fun n ->
@@ -97,8 +83,6 @@ let () =
           Alcotest.test_case "LS1 statistics" `Quick test_ls1_statistics;
           Alcotest.test_case "LS2 statistics" `Quick test_ls2_statistics;
           Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
-          Alcotest.test_case "duplicates need fingerprints" `Quick
-            test_duplicate_module_merged_by_fingerprints;
           Alcotest.test_case "filler sizes" `Quick test_filler_sizes_exact;
         ] );
       ( "scripts",
