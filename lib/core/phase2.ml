@@ -94,7 +94,7 @@ let child_extreq state restricted (t : Optimizer.t)
     let enforce =
       (* prune to paths that still lead to an enforced shared group; keep
          everything for groups unknown to the (pre-phase-2) analysis *)
-      match Hashtbl.find_opt si.Shared_info.below_class cid with
+      match Shared_info.below_class si cid with
       | None -> parent.Extreq.enforce
       | Some cls -> (
           let key = Intern.pair parent.Extreq.enforce.Intern.id cls in
@@ -406,9 +406,11 @@ let optimize ?(config = Config.default) ?budget ?observe ~cluster
   Log.info (fun m ->
       m "phase 1 done (%d tasks); LCAs: %s" t.Optimizer.budget.Budget.tasks
         (String.concat ", "
-           (Hashtbl.fold
-              (fun s l acc -> Fmt.str "%d->%d" s l :: acc)
-              si.Shared_info.lca [])));
+           (List.filter_map
+              (fun s ->
+                Option.map (Fmt.str "%d->%d" s)
+                  (Shared_info.lca_of_shared si s))
+              (Shared_info.shared_below si memo.Smemo.Memo.root))));
   let p2 = pass 2 ~pid:Sobs.Trace.pid_phase2 "phase 2" in
   Log.info (fun m ->
       m "phase 2 done: %d rounds executed (%d pruned, %d aborted)"

@@ -53,6 +53,8 @@ let lca_groups t gid =
 (* Shared groups at or below [gid] (including [gid] itself if shared). *)
 let shared_below t gid = Option.value ~default:[] (Hashtbl.find_opt t.below gid)
 
+let below_class t gid = Hashtbl.find_opt t.below_class gid
+
 let consumers t shared =
   Option.value ~default:[] (Hashtbl.find_opt t.consumers_of shared)
 

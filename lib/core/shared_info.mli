@@ -14,18 +14,7 @@
     as the consumers' lowest common postdominator.  The incremental rule
     is not computed. *)
 
-type t = {
-  below : (int, int list) Hashtbl.t;
-      (** reachable group -> the shared groups at or below it, ascending;
-          its key set is the groups known to the analysis *)
-  lca : (int, int) Hashtbl.t;
-  consumers_of : (int, int list) Hashtbl.t;
-  lca_of_group : (int, int list) Hashtbl.t;
-      (** group -> the shared groups it is the LCA of, ascending *)
-  below_class : (int, int) Hashtbl.t;
-      (** group -> id of its {!shared_below} set: groups with equal sets
-          share the id; groups unknown to the analysis have none *)
-}
+type t
 
 (** The LCA of a shared group's consumers. *)
 val lca_of_shared : t -> int -> int option
@@ -35,6 +24,10 @@ val lca_groups : t -> int -> int list
 
 (** Shared groups at or below the given group, ascending. *)
 val shared_below : t -> int -> int list
+
+(** Id of the group's {!shared_below} set: groups with equal sets share
+    the id; groups unknown to the analysis have none. *)
+val below_class : t -> int -> int option
 
 (** Distinct consumer groups of a shared group. *)
 val consumers : t -> int -> int list

@@ -2,12 +2,15 @@ open Relalg
 open Sphys
 
 (* Columnar batches: one [Value.t array] per schema column plus an
-   optional selection vector of live physical row indices (ascending).
-   Operators are batch-at-a-time — a filter only narrows the selection
-   vector, a project materializes new dense columns over the live rows,
-   sort/aggregate/join kernels run over whole column arrays — so the
-   per-row closure dispatch and schema walking of the old row-list
-   engine disappear from the hot loops.
+   optional selection vector of live physical row indices, in live
+   order.  Row order and row subsets travel in the selection vector, not
+   in column data: a filter narrows it, a sort permutes it, a projection
+   of bare columns and a split keep or slice it, all over the same
+   column arrays (columns are immutable).  Kernels that compute new
+   values (computed projections, aggregation, join), [concat] and the
+   exchange's receive side write dense batches.  Every kernel reads
+   rows through [at], so no per-row closure dispatch or schema walk
+   sits in the hot loops.
 
    Row-order discipline: every kernel preserves (or deterministically
    defines) the *live-row order* of its inputs, and the live order of a
@@ -22,7 +25,9 @@ type t = {
   schema : Schema.t;
   len : int;  (* physical rows in [cols] *)
   cols : Value.t array array;  (* cols.(c).(i): column c of physical row i *)
-  sel : int array option;  (* live physical indices, ascending; None = all *)
+  sel : int array option;
+      (* live physical indices in live order, distinct, not necessarily
+         ascending; None = every row, in physical order *)
 }
 
 let live b = match b.sel with Some s -> Array.length s | None -> b.len
@@ -49,63 +54,61 @@ let to_rows b =
   | None -> List.init b.len row
   | Some s -> Array.to_list (Array.map row s)
 
-(* Materialize the selection: gather live rows into dense columns. *)
-let dense b =
-  match b.sel with
-  | None -> b
-  | Some s ->
-      let n = Array.length s in
-      {
-        schema = b.schema;
-        len = n;
-        cols = Array.map (fun col -> Array.map (fun i -> col.(i)) s) b.cols;
-        sel = None;
-      }
-
-(* Concatenate live rows of [bs] in list order into one dense batch. *)
+(* Concatenate live rows of [bs] in list order into one dense batch: one
+   copy per live row, read through each selection.  A lone dense batch
+   comes back as is. *)
 let concat schema bs =
   match bs with
-  | [ b ] -> dense b
+  | [ ({ sel = None; _ } as b) ] -> b
   | bs ->
-      let bs = List.map dense bs in
-      let n = List.fold_left (fun acc b -> acc + b.len) 0 bs in
+      let n = List.fold_left (fun acc b -> acc + live b) 0 bs in
       let arity = Schema.arity schema in
       let cols = Array.init arity (fun _ -> Array.make n Value.Null) in
       let off = ref 0 in
       List.iter
         (fun b ->
+          let k = live b in
           for c = 0 to arity - 1 do
-            Array.blit b.cols.(c) 0 cols.(c) !off b.len
+            let src = b.cols.(c) and dst = cols.(c) in
+            match b.sel with
+            | None -> Array.blit src 0 dst !off k
+            | Some s ->
+                for i = 0 to k - 1 do
+                  dst.(!off + i) <- src.(s.(i))
+                done
           done;
-          off := !off + b.len)
+          off := !off + k)
         bs;
       { schema; len = n; cols; sel = None }
 
-(* Chop into dense chunks of at most [size] live rows; empty batches are
-   dropped.  Chunking never changes the row sequence, only its framing. *)
+(* Materialize the selection: live rows into dense columns. *)
+let dense b = concat b.schema [ b ]
+
+(* Chunks of at most [size] live rows; empty batches are dropped.  A
+   larger batch is cut into consecutive slices of its selection, all
+   sharing its columns.  Chunking never changes the row sequence, only
+   its framing. *)
 let split ~size b =
-  let b = dense b in
-  if b.len = 0 then []
-  else if size <= 0 || b.len <= size then [ b ]
+  let n = live b in
+  if n = 0 then []
+  else if size <= 0 || n <= size then [ b ]
   else
-    let rec go off acc =
-      if off >= b.len then List.rev acc
-      else
-        let k = min size (b.len - off) in
-        let chunk =
-          {
-            schema = b.schema;
-            len = k;
-            cols = Array.map (fun col -> Array.sub col off k) b.cols;
-            sel = None;
-          }
+    List.init
+      ((n + size - 1) / size)
+      (fun j ->
+        let off = j * size in
+        let k = min size (n - off) in
+        let sel =
+          match b.sel with
+          | Some s -> Array.sub s off k
+          | None -> Array.init k (fun i -> off + i)
         in
-        go (off + k) (chunk :: acc)
-    in
-    go 0 []
+        { b with sel = Some sel })
 
 (* Columnar interpreter over [Expr.compiled]: same Value semantics and
-   short-circuiting as [Expr.ceval], reading column arrays in place. *)
+   short-circuiting as [Expr.ceval], reading column arrays in place.
+   [holds] is its truthiness, [Value.is_truthy (eval_at cols p e)],
+   computed without boxing an [Int 0/1] for comparisons and connectives. *)
 let rec eval_at cols p = function
   | Expr.CCol c -> cols.(c).(p)
   | Expr.CLit v -> v
@@ -113,122 +116,108 @@ let rec eval_at cols p = function
       Expr.eval_binop op (eval_at cols p a) (eval_at cols p b)
   | Expr.CCmp (op, a, b) ->
       Expr.eval_cmp op (eval_at cols p a) (eval_at cols p b)
-  | Expr.CAnd (a, b) ->
-      if Value.is_truthy (eval_at cols p a) then eval_at cols p b
-      else Value.Int 0
-  | Expr.COr (a, b) ->
-      if Value.is_truthy (eval_at cols p a) then Value.Int 1
-      else eval_at cols p b
-  | Expr.CNot a ->
-      Value.Int (if Value.is_truthy (eval_at cols p a) then 0 else 1)
+  | Expr.CAnd (a, b) -> if holds cols p a then eval_at cols p b else Value.Int 0
+  | Expr.COr (a, b) -> if holds cols p a then Value.Int 1 else eval_at cols p b
+  | Expr.CNot a -> if holds cols p a then Value.Int 0 else Value.Int 1
 
-let pred_at cols p e = Value.is_truthy (eval_at cols p e)
+and holds cols p = function
+  | Expr.CCmp (op, a, b) ->
+      Expr.cmp_holds op (eval_at cols p a) (eval_at cols p b)
+  | Expr.CAnd (a, b) -> holds cols p a && holds cols p b
+  | Expr.COr (a, b) -> holds cols p a || holds cols p b
+  | Expr.CNot a -> not (holds cols p a)
+  | e -> Value.is_truthy (eval_at cols p e)
 
-(* Filter narrows the selection vector; column data is shared, untouched. *)
+(* Filter narrows the selection vector; column data is shared, untouched.
+   A batch whose every live row passes comes back as is. *)
 let filter pred b =
   let n = live b in
-  if n = 0 then { b with sel = Some [||] }
-  else begin
-    let out = Array.make n 0 in
-    let k = ref 0 in
-    for i = 0 to n - 1 do
-      let p = at b i in
-      if pred_at b.cols p pred then begin
-        out.(!k) <- p;
-        incr k
-      end
-    done;
-    { b with sel = Some (Array.sub out 0 !k) }
-  end
+  let out = Array.make n 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let p = at b i in
+    if holds b.cols p pred then begin
+      out.(!k) <- p;
+      incr k
+    end
+  done;
+  if !k = n then b else { b with sel = Some (Array.sub out 0 !k) }
 
 (* Evaluate one output column per compiled item over the live rows.  A
-   bare column reference needs no evaluation: on a dense input the column
-   array is shared as-is (columns are immutable), on a filtered input it
-   is gathered through the selection vector. *)
+   projection of bare columns shares the input's column arrays and keeps
+   its selection.  Otherwise the output is dense: a bare column of a
+   dense input is still shared, every other column is evaluated through
+   the selection. *)
 let project schema' items b =
+  let bare = Array.for_all (function Expr.CCol _ -> true | _ -> false) items in
   let n = live b in
-  let cols' =
-    Array.map
-      (fun ce ->
-        match (ce, b.sel) with
-        | Expr.CCol c, None -> b.cols.(c)
-        | Expr.CCol c, Some s -> Array.map (fun i -> b.cols.(c).(i)) s
-        | ce, _ -> Array.init n (fun i -> eval_at b.cols (at b i) ce))
-      items
+  let column = function
+    | Expr.CCol c when bare || Option.is_none b.sel -> b.cols.(c)
+    | ce -> Array.init n (fun i -> eval_at b.cols (at b i) ce)
   in
-  { schema = schema'; len = n; cols = cols'; sel = None }
-
-(* Output row [j] is input row [perm.(j)]. *)
-let gather_rows b perm =
-  { b with cols = Array.map (fun col -> Array.map (fun i -> col.(i)) perm) b.cols }
-
-(* Output row [dst.(i)] is input row [i]; [dst] is a permutation.  The
-   counting sort's placement yields this destination map directly, into
-   its packed-key array; turning it into a [gather_rows] source
-   permutation would take a third [n]-word scratch array, more than the
-   single-key comparator path it replaced allocated. *)
-let scatter_rows b dst =
-  let scatter col =
-    let out = Array.make b.len Value.Null in
-    Array.iteri (fun i v -> out.(dst.(i)) <- v) col;
-    out
-  in
-  { b with cols = Array.map scatter b.cols }
+  let cols = Array.map column items in
+  if bare then { schema = schema'; len = b.len; cols; sel = b.sel }
+  else { schema = schema'; len = n; cols; sel = None }
 
 (* Counting sort takes over when the key span is at most this many
-   times the row count.  At 1 its counts array is no longer than the
-   row count, so the whole path allocates at most [2n + 1] words. *)
+   times the live row count.  At 1 its counts array is no longer than
+   the row count. *)
 let counting_span_per_row = 1
 
-(* A key tuple packs into one int in [0, span) when every key column is
-   all-[Int] and the product of the per-key ranges is at most
-   [max_span].  Returns each key's (column, direction, lo, hi, range),
-   most significant first, and the span. *)
-let pack_plan ~max_span keys b =
-  let rec go acc span = function
+(* Packed key of every live row, in live order, with the span: when
+   every key column is all-[Int] over the live rows and the product of
+   the per-key ranges is at most [counting_span_per_row] times the live
+   count, each key tuple packs into one int in [0, span), most
+   significant key first, [Desc] digits as [hi - x].  Int order on
+   packed keys is then the lexicographic, direction-adjusted
+   [Value.compare] order on key tuples. *)
+let packed_keys keys b =
+  let n = live b in
+  let max_span = counting_span_per_row * n in
+  let rec plan acc span = function
     | [] -> Some (List.rev acc, span)
     | (c, dir) :: rest ->
         let col = b.cols.(c) in
         let lo = ref max_int and hi = ref min_int and ints = ref true in
-        Array.iter
-          (function
-            | Value.Int x ->
-                if x < !lo then lo := x;
-                if x > !hi then hi := x
-            | _ -> ints := false)
-          col;
+        for i = 0 to n - 1 do
+          match col.(at b i) with
+          | Value.Int x ->
+              if x < !lo then lo := x;
+              if x > !hi then hi := x
+          | _ -> ints := false
+        done;
         let d = !hi - !lo in
         (* [d < 0] is the wrap-around of a range wider than [max_int];
            [d < max_span / span] keeps [span * (d + 1)] within [max_span] *)
         if (not !ints) || d < 0 || d >= max_span / span then None
-        else go ((col, dir, !lo, !hi, d + 1) :: acc) (span * (d + 1)) rest
+        else plan ((col, dir, !lo, !hi, d + 1) :: acc) (span * (d + 1)) rest
   in
-  go [] 1 keys
-
-(* Packed key of every row, in [0, span), with [Desc] digits as
-   [hi - x]: int order on packed keys is the lexicographic,
-   direction-adjusted [Value.compare] order on key tuples. *)
-let pack plan n =
-  let packed = Array.make n 0 in
-  List.iter
-    (fun (col, dir, lo, hi, range) ->
-      for i = 0 to n - 1 do
-        let x = match col.(i) with Value.Int x -> x | _ -> assert false in
-        let digit =
-          match dir with Sortorder.Asc -> x - lo | Sortorder.Desc -> hi - x
-        in
-        packed.(i) <- (packed.(i) * range) + digit
-      done)
-    plan;
-  packed
+  match plan [] 1 keys with
+  | None -> None
+  | Some (plan, span) ->
+      let packed = Array.make n 0 in
+      List.iter
+        (fun (col, dir, lo, hi, range) ->
+          for i = 0 to n - 1 do
+            let x =
+              match col.(at b i) with Value.Int x -> x | _ -> assert false
+            in
+            let digit =
+              match dir with Sortorder.Asc -> x - lo | Sortorder.Desc -> hi - x
+            in
+            packed.(i) <- (packed.(i) * range) + digit
+          done)
+        plan;
+      Some (packed, span)
 
 (* Whether [le (i - 1) i] holds for every row [i] in [1, n). *)
 let in_order n le =
   let rec go i = i >= n || (le (i - 1) i && go (i + 1)) in
   go 1
 
-(* Lexicographic comparator over boxed values: the path for keys that
-   are not all-[Int] or whose packed span is too wide to count. *)
+(* Lexicographic comparator on physical row indices over boxed values:
+   the path for keys that are not all-[Int] or whose packed span is too
+   wide to count. *)
 let value_cmp keys b =
   let cols = Array.of_list (List.map (fun (c, _) -> b.cols.(c)) keys) in
   let desc = Array.of_list (List.map (fun (_, d) -> d = Sortorder.Desc) keys) in
@@ -243,45 +232,44 @@ let value_cmp keys b =
     go 0
 
 (* Stable sort on precomputed (column index, direction) keys: ties keep
-   their input order, exactly like [List.stable_sort] over rows.  An
-   input that is already sorted returns unchanged (the stable sort of a
-   sorted sequence is the identity permutation).
+   their live order, exactly like [List.stable_sort] over rows.  The
+   result is the input's columns with the sorted permutation of its live
+   physical indices as selection; no column data moves.  An input that
+   is already sorted returns unchanged.
 
-   Integer keys whose span is at most [counting_span_per_row] times the
-   row count are packed into one int per row (see [pack]) and counting
-   sorted: rows are placed in input order within their key's slot, so
-   ties keep input order.  Other keys, and wider spans, compare boxed
-   values through [value_cmp]. *)
+   Packable keys (see [packed_keys]) are counting sorted: each live row
+   is placed at its key's next free slot, in live order, so ties keep
+   input order.  Other keys stable-sort the permutation through
+   [value_cmp]. *)
 let sort keys b =
-  let b = dense b in
-  let n = b.len in
+  let n = live b in
   if n <= 1 then b
   else
-    match pack_plan ~max_span:(counting_span_per_row * n) keys b with
-    | Some (plan, span) ->
-        let packed = pack plan n in
+    match packed_keys keys b with
+    | Some (packed, span) ->
         if in_order n (fun i j -> packed.(i) <= packed.(j)) then b
         else begin
-          (* counts, prefix sums, then each row's destination in place *)
+          (* counts, prefix sums, then each live row into its slot *)
           let next = Array.make (span + 1) 0 in
           Array.iter (fun k -> next.(k + 1) <- next.(k + 1) + 1) packed;
           for k = 1 to span - 1 do
             next.(k) <- next.(k) + next.(k - 1)
           done;
+          let perm = Array.make n 0 in
           for i = 0 to n - 1 do
             let k = packed.(i) in
-            packed.(i) <- next.(k);
+            perm.(next.(k)) <- at b i;
             next.(k) <- next.(k) + 1
           done;
-          scatter_rows b packed
+          { b with sel = Some perm }
         end
     | None ->
         let cmp = value_cmp keys b in
-        if in_order n (fun i j -> cmp i j <= 0) then b
+        if in_order n (fun i j -> cmp (at b i) (at b j) <= 0) then b
         else begin
-          let perm = Array.init n Fun.id in
+          let perm = Array.init n (at b) in
           Array.stable_sort cmp perm;
-          gather_rows b perm
+          { b with sel = Some perm }
         end
 
 (* Route each live row to [(17 + sum of per-key Value.hash) mod machines]
@@ -312,22 +300,7 @@ let scatter_sel ~machines key_idx b =
 (* One dense batch from (source batch, physical indices) fragments, rows
    in fragment order — the single copy of an exchange's receive side. *)
 let gather schema (frags : (t * int array) list) =
-  let total = List.fold_left (fun acc (_, s) -> acc + Array.length s) 0 frags in
-  let ncols = List.length schema in
-  let cols = Array.init ncols (fun _ -> Array.make total Value.Null) in
-  let off = ref 0 in
-  List.iter
-    (fun (src, s) ->
-      let k = Array.length s in
-      for c = 0 to ncols - 1 do
-        let scol = src.cols.(c) and dcol = cols.(c) in
-        for i = 0 to k - 1 do
-          dcol.(!off + i) <- scol.(s.(i))
-        done
-      done;
-      off := !off + k)
-    frags;
-  { schema; len = total; cols; sel = None }
+  concat schema (List.map (fun (src, s) -> { src with sel = Some s }) frags)
 
 (* Growable column buffer for kernels with data-dependent output size. *)
 module Vbuf = struct
@@ -347,11 +320,21 @@ module Vbuf = struct
   let contents b = Array.sub b.a 0 b.n
 end
 
+(* Whether physical row [p] of [cols] carries the group key [key] in its
+   [key_idx] columns, from key position [c] on.  Top-level, so the
+   per-row comparison allocates no closure. *)
+let rec same_key key key_idx cols p c =
+  c >= Array.length key_idx
+  || Value.equal key.(c) cols.(key_idx.(c)).(p)
+     && same_key key key_idx cols p (c + 1)
+
 (* Streaming aggregation over a batch list whose groups are contiguous
    across batch boundaries; one group's rows may span many batches, the
    carried state makes the result independent of the chunking.  Group
    keys are compared and emitted exactly as the row engine did: in
-   arrival order, one output row per contiguous key run. *)
+   arrival order, one output row per contiguous key run.  A key array
+   and its states are built only when a group starts; each row costs
+   [nk] reads to compare. *)
 let stream_agg schema ~key_idx ~(aggs : Agg.t array) ~cargs batches =
   let nk = Array.length key_idx in
   let na = Array.length aggs in
@@ -366,39 +349,24 @@ let stream_agg schema ~key_idx ~(aggs : Agg.t array) ~cargs batches =
     done;
     incr rows_out
   in
-  let current = ref None in
+  let started = ref false and key = ref [||] and states = ref [||] in
   List.iter
     (fun b ->
-      let n = live b in
-      for i = 0 to n - 1 do
+      for i = 0 to live b - 1 do
         let p = at b i in
-        (* compare the row's key against the running group in place; a
-           key array is only materialized when a new group starts, so
-           the per-row cost is [nk] reads, not an allocation *)
-        let same_key k0 =
-          let rec eq c =
-            c >= nk || (Value.equal k0.(c) b.cols.(key_idx.(c)).(p) && eq (c + 1))
-          in
-          eq 0
-        in
-        let states =
-          match !current with
-          | Some (k0, states) when same_key k0 -> states
-          | prev ->
-              (match prev with
-              | Some (k0, states) -> flush k0 states
-              | None -> ());
-              let key = Array.map (fun c -> b.cols.(c).(p)) key_idx in
-              let fresh = Array.init na (fun _ -> Agg.init ()) in
-              current := Some (key, fresh);
-              fresh
-        in
+        if not (!started && same_key !key key_idx b.cols p 0) then begin
+          if !started then flush !key !states;
+          started := true;
+          key := Array.map (fun c -> b.cols.(c).(p)) key_idx;
+          states := Array.init na (fun _ -> Agg.init ())
+        end;
+        let states = !states in
         for a = 0 to na - 1 do
           Agg.step_value aggs.(a) states.(a) (eval_at b.cols p cargs.(a))
         done
       done)
     batches;
-  (match !current with Some (k, states) -> flush k states | None -> ());
+  if !started then flush !key !states;
   {
     schema;
     len = !rows_out;

@@ -6,11 +6,13 @@ open Sphys
 
    A stream is an array of per-machine *batch lists* ([Batch.t]): one
    value array per column plus a selection vector, consumed and produced
-   whole batches at a time.  Filters narrow selection vectors in place,
-   projections map columns, exchanges compute a hash per live row and
-   scatter batch slices per destination machine, sort/aggregate kernels
-   run over whole column arrays (streaming aggregation carries its group
-   state across batch boundaries).  Exchange / spool / gather boundaries
+   whole batches at a time.  Filters narrow selection vectors, sorts
+   permute them and re-chunking slices them, all over shared columns;
+   projections of bare columns share them too, computed projections map
+   columns, exchanges compute a hash per live row and gather each
+   destination's rows into one dense batch, aggregate kernels read
+   through the selection (streaming aggregation carries its group state
+   across batch boundaries).  Exchange / spool / gather boundaries
    ship batches, so stage outputs are cached — and recomputed after a
    fault — in batch form.
 
@@ -230,12 +232,17 @@ let map_parts pool f (d : dist) schema' =
 let sort_keys (schema : Schema.t) (order : Sortorder.t) =
   List.map (fun (c, dir) -> (Schema.index c schema, dir)) order
 
-(* Sort one machine's batches: concatenate, one stable columnar sort,
-   re-chunk.  Identical to stable-sorting the partition's row list; an
-   empty partition is [] without touching the kernel. *)
+(* Sort one machine's batches: one stable sort over the partition, then
+   re-chunk.  Identical to stable-sorting the partition's row list.  A
+   single batch is sorted in place of its selection; only a partition of
+   several batches is concatenated first.  An empty partition is []
+   without touching the kernel. *)
 let sort_part batch_size schema keys bs =
-  if List.for_all (fun b -> Batch.live b = 0) bs then []
-  else Batch.split ~size:batch_size (Batch.sort keys (Batch.concat schema bs))
+  let sorted b = Batch.split ~size:batch_size (Batch.sort keys b) in
+  match bs with
+  | _ when List.for_all (fun b -> Batch.live b = 0) bs -> []
+  | [ b ] -> sorted b
+  | bs -> sorted (Batch.concat schema bs)
 
 (* Two-phase exchange: each input partition's batches compute their
    per-destination routing selections in parallel (no column data moves),

@@ -39,18 +39,18 @@ let eval_binop op a b =
   | Div -> Value.div a b
   | Mod -> Value.modulo a b
 
-let eval_cmp op a b =
+let cmp_holds op a b =
   let c = Value.compare a b in
-  let r =
-    match op with
-    | Eq -> c = 0
-    | Ne -> c <> 0
-    | Lt -> c < 0
-    | Le -> c <= 0
-    | Gt -> c > 0
-    | Ge -> c >= 0
-  in
-  Value.Int (if r then 1 else 0)
+  match op with
+  | Eq -> c = 0
+  | Ne -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+
+(* The literal results are static constants: no allocation per call. *)
+let eval_cmp op a b = if cmp_holds op a b then Value.Int 1 else Value.Int 0
 
 (* Compiled form: every column reference is resolved to its row-layout
    position once, so per-row evaluation does no schema walking (no

@@ -43,6 +43,10 @@ val ceval_pred : Value.t array -> compiled -> bool
 val eval_binop : binop -> Value.t -> Value.t -> Value.t
 val eval_cmp : cmpop -> Value.t -> Value.t -> Value.t
 
+(** Whether the comparison holds: [eval_cmp] is [Int 1] exactly when
+    [cmp_holds] is true. *)
+val cmp_holds : cmpop -> Value.t -> Value.t -> bool
+
 val infer_type : Schema.t -> t -> Schema.coltype
 
 (** Extract the [(left_col, right_col)] pairs of a pure conjunctive

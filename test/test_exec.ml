@@ -222,6 +222,138 @@ let prop_sort_matches_stable_sort =
       let actual = Sexec.Batch.to_rows (Sexec.Batch.sort keys b) in
       List.equal (Array.for_all2 Value.equal) expected actual)
 
+(* --- the selection contract: live order, not necessarily ascending ------- *)
+
+(* Four columns of mixed flavour: a small non-null int, a mixed
+   [Null]/[Int]/[Float]/[Str] column, a wide int and a row id. *)
+let sel_schema = schema [ "K"; "M"; "W"; "ID" ]
+
+(* A batch of up to 300 rows, optionally behind an ascending selection,
+   and the sort keys that will permute it. *)
+let gen_sel_case =
+  let open QCheck.Gen in
+  let* n = int_range 0 300 in
+  let* rows =
+    list_repeat n
+      (flatten_l [ gen_key_value `Small; gen_key_value `Mixed; gen_key_value `Wide ])
+  in
+  let rows = List.mapi (fun i r -> Array.of_list (r @ [ Value.Int i ])) rows in
+  let* mask = option (list_repeat n bool) in
+  let sel =
+    Option.map
+      (fun m ->
+        Array.of_list
+          (List.filter_map Fun.id
+             (List.mapi (fun i live -> if live then Some i else None) m)))
+      mask
+  in
+  let* nk = int_range 1 2 in
+  let* cols = shuffle_l [ 0; 1; 2 ] in
+  let* dirs = list_repeat nk (oneofl Sphys.Sortorder.[ Asc; Desc ]) in
+  return (List.combine (List.filteri (fun i _ -> i < nk) cols) dirs, rows, sel)
+
+(* Predicates and computed items over [sel_schema]: comparisons and
+   connectives in both truth and value context, and a bare mixed column
+   in truth context. *)
+let sel_preds =
+  Expr.
+    [
+      Cmp (Gt, Col "K", Lit (Value.Int 0));
+      And (Cmp (Le, Col "K", Lit (Value.Int 2)), Not (Cmp (Eq, Col "M", Lit (Value.Str "a"))));
+      Or (Cmp (Lt, Col "W", Lit (Value.Int 0)), Col "M");
+      Not (Cmp (Ge, Binop (Add, Col "K", Col "ID"), Lit (Value.Int 100)));
+    ]
+
+let sel_computed =
+  Expr.
+    [
+      Col "ID";
+      Binop (Mul, Col "K", Lit (Value.Int 2));
+      Cmp (Ne, Col "M", Col "K");
+      And (Col "K", Col "M");
+      Or (Col "M", Col "W");
+      Not (Col "M");
+      Col "M";
+    ]
+
+let prop_selection_kernels_match_dense =
+  Thelpers.qtest ~count:300 "permuted selection = dense"
+    (QCheck.make ~print:print_sort_case gen_sel_case)
+    (fun (keys, rows, sel) ->
+      let open Sexec.Batch in
+      let s = sel_schema in
+      let b = sort keys { (of_rows s rows) with sel } in
+      let d = concat s [ b ] in
+      let same what x y =
+        if x <> y then QCheck.Test.fail_reportf "%s differs from the dense run" what
+      in
+      same "to_rows" (to_rows b) (to_rows d);
+      List.iter
+        (fun e ->
+          let c = Expr.compile s e in
+          same "filter" (to_rows (filter c b)) (to_rows (filter c d)))
+        sel_preds;
+      let project_both what items =
+        let ces = Array.of_list (List.map (Expr.compile s) items) in
+        let s' = schema (List.mapi (fun i _ -> Printf.sprintf "P%d" i) items) in
+        same what (to_rows (project s' ces b)) (to_rows (project s' ces d))
+      in
+      project_both "bare project" Expr.[ Col "ID"; Col "M"; Col "K" ];
+      project_both "computed project" sel_computed;
+      List.iter
+        (fun size ->
+          let chunks = List.map to_rows (split ~size b) in
+          same
+            (Printf.sprintf "split %d" size)
+            chunks
+            (List.map to_rows (split ~size d));
+          (* and the chunks are the input's rows, at most [size] each *)
+          if
+            List.concat chunks <> to_rows b
+            || List.exists (fun c -> List.length c > size) chunks
+          then QCheck.Test.fail_reportf "split %d reframes the rows wrongly" size)
+        [ 1; 7; 4096 ];
+      let aggs =
+        Agg.
+          [|
+            make Sum (Expr.Col "K") "S";
+            make Count (Expr.Col "M") "N";
+            make Min (Expr.Col "M") "MN";
+            make Max (Expr.Col "W") "MX";
+          |]
+      in
+      let cargs = Array.map (fun a -> Expr.compile s a.Agg.arg) aggs in
+      let out = schema [ "K"; "S"; "N"; "MN"; "MX" ] in
+      let agg kernel x = to_rows (kernel out ~key_idx:[| 0 |] ~aggs ~cargs [ x ]) in
+      same "stream_agg" (agg stream_agg b) (agg stream_agg d);
+      same "hash_agg" (agg hash_agg b) (agg hash_agg d);
+      let routed x =
+        Array.map
+          (fun sel -> to_rows (gather s [ (x, sel) ]))
+          (scatter_sel ~machines:5 [| 0; 1 |] x)
+      in
+      same "scatter_sel + gather" (Array.to_list (routed b)) (Array.to_list (routed d));
+      same "concat" (to_rows (concat s [ b; b ])) (to_rows (concat s [ d; d ]));
+      true)
+
+(* A projection of bare columns moves no data: the output holds the
+   input's column arrays and its selection. *)
+let test_bare_project_shares_columns () =
+  let s = sel_schema in
+  let rows =
+    List.init 20 (fun i ->
+        [| Value.Int (i mod 3); Value.Str "x"; Value.Int (-i); Value.Int i |])
+  in
+  let open Sexec.Batch in
+  let b = sort [ (0, Sphys.Sortorder.Desc) ] (of_rows s rows) in
+  let p = project (schema [ "ID"; "K" ]) [| Expr.CCol 3; Expr.CCol 0 |] b in
+  Alcotest.(check bool) "ID column shared" true (p.cols.(0) == b.cols.(3));
+  Alcotest.(check bool) "K column shared" true (p.cols.(1) == b.cols.(0));
+  Alcotest.(check bool) "permuted input" true (Option.is_some b.sel);
+  Alcotest.(check bool) "selection shared" true
+    (Option.get p.sel == Option.get b.sel);
+  Alcotest.(check int) "live rows" 20 (live p)
+
 let test_full_validation_both_plans () =
   List.iter
     (fun (name, script) ->
@@ -834,6 +966,9 @@ let () =
         [
           Alcotest.test_case "stream aggregation" `Quick test_stream_agg_equals_reference;
           prop_sort_matches_stable_sort;
+          prop_selection_kernels_match_dense;
+          Alcotest.test_case "bare project shares columns" `Quick
+            test_bare_project_shares_columns;
           Alcotest.test_case "reference evaluator" `Quick test_reference_spools_transparent;
         ] );
       ( "end to end",
