@@ -19,55 +19,36 @@
    baseline.  Serve throughput is measured by perfbench/ (the
    serve_hot and serve_churn workloads). *)
 
+module Builtin = Sworkload.Builtin
+
 let section name = Fmt.pr "@.==================== %s ====================@." name
 
 (* paper-reported cost reductions (Figure 7), for side-by-side comparison *)
 let paper_reduction =
   [ ("S1", 38.0); ("S2", 55.0); ("S3", 45.0); ("S4", 57.0); ("LS1", 21.0); ("LS2", 45.0) ]
 
-type prepared = {
-  name : string;
-  script : string;
-  catalog : Relalg.Catalog.t;
-  budget_seconds : float option;
-}
+(* Figure 7's scripts, S1-S4, LS1 and LS2, under their Section IX
+   budgets; IND has its own section (fig5). *)
+let workloads = List.filter (fun (w : Builtin.t) -> w.name <> "IND") Builtin.all
 
-let prepare_small (name, script) =
-  { name; script; catalog = Relalg.Catalog.default (); budget_seconds = None }
-
-let prepare_large (spec : Sworkload.Large_gen.spec) budget =
-  let script = Sworkload.Large_gen.generate spec in
-  let catalog = Relalg.Catalog.default () in
-  Sworkload.Large_gen.register_files
-    ~shared_rows:spec.Sworkload.Large_gen.shared_rows
-    ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
-  {
-    name = spec.Sworkload.Large_gen.name;
-    script;
-    catalog;
-    budget_seconds = Some budget;
-  }
-
-let workloads () =
-  List.map prepare_small Sworkload.Paper_scripts.all
-  @ [
-      prepare_large Sworkload.Large_gen.ls1_spec 30.0;
-      prepare_large Sworkload.Large_gen.ls2_spec 60.0;
-    ]
+(* A sweep script: the default catalog and no budget. *)
+let sweep name script : Builtin.t =
+  { name; script; catalog = Relalg.Catalog.default; budget_seconds = None }
 
 (* Every pipeline run in this harness is audited: the full
    static-analysis suite over the memo, sharing structure, logical DAG
    and all three plans, failing loudly if anything does not reproduce.
    The timing section opts out so the audit does not pollute the Section
    IX optimization-time measurements. *)
-let run_pipeline ?(audit = true) ?(config = Cse.Config.default) (w : prepared) =
+let run_pipeline ?(audit = true) ?(config = Cse.Config.default)
+    (w : Builtin.t) =
   let budget =
     Option.map (fun s -> Sopt.Budget.create ~max_seconds:s ()) w.budget_seconds
   in
-  let r = Cse.Pipeline.run ~config ?budget ~catalog:w.catalog w.script in
+  let catalog = w.catalog () in
+  let r = Cse.Pipeline.run ~config ?budget ~catalog w.script in
   if audit then
-    Sanalysis.Audit.assert_clean ~cluster:Scost.Cluster.default
-      ~catalog:w.catalog r;
+    Sanalysis.Audit.assert_clean ~cluster:Scost.Cluster.default ~catalog r;
   r
 
 (* --- fig6: workload statistics ----------------------------------------- *)
@@ -76,7 +57,7 @@ let fig6 reports =
   section "fig6: evaluation scripts (Figure 6)";
   Fmt.pr "%-5s %10s %8s %-30s@." "name" "operators" "shared" "consumers per shared group";
   List.iter
-    (fun (w, r) ->
+    (fun ((w : Builtin.t), r) ->
       Fmt.pr "%-5s %10d %8d %-30s@." w.name
         (Slogical.Dag.size r.Cse.Pipeline.dag)
         (List.length r.Cse.Pipeline.shared)
@@ -92,7 +73,7 @@ let fig6 reports =
 let fig3 reports =
   section "fig3: shared groups and their LCAs (Figure 3)";
   List.iter
-    (fun (w, r) ->
+    (fun ((w : Builtin.t), r) ->
       if List.length r.Cse.Pipeline.shared <= 4 then begin
         Fmt.pr "%s:@." w.name;
         List.iter
@@ -122,7 +103,7 @@ let fig7 reports =
   Fmt.pr "%-5s %14s %14s %8s %11s %12s@." "name" "conventional" "CSE" "ratio"
     "reduction" "paper (red.)";
   List.iter
-    (fun (w, r) ->
+    (fun ((w : Builtin.t), r) ->
       Fmt.pr "%-5s %14.5g %14.5g %7.1f%% %10.1f%% %11.0f%%@." w.name
         r.Cse.Pipeline.conventional_cost r.Cse.Pipeline.cse_cost
         (100.0 *. Cse.Pipeline.ratio r)
@@ -134,7 +115,9 @@ let fig7 reports =
 
 let fig8 reports =
   section "fig8: plan comparison for S1 (Figure 8)";
-  match List.find_opt (fun (w, _) -> w.name = "S1") reports with
+  match
+    List.find_opt (fun ((w : Builtin.t), _) -> w.name = "S1") reports
+  with
   | None -> ()
   | Some (_, r) ->
       Fmt.pr "--- conventional optimization (8(a)) ---@.%a@." Sphys.Plan_pp.pp
@@ -153,7 +136,7 @@ let fig4 reports =
   section "fig4: re-optimization rounds (property enforcement, Figure 4)";
   Fmt.pr "%-5s %8s %18s %22s@." "name" "rounds" "property sets" "full-product rounds";
   List.iter
-    (fun (w, r) ->
+    (fun ((w : Builtin.t), r) ->
       Fmt.pr "%-5s %8d %18d %22d@." w.name r.Cse.Pipeline.rounds_executed
         (List.fold_left (fun acc (_, n) -> acc + n) 0 r.Cse.Pipeline.history_sizes)
         r.Cse.Pipeline.rounds_naive)
@@ -163,7 +146,7 @@ let fig4 reports =
 
 let fig5 () =
   section "fig5: independent shared groups (Section VIII-A)";
-  let w = prepare_small ("IND", Sworkload.Paper_scripts.independent_pair) in
+  let w = Option.get (Builtin.find "IND") in
   let with_indep = run_pipeline w in
   let without =
     run_pipeline
@@ -189,7 +172,7 @@ let fig5 () =
 
 let ablation () =
   section "ablation: Section VIII extensions on LS2 (60 s budget)";
-  let spec = Sworkload.Large_gen.ls2_spec in
+  let w = Option.get (Builtin.find "LS2") in
   let configs =
     [
       ("all extensions", Cse.Config.default);
@@ -205,7 +188,6 @@ let ablation () =
   Fmt.pr "%-32s %14s %8s %10s@." "configuration" "CSE cost" "rounds" "opt time";
   List.iter
     (fun (label, config) ->
-      let w = prepare_large spec 60.0 in
       let r = run_pipeline ~config w in
       Fmt.pr "%-32s %14.5g %8d %9.2fs@." label r.Cse.Pipeline.cse_cost
         r.Cse.Pipeline.rounds_executed r.Cse.Pipeline.cse_time)
@@ -227,20 +209,15 @@ let ablation_budget () =
      homogeneous workload; the decomposition (VIII-A) is the extension@.\
      that matters (see 'ablation').@.@.";
   Fmt.pr "%-10s %14s %8s %20s@." "task cap" "CSE cost" "rounds" "vs conventional";
-  let spec = Sworkload.Large_gen.ls2_spec in
-  let script = Sworkload.Large_gen.generate spec in
+  let w = Option.get (Builtin.find "LS2") in
   List.iter
     (fun cap ->
-      let catalog = Relalg.Catalog.default () in
-      Sworkload.Large_gen.register_files
-        ~shared_rows:spec.Sworkload.Large_gen.shared_rows
-        ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
       let budget =
         match cap with
         | Some c -> Some (Sopt.Budget.create ~max_tasks:c ())
         | None -> None
       in
-      let r = Cse.Pipeline.run ?budget ~catalog script in
+      let r = Cse.Pipeline.run ?budget ~catalog:(w.catalog ()) w.script in
       Fmt.pr "%-10s %14.5g %8d %19.1f%%@."
         (match cap with Some c -> string_of_int c | None -> "none")
         r.Cse.Pipeline.cse_cost r.Cse.Pipeline.rounds_executed
@@ -302,8 +279,7 @@ let sweep_consumers () =
   List.iter
     (fun k ->
       let w =
-        prepare_small
-          (Printf.sprintf "k=%d" k, Sworkload.Sweeps.consumers_script ~k)
+        sweep (Printf.sprintf "k=%d" k) (Sworkload.Sweeps.consumers_script ~k)
       in
       let r = run_pipeline w in
       Fmt.pr "%10d %14.5g %14.5g %10.1f%% %8d@." k
@@ -334,8 +310,8 @@ let sweep_depth () =
   List.iter
     (fun depth ->
       let w =
-        prepare_small
-          (Printf.sprintf "d=%d" depth, Sworkload.Sweeps.chain_script ~depth)
+        sweep (Printf.sprintf "d=%d" depth)
+          (Sworkload.Sweeps.chain_script ~depth)
       in
       let r = run_pipeline w in
       Fmt.pr "%10d %14.5g %14.5g %10.1f%%@." depth
@@ -350,14 +326,15 @@ let measured reports =
   Fmt.pr "%-5s %12s %12s %12s %12s %9s@." "name" "shuffled(cv)" "shuffled(cse)"
     "extracted(cv)" "extracted(cse)" "spools";
   List.iter
-    (fun (w, r) ->
+    (fun ((w : Builtin.t), r) ->
       if w.budget_seconds = None then begin
+        let catalog = w.catalog () in
         let vc =
-          Sexec.Validate.check ~machines:25 w.catalog r.Cse.Pipeline.dag
+          Sexec.Validate.check ~machines:25 catalog r.Cse.Pipeline.dag
             r.Cse.Pipeline.conventional_plan
         in
         let ve =
-          Sexec.Validate.check ~machines:25 w.catalog r.Cse.Pipeline.dag
+          Sexec.Validate.check ~machines:25 catalog r.Cse.Pipeline.dag
             r.Cse.Pipeline.cse_plan
         in
         assert (vc.Sexec.Validate.ok && ve.Sexec.Validate.ok);
@@ -381,10 +358,11 @@ let faults reports =
   Fmt.pr "%-5s %7s %8s %11s %16s@." "name" "stages" "retries" "lost-parts"
     "recomputed-rows";
   List.iter
-    (fun (w, r) ->
+    (fun ((w : Builtin.t), r) ->
       if w.budget_seconds = None then begin
+        let catalog = w.catalog () in
         let base =
-          Sexec.Validate.check ~machines:25 w.catalog r.Cse.Pipeline.dag
+          Sexec.Validate.check ~machines:25 catalog r.Cse.Pipeline.dag
             r.Cse.Pipeline.cse_plan
         in
         let retries = ref 0 and lost = ref 0 and recomputed = ref 0 in
@@ -392,7 +370,7 @@ let faults reports =
           (fun seed ->
             let faults = Sexec.Faults.spec ~rate:0.3 seed in
             let v =
-              Sexec.Validate.check ~faults ~machines:25 w.catalog
+              Sexec.Validate.check ~faults ~machines:25 catalog
                 r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
             in
             assert v.Sexec.Validate.ok;
@@ -438,7 +416,7 @@ type exec_times = {
 (* Also fills the pipeline report's [exec] summary (the best workers=n
    rep), so the drift checker and the JSON report read execution figures
    from the report instead of re-running anything. *)
-let exec_times ~workers (w : prepared) (r : Cse.Pipeline.report) =
+let exec_times ~workers (w : Builtin.t) (r : Cse.Pipeline.report) =
   let plan = r.Cse.Pipeline.cse_plan in
   let graph = Sexec.Stage.build plan in
   let batch_size = ref Sexec.Engine.default_batch_size in
@@ -447,7 +425,7 @@ let exec_times ~workers (w : prepared) (r : Cse.Pipeline.report) =
     (* One engine reused across the reps: the extract cache warms on the
        first rep, so min-of-3 measures the steady state a long-running
        engine (serve mode) sees rather than paying datagen every rep. *)
-    let engine = Sexec.Engine.create ~workers:wk ~machines:25 w.catalog in
+    let engine = Sexec.Engine.create ~workers:wk ~machines:25 (w.catalog ()) in
     let best_wall = ref infinity
     and best_seconds = ref [||]
     and best_busy = ref [||] in
@@ -495,7 +473,7 @@ let exec_time ~workers reports =
     "wall(1)" (Printf.sprintf "wall(%d)" workers) "model(1)"
     (Printf.sprintf "model(%d)" workers) "speedup";
   List.iter
-    (fun (w, r) ->
+    (fun ((w : Builtin.t), r) ->
       let e = exec_times ~workers w r in
       Fmt.pr "%-5s %7d %6d %9.2fms %9.2fms %10.2fms %10.2fms %7.2fx@." w.name
         e.e_stages e.e_width (1000.0 *. e.e_wall1) (1000.0 *. e.e_walln)
@@ -512,7 +490,7 @@ let exec_time ~workers reports =
 
 (* Three unaudited runs of [w]: the first run's report, with each pass
    wall the min across the runs. *)
-let min_of_3 ?config (w : prepared) =
+let min_of_3 ?config (w : Builtin.t) =
   let first = run_pipeline ~audit:false ?config w in
   let rest = List.init 2 (fun _ -> run_pipeline ~audit:false ?config w) in
   let best f = List.fold_left (fun m r -> Float.min m (f r)) (f first) rest in
@@ -527,11 +505,11 @@ let opt_time () =
   section "opt-time: optimization time (Section IX; paper: <1 s for S1-S4, 30/60 s budgets for LS1/LS2)";
   Fmt.pr "%-5s %16s %16s@." "name" "conventional" "CSE (2 phases)";
   List.iter
-    (fun w ->
+    (fun (w : Builtin.t) ->
       let r = min_of_3 w in
       Fmt.pr "%-5s %15.4fs %15.4fs@." w.name r.Cse.Pipeline.conventional_time
         r.Cse.Pipeline.cse_time)
-    (workloads ())
+    workloads
 
 (* --- machine-readable baseline (BENCH_opt.json) -------------------------- *)
 
@@ -544,16 +522,12 @@ let opt_time () =
    EXPERIMENTS.md maps the /1 field names onto these. *)
 
 let json_workloads ~quick =
-  List.map prepare_small
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
-  @
-  if quick then []
-  else
-    [
-      { (prepare_large Sworkload.Large_gen.ls1_spec 30.0) with budget_seconds = None };
-      { (prepare_large Sworkload.Large_gen.ls2_spec 60.0) with budget_seconds = None };
-    ]
+  List.filter_map
+    (fun (w : Builtin.t) ->
+      if w.budget_seconds = None then Some w
+      else if quick then None
+      else Some { w with budget_seconds = None })
+    Builtin.all
 
 type opt_record = {
   rname : string;
@@ -567,7 +541,7 @@ type opt_record = {
 (* Counters and memo figures come from the first rep; every rep interns
    its requirements in its own optimizer's table, so any rep would report
    the same counts.  Times are the min across reps. *)
-let bench_opt_record ~workers ~config (w : prepared) =
+let bench_opt_record ~workers ~config (w : Builtin.t) =
   let report = min_of_3 ~config w in
   (* cost of the full verifier, deep cross-layer passes included, over
      the first rep's report (wall time, so environment-dependent and
@@ -576,7 +550,7 @@ let bench_opt_record ~workers ~config (w : prepared) =
     let t0 = Unix.gettimeofday () in
     ignore
       (Sanalysis.Audit.report ~deep:true ~cluster:Scost.Cluster.default
-         ~catalog:w.catalog report);
+         ~catalog:(w.catalog ()) report);
     (Unix.gettimeofday () -. t0) *. 1000.0
   in
   let top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words in
@@ -676,7 +650,7 @@ let () =
       bench_json ~quick ~workers ~config path
   | _ ->
   let t0 = Unix.gettimeofday () in
-  let reports = List.map (fun w -> (w, run_pipeline w)) (workloads ()) in
+  let reports = List.map (fun w -> (w, run_pipeline w)) workloads in
   fig6 reports;
   fig3 reports;
   fig7 reports;

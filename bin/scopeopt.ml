@@ -9,16 +9,18 @@
                    with a normalized-text plan cache and cross-script CSE
      check-trace - validate a Chrome trace file written by --trace
      lint        - optimize, then run the full static-analysis audit
-     workload    - print a built-in workload script (S1-S4, LS1, LS2)
+     workload    - print a built-in workload script (S1-S4, IND, LS1, LS2)
 
-   Scripts are read from a file argument or from one of the built-in
-   workloads via --builtin.  [optimize] and [run] accept --audit to run
-   the same audit as [lint] after printing their reports, --trace to
-   record the whole pipeline as Chrome trace-event JSON (Perfetto), and
-   --json to print the run report (Sserve.Report) on stdout. *)
+   Scripts are read from a file argument or, via --builtin, from the
+   workload registry Sworkload.Builtin.  [optimize] and [run] accept
+   --audit to run the same audit as [lint] after printing their reports,
+   --trace to record the whole pipeline as Chrome trace-event JSON
+   (Perfetto), and --json to print the run report (Sserve.Report). *)
 
 open Cmdliner
 
+(* The script to run and a fresh catalog for it: a builtin's from the
+   workload registry, a file's from the registry's text catalog. *)
 let read_script file builtin =
   match (file, builtin) with
   | Some f, None ->
@@ -26,26 +28,13 @@ let read_script file builtin =
       let n = in_channel_length ic in
       let s = really_input_string ic n in
       close_in ic;
-      Ok s
+      Ok (s, Sworkload.Builtin.text_catalog s)
   | None, Some name -> (
-      match
-        List.assoc_opt (String.uppercase_ascii name)
-          (Sworkload.Paper_scripts.all
-          @ [
-              ("LS1", Sworkload.Large_gen.ls1 ());
-              ("LS2", Sworkload.Large_gen.ls2 ());
-              ("IND", Sworkload.Paper_scripts.independent_pair);
-            ])
-      with
-      | Some s -> Ok s
+      match Sworkload.Builtin.find name with
+      | Some w -> Ok (w.script, w.catalog ())
       | None -> Error (`Msg (Printf.sprintf "unknown builtin workload %S" name)))
   | Some _, Some _ -> Error (`Msg "give either a file or --builtin, not both")
   | None, None -> Error (`Msg "give a script file or --builtin NAME")
-
-let make_catalog script =
-  let catalog = Relalg.Catalog.default () in
-  Sworkload.Large_gen.register_files catalog script;
-  catalog
 
 (* --- common arguments -------------------------------------------------- *)
 
@@ -57,7 +46,7 @@ let builtin_arg =
     value
     & opt (some string) None
     & info [ "builtin"; "b" ] ~docv:"NAME"
-        ~doc:"Built-in workload: S1, S2, S3, S4, IND, LS1 or LS2.")
+        ~doc:("Built-in workload: " ^ Sworkload.Builtin.names ^ "."))
 
 let machines_arg =
   Arg.(
@@ -197,8 +186,9 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-(* Map the frontend's exceptions to cmdliner error messages so a bad
-   script exits with a one-line diagnostic instead of a backtrace. *)
+(* Map the frontend's exceptions, and a fault-injected run whose
+   recovery ran out of attempts, to cmdliner error messages so the command
+   exits with a one-line diagnostic instead of a backtrace. *)
 let guard f script =
   match f script with
   | r -> r
@@ -206,6 +196,13 @@ let guard f script =
   | exception Slang.Lexer.Error (msg, _) -> Error (`Msg msg)
   | exception Slogical.Binder.Error msg -> Error (`Msg msg)
   | exception Cse.Pipeline.No_plan msg -> Error (`Msg msg)
+  | exception Sexec.Scheduler.Recovery_exhausted { stage; attempts } ->
+      Error
+        (`Msg
+          (Printf.sprintf
+             "fault recovery exhausted: stage %d used up its attempt budget \
+              after %d attempt(s)"
+             stage attempts))
 
 let with_script f =
   Term.(
@@ -216,7 +213,7 @@ let with_script f =
 
 let parse_cmd =
   let run file builtin =
-    Result.bind (read_script file builtin) (fun script ->
+    Result.bind (read_script file builtin) (fun (script, _) ->
         match Slang.Parser.parse_script script with
         | ast ->
             Fmt.pr "%a@." Slang.Ast.pp ast;
@@ -231,8 +228,7 @@ let parse_cmd =
 (* --- explain ----------------------------------------------------------- *)
 
 let explain_cmd =
-  let f script =
-    let catalog = make_catalog script in
+  let f (script, catalog) =
     let ast = Slang.Parser.parse_script script in
     let dag = Slogical.Binder.bind ~catalog ast in
     Fmt.pr "=== logical operator DAG (%d operators) ===@.%a@."
@@ -267,7 +263,7 @@ let json_arg =
 
 let optimize run_exec =
   let f machines budget no_ext no_prune verbose audit json dot inject rate
-      workers batch_size trace profile script =
+      workers batch_size trace profile (script, catalog) =
     setup_logs verbose;
     Sexec.Profile.set profile;
     if trace <> None then Sobs.Trace.start ();
@@ -275,7 +271,6 @@ let optimize run_exec =
     let ppf = if json then Fmt.stderr else Fmt.stdout in
     let say fmt = Fmt.pf ppf fmt in
     let attempts_acc = ref [] in
-    let catalog = make_catalog script in
     let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
     let config = base_config ~no_ext ~no_prune in
     let budget = Option.map (fun s -> Sopt.Budget.create ~max_seconds:s ()) budget in
@@ -618,9 +613,8 @@ let lint_cmd =
             "Print the diagnostic-code catalog (code, severity, layer, \
              description) and exit; no script is needed.")
   in
-  let f machines budget no_ext no_prune verbose strict deep script =
+  let f machines budget no_ext no_prune verbose strict deep (script, catalog) =
     setup_logs verbose;
-    let catalog = make_catalog script in
     let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
     let config = base_config ~no_ext ~no_prune in
     let budget =
@@ -662,7 +656,7 @@ let lint_cmd =
 let workload_cmd =
   let run name =
     match read_script None (Some name) with
-    | Ok s ->
+    | Ok (s, _) ->
         print_string s;
         Ok ()
     | Error e -> Error e
@@ -675,7 +669,7 @@ let workload_cmd =
         $ Arg.(
             required
             & pos 0 (some string) None
-            & info [] ~docv:"NAME" ~doc:"S1, S2, S3, S4, IND, LS1 or LS2.")))
+            & info [] ~docv:"NAME" ~doc:(Sworkload.Builtin.names ^ "."))))
 
 let main =
   Cmd.group

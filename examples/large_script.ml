@@ -1,25 +1,24 @@
-(* Large-script optimization (Section VIII): generate a script with the
-   structure of the paper's LS2 workload (1034 operators, 17 shared
-   groups) and compare round counts and results with the large-script
-   extensions on and off, under a time budget.
+(* Large-script optimization (Section VIII): take the builtin LS2, a
+   generated script with the structure of the paper's LS2 workload (1034
+   operators, 17 shared groups), and compare round counts and results with
+   the large-script extensions on and off, under its Section IX budget.
 
    Run with:  dune exec examples/large_script.exe *)
 
 let () =
-  let spec = Sworkload.Large_gen.ls2_spec in
-  let script = Sworkload.Large_gen.generate spec in
-  Fmt.pr "generated %s: %d shared modules, script of %d lines@."
-    spec.Sworkload.Large_gen.name
-    (List.length spec.Sworkload.Large_gen.shared_consumers)
-    (List.length (String.split_on_char '\n' script));
+  let w = Option.get (Sworkload.Builtin.find "LS2") in
+  Fmt.pr "generated %s: %d shared modules, script of %d lines@." w.name
+    (List.length
+       Sworkload.Large_gen.ls2_spec.Sworkload.Large_gen.shared_consumers)
+    (List.length (String.split_on_char '\n' w.script));
 
   let run ~label config =
-    let catalog = Relalg.Catalog.default () in
-    Sworkload.Large_gen.register_files
-      ~shared_rows:spec.Sworkload.Large_gen.shared_rows
-      ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
-    let budget = Sopt.Budget.create ~max_seconds:60.0 () in
-    let r = Cse.Pipeline.run ~config ~budget ~catalog script in
+    let budget =
+      Option.map (fun s -> Sopt.Budget.create ~max_seconds:s ()) w.budget_seconds
+    in
+    let r =
+      Cse.Pipeline.run ~config ?budget ~catalog:(w.catalog ()) w.script
+    in
     Fmt.pr
       "%-18s cost %.5g (%.1f%% of conventional), %d rounds executed — full \
        product would need %d; optimization took %.2f s@."

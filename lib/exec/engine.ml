@@ -649,7 +649,7 @@ let execute t (plan : Plan.t) : dist =
   in
   let max_attempts =
     match t.faults with
-    | Some s -> s.Faults.max_attempts
+    | Some s -> Faults.max_attempts s
     | None -> Faults.default_attempts
   in
   (* one violation slot per stage: each execution appends only to its own

@@ -28,7 +28,8 @@
     rows per batch, rows and wall seconds per stage attempt, and, with
     {!Profile} on, seconds per kernel execution. *)
 
-type dist = { schema : Relalg.Schema.t; parts : Batch.t list array }
+(** A distributed table: a schema and each machine's batches. *)
+type dist
 
 type counters = {
   mutable rows_shuffled : int;

@@ -30,6 +30,8 @@ let spec ?(rate = 0.15) ?(max_attempts = default_attempts) seed =
   if max_attempts < 1 then invalid_arg "Faults.spec: max_attempts must be >= 1";
   { seed; rate; max_attempts }
 
+let max_attempts (s : spec) = s.max_attempts
+
 type event =
   | Lose_partition of { stage : int; machine : int }
   | Kill_machine of int

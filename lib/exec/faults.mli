@@ -10,11 +10,9 @@
     domains.  Faulty runs can be asserted byte-identical to fault-free
     ones, and parallel runs to sequential ones. *)
 
-type spec = {
-  seed : int;
-  rate : float;  (** per-stage-completion event probability, in [0, 1) *)
-  max_attempts : int;  (** per-stage execution budget (first run included) *)
-}
+(** A seed, a per-stage-completion event probability in [0, 1) and a
+    per-stage execution budget (the first run included). *)
+type spec
 
 val default_attempts : int
 
@@ -22,6 +20,9 @@ val default_attempts : int
     Raises [Invalid_argument] on a rate outside [0, 1) or a non-positive
     budget. *)
 val spec : ?rate:float -> ?max_attempts:int -> int -> spec
+
+(** The spec's per-stage execution budget. *)
+val max_attempts : spec -> int
 
 type event =
   | Lose_partition of { stage : int; machine : int }

@@ -18,9 +18,7 @@ open Sphys
      interior nodes are walked (hence later executed) once per reference.
      This is deliberate tree expansion: the conventional baseline reuses
      winner subplans physically but pays for each consumer's copy, and
-     the executor's counters must account each copy.  [shared_interior]
-     records such nodes so the stage auditor can flag them in plans that
-     are supposed to share through spools only.
+     the executor's counters must account each copy.
 
    [deps] lists each boundary encounter of the interior in left-to-right
    depth-first order — the order the engine's interior evaluator consumes
@@ -32,15 +30,12 @@ type stage = {
   root : Plan.t;
   deps : (Plan.t * int) list;
       (* boundary children in interior walk order, with producing stage *)
-  nodes : int; (* interior size, the root included *)
 }
 
 type graph = {
   stages : stage array;
       (* indexed by id; topological: every dependency precedes its consumer *)
   sink : int; (* the plan root's stage; always the last *)
-  shared_interior : Plan.t list;
-      (* non-boundary nodes reachable from more than one interior position *)
 }
 
 let boundary (n : Plan.t) =
@@ -56,18 +51,9 @@ let build (plan : Plan.t) : graph =
   (* spools are deduplicated by physical identity; other boundaries are
      instantiated per reference *)
   let spool_stage : (Plan.t * int) list ref = ref [] in
-  let interior_seen : Plan.t list ref = ref [] in
-  let shared = ref [] in
   let rec stage_of root =
     let deps = ref [] in
-    let nodes = ref 0 in
     let rec walk n =
-      incr nodes;
-      if not (boundary n) then
-        if List.memq n !interior_seen then begin
-          if not (List.memq n !shared) then shared := n :: !shared
-        end
-        else interior_seen := n :: !interior_seen;
       List.iter
         (fun (c : Plan.t) ->
           if boundary c then begin
@@ -90,15 +76,11 @@ let build (plan : Plan.t) : graph =
     walk root;
     let id = !count in
     incr count;
-    stages := { id; root; deps = List.rev !deps; nodes = !nodes } :: !stages;
+    stages := { id; root; deps = List.rev !deps } :: !stages;
     id
   in
   let sink = stage_of plan in
-  {
-    stages = Array.of_list (List.rev !stages);
-    sink;
-    shared_interior = List.rev !shared;
-  }
+  { stages = Array.of_list (List.rev !stages); sink }
 
 let size g = Array.length g.stages
 

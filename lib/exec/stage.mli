@@ -15,7 +15,6 @@ type stage = {
   deps : (Sphys.Plan.t * int) list;
       (** boundary children of the interior in left-to-right depth-first
           (evaluation) order, each with its producing stage id *)
-  nodes : int;  (** interior size, the root included *)
 }
 
 type graph = {
@@ -23,9 +22,6 @@ type graph = {
       (** indexed by id, topologically ordered: every dependency's id is
           smaller than its consumer's *)
   sink : int;  (** the plan root's stage; always the last *)
-  shared_interior : Sphys.Plan.t list;
-      (** non-boundary nodes reachable from more than one interior
-          position; executed once per reference (tree semantics) *)
 }
 
 (** Is the node a stage boundary (exchange / merge-exchange / gather /

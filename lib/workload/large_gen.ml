@@ -133,8 +133,8 @@ let filler_sizes n =
 
 (* Register realistic statistics for every file a generated script reads:
    aggregation reduces, and single columns keep the cluster busy. *)
-let register_files ?(shared_rows = 50_000_000) ?(filler_rows = 50_000_000)
-    (catalog : Catalog.t) (script : string) =
+let register_files ~shared_rows ~filler_rows (catalog : Catalog.t)
+    (script : string) =
   (* scan for string literals; every extension-free literal is a generated
      input file *)
   let n = String.length script in
@@ -197,6 +197,3 @@ let generate (spec : spec) : string =
         ~g)
     (filler_sizes remaining);
   Buffer.contents buf
-
-let ls1 () = generate ls1_spec
-let ls2 () = generate ls2_spec

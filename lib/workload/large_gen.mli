@@ -28,12 +28,10 @@ val ls2_spec : spec
 val filler_sizes : int -> int list
 
 (** Register catalog statistics for every input file a generated script
-    reads. *)
+    reads: [filler_rows] rows for a filler pipeline's input, [shared_rows]
+    for every other extension-free file. *)
 val register_files :
-  ?shared_rows:int -> ?filler_rows:int -> Relalg.Catalog.t -> string -> unit
+  shared_rows:int -> filler_rows:int -> Relalg.Catalog.t -> string -> unit
 
 (** Generate the script text of a spec (deterministic). *)
 val generate : spec -> string
-
-val ls1 : unit -> string
-val ls2 : unit -> string

@@ -51,8 +51,6 @@ OUTPUT R2 TO "result2.out";
 OUTPUT RR TO "result3.out";
 |}
 
-let all = [ ("S1", s1); ("S2", s2); ("S3", s3); ("S4", s4) ]
-
 (* Figure 5 / Section VIII-A: two independent shared groups under a single
    LCA, used by the round-count experiments. *)
 let independent_pair =

@@ -14,8 +14,6 @@ val s3 : string
     (Figure 3(c)); three shared groups under Algorithm 1. *)
 val s4 : string
 
-val all : (string * string) list
-
 (** Two independent shared groups under a single LCA (Figure 5 /
     Section VIII-A). *)
 val independent_pair : string

@@ -48,20 +48,15 @@ let test_builtins_clean () =
       List.iter
         (fun (name, script) ->
           audit_clean ~machines name script (Thelpers.default_catalog ()))
-        (Sworkload.Paper_scripts.all
-        @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ]))
+        Thelpers.small_builtins)
     [ 4; 25 ]
 
-let large_clean name spec =
-  let script = Sworkload.Large_gen.generate spec in
-  let catalog = Relalg.Catalog.default () in
-  Sworkload.Large_gen.register_files
-    ~shared_rows:spec.Sworkload.Large_gen.shared_rows
-    ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
+let large_clean name =
+  let script, catalog = Thelpers.builtin name in
   audit_clean ~machines:25 name script catalog
 
-let test_ls1_clean () = large_clean "LS1" Sworkload.Large_gen.ls1_spec
-let test_ls2_clean () = large_clean "LS2" Sworkload.Large_gen.ls2_spec
+let test_ls1_clean () = large_clean "LS1"
+let test_ls2_clean () = large_clean "LS2"
 
 let test_random_clean () =
   for seed = 1 to 25 do
@@ -129,21 +124,9 @@ let test_memo_audit_reference () =
     memo_audit_matches_reference name ~cluster r.Cse.Pipeline.memo
   in
   List.iter
-    (fun (name, script) ->
-      run ~machines:25 name script (Thelpers.default_catalog ()))
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ]);
-  List.iter
-    (fun (name, spec) ->
-      let script = Sworkload.Large_gen.generate spec in
-      let catalog = Relalg.Catalog.default () in
-      Sworkload.Large_gen.register_files
-        ~shared_rows:spec.Sworkload.Large_gen.shared_rows
-        ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
-      run ~machines:25 name script catalog)
-    [
-      ("LS1", Sworkload.Large_gen.ls1_spec); ("LS2", Sworkload.Large_gen.ls2_spec);
-    ];
+    (fun (w : Sworkload.Builtin.t) ->
+      run ~machines:25 w.name w.script (w.catalog ()))
+    Sworkload.Builtin.all;
   for seed = 1 to 25 do
     let script = Sworkload.Random_gen.generate ~seed ~statements:8 () in
     run ~machines:7

@@ -365,7 +365,7 @@ let test_full_validation_both_plans () =
             Alcotest.failf "%s (cse=%b): %s" name cse
               (String.concat "; " v.Sexec.Validate.mismatches))
         [ true; false ])
-    Sworkload.Paper_scripts.all
+    Thelpers.small_builtins
 
 let test_spool_executed_once () =
   let catalog, dag, plan = optimize Sworkload.Paper_scripts.s1 in
@@ -530,8 +530,7 @@ let test_faults_builtins () =
             acc + fault_roundtrip ~machines:6 ~seeds catalog dag plan)
           acc [ true; false ])
       0
-      (Sworkload.Paper_scripts.all
-      @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+      Thelpers.small_builtins
   in
   Alcotest.(check bool) "recoveries exercised" true (total > 0)
 
@@ -552,9 +551,8 @@ let test_faults_random_scripts () =
 let test_faults_large_scripts () =
   let total = ref 0 in
   List.iter
-    (fun script ->
-      let catalog = Relalg.Catalog.default () in
-      Sworkload.Large_gen.register_files catalog script;
+    (fun name ->
+      let script, catalog = Thelpers.builtin name in
       let r = Cse.Pipeline.run ~catalog script in
       (* large stage graphs see many fault events over a run: a gentler
          rate and a deeper budget keep every loss recoverable *)
@@ -562,7 +560,7 @@ let test_faults_large_scripts () =
         !total
         + fault_roundtrip ~rate:0.1 ~max_attempts:64 ~machines:9
             ~seeds:[ 1; 2 ] catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan)
-    [ Sworkload.Large_gen.ls1 (); Sworkload.Large_gen.ls2 () ];
+    [ "LS1"; "LS2" ];
   Alcotest.(check bool) "recoveries exercised" true (!total > 0)
 
 let test_faults_deterministic () =
@@ -692,8 +690,7 @@ let test_batch_builtins () =
                ~faults:(Sexec.Faults.spec ~rate:0.3 23)
                ~machines:6 catalog dag plan))
         [ true; false ])
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    Thelpers.small_builtins
 
 let test_batch_random_scripts () =
   let retries = ref 0 in
@@ -715,9 +712,8 @@ let test_batch_random_scripts () =
 let test_batch_large_scripts () =
   let retries = ref 0 in
   List.iter
-    (fun script ->
-      let catalog = Relalg.Catalog.default () in
-      Sworkload.Large_gen.register_files catalog script;
+    (fun name ->
+      let script, catalog = Thelpers.builtin name in
       let r = Cse.Pipeline.run ~catalog script in
       let dag = r.Cse.Pipeline.dag and plan = r.Cse.Pipeline.cse_plan in
       (* the large stage graphs dominate suite runtime: exercise every
@@ -729,7 +725,7 @@ let test_batch_large_scripts () =
         + batch_matrix ~workers_list:[ 2 ]
             ~faults:(Sexec.Faults.spec ~rate:0.1 ~max_attempts:64 5)
             ~machines:9 catalog dag plan)
-    [ Sworkload.Large_gen.ls1 (); Sworkload.Large_gen.ls2 () ];
+    [ "LS1"; "LS2" ];
   Alcotest.(check bool) "recoveries exercised across batch sizes" true
     (!retries > 0)
 
@@ -745,8 +741,7 @@ let test_parallel_builtins () =
                ~faults:(Sexec.Faults.spec ~rate:0.3 11)
                ~machines:6 catalog dag plan))
         [ true; false ])
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    Thelpers.small_builtins
 
 let test_parallel_random_scripts () =
   let retries = ref 0 in
@@ -767,9 +762,8 @@ let test_parallel_random_scripts () =
 let test_parallel_large_scripts () =
   let retries = ref 0 in
   List.iter
-    (fun script ->
-      let catalog = Relalg.Catalog.default () in
-      Sworkload.Large_gen.register_files catalog script;
+    (fun name ->
+      let script, catalog = Thelpers.builtin name in
       let r = Cse.Pipeline.run ~catalog script in
       let dag = r.Cse.Pipeline.dag and plan = r.Cse.Pipeline.cse_plan in
       ignore (worker_matrix ~machines:9 catalog dag plan);
@@ -778,7 +772,7 @@ let test_parallel_large_scripts () =
         + worker_matrix
             ~faults:(Sexec.Faults.spec ~rate:0.1 ~max_attempts:64 3)
             ~machines:9 catalog dag plan)
-    [ Sworkload.Large_gen.ls1 (); Sworkload.Large_gen.ls2 () ];
+    [ "LS1"; "LS2" ];
   Alcotest.(check bool) "recoveries exercised in parallel" true (!retries > 0)
 
 (* --- kernel profiling ------------------------------------------------------ *)

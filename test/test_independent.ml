@@ -43,9 +43,7 @@ let test_class_partition_properties () =
 let test_ls1_classes () =
   (* LS1's four shared groups live in four separate modules: all
      independent *)
-  let script = Sworkload.Large_gen.ls1 () in
-  let catalog = Relalg.Catalog.default () in
-  Sworkload.Large_gen.register_files catalog script;
+  let script, catalog = Thelpers.builtin "LS1" in
   let memo = Thelpers.memo_of ~catalog script in
   let shared = Cse.Spool.identify memo in
   let si = Cse.Shared_info.compute memo in
@@ -72,9 +70,7 @@ let test_ranking_savings_formula () =
   Alcotest.(check (float 1e-6)) "(n-1) * repart" (2.0 *. cost) savings
 
 let test_ranking_orders_big_first () =
-  let script = Sworkload.Large_gen.ls2 () in
-  let catalog = Relalg.Catalog.default () in
-  Sworkload.Large_gen.register_files catalog script;
+  let script, catalog = Thelpers.builtin "LS2" in
   let memo = Thelpers.memo_of ~catalog script in
   let shared = Cse.Spool.identify memo in
   let si = Cse.Shared_info.compute memo in

@@ -162,17 +162,13 @@ let prop_columns_rename =
 
 (* --- large scripts through the full pipeline ------------------------------- *)
 
-let ls_report spec =
-  let script = Sworkload.Large_gen.generate spec in
-  let catalog = Relalg.Catalog.default () in
-  Sworkload.Large_gen.register_files
-    ~shared_rows:spec.Sworkload.Large_gen.shared_rows
-    ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
+let ls_report name =
+  let script, catalog = Thelpers.builtin name in
   let budget = Sopt.Budget.create ~max_seconds:30.0 () in
   Cse.Pipeline.run ~budget ~catalog script
 
 let test_ls1_plan_valid () =
-  let r = ls_report Sworkload.Large_gen.ls1_spec in
+  let r = ls_report "LS1" in
   Thelpers.assert_valid_plan "LS1 cse" r.Cse.Pipeline.cse_plan;
   Thelpers.assert_valid_plan "LS1 conv" r.Cse.Pipeline.conventional_plan;
   Alcotest.(check bool) "cse cheaper" true
@@ -182,7 +178,7 @@ let test_ls1_plan_valid () =
   Alcotest.(check int) "nine references (3x2 + 1x3)" 9 refs
 
 let test_ls1_every_lca_found () =
-  let r = ls_report Sworkload.Large_gen.ls1_spec in
+  let r = ls_report "LS1" in
   Alcotest.(check int) "four LCAs" 4 (List.length r.Cse.Pipeline.lcas)
 
 let test_skew_model () =
@@ -261,12 +257,11 @@ let test_cached_cost_builtins () =
       assert_cached_cost_agrees ~cluster (name ^ " cse") r.Cse.Pipeline.cse_plan;
       assert_cached_cost_agrees ~cluster (name ^ " conv")
         r.Cse.Pipeline.conventional_plan)
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    Thelpers.small_builtins
 
 let test_cached_cost_ls1 () =
   let cluster = Scost.Cluster.default in
-  let r = ls_report Sworkload.Large_gen.ls1_spec in
+  let r = ls_report "LS1" in
   assert_cached_cost_agrees ~cluster "LS1 cse" r.Cse.Pipeline.cse_plan;
   assert_cached_cost_agrees ~cluster "LS1 conv" r.Cse.Pipeline.conventional_plan
 
@@ -456,7 +451,7 @@ let test_intern_enforcement_distinct () =
    same process interns, searches and counts exactly like the first. *)
 let test_runs_count_alike () =
   let deltas () =
-    let r = ls_report Sworkload.Large_gen.ls1_spec in
+    let r = ls_report "LS1" in
     List.filter
       (fun (name, _) ->
         String.starts_with ~prefix:"intern." name

@@ -59,7 +59,7 @@ let test_lexer_unterminated_string () =
 let parses s = ignore (Slang.Parser.parse_script s)
 
 let test_parse_paper_scripts () =
-  List.iter (fun (_, s) -> parses s) Sworkload.Paper_scripts.all
+  List.iter (fun (_, s) -> parses s) Thelpers.small_builtins
 
 let test_parse_extract () =
   match Slang.Parser.parse_script {|R = EXTRACT A,B FROM "f.log" USING X; OUTPUT R TO "o";|} with
@@ -160,8 +160,7 @@ let test_roundtrip () =
       let printed = Slang.Ast.to_string ast in
       let ast2 = Slang.Parser.parse_script printed in
       if ast <> ast2 then Alcotest.failf "%s: print/parse roundtrip differs" name)
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    Thelpers.small_builtins
 
 let test_roundtrip_random () =
   for seed = 1 to 25 do

@@ -33,7 +33,7 @@ let test_all_paper_scripts_valid () =
     (fun (name, script) ->
       let plan, _ = conventional script in
       Thelpers.assert_valid_plan name plan)
-    Sworkload.Paper_scripts.all
+    Thelpers.small_builtins
 
 let test_requirements_pushed_through_shared_gb () =
   (* In S1's conventional plan, each consumer pushes its partitioning
@@ -186,27 +186,14 @@ let filter_agrees name ~catalog script =
   (!seen, !rejected)
 
 let test_candidate_filter_equivalence () =
-  let large spec =
-    let script = Sworkload.Large_gen.generate spec in
-    let catalog = Relalg.Catalog.default () in
-    Sworkload.Large_gen.register_files
-      ~shared_rows:spec.Sworkload.Large_gen.shared_rows
-      ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
-    (catalog, script)
-  in
   let random seed =
     ( Sworkload.Random_gen.catalog (),
       Sworkload.Random_gen.generate ~seed ~statements:8 () )
   in
   let cases =
     List.map
-      (fun (name, script) -> (name, (Relalg.Catalog.default (), script)))
-      (Sworkload.Paper_scripts.all
-      @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
-    @ [
-        ("LS1", large Sworkload.Large_gen.ls1_spec);
-        ("LS2", large Sworkload.Large_gen.ls2_spec);
-      ]
+      (fun (w : Sworkload.Builtin.t) -> (w.name, (w.catalog (), w.script)))
+      Sworkload.Builtin.all
     @ List.init 25 (fun i ->
           (Printf.sprintf "random seed %d" (i + 1), random (i + 1)))
   in

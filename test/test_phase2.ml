@@ -16,7 +16,7 @@ let test_cse_cheaper_on_paper_scripts () =
           r.Cse.Pipeline.cse_cost r.Cse.Pipeline.conventional_cost;
       Thelpers.assert_valid_plan name r.Cse.Pipeline.cse_plan;
       Thelpers.assert_valid_plan (name ^ " conv") r.Cse.Pipeline.conventional_plan)
-    Sworkload.Paper_scripts.all
+    Thelpers.small_builtins
 
 let test_figure8_shape () =
   let r = Lazy.force s1_report in
@@ -167,8 +167,7 @@ let test_execution_matches_on_all_scripts () =
       if not v.Sexec.Validate.ok then
         Alcotest.failf "%s: %s" name
           (String.concat "; " v.Sexec.Validate.mismatches))
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    Thelpers.small_builtins
 
 let () =
   Alcotest.run "phase2"

@@ -25,8 +25,7 @@ let test_paper_scripts () =
   List.iter
     (fun (name, script) ->
       check_script ~catalog:(Relalg.Catalog.default ()) name script)
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    Thelpers.small_builtins
 
 let test_order_by_script () =
   check_script ~catalog:(Relalg.Catalog.default ()) "order-by"

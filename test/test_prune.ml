@@ -52,19 +52,14 @@ let test_builtins_equivalent () =
     (fun (name, script) ->
       ignore
         (assert_equivalent name ~catalog:(Thelpers.default_catalog ()) script))
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    Thelpers.small_builtins
 
-let large_equivalent name spec =
-  let script = Sworkload.Large_gen.generate spec in
-  let catalog = Relalg.Catalog.default () in
-  Sworkload.Large_gen.register_files
-    ~shared_rows:spec.Sworkload.Large_gen.shared_rows
-    ~filler_rows:spec.Sworkload.Large_gen.filler_rows catalog script;
+let large_equivalent name =
+  let script, catalog = Thelpers.builtin name in
   ignore (assert_equivalent name ~catalog script)
 
-let test_ls1_equivalent () = large_equivalent "LS1" Sworkload.Large_gen.ls1_spec
-let test_ls2_equivalent () = large_equivalent "LS2" Sworkload.Large_gen.ls2_spec
+let test_ls1_equivalent () = large_equivalent "LS1"
+let test_ls2_equivalent () = large_equivalent "LS2"
 
 (* Seed 3 at 10 statements is the round-heavy input: 5 127 sequential
    rounds on this cluster, 4 340 of them aborted by the bound and 768
@@ -122,8 +117,7 @@ let test_round_accounting () =
         Alcotest.failf "%s: executed %d + aborted %d <> sequential %d - pruned %d"
           name r.Cse.Pipeline.rounds_executed r.Cse.Pipeline.rounds_aborted_bound
           r.Cse.Pipeline.rounds_sequential r.Cse.Pipeline.rounds_pruned)
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    Thelpers.small_builtins
 
 (* An exhaustive run records no prunes, no aborts and no reuse hits. *)
 let test_noprune_counters_zero () =

@@ -2,10 +2,8 @@
    structural statistics of Figure 6 exactly, and the random generator must
    always produce valid scripts. *)
 
-let structural_stats spec =
-  let script = Sworkload.Large_gen.generate spec in
-  let catalog = Relalg.Catalog.default () in
-  Sworkload.Large_gen.register_files catalog script;
+let structural_stats name =
+  let script, catalog = Thelpers.builtin name in
   let dag = Thelpers.bind ~catalog script in
   let memo =
     Smemo.Memo.of_dag ~catalog ~machines:25 (Thelpers.bind ~catalog script)
@@ -17,13 +15,13 @@ let structural_stats spec =
   )
 
 let test_ls1_statistics () =
-  let ops, consumers = structural_stats Sworkload.Large_gen.ls1_spec in
+  let ops, consumers = structural_stats "LS1" in
   Alcotest.(check int) "101 operators in the initial DAG" 101 ops;
   Alcotest.(check (list int)) "4 shared groups: 3x2 + 1x3 consumers"
     [ 2; 2; 2; 3 ] consumers
 
 let test_ls2_statistics () =
-  let ops, consumers = structural_stats Sworkload.Large_gen.ls2_spec in
+  let ops, consumers = structural_stats "LS2" in
   Alcotest.(check int) "1034 operators in the initial DAG" 1034 ops;
   Alcotest.(check (list int)) "17 shared groups: 15x2 + 1x4 + 1x5"
     [ 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 4; 5 ]
@@ -31,8 +29,25 @@ let test_ls2_statistics () =
 
 let test_generator_deterministic () =
   Alcotest.(check string) "stable output"
-    (Sworkload.Large_gen.ls1 ())
-    (Sworkload.Large_gen.ls1 ())
+    (Sworkload.Large_gen.generate Sworkload.Large_gen.ls1_spec)
+    (Sworkload.Large_gen.generate Sworkload.Large_gen.ls1_spec)
+
+(* The registry's LS catalogs carry their spec's calibrated row counts; a
+   script given as text reads every input at 50 M rows. *)
+let test_registry_catalogs () =
+  List.iter
+    (fun (spec : Sworkload.Large_gen.spec) ->
+      let w = Option.get (Sworkload.Builtin.find spec.name) in
+      let file suffix = String.lowercase_ascii spec.name ^ suffix in
+      let rows c =
+        List.map
+          (fun f -> (Option.get (Relalg.Catalog.find c (file f))).rows)
+          [ "_log0"; "_fill0" ]
+      in
+      Alcotest.(check (list int)) spec.name
+        [ spec.shared_rows; spec.filler_rows; 50_000_000; 50_000_000 ]
+        (rows (w.catalog ()) @ rows (Sworkload.Builtin.text_catalog w.script)))
+    [ Sworkload.Large_gen.ls1_spec; Sworkload.Large_gen.ls2_spec ]
 
 let test_filler_sizes_exact () =
   List.iter
@@ -48,7 +63,7 @@ let test_paper_scripts_bind () =
       match Thelpers.bind s with
       | _ -> ()
       | exception e -> Alcotest.failf "%s: %s" name (Printexc.to_string e))
-    Sworkload.Paper_scripts.all
+    Thelpers.small_builtins
 
 let test_random_scripts_bind () =
   for seed = 1 to 60 do
@@ -84,6 +99,7 @@ let () =
           Alcotest.test_case "LS2 statistics" `Quick test_ls2_statistics;
           Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
           Alcotest.test_case "filler sizes" `Quick test_filler_sizes_exact;
+          Alcotest.test_case "registry catalogs" `Quick test_registry_catalogs;
         ] );
       ( "scripts",
         [

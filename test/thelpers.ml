@@ -2,6 +2,19 @@
 
 let default_catalog () = Relalg.Catalog.default ()
 
+(* The registry's builtins with no Section IX budget (S1-S4 and IND) as
+   (name, script) pairs; their catalog is the default one. *)
+let small_builtins =
+  List.filter_map
+    (fun (w : Sworkload.Builtin.t) ->
+      if w.budget_seconds = None then Some (w.name, w.script) else None)
+    Sworkload.Builtin.all
+
+(* A builtin's script and a fresh catalog, from the registry. *)
+let builtin name =
+  let w = Option.get (Sworkload.Builtin.find name) in
+  (w.Sworkload.Builtin.script, w.catalog ())
+
 (* Parse and bind a script against the default catalog. *)
 let bind ?(catalog = default_catalog ()) script =
   Slogical.Binder.bind ~catalog (Slang.Parser.parse_script script)
