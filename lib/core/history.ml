@@ -22,6 +22,8 @@ let create config = { table = Hashtbl.create 8; config }
 let entries t gid =
   match Hashtbl.find_opt t.table gid with Some l -> !l | None -> []
 
+let count t gid = List.length (entries t gid)
+
 (* Partitioning ranges over more columns than this are expanded to the
    full set, singletons and adjacent pairs instead of all subsets. *)
 let subset_expansion_cap = 4

@@ -7,14 +7,12 @@
     singletons and the adjacent pairs instead. Entries carry a frequency counter (Section
     VIII-C): how often they described a best local plan in phase 1. *)
 
-type entry = { props : Sphys.Reqprops.t; mutable freq : int }
-
 type t
 
 val create : Config.t -> t
 
-(** Recorded entries of a shared group, in first-recorded order. *)
-val entries : t -> int -> entry list
+(** Number of recorded property sets of a shared group. *)
+val count : t -> int -> int
 
 (** Record one phase-1 request (expanded, deduplicated). *)
 val record : t -> int -> Sphys.Reqprops.t -> unit
@@ -24,7 +22,7 @@ val record : t -> int -> Sphys.Reqprops.t -> unit
 val note_best : t -> int -> Sphys.Plan.t option -> unit
 
 (** Property sets for round generation: best-ranked first when VIII-C is
-    enabled. *)
+    enabled, in first-recorded order otherwise. *)
 val ranked_properties : t -> int -> Sphys.Reqprops.t list
 
 (** {!ranked_properties} after dominance filtering: kept property sets in

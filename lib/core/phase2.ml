@@ -225,6 +225,9 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
       match Rounds.next gen with
       | None -> continue_ := false
       | Some assignment ->
+          (* a round whose children are all memoized winners ticks no
+             optimization task, so the round itself is charged *)
+          Budget.tick t.Optimizer.budget;
           let bound = round_bound () in
           let ext' =
             {
@@ -355,7 +358,7 @@ let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
           List.filter
             (fun s ->
               Extreq.enforcement extreq s = None
-              && History.entries state.history s <> [])
+              && History.count state.history s > 0)
             lcas
         in
         if to_assign = [] then None

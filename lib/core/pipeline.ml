@@ -179,8 +179,7 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
   let history_sizes =
     List.map
       (fun (s : Spool.shared) ->
-        ( s.Spool.spool,
-          List.length (History.entries state.Phase2.history s.Spool.spool) ))
+        (s.Spool.spool, History.count state.Phase2.history s.Spool.spool))
       shared
   in
   let candidate_props =

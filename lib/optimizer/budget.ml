@@ -1,8 +1,9 @@
 (* Optimization budget (Section III): bounds the work the optimizer may
-   spend.  Tasks count group-optimization invocations; the wall-clock bound
-   mirrors the 30s/60s budgets the paper uses for the large scripts.  The
-   re-optimization phase checks the budget between rounds and keeps the
-   best plan found so far when it runs out. *)
+   spend.  Tasks count group-optimization invocations and phase-2
+   rounds; the wall-clock bound mirrors the 30s/60s budgets the paper
+   uses for the large scripts.  The re-optimization phase checks the
+   budget between rounds and keeps the best plan found so far when it
+   runs out. *)
 
 type t = {
   max_tasks : int option;

@@ -5,7 +5,13 @@ open Sphys
 
 let cs = Thelpers.colset
 
-let mk_history () = Cse.History.create Cse.Config.default
+(* no VIII-C ranking: [ranked_properties] lists the recorded property
+   sets in first-recorded order *)
+let mk_history () =
+  Cse.History.create
+    { Cse.Config.default with Cse.Config.use_property_ranking = false }
+
+let recorded h gid = Cse.History.ranked_properties h gid
 
 let test_range_expansion_paper_example () =
   (* the paper's example: [∅,{A,B,C}] expands into the seven non-empty
@@ -13,15 +19,14 @@ let test_range_expansion_paper_example () =
   let h = mk_history () in
   Cse.History.record h 1
     (Reqprops.make (Reqprops.Hash_subset (cs [ "A"; "B"; "C" ])) []);
-  let entries = Cse.History.entries h 1 in
-  Alcotest.(check int) "seven entries" 7 (List.length entries);
+  Alcotest.(check int) "seven entries" 7 (Cse.History.count h 1);
   let sets =
     List.filter_map
-      (fun (e : Cse.History.entry) ->
-        match e.Cse.History.props.Reqprops.part with
+      (fun (p : Reqprops.t) ->
+        match p.Reqprops.part with
         | Reqprops.Hash_exact s -> Some (Relalg.Colset.to_string s)
         | _ -> None)
-      entries
+      (recorded h 1)
     |> List.sort compare
   in
   Alcotest.(check (list string)) "exact subsets"
@@ -34,37 +39,35 @@ let test_expansion_cap () =
     (Reqprops.make (Reqprops.Hash_subset (cs [ "A"; "B"; "C"; "D"; "E" ])) []);
   (* a range over more than four columns: full set + 5 singletons + 4
      adjacent pairs = 10 (not 31) *)
-  Alcotest.(check int) "capped expansion" 10
-    (List.length (Cse.History.entries h 1))
+  Alcotest.(check int) "capped expansion" 10 (Cse.History.count h 1)
 
 let test_dedup () =
   let h = mk_history () in
   let req = Reqprops.make (Reqprops.Hash_exact (cs [ "B" ])) [] in
   Cse.History.record h 1 req;
   Cse.History.record h 1 req;
-  Alcotest.(check int) "no duplicates" 1 (List.length (Cse.History.entries h 1));
+  Alcotest.(check int) "no duplicates" 1 (Cse.History.count h 1);
   (* overlapping ranges dedup against previous expansions *)
   Cse.History.record h 1 (Reqprops.make (Reqprops.Hash_subset (cs [ "B"; "C" ])) []);
   Alcotest.(check int) "B shared between range and exact" 3
-    (List.length (Cse.History.entries h 1))
+    (Cse.History.count h 1)
 
 let test_sort_kept_in_entries () =
   let h = mk_history () in
   let sort = Sortorder.asc [ "B"; "A" ] in
   Cse.History.record h 1 (Reqprops.make (Reqprops.Hash_subset (cs [ "A"; "B" ])) sort);
   List.iter
-    (fun (e : Cse.History.entry) ->
+    (fun (p : Reqprops.t) ->
       Alcotest.(check bool) "sort preserved" true
-        (Sortorder.equal e.Cse.History.props.Reqprops.sort sort))
-    (Cse.History.entries h 1)
+        (Sortorder.equal p.Reqprops.sort sort))
+    (recorded h 1)
 
 let test_any_recorded_as_is () =
   let h = mk_history () in
   Cse.History.record h 1 (Reqprops.make Reqprops.Any (Sortorder.asc [ "A" ]));
-  match Cse.History.entries h 1 with
-  | [ e ] ->
-      Alcotest.(check bool) "any stays" true
-        (e.Cse.History.props.Reqprops.part = Reqprops.Any)
+  match recorded h 1 with
+  | [ p ] ->
+      Alcotest.(check bool) "any stays" true (p.Reqprops.part = Reqprops.Any)
   | l -> Alcotest.failf "expected one entry, got %d" (List.length l)
 
 let dummy_plan part sort =
@@ -88,7 +91,7 @@ let dummy_plan part sort =
       ~group:0 ~schema ~stats ~op_cost:1.0 ()
 
 let test_frequency_ranking () =
-  let h = mk_history () in
+  let h = Cse.History.create Cse.Config.default in
   Cse.History.record h 1 (Reqprops.make (Reqprops.Hash_subset (cs [ "A"; "B" ])) []);
   (* the winner delivered hash{B} twice: the {B} entry should rank first *)
   let win = dummy_plan (Partition.Hashed (cs [ "B" ])) [] in
@@ -99,20 +102,18 @@ let test_frequency_ranking () =
   | { Reqprops.part = Reqprops.Hash_exact s; _ } ->
       Alcotest.check Thelpers.colset_t "B first" (cs [ "B" ]) s
   | _ -> Alcotest.fail "expected exact {B} first");
-  (* with ranking disabled, insertion order is preserved *)
-  let h2 =
-    Cse.History.create
-      { Cse.Config.default with Cse.Config.use_property_ranking = false }
-  in
-  Cse.History.record h2 1
-    (Reqprops.make (Reqprops.Hash_subset (cs [ "A"; "B" ])) []);
-  Cse.History.note_best h2 1 (Some win);
-  let first = List.hd (Cse.History.ranked_properties h2 1) in
-  let first_recorded =
-    (List.hd (Cse.History.entries h2 1)).Cse.History.props
-  in
+  (* with ranking disabled, insertion order is preserved: crediting the
+     last-recorded set leaves the order of a history never credited *)
+  let range = Reqprops.make (Reqprops.Hash_subset (cs [ "A"; "B" ])) [] in
+  let h2 = mk_history () and uncredited = mk_history () in
+  Cse.History.record h2 1 range;
+  Cse.History.record uncredited 1 range;
+  (match List.rev (recorded uncredited 1) with
+  | { Reqprops.part = Reqprops.Hash_exact last; _ } :: _ :: _ ->
+      Cse.History.note_best h2 1 (Some (dummy_plan (Partition.Hashed last) []))
+  | _ -> Alcotest.fail "expected several exact sets");
   Alcotest.(check bool) "insertion order kept" true
-    (Reqprops.equal first first_recorded)
+    (List.equal Reqprops.equal (recorded h2 1) (recorded uncredited 1))
 
 let test_recorded_during_phase1 () =
   (* driving the actual pipeline records a non-empty history at the spool *)

@@ -92,8 +92,7 @@ let colset_arb = QCheck.make ~print:Relalg.Colset.to_string colset_gen
 let expand req =
   let h = Cse.History.create Cse.Config.default in
   Cse.History.record h 0 req;
-  List.map (fun (e : Cse.History.entry) -> e.Cse.History.props)
-    (Cse.History.entries h 0)
+  Cse.History.ranked_properties h 0
 
 let prop_expansion_count =
   Thelpers.qtest "range expands to 2^n - 1 entries" colset_arb (fun c ->

@@ -149,6 +149,41 @@ let test_budget_partial_rounds () =
     (r.Cse.Pipeline.cse_cost
     <= Scost.Dagcost.cost Scost.Cluster.default r.Cse.Pipeline.phase1_plan +. 1e-6)
 
+(* Every generated phase-2 round is charged to the budget, also a round
+   answered entirely from memoized winners: the budget counts the CSE
+   phases' optimization tasks plus one per round, so a task cap leaves at
+   most its headroom over a zero-round run's tasks in rounds.  S4's one
+   LCA is the root, so the zero-round run's tasks all precede the first
+   round. *)
+let test_budget_charges_rounds () =
+  let rounds (r : Cse.Pipeline.report) =
+    r.Cse.Pipeline.rounds_executed + r.Cse.Pipeline.rounds_aborted_bound
+  in
+  List.iter
+    (fun (name, script) ->
+      let budget = Sopt.Budget.create () in
+      let r = Thelpers.pipeline ~audit:false ~budget script in
+      Alcotest.(check int)
+        (name ^ ": budget tasks = CSE tasks + rounds")
+        (r.Cse.Pipeline.cse_tasks + rounds r)
+        budget.Sopt.Budget.tasks)
+    Thelpers.small_builtins;
+  let s4 = Sworkload.Paper_scripts.s4 in
+  let base =
+    let budget = Sopt.Budget.create ~max_tasks:0 () in
+    ignore (Thelpers.pipeline ~audit:false ~budget s4);
+    budget.Sopt.Budget.tasks
+  in
+  List.iter
+    (fun headroom ->
+      let budget = Sopt.Budget.create ~max_tasks:(base + headroom) () in
+      let r = Thelpers.pipeline ~budget s4 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d rounds within headroom %d" (rounds r) headroom)
+        true
+        (rounds r <= headroom))
+    [ 1; 2; 5; 20 ]
+
 let test_extensions_do_not_change_s1 () =
   let r = Lazy.force s1_report in
   let r2 = Thelpers.pipeline ~config:Cse.Config.no_extensions Sworkload.Paper_scripts.s1 in
@@ -194,6 +229,8 @@ let () =
             test_independent_sequencing_in_pipeline;
           Alcotest.test_case "budget stops rounds" `Quick test_budget_cuts_rounds;
           Alcotest.test_case "budget partial" `Quick test_budget_partial_rounds;
+          Alcotest.test_case "budget charges rounds" `Quick
+            test_budget_charges_rounds;
           Alcotest.test_case "extensions neutral on S1" `Quick
             test_extensions_do_not_change_s1;
         ] );
