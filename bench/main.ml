@@ -104,7 +104,7 @@ let exec_times ~workers (w : Builtin.t) (r : Cse.Pipeline.report) =
   r.exec <-
     Some
       {
-        Cse.Pipeline.workers;
+        Cse.Pipeline.workers = engine.workers;
         batch_size = engine.batch_size;
         batches = engine.counters.batches;
         wall_s = walln;
@@ -125,7 +125,6 @@ type record = {
   w : Builtin.t;
   report : Cse.Pipeline.report;  (* unbudgeted; pass walls min of 3 *)
   lint_deep_ms : float;  (* the deep audit of [report] *)
-  top_heap_words : int;
   exec : exec_times;
 }
 
@@ -149,8 +148,7 @@ let record ~workers ~config (w : Builtin.t) =
   Sanalysis.Audit.assert_clean ~cluster:Scost.Cluster.default
     ~catalog:(w.catalog ()) report;
   let lint_deep_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  let top_heap_words = (Gc.quick_stat ()).top_heap_words in
-  { w; report; lint_deep_ms; top_heap_words; exec = exec_times ~workers w report }
+  { w; report; lint_deep_ms; exec = exec_times ~workers w report }
 
 (* --- figures from the records ------------------------------------------- *)
 
@@ -521,7 +519,6 @@ let json_of_record ~workers (o : record) =
     @ [
         ("memo_groups", int (Smemo.Memo.size r.memo));
         ("memo_exprs", int (Smemo.Memo.expr_count r.memo));
-        ("top_heap_words", int o.top_heap_words);
         (* execution: measured wall at workers=1 and workers=N, the best
            workers=N rep's busy time and utilization, its batch figures
            (the batch count is a pure function of the plan, the data and

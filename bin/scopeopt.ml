@@ -323,7 +323,7 @@ let optimize run_exec =
             ~machines catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
         in
         attempts_acc := !attempts_acc @ [ v.Sexec.Validate.attempts ];
-        let summary = Sserve.Report.exec_summary ~workers v in
+        let summary = Sserve.Report.exec_summary v in
         say
           "execution: results %s; %d rows shuffled, %d rows extracted, shared \
            results materialized %d time(s), read %d time(s)@."
@@ -341,7 +341,7 @@ let optimize run_exec =
         List.iter (fun m -> say "  %s@." m) v.Sexec.Validate.mismatches;
         print_profile v;
         (* the document describes the fault-free run *)
-        print_report (Some (workers, v));
+        print_report (Some v);
         let injected =
           match inject with
           | None -> Ok ()
@@ -463,14 +463,8 @@ let serve_cmd =
           ~doc:
             "Rewrite $(docv) with a JSON metrics snapshot (the engine's \
              registry, executor and kernel-profile series included) after \
-             every --stats-interval batches and at exit — live stats \
+             every batch and at exit — live stats \
              exposition for a watching scraper.")
-  in
-  let stats_interval_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "stats-interval" ] ~docv:"N"
-          ~doc:"Batches between --stats-file rewrites (default every batch.)")
   in
   let serve_inject_arg =
     Arg.(
@@ -485,7 +479,7 @@ let serve_cmd =
              dumped and serve exits non-zero.")
   in
   let f machines workers batch_size no_ext no_prune verbose audit json trace
-      budget gen seed stats_file stats_interval profile inject rate file =
+      budget gen seed stats_file profile inject rate file =
     setup_logs verbose;
     Sexec.Profile.set profile;
     let catalog = Relalg.Catalog.default () in
@@ -519,8 +513,7 @@ let serve_cmd =
       Sserve.Engine.create ~config ?max_seconds:budget ~cluster ~workers
         ~batch_size ?faults catalog
     in
-    Sserve.Driver.run ~json ~audit ?trace ?stats_file ~stats_interval engine
-      ~next
+    Sserve.Driver.run ~json ~audit ?trace ?stats_file engine ~next
   in
   Cmd.v
     (Cmd.info "serve"
@@ -535,9 +528,8 @@ let serve_cmd =
       term_result
         (const f $ machines_arg $ workers_arg $ batch_size_arg $ no_ext_arg
        $ no_prune_arg $ verbose_arg $ audit_arg $ json_arg $ trace_prefix_arg
-       $ budget_arg $ gen_arg $ seed_arg $ stats_file_arg
-       $ stats_interval_arg $ profile_arg $ serve_inject_arg $ rate_arg
-       $ file_arg))
+       $ budget_arg $ gen_arg $ seed_arg $ stats_file_arg $ profile_arg
+       $ serve_inject_arg $ rate_arg $ file_arg))
 
 (* --- check-trace -------------------------------------------------------- *)
 

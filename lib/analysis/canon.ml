@@ -297,9 +297,7 @@ let of_physical ctx (plan : Sphys.Plan.t) : (out * Sphys.Props.t) list =
     | Sphys.Physop.P_filter { pred }, [ c ] ->
         mk_filter ctx (conjuncts pred) (go c)
     | Sphys.Physop.P_project { items }, [ c ] -> mk_project ctx items (go c)
-    | ( ( Sphys.Physop.P_stream_agg { keys; aggs; scope }
-        | Sphys.Physop.P_hash_agg { keys; aggs; scope } ),
-        [ c ] ) -> (
+    | Sphys.Physop.P_stream_agg { keys; aggs; scope }, [ c ] -> (
         match scope with
         | Sphys.Physop.Full -> mk_group ctx ~keys ~aggs (go c)
         | Sphys.Physop.Local -> mk_partial ctx ~keys ~aggs (go c)

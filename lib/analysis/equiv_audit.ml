@@ -185,8 +185,7 @@ let columns_read (n : Plan.t) i =
       List.fold_left
         (fun acc (e, _) -> Colset.union acc (Expr.columns e))
         Colset.empty items
-  | Physop.P_stream_agg { keys; aggs; _ } | Physop.P_hash_agg { keys; aggs; _ }
-    ->
+  | Physop.P_stream_agg { keys; aggs; _ } ->
       List.fold_left
         (fun acc (a : Agg.t) -> Colset.union acc (Expr.columns a.Agg.arg))
         (Colset.of_list keys) aggs

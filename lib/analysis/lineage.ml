@@ -177,18 +177,14 @@ let of_plan ctx (plan : Sphys.Plan.t) : (string * env) list =
     | Sphys.Physop.P_gather, [ c ] ->
         go c
     | Sphys.Physop.P_project { items }, [ c ] -> env_project ctx items (go c)
-    | ( ( Sphys.Physop.P_stream_agg { keys; aggs; scope }
-        | Sphys.Physop.P_hash_agg { keys; aggs; scope } ),
-        [ c ] ) -> (
+    | Sphys.Physop.P_stream_agg { keys; aggs; scope }, [ c ] -> (
         match scope with
         | Sphys.Physop.Local | Sphys.Physop.Full ->
             env_group ctx ~keys ~aggs (go c)
         | Sphys.Physop.Global -> (
             match ((strip c).Sphys.Plan.op, (strip c).Sphys.Plan.children) with
-            | ( ( Sphys.Physop.P_stream_agg
-                    { keys = lk; aggs = la; scope = Sphys.Physop.Local }
-                | Sphys.Physop.P_hash_agg
-                    { keys = lk; aggs = la; scope = Sphys.Physop.Local } ),
+            | ( Sphys.Physop.P_stream_agg
+                  { keys = lk; aggs = la; scope = Sphys.Physop.Local },
                 [ cc ] )
               when lk = keys && combines la aggs ->
                 env_group ctx ~keys ~aggs:la (go cc)

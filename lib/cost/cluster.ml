@@ -20,7 +20,6 @@ type t = {
   (* per-row constants *)
   cpu_row : float; (* basic per-row processing (filter, project) *)
   agg_row : float; (* stream aggregation per input row *)
-  hash_agg_row : float; (* hash aggregation per input row *)
   sort_row : float; (* per row and per log2(rows/partition) *)
   join_row : float; (* merge join per input row *)
   hash_join_row : float; (* hash join per input row *)
@@ -45,7 +44,6 @@ let default =
     spool_read_byte = 0.15;
     cpu_row = 0.3;
     agg_row = 0.5;
-    hash_agg_row = 3.5;
     sort_row = 0.1;
     join_row = 0.6;
     hash_join_row = 0.9;

@@ -16,7 +16,6 @@ type t = {
   spool_read_byte : float;  (** re-reading a spooled byte, per consumer *)
   cpu_row : float;  (** basic per-row processing *)
   agg_row : float;  (** stream aggregation per input row *)
-  hash_agg_row : float;  (** hash aggregation per input row *)
   sort_row : float;  (** per row and per log2(rows/partition) *)
   join_row : float;  (** merge join per input row *)
   hash_join_row : float;  (** hash join per input row *)

@@ -53,9 +53,6 @@ let op_cost (cluster : Cluster.t) (op : Physop.t) (children : Plan.t list)
   | Physop.P_stream_agg _ ->
       let x = child () in
       rows x.Plan.stats *. c.agg_row /. par x
-  | Physop.P_hash_agg _ ->
-      let x = child () in
-      rows x.Plan.stats *. c.hash_agg_row /. par x
   | Physop.P_merge_join _ -> (
       match children with
       | [ l; r ] ->

@@ -374,48 +374,6 @@ let stream_agg schema ~key_idx ~(aggs : Agg.t array) ~cargs batches =
     sel = None;
   }
 
-(* Hash aggregation over a batch list, mirroring [Table.group_by]: keys
-   hashed as [Value.t list]s, output rows in first-seen key order. *)
-let hash_agg schema ~key_idx ~(aggs : Agg.t array) ~cargs batches =
-  let nk = Array.length key_idx in
-  let na = Array.length aggs in
-  let tbl : (Value.t list, Agg.state array) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun b ->
-      let n = live b in
-      for i = 0 to n - 1 do
-        let p = at b i in
-        let key =
-          List.init nk (fun c -> b.cols.(key_idx.(c)).(p))
-        in
-        let states =
-          match Hashtbl.find_opt tbl key with
-          | Some states -> states
-          | None ->
-              let states = Array.init na (fun _ -> Agg.init ()) in
-              Hashtbl.add tbl key states;
-              order := key :: !order;
-              states
-        in
-        for a = 0 to na - 1 do
-          Agg.step_value aggs.(a) states.(a) (eval_at b.cols p cargs.(a))
-        done
-      done)
-    batches;
-  let groups = List.rev !order in
-  let ngroups = List.length groups in
-  let cols = Array.init (nk + na) (fun _ -> Array.make ngroups Value.Null) in
-  List.iteri
-    (fun g key ->
-      let states = Hashtbl.find tbl key in
-      List.iteri (fun c v -> cols.(c).(g) <- v) key;
-      for a = 0 to na - 1 do
-        cols.(nk + a).(g) <- Agg.finish aggs.(a) states.(a)
-      done)
-    groups;
-  { schema; len = ngroups; cols; sel = None }
-
 (* Predicate over a (left row, right row) pair: combined-schema column
    positions below the left arity read the left batch, the rest the
    right — no per-pair row materialization. *)

@@ -89,16 +89,6 @@ val stream_agg :
   t list ->
   t
 
-(** Hash aggregation mirroring [Table.group_by]: output rows in
-    first-seen key order. *)
-val hash_agg :
-  Relalg.Schema.t ->
-  key_idx:int array ->
-  aggs:Relalg.Agg.t array ->
-  cargs:Relalg.Expr.compiled array ->
-  t list ->
-  t
-
 (** Nested-loop join in the row engine's output order (left order, then
     right order per left row); [`Left_outer] pads unmatched left rows
     with nulls.  The predicate is compiled against [left @ right]. *)

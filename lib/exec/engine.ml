@@ -316,8 +316,9 @@ let pred_of_pairs pairs residual =
    delivered schema does not even contain is itself a violation.
    Violations accumulate in [viols], newest first — one ref per stage
    execution, so concurrent stages never interleave their reports.
-   Checking extracts a row view per partition; it is test-only
-   instrumentation ([verify_props]), never on the bench path. *)
+   Checking extracts a row view per partition ([verify_props]).  The
+   bench and serve engines leave it off, but [scopeopt run] always
+   verifies, so it runs inside the wall that [run] reports. *)
 let check_delivered viols (n : Plan.t) (d : dist) =
   let violation fmt = Fmt.kstr (fun m -> viols := m :: !viols) fmt in
   let where = Physop.to_string n.Plan.op in
@@ -505,13 +506,7 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
         let r = map_parts pool (sort_part t.batch_size d.schema keys) d schema in
         note "sort" t0;
         r
-    | Physop.P_stream_agg { keys; aggs; scope = _ }
-    | Physop.P_hash_agg { keys; aggs; scope = _ } ->
-        let kernel =
-          match n.Plan.op with
-          | Physop.P_stream_agg _ -> Batch.stream_agg
-          | _ -> Batch.hash_agg
-        in
+    | Physop.P_stream_agg { keys; aggs; scope = _ } ->
         let d = eval_child (List.hd n.Plan.children) in
         let t0 = Profile.now () in
         let key_idx =
@@ -525,7 +520,7 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
           map_parts pool
             (fun bs ->
               Batch.split ~size:t.batch_size
-                (kernel schema ~key_idx ~aggs:aggs_a ~cargs bs))
+                (Batch.stream_agg schema ~key_idx ~aggs:aggs_a ~cargs bs))
             d schema
         in
         note "aggregate" t0;

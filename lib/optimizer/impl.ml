@@ -58,29 +58,15 @@ let agg_alts ~keys ~aggs ~(scope : Physop.agg_scope) (req : Reqprops.t) :
         Some Reqprops.Serial_req
     | Physop.Global | Physop.Full -> part_within_keys req.Reqprops.part keyset
   in
-  match part with
-  | None -> []
-  | Some part ->
-      let stream =
-        match grouping_sort req.Reqprops.sort keys with
-        | None -> []
-        | Some sort ->
-            [
-              {
-                op = Physop.P_stream_agg { keys; aggs; scope };
-                child_reqs = [ Reqprops.make part sort ];
-              };
-            ]
-      in
-      let hash =
-        [
-          {
-            op = Physop.P_hash_agg { keys; aggs; scope };
-            child_reqs = [ Reqprops.make part Sortorder.empty ];
-          };
-        ]
-      in
-      stream @ hash
+  match (part, grouping_sort req.Reqprops.sort keys) with
+  | Some part, Some sort ->
+      [
+        {
+          op = Physop.P_stream_agg { keys; aggs; scope };
+          child_reqs = [ Reqprops.make part sort ];
+        };
+      ]
+  | _ -> []
 
 (* Requirement mapped backwards through a projection: output columns that
    are simple renames map to their source; anything else blocks the

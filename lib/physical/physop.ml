@@ -11,7 +11,6 @@ type t =
   | P_filter of { pred : Expr.t }
   | P_project of { items : (Expr.t * string) list }
   | P_stream_agg of { keys : string list; aggs : Agg.t list; scope : agg_scope }
-  | P_hash_agg of { keys : string list; aggs : Agg.t list; scope : agg_scope }
   | P_merge_join of {
       kind : Slogical.Logop.join_kind;
       pairs : (string * string) list;
@@ -68,9 +67,6 @@ let deliver ?out_cols (op : t) (schema : Schema.t) (children : Props.t list) :
          key columns) and the sort order survive, restricted to output
          columns *)
       Props.restrict (out_cols ()) (child ())
-  | P_hash_agg _ ->
-      let c = child () in
-      Props.restrict (out_cols ()) { c with Props.sort = Sortorder.empty }
   | P_merge_join _ -> (
       match children with
       | [ l; _ ] -> Props.restrict (out_cols ()) l
@@ -108,9 +104,6 @@ let short_name = function
   | P_stream_agg { scope = Local; _ } -> "StreamAgg(Local)"
   | P_stream_agg { scope = Global; _ } -> "StreamAgg(Global)"
   | P_stream_agg { scope = Full; _ } -> "StreamAgg"
-  | P_hash_agg { scope = Local; _ } -> "HashAgg(Local)"
-  | P_hash_agg { scope = Global; _ } -> "HashAgg(Global)"
-  | P_hash_agg { scope = Full; _ } -> "HashAgg"
   | P_merge_join { kind = Slogical.Logop.Inner; _ } -> "MergeJoin"
   | P_merge_join _ -> "LeftMergeJoin"
   | P_hash_join { kind = Slogical.Logop.Inner; _ } -> "HashJoin"
@@ -137,7 +130,7 @@ let pp ppf op =
                 | Expr.Col c when c = n -> c
                 | _ -> Fmt.str "%a AS %s" Expr.pp e n)
               items))
-  | P_stream_agg { keys; _ } | P_hash_agg { keys; _ } ->
+  | P_stream_agg { keys; _ } ->
       Fmt.pf ppf "%s(%s)" (short_name op) (String.concat ", " keys)
   | P_merge_join { pairs; _ } | P_hash_join { pairs; _ } ->
       Fmt.pf ppf "%s(%s)" (short_name op)

@@ -17,11 +17,6 @@ type t =
       aggs : Relalg.Agg.t list;
       scope : agg_scope;
     }  (** requires input sorted on the keys; preserves order *)
-  | P_hash_agg of {
-      keys : string list;
-      aggs : Relalg.Agg.t list;
-      scope : agg_scope;
-    }
   | P_merge_join of {
       kind : Slogical.Logop.join_kind;
       pairs : (string * string) list;

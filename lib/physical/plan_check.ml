@@ -84,7 +84,7 @@ let check_static op (child_schemas : Schema.t list) (err : string -> unit) =
       List.iter
         (fun (e, _) -> require_cols s (Expr.columns e) "projection item")
         items
-  | (Physop.P_stream_agg { keys; aggs; _ } | Physop.P_hash_agg { keys; aggs; _ }), [ s ] ->
+  | Physop.P_stream_agg { keys; aggs; _ }, [ s ] ->
       require_cols s (Colset.of_list keys) "grouping key";
       List.iter
         (fun a -> require_cols s (Expr.columns a.Agg.arg) "aggregate argument")
@@ -125,13 +125,11 @@ let static_ok op child_schemas =
    [check_static]'s to report. *)
 let check_inputs op (child_props : Props.t list) (err : (unit -> string) -> unit) =
   match (op, child_props) with
-  | (Physop.P_stream_agg { keys; scope; _ } | Physop.P_hash_agg { keys; scope; _ }), [ p ] ->
-      (match op with
-      | Physop.P_stream_agg _ when not (sorted_on_keys p.Props.sort keys) ->
-          err (fun () ->
-              Printf.sprintf "stream aggregation needs input sorted on keys; got %s"
-                (Sortorder.to_string p.Props.sort))
-      | _ -> ());
+  | Physop.P_stream_agg { keys; scope; _ }, [ p ] ->
+      if not (sorted_on_keys p.Props.sort keys) then
+        err (fun () ->
+            Printf.sprintf "stream aggregation needs input sorted on keys; got %s"
+              (Sortorder.to_string p.Props.sort));
       (match scope with
       | Physop.Local -> ()
       | Physop.Global | Physop.Full ->

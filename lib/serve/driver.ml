@@ -37,7 +37,7 @@ let narrate ppf (b : Engine.batch_result) =
   failed
 
 let run ?(out = Fmt.stdout) ?(err = Fmt.stderr) ?(json = false)
-    ?(audit = false) ?trace ?stats_file ?(stats_interval = 1) engine ~next =
+    ?(audit = false) ?trace ?stats_file engine ~next =
   let ppf = if json then err else out in
   let say fmt = Fmt.pf ppf fmt in
   let catalog = Engine.catalog engine and cluster = Engine.cluster engine in
@@ -103,7 +103,7 @@ let run ?(out = Fmt.stdout) ?(err = Fmt.stderr) ?(json = false)
               then incr audit_failed)
             b.Engine.reports;
         if json then batch_json := Report.batch b :: !batch_json;
-        if b.Engine.seq mod max 1 stats_interval = 0 then write_stats ()
+        write_stats ()
   in
   let rec loop () =
     match next () with

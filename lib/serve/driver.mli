@@ -9,8 +9,8 @@
     recorder.  Each batch is narrated one line per session (plus a
     combined-run line), its trace finished and SA045-audited ([trace]),
     its reports deep-audited with warnings fatal ([audit]), and
-    [stats_file] rewritten every [stats_interval] batches.  At the end
-    the loop rewrites [stats_file], prints the [serve:] summary line and,
+    [stats_file] rewritten.  At the end the loop rewrites [stats_file]
+    once more, prints the [serve:] summary line and,
     under [json], the {!Report.serve} document, and holds the registry
     to SA046.
 
@@ -31,7 +31,6 @@ val run :
   ?audit:bool ->
   ?trace:string ->
   ?stats_file:string ->
-  ?stats_interval:int ->
   Engine.t ->
   next:(unit -> Session.item option) ->
   (unit, [ `Msg of string ]) result

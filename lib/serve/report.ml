@@ -8,9 +8,9 @@ let num f = Sobs.Json.Num f
 let int i = num (float_of_int i)
 let str s = Sobs.Json.Str s
 
-let exec_summary ~workers (v : Sexec.Validate.outcome) =
+let exec_summary (v : Sexec.Validate.outcome) =
   {
-    Cse.Pipeline.workers;
+    Cse.Pipeline.workers = Array.length v.Sexec.Validate.busy;
     batch_size = v.Sexec.Validate.batch_size;
     batches = v.Sexec.Validate.counters.Sexec.Engine.batches;
     wall_s = v.Sexec.Validate.wall;
@@ -44,8 +44,7 @@ let optimization (r : Cse.Pipeline.report) =
              r.Cse.Pipeline.lcas) );
     ]
 
-let execution ~workers (r : Cse.Pipeline.report) (v : Sexec.Validate.outcome)
-    =
+let execution (r : Cse.Pipeline.report) (v : Sexec.Validate.outcome) =
   let depths =
     Sexec.Stage.depths (Sexec.Stage.build r.Cse.Pipeline.cse_plan)
   in
@@ -59,17 +58,17 @@ let execution ~workers (r : Cse.Pipeline.report) (v : Sexec.Validate.outcome)
             ("seconds", num v.Sexec.Validate.seconds.(sid));
           ])
   in
+  let e = exec_summary v in
   Sobs.Json.Obj
     [
       ("ok", Sobs.Json.Bool v.Sexec.Validate.ok);
-      ("workers", int workers);
-      ("batch_size", int v.Sexec.Validate.batch_size);
-      ("batches", int v.Sexec.Validate.counters.Sexec.Engine.batches);
-      ("wall_s", num v.Sexec.Validate.wall);
+      ("workers", int e.Cse.Pipeline.workers);
+      ("batch_size", int e.Cse.Pipeline.batch_size);
+      ("batches", int e.Cse.Pipeline.batches);
+      ("wall_s", num e.Cse.Pipeline.wall_s);
       ( "busy_s",
-        Sobs.Json.Arr (Array.to_list (Array.map num v.Sexec.Validate.busy)) );
-      ( "utilization",
-        num (Cse.Pipeline.utilization (exec_summary ~workers v)) );
+        Sobs.Json.Arr (Array.to_list (Array.map num e.Cse.Pipeline.busy_s)) );
+      ("utilization", num (Cse.Pipeline.utilization e));
       ("stage_count", int (Array.length v.Sexec.Validate.attempts));
       ("stage_depth", int (1 + Array.fold_left max (-1) depths));
       ("stages", Sobs.Json.Arr stages);
@@ -97,11 +96,11 @@ let optimized (r : Cse.Pipeline.report) =
 let run ~machines ?exec (r : Cse.Pipeline.report) =
   match exec with
   | None -> document ~machines (optimized r)
-  | Some (workers, (v : Sexec.Validate.outcome)) ->
+  | Some (v : Sexec.Validate.outcome) ->
       document ~machines
         [
           ("optimization", optimization r);
-          ("execution", execution ~workers r v);
+          ("execution", execution r v);
           ( "counters",
             counters
               (r.Cse.Pipeline.counters

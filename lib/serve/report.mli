@@ -14,23 +14,23 @@
     - [metrics]: a registry as {!Sobs.Metrics.to_json} rows;
     - [serve]: the serve engine's totals and one entry per batch. *)
 
-(** The execution summary a pipeline report carries for a validated run
-    at [workers] domains. *)
-val exec_summary :
-  workers:int -> Sexec.Validate.outcome -> Cse.Pipeline.exec_summary
+(** The execution summary a pipeline report carries for a validated run.
+    Its width is the pool's that ran, one per [busy] slot: the executor
+    caps the requested workers at the host's cores. *)
+val exec_summary : Sexec.Validate.outcome -> Cse.Pipeline.exec_summary
 
 (** The sections of an optimize-only report, keyed by name:
     [optimization] and the pipeline's [counters]. *)
 val optimized : Cse.Pipeline.report -> (string * Sobs.Json.t) list
 
-(** The document of one script's run.  With [exec = (workers, v)] it has
+(** The document of one script's run.  With [exec = v] it has
     the [execution] section for [v], counters that add the executor's
     ({!Sexec.Engine.named_counters}) to the pipeline's, and the
     executor's registry as [metrics]; without, the {!optimized}
     sections only. *)
 val run :
   machines:int ->
-  ?exec:int * Sexec.Validate.outcome ->
+  ?exec:Sexec.Validate.outcome ->
   Cse.Pipeline.report ->
   Sobs.Json.t
 

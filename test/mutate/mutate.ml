@@ -588,8 +588,7 @@ let sa051 =
       corrupt_first
         (fun n ->
           match n.Plan.op with
-          | Physop.P_stream_agg { scope = Physop.Full | Physop.Global; _ }
-          | Physop.P_hash_agg { scope = Physop.Full | Physop.Global; _ } ->
+          | Physop.P_stream_agg { scope = Physop.Full | Physop.Global; _ } ->
               true
           | _ -> false)
         (fun n ->
@@ -597,8 +596,6 @@ let sa051 =
             match n.Plan.op with
             | Physop.P_stream_agg { keys; aggs; _ } ->
                 Physop.P_stream_agg { keys; aggs; scope = Physop.Local }
-            | Physop.P_hash_agg { keys; aggs; _ } ->
-                Physop.P_hash_agg { keys; aggs; scope = Physop.Local }
             | op -> op
           in
           { n with Plan.op = op })
@@ -611,7 +608,6 @@ let sa052 =
         (fun n ->
           match n.Plan.op with
           | Physop.P_stream_agg { keys; aggs; scope = Physop.Local | Physop.Full }
-          | Physop.P_hash_agg { keys; aggs; scope = Physop.Local | Physop.Full }
             ->
               keys <> [] && aggs <> []
           | _ -> false)
@@ -626,8 +622,6 @@ let sa052 =
             match n.Plan.op with
             | Physop.P_stream_agg { keys; aggs; scope } ->
                 Physop.P_stream_agg { keys; aggs = redirect keys aggs; scope }
-            | Physop.P_hash_agg { keys; aggs; scope } ->
-                Physop.P_hash_agg { keys; aggs = redirect keys aggs; scope }
             | op -> op
           in
           { n with Plan.op = op })

@@ -419,12 +419,12 @@ let test_report_counters_pinned () =
   in
   Alcotest.(check (list (pair string int))) "S1 counters"
     [
-      ("intern.hits", 808);
+      ("intern.hits", 650);
       ("intern.misses", 47);
       ("optimizer.rule_firings", 3);
-      ("optimizer.tasks", 407);
-      ("optimizer.winner_hits", 958);
-      ("optimizer.winner_misses", 407);
+      ("optimizer.tasks", 368);
+      ("optimizer.winner_hits", 680);
+      ("optimizer.winner_misses", 368);
     ]
     r.Cse.Pipeline.counters
 

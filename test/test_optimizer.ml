@@ -208,6 +208,43 @@ let test_candidate_filter_equivalence () =
   Alcotest.(check bool) "candidates rejected" true (rejected > 0);
   Alcotest.(check bool) "candidates accepted" true (seen > rejected)
 
+(* Every operator kind the candidate filter accepts must be executed by
+   some plan: an alternative that is built and costed on every search but
+   never chosen is dead weight in the plan space.  The corpus is the
+   paper's scripts, LS1 and random scripts, through the three passes. *)
+let test_accepted_operators_chosen () =
+  let accepted = Hashtbl.create 32 and chosen = Hashtbl.create 32 in
+  let kind (n : Sphys.Plan.t) = Sphys.Physop.short_name n.Sphys.Plan.op in
+  let observe _ node verdict =
+    if verdict then Hashtbl.replace accepted (kind node) ()
+  in
+  let run ~catalog script =
+    let memo =
+      Smemo.Memo.of_dag ~catalog ~machines:25 (Thelpers.bind ~catalog script)
+    in
+    ignore (Cse.Spool.identify memo);
+    let o = Cse.Phase2.optimize ~observe ~cluster memo in
+    List.iter
+      (Option.iter
+         (Sphys.Plan.fold (fun () n -> Hashtbl.replace chosen (kind n) ()) ()))
+      [ o.Cse.Phase2.conventional_plan; o.phase1_plan; o.plan ]
+  in
+  List.iter
+    (fun name ->
+      let script, catalog = Thelpers.builtin name in
+      run ~catalog script)
+    [ "S1"; "S2"; "S3"; "S4"; "IND"; "LS1" ];
+  for seed = 1 to 25 do
+    run ~catalog:(Sworkload.Random_gen.catalog ())
+      (Sworkload.Random_gen.generate ~seed ~statements:8 ())
+  done;
+  Alcotest.(check bool) "candidates accepted" true (Hashtbl.length accepted > 0);
+  Hashtbl.iter
+    (fun k () ->
+      if not (Hashtbl.mem chosen k) then
+        Alcotest.failf "%s: no plan in the corpus executes this operator" k)
+    accepted
+
 let () =
   Alcotest.run "optimizer"
     [
@@ -238,5 +275,7 @@ let () =
             test_candidate_filter_equivalence;
           Alcotest.test_case "bounded log_phys_opt" `Quick
             test_bounded_log_phys_opt;
+          Alcotest.test_case "accepted operators are chosen" `Quick
+            test_accepted_operators_chosen;
         ] );
     ]

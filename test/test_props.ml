@@ -175,16 +175,6 @@ let test_deliver_union_copartitioned () =
   Alcotest.(check bool) "mismatched inputs degrade" true
     (Partition.equal d2.Props.part Partition.Roundrobin)
 
-let test_deliver_hash_agg_drops_sort () =
-  let d =
-    Physop.deliver
-      (Physop.P_hash_agg { keys = [ "A" ]; aggs = []; scope = Physop.Full })
-      (schema [ "A" ])
-      [ props (Partition.Hashed (cs [ "A" ])) (asc [ "A" ]) ]
-  in
-  Alcotest.(check bool) "no sort after hash agg" true
-    (Sortorder.is_empty d.Props.sort)
-
 let test_deliver_stream_agg_keeps () =
   let d =
     Physop.deliver
@@ -388,7 +378,6 @@ let () =
           Alcotest.test_case "project drop" `Quick test_deliver_project_drop;
           Alcotest.test_case "union co-partitioned" `Quick
             test_deliver_union_copartitioned;
-          Alcotest.test_case "hash agg" `Quick test_deliver_hash_agg_drops_sort;
           Alcotest.test_case "stream agg" `Quick test_deliver_stream_agg_keeps;
         ] );
       ( "requirements",

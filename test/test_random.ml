@@ -66,7 +66,7 @@ let cluster_gen =
   let open QCheck.Gen in
   let scale = map (fun k -> 2.0 ** float_of_int k) (int_range (-3) 3) in
   let* machines = int_range 1 40 in
-  let* f = array_repeat 11 scale in
+  let* f = array_repeat 10 scale in
   let* inverted = bool in
   let* skew_aware = bool in
   let d = Scost.Cluster.default in
@@ -85,10 +85,9 @@ let cluster_gen =
          else d.Scost.Cluster.spool_read_byte *. f.(4));
       cpu_row = d.Scost.Cluster.cpu_row *. f.(5);
       agg_row = d.Scost.Cluster.agg_row *. f.(6);
-      hash_agg_row = d.Scost.Cluster.hash_agg_row *. f.(7);
-      sort_row = d.Scost.Cluster.sort_row *. f.(8);
-      join_row = d.Scost.Cluster.join_row *. f.(9);
-      hash_join_row = d.Scost.Cluster.hash_join_row *. f.(10);
+      sort_row = d.Scost.Cluster.sort_row *. f.(7);
+      join_row = d.Scost.Cluster.join_row *. f.(8);
+      hash_join_row = d.Scost.Cluster.hash_join_row *. f.(9);
       merge_row = d.Scost.Cluster.merge_row;
       partition_overhead = d.Scost.Cluster.partition_overhead;
       skew_aware;

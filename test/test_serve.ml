@@ -583,7 +583,7 @@ let test_run_report () =
     Sexec.Validate.check ~workers:2 ~machines:25 catalog r.Cse.Pipeline.dag
       r.Cse.Pipeline.cse_plan
   in
-  let doc = Sserve.Report.run ~machines:25 ~exec:(2, v) r in
+  let doc = Sserve.Report.run ~machines:25 ~exec:v r in
   let parsed = Sobs.Json.parse (Sobs.Json.to_string doc) in
   Alcotest.(check bool) "round-trips through the parser" true (parsed = doc);
   Alcotest.(check (option string)) "schema" (Some "scopecse-run-report/6")
@@ -635,6 +635,26 @@ let test_run_report () =
     (match opt_only with
     | Sobs.Json.Obj fields -> List.map fst fields
     | _ -> [])
+
+(* More workers than cores: the executor runs a pool as wide as the host,
+   and the report gives that width, one busy slot per pool worker. *)
+let test_run_report_pool_width () =
+  let catalog = Catalog.default () in
+  let r = Cse.Pipeline.run ~catalog Sworkload.Paper_scripts.s1 in
+  let cores = Domain.recommended_domain_count () in
+  let v =
+    Sexec.Validate.check ~workers:(cores + 2) ~machines:25 catalog
+      r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
+  in
+  let doc = Sserve.Report.run ~machines:25 ~exec:v r in
+  let busy =
+    match member_path doc [ "execution"; "busy_s" ] with
+    | Some (Sobs.Json.Arr slots) -> List.length slots
+    | _ -> Alcotest.fail "no execution.busy_s array"
+  in
+  Alcotest.(check int) "workers = busy slots" busy
+    (int_of_float (num_at doc [ "execution"; "workers" ]));
+  Alcotest.(check bool) "pool capped at the cores" true (busy <= cores)
 
 let test_serve_report () =
   let e = fresh_engine () in
@@ -724,6 +744,8 @@ let () =
         [
           Alcotest.test_case "run report matches the pipeline" `Quick
             test_run_report;
+          Alcotest.test_case "run report gives the pool width that ran" `Quick
+            test_run_report_pool_width;
           Alcotest.test_case "serve document" `Quick test_serve_report;
         ] );
     ]
