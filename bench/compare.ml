@@ -92,8 +92,9 @@ let field w path =
 let opt name = [ "optimization"; name ]
 
 (* The deterministic fields: identical runs of the same code must agree
-   exactly.  Costs are doubles written round-trip exact; tasks, rounds
-   and the pruning counters are integers. *)
+   exactly.  Costs are doubles written round-trip exact; tasks, rounds,
+   the pruning counters, the memo's size, the stage count and the batch
+   count are integers. *)
 let drift_fields =
   List.map opt
     [
@@ -106,6 +107,7 @@ let drift_fields =
       "rounds_aborted_bound";
       "phase2_winner_reuse_hits";
     ]
+  @ [ [ "memo_groups" ]; [ "memo_exprs" ]; [ "stages" ]; [ "exec_batches" ] ]
 
 (* Plan quality alone: what a pruned and an exhaustive run of the same
    build must agree on bit-for-bit. *)

@@ -231,7 +231,7 @@ let of_memo ctx (memo : Smemo.Memo.t) : Diag.t list =
           Hashtbl.add visiting gid ();
           let g = Smemo.Memo.group memo gid in
           let env =
-            match Smemo.Memo.exprs g with
+            match g.Smemo.Memo.exprs with
             | [] -> []
             | e0 :: rest ->
                 let env0 = expr_env e0 in
@@ -277,7 +277,7 @@ let of_memo ctx (memo : Smemo.Memo.t) : Diag.t list =
                 | Slogical.Logop.Group_by_local { keys = lk; aggs = la } ->
                     lk = keys && combines la aggs
                 | _ -> false)
-              (Smemo.Memo.exprs (Smemo.Memo.group memo c))
+              (Smemo.Memo.group memo c).Smemo.Memo.exprs
           else None
         in
         match local with

@@ -95,7 +95,7 @@ let expr_diags (memo : Smemo.Memo.t) (g : Smemo.Memo.group) =
                 ]
           | exception Invalid_argument msg ->
               [ Diag.make ~code:"SA002" ~loc msg ])
-    (Smemo.Memo.exprs g)
+    g.Smemo.Memo.exprs
 
 (* --- winner checks ----------------------------------------------------- *)
 

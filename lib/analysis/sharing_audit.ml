@@ -39,7 +39,7 @@ let flag_diags (memo : Smemo.Memo.t) =
         let is_spool (e : Smemo.Memo.mexpr) =
           match e.Smemo.Memo.mop with Slogical.Logop.Spool -> true | _ -> false
         in
-        let es = Smemo.Memo.exprs g in
+        let es = g.Smemo.Memo.exprs in
         if es = [] || not (List.for_all is_spool es) then
           diags :=
             Diag.make ~code:"SA010" ~loc

@@ -44,7 +44,7 @@ let of_memo (memo : Smemo.Memo.t) : (int, int) Hashtbl.t =
     | Some f -> f
     | None ->
         let g = Smemo.Memo.group memo gid in
-        let e = List.hd (Smemo.Memo.exprs g) in
+        let e = List.hd g.Smemo.Memo.exprs in
         let f =
           match e.Smemo.Memo.mop with
           | Slogical.Logop.Extract { file; _ } -> file_id file mod modulus
@@ -69,8 +69,8 @@ let rec equal_subexpr (memo : Smemo.Memo.t) a b =
   a = b
   ||
   let ga = Smemo.Memo.group memo a and gb = Smemo.Memo.group memo b in
-  let ea = List.hd (Smemo.Memo.exprs ga)
-  and eb = List.hd (Smemo.Memo.exprs gb) in
+  let ea = List.hd ga.Smemo.Memo.exprs
+  and eb = List.hd gb.Smemo.Memo.exprs in
   ea.Smemo.Memo.mop = eb.Smemo.Memo.mop
   && List.length ea.Smemo.Memo.children = List.length eb.Smemo.Memo.children
   && List.for_all2 (equal_subexpr memo) ea.Smemo.Memo.children

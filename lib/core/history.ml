@@ -24,30 +24,14 @@ let entries t gid =
 
 let count t gid = List.length (entries t gid)
 
-(* Partitioning ranges over more columns than this are expanded to the
-   full set, singletons and adjacent pairs instead of all subsets. *)
-let subset_expansion_cap = 4
-
-(* Concrete partition sets for a range requirement, mirroring the enforcer
-   candidates so that every recorded entry is actually plannable. *)
-let expand_sets (c : Relalg.Colset.t) =
-  if Relalg.Colset.cardinal c <= subset_expansion_cap then
-    Relalg.Colset.nonempty_subsets c
-  else
-    let cols = Relalg.Colset.to_list c in
-    let singletons = List.map Relalg.Colset.singleton cols in
-    let rec pairs = function
-      | a :: (b :: _ as rest) -> Relalg.Colset.of_list [ a; b ] :: pairs rest
-      | _ -> []
-    in
-    c :: (singletons @ pairs cols)
-
+(* A range requirement expands into the enforcer's candidate sets, so
+   that every recorded entry is actually plannable. *)
 let expand (req : Reqprops.t) : Reqprops.t list =
   match req.Reqprops.part with
   | Reqprops.Hash_subset c ->
       List.map
         (fun s -> Reqprops.make (Reqprops.Hash_exact s) req.Reqprops.sort)
-        (expand_sets c)
+        (Sopt.Enforcers.candidate_sets c)
   | Reqprops.Any | Reqprops.Serial_req | Reqprops.Hash_exact _ -> [ req ]
 
 (* Record one phase-1 request at a shared group. *)

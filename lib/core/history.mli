@@ -4,8 +4,10 @@
     {e range} [∅, C] is expanded into one entry per concrete subset (the
     paper expands [∅,\{A,B,C\}] into its seven non-empty subsets); a
     range over more than four columns expands to the full set, the
-    singletons and the adjacent pairs instead. Entries carry a frequency counter (Section
-    VIII-C): how often they described a best local plan in phase 1. *)
+    singletons and the adjacent pairs instead, the sets the enforcers try
+    ({!Sopt.Enforcers.candidate_sets}). Entries carry a frequency counter
+    (Section VIII-C): how often they described a best local plan in
+    phase 1. *)
 
 type t
 

@@ -78,7 +78,7 @@ let identify (memo : Smemo.Memo.t) : shared list =
   for gid = 0 to original_count - 1 do
     let g = Smemo.Memo.group memo gid in
     let n = List.length parents.(gid) in
-    let es = Smemo.Memo.exprs g in
+    let es = g.Smemo.Memo.exprs in
     if n > 1 && es <> [] then begin
       match (List.hd es).Smemo.Memo.mop with
       | Slogical.Logop.Spool -> g.Smemo.Memo.shared <- true

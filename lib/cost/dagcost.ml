@@ -2,12 +2,13 @@ open Sphys
 
 (* DAG-aware plan costing.
 
-   During search, plans are costed tree-wise (every reference to a subplan
-   pays for it).  The final cost of a plan that shares spooled
-   subexpressions must count each spool *producer* once and charge each
-   consumer a read of the materialized result; this module performs that
-   deduplicated accounting.  For spool-free plans it coincides with the
-   tree-wise cost. *)
+   The cost of a plan that shares spooled subexpressions counts each
+   spool *producer* once and charges each consumer a read of the
+   materialized result.  The search compares candidates on [cached_cost]
+   (through [Optimizer.plan_cost]) and settles near-ties on the walking
+   [cost]; the tree-wise [Plan.cost], where every reference to a subplan
+   pays for it, is only printed and audited.  For spool-free plans all
+   three coincide. *)
 
 (* Two consumers share one materialization exactly when they reference the
    *same* spool plan (winner memoization hands every consumer with the

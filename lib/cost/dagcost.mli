@@ -1,12 +1,13 @@
 (** DAG-aware plan costing.
 
-    Search costs plans tree-wise; the final cost of a plan sharing spooled
-    subexpressions counts each materialization once and charges every
-    consumer a read. Consumers share a materialization exactly when they
-    reference the {e same} plan value (winner memoization guarantees this
-    for equal pinned properties); a physically different plan for the same
-    group is a second materialization and pays in full. Coincides with the
-    tree-wise cost on spool-free plans. *)
+    The cost of a plan sharing spooled subexpressions counts each
+    materialization once and charges every consumer a read; the search
+    compares candidates on {!cached_cost}. Consumers share a
+    materialization exactly when they reference the {e same} plan value
+    (winner memoization guarantees this for equal pinned properties); a
+    physically different plan for the same group is a second
+    materialization and pays in full. Coincides with the tree-wise cost
+    on spool-free plans. *)
 
 val cost : Cluster.t -> Sphys.Plan.t -> float
 

@@ -221,7 +221,7 @@ let impls t (g : Smemo.Memo.group) (x : Extreq.t) =
                 istatic = Plan_check.static_ok alt.Impl.op schemas;
               })
             (Impl.alternatives e x.Extreq.req))
-        (Smemo.Memo.exprs g))
+        g.Smemo.Memo.exprs)
 
 let enforcers t (g : Smemo.Memo.group) (x : Extreq.t) =
   memo t t.cache.enforcers (Intern.pair g.Smemo.Memo.id x.Extreq.rid)

@@ -23,7 +23,7 @@ let explore (memo : Smemo.Memo.t) (g : Smemo.Memo.group) =
   else begin
     let fired = ref 0 in
     g.Smemo.Memo.explored <- true;
-    let originals = Smemo.Memo.exprs g in
+    let originals = g.Smemo.Memo.exprs in
     List.iter
       (fun (e : Smemo.Memo.mexpr) ->
         match e.Smemo.Memo.mop with
@@ -34,7 +34,7 @@ let explore (memo : Smemo.Memo.t) (g : Smemo.Memo.group) =
                       match e'.Smemo.Memo.mop with
                       | Slogical.Logop.Group_by_global _ -> true
                       | _ -> false)
-                    (Smemo.Memo.exprs g)) ->
+                    g.Smemo.Memo.exprs) ->
             incr fired;
             if Sobs.Trace.enabled () then
               Sobs.Trace.instant ~pid:Sobs.Trace.pid_phase1
@@ -56,7 +56,7 @@ let explore (memo : Smemo.Memo.t) (g : Smemo.Memo.group) =
                 local_schema
             in
             let global_aggs = List.map Agg.global_combinator aggs in
-            Smemo.Memo.add_expr memo g
+            Smemo.Memo.add_expr g
               {
                 Smemo.Memo.mop =
                   Slogical.Logop.Group_by_global { keys; aggs = global_aggs };

@@ -2,9 +2,10 @@
 
     A plan node records the memo group it implements so DAG-aware costing
     and printing can recognize two references to one shared (spool)
-    subplan. [cost] is the tree-wise total used during search;
-    [Scost.Dagcost] computes the deduplicated cost of plans with shared
-    spools. *)
+    subplan. [cost] is the tree-wise total (every reference pays for its
+    subplan), which plans print and the audits check; the search compares
+    the deduplicated cost [Scost.Dagcost.cached_cost] serves from
+    [sbase]/[srefs]. *)
 
 type t = {
   op : Physop.t;

@@ -170,11 +170,11 @@ let sum_counters lists =
 
 (* Distinct spool nodes (physical identity) reachable from [roots]. *)
 let spool_set roots =
-  let visited = ref [] in
+  let visited = Sphys.Plan.Tbl.create 64 in
   let spools = ref [] in
   let rec go (n : Sphys.Plan.t) =
-    if not (List.memq n !visited) then (
-      visited := n :: !visited;
+    if not (Sphys.Plan.Tbl.mem visited n) then (
+      Sphys.Plan.Tbl.add visited n ();
       (match n.Sphys.Plan.op with
       | Sphys.Physop.P_spool -> spools := n :: !spools
       | _ -> ());
@@ -211,17 +211,21 @@ let cross_script_spools (plan : Sphys.Plan.t) output_counts =
   match split_by output_counts children with
   | None -> 0
   | Some slices ->
-      let sets = List.map spool_set slices in
-      let distinct =
-        List.fold_left
-          (fun acc s -> if List.memq s acc then acc else s :: acc)
-          [] (List.concat sets)
-      in
-      List.length
-        (List.filter
-           (fun s ->
-             List.length (List.filter (fun set -> List.memq s set) sets) >= 2)
-           distinct)
+      (* spool -> number of slices reaching it *)
+      let slices_of = Sphys.Plan.Tbl.create 16 in
+      List.iter
+        (fun slice ->
+          List.iter
+            (fun s ->
+              Sphys.Plan.Tbl.replace slices_of s
+                (1
+                + Option.value ~default:0
+                    (Sphys.Plan.Tbl.find_opt slices_of s)))
+            (spool_set slice))
+        slices;
+      Sphys.Plan.Tbl.fold
+        (fun _ n acc -> if n >= 2 then acc + 1 else acc)
+        slices_of 0
 
 (* One successfully-parsed submission, with its cache entry. *)
 type classified = {

@@ -136,7 +136,7 @@ let group_by_group memo =
               when Option.is_none !found && keys <> [] && aggs <> [] ->
                 found := Some (g, e, keys, aggs)
             | _ -> ())
-          (Memo.exprs g));
+          g.Memo.exprs);
   match !found with
   | Some x -> x
   | None -> die "mutation harness: no reachable GROUP BY group"
@@ -199,8 +199,7 @@ let sa001 =
   memo_corruption "SA001 spool expression referencing its own group" "SA001"
     (fun r memo ->
       let spool = (List.hd r.Cse.Pipeline.shared).Cse.Spool.spool in
-      Memo.set_exprs memo
-        (Memo.group memo spool)
+      (Memo.group memo spool).Memo.exprs <-
         [ { Memo.mop = Logop.Spool; children = [ spool ] } ])
 
 let sa002 =
@@ -208,9 +207,9 @@ let sa002 =
     (fun _ memo ->
       let root = Memo.root_group memo in
       let child = List.hd (Memo.group_children root) in
-      Memo.set_exprs memo root
-        (Memo.exprs root
-        @ [ { Memo.mop = Logop.Union_all; children = [ child ] } ]))
+      root.Memo.exprs <-
+        root.Memo.exprs
+        @ [ { Memo.mop = Logop.Union_all; children = [ child ] } ])
 
 let sa003 =
   memo_corruption "SA003 winner operator cost off by 1e6" "SA003"
@@ -371,17 +370,17 @@ let sa011 =
           let spool = s.Cse.Spool.spool and under = s.Cse.Spool.under in
           let rewire consumer =
             let cg = Memo.group memo consumer in
-            Memo.set_exprs memo cg
-              (List.map
-                 (fun (e : Memo.mexpr) ->
-                   {
-                     e with
-                     Memo.children =
-                       List.map
-                         (fun c -> if c = spool then under else c)
-                         e.Memo.children;
-                   })
-                 (Memo.exprs cg))
+            cg.Memo.exprs <-
+              List.map
+                (fun (e : Memo.mexpr) ->
+                  {
+                    e with
+                    Memo.children =
+                      List.map
+                        (fun c -> if c = spool then under else c)
+                        e.Memo.children;
+                  })
+                cg.Memo.exprs
           in
           match (Memo.parents memo).(spool) with
           | [] -> die "mutation harness: spool has no consumers"
@@ -658,14 +657,14 @@ let sa055 =
               Relalg.Agg.arg = Relalg.Expr.Col (List.hd keys);
             }
           in
-          Memo.set_exprs memo g
-            (Memo.exprs g
+          g.Memo.exprs <-
+            g.Memo.exprs
             @ [
                 {
                   Memo.mop = Logop.Group_by { keys; aggs = [ twisted ] };
                   children = e.Memo.children;
                 };
-              ]) ))
+              ] ))
 
 let sa058 =
   equiv_mutation "SA058 ORDER BY added with no delivering plan" "SA058"

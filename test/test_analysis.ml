@@ -156,7 +156,7 @@ let test_sa001_cycle () =
     (List.hd r.Cse.Pipeline.shared).Cse.Spool.spool
   in
   let g = Smemo.Memo.group memo spool in
-  Smemo.Memo.set_exprs memo g
+  g.Smemo.Memo.exprs <-
     [ { Smemo.Memo.mop = Slogical.Logop.Spool; children = [ spool ] } ];
   let diags = Sanalysis.Memo_audit.run ~cluster memo in
   assert_code "SA001" diags
@@ -167,9 +167,9 @@ let test_sa002_schema () =
   let memo = r.Cse.Pipeline.memo in
   let root = Smemo.Memo.root_group memo in
   let child = List.hd (Smemo.Memo.group_children root) in
-  Smemo.Memo.set_exprs memo root
-    (Smemo.Memo.exprs root
-    @ [ { Smemo.Memo.mop = Slogical.Logop.Union_all; children = [ child ] } ]);
+  root.Smemo.Memo.exprs <-
+    root.Smemo.Memo.exprs
+    @ [ { Smemo.Memo.mop = Slogical.Logop.Union_all; children = [ child ] } ];
   let diags = Sanalysis.Memo_audit.run ~cluster memo in
   assert_code "SA002" diags
 
@@ -293,17 +293,17 @@ let test_sa011_single_consumer () =
   let spool = s.Cse.Spool.spool and under = s.Cse.Spool.under in
   let rewire consumer =
     let cg = Smemo.Memo.group memo consumer in
-    Smemo.Memo.set_exprs memo cg
-      (List.map
-         (fun (e : Smemo.Memo.mexpr) ->
-           {
-             e with
-             Smemo.Memo.children =
-               List.map
-                 (fun c -> if c = spool then under else c)
-                 e.Smemo.Memo.children;
-           })
-         (Smemo.Memo.exprs cg))
+    cg.Smemo.Memo.exprs <-
+      List.map
+        (fun (e : Smemo.Memo.mexpr) ->
+          {
+            e with
+            Smemo.Memo.children =
+              List.map
+                (fun c -> if c = spool then under else c)
+                e.Smemo.Memo.children;
+          })
+        cg.Smemo.Memo.exprs
   in
   (* leave exactly one consumer pointing at the spool *)
   (match (Smemo.Memo.parents memo).(spool) with

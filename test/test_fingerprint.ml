@@ -4,7 +4,7 @@
 let find_groups memo pred =
   let acc = ref [] in
   Smemo.Memo.iter_groups memo (fun g ->
-      if pred (List.hd (Smemo.Memo.exprs g)).Smemo.Memo.mop then
+      if pred (List.hd g.Smemo.Memo.exprs).Smemo.Memo.mop then
         acc := g.Smemo.Memo.id :: !acc);
   List.rev !acc
 

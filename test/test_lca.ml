@@ -37,7 +37,7 @@ let test_s3_two_lcas () =
         (List.exists
            (fun (e : Smemo.Memo.mexpr) ->
              match e.Smemo.Memo.mop with Slogical.Logop.Join _ -> true | _ -> false)
-           (Smemo.Memo.exprs g)))
+           g.Smemo.Memo.exprs))
     lcas
 
 let test_s4_lca_not_lowest_common_ancestor () =
