@@ -509,7 +509,7 @@ let sweeps () =
    own measurements: memo size, peak heap, the execution walls and
    modeled makespans, and the deep-lint time.  EXPERIMENTS.md maps the /1
    field names onto these. *)
-let json_of_record ~workers (o : record) =
+let json_of_record (o : record) =
   let r = o.report in
   let num f = Sobs.Json.Num f in
   let int i = num (float_of_int i) in
@@ -526,7 +526,7 @@ let json_of_record ~workers (o : record) =
            speedup figure comes from *)
         ("stages", int o.exec.e_stages);
         ("stage_width", int o.exec.e_width);
-        ("exec_workers", int workers);
+        ("exec_workers", int e.workers);
         ("exec_wall_w1_s", num o.exec.e_wall1);
         ("exec_wall_wN_s", num o.exec.e_walln);
         ("exec_busy_wN_s", num (Array.fold_left ( +. ) 0.0 o.exec.e_busyn));
@@ -574,7 +574,7 @@ let () =
             [
               ("schema", Sobs.Json.Str "scopecse-bench-opt/2");
               ("quick", Sobs.Json.Bool quick);
-              ("workloads", Sobs.Json.Arr (List.map (json_of_record ~workers) records));
+              ("workloads", Sobs.Json.Arr (List.map json_of_record records));
             ]));
     render (opt_time records);
     Fmt.pr "wrote %s@." path

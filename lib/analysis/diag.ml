@@ -53,7 +53,6 @@ let catalog =
     e "SA022" Warning "logical" "column NDV exceeds the estimated row count";
     (* plan-DAG lint *)
     e "SA030" Error "plan" "operator input requirements violated in the plan DAG";
-    e "SA031" Error "plan" "plan node cost is not op_cost plus children's costs";
     e "SA032" Error "plan" "operator cost is negative or not finite";
     e "SA033" Warning "plan" "spool node carries no memo group id";
     e "SA034" Error "plan" "cached region cost summary does not reproduce";

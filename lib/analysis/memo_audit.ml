@@ -102,13 +102,9 @@ let expr_diags (memo : Smemo.Memo.t) (g : Smemo.Memo.group) =
 let reproduced_op_cost ~cluster (n : Plan.t) =
   Scost.Costmodel.op_cost cluster n.Plan.op n.Plan.children ~out:n.Plan.stats
 
-let additive_cost (n : Plan.t) =
-  List.fold_left (fun acc c -> acc +. c.Plan.cost) n.Plan.op_cost n.Plan.children
-
 (* Recompute the plan's costs bottom-up: every node's [op_cost] must
-   reproduce from the cost model over its children and its [cost] must be
-   the additive total.  Distinct nodes are visited once (the plan may be a
-   DAG through shared spools). *)
+   reproduce from the cost model over its children.  Distinct nodes are
+   visited once (the plan may be a DAG through shared spools). *)
 let cost_diags ~cluster ~loc (plan : Plan.t) =
   let seen = Plan.Tbl.create 64 in
   let diags = ref [] in
@@ -123,14 +119,6 @@ let cost_diags ~cluster ~loc (plan : Plan.t) =
             (Printf.sprintf
                "%s records op_cost %.6g, cost model reproduces %.6g"
                (Physop.short_name n.Plan.op) n.Plan.op_cost expected)
-          :: !diags;
-      let additive = additive_cost n in
-      if not (close additive n.Plan.cost) then
-        diags :=
-          Diag.make ~code:"SA003" ~loc
-            (Printf.sprintf
-               "%s records tree cost %.6g, children sum to %.6g"
-               (Physop.short_name n.Plan.op) n.Plan.cost additive)
           :: !diags
     end
   in
@@ -154,7 +142,6 @@ let rec subtree_clean ~cluster clean (n : Plan.t) =
         List.for_all (subtree_clean ~cluster clean) n.Plan.children
         && Plan_check.check_op n = []
         && close (reproduced_op_cost ~cluster n) n.Plan.op_cost
-        && close (additive_cost n) n.Plan.cost
       in
       Plan.Tbl.add clean n ok;
       ok

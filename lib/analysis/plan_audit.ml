@@ -4,7 +4,7 @@ open Sphys
 
    [Plan_check.validate] folds over the plan as a tree: a subplan
    referenced k times is checked k times, and nothing inspects the
-   DAG-level bookkeeping (additive costs, spool group ids) that the
+   DAG-level bookkeeping (region cost summaries, spool group ids) that the
    deduplicated costing relies on.  This pass walks distinct nodes by
    physical identity exactly once and layers the DAG checks on top of the
    per-operator checks. *)
@@ -31,17 +31,6 @@ let run (plan : Plan.t) : Diag.t list =
         emit
           (Diag.make ~code:"SA032" ~loc
              (Printf.sprintf "op_cost is %s" (Float.to_string n.Plan.op_cost)));
-      let additive =
-        List.fold_left
-          (fun acc c -> acc +. c.Plan.cost)
-          n.Plan.op_cost n.Plan.children
-      in
-      let scale = Float.max 1.0 (Float.abs n.Plan.cost) in
-      if Float.abs (additive -. n.Plan.cost) > 1e-6 *. scale then
-        emit
-          (Diag.make ~code:"SA031" ~loc
-             (Printf.sprintf "records cost %.6g, op_cost + children = %.6g"
-                n.Plan.cost additive));
       (match n.Plan.op with
       | Physop.P_spool when n.Plan.group < 0 ->
           emit

@@ -5,100 +5,91 @@ open Sphys
    The cost of a plan that shares spooled subexpressions counts each
    spool *producer* once and charges each consumer a read of the
    materialized result.  The search compares candidates on [cached_cost]
-   (through [Optimizer.plan_cost]) and settles near-ties on the walking
-   [cost]; the tree-wise [Plan.cost], where every reference to a subplan
-   pays for it, is only printed and audited.  For spool-free plans all
-   three coincide. *)
+   (through [Optimizer.plan_cost]), settles near-ties on the walking
+   [cost], and bounds a partial candidate with the same region closure
+   over its completed children.  For spool-free plans [cost] and
+   [cached_cost] coincide bit for bit. *)
 
 (* Two consumers share one materialization exactly when they reference the
    *same* spool plan (winner memoization hands every consumer with the
    same pinned properties the identical plan value); a physically distinct
    plan for the same group is a second materialization and pays in full. *)
 let cost (cluster : Cluster.t) (plan : Plan.t) : float =
-  let produced : (int, Plan.t list) Hashtbl.t = Hashtbl.create 8 in
-  let already_produced (n : Plan.t) =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt produced n.Plan.group) in
-    if List.exists (fun p -> p == n) prev then true
-    else begin
-      Hashtbl.replace produced n.Plan.group (n :: prev);
-      false
-    end
-  in
+  let produced = Plan.Tbl.create 8 in
   let rec go (n : Plan.t) : float =
     match n.Plan.op with
     | Physop.P_spool ->
         let read = Costmodel.spool_read_cost cluster n in
-        if already_produced n then read
-        else
+        if Plan.Tbl.mem produced n then read
+        else begin
+          Plan.Tbl.add produced n ();
           let children =
             List.fold_left (fun acc c -> acc +. go c) 0.0 n.Plan.children
           in
           n.Plan.op_cost +. children +. read
+        end
     | _ ->
         List.fold_left (fun acc c -> acc +. go c) n.Plan.op_cost n.Plan.children
   in
   go plan
 
-(* Same accounting served from the region summaries cached at plan
-   construction ([Plan.sbase]/[Plan.srefs]): pay the root's region, then
-   close over the spool references -- every reference pays a read, every
-   first reference of a distinct spool value additionally pays its inner
-   production region and exposes that region's own spool references.
-   O(#spool references) per call instead of a full DAG walk, which is what
-   the optimizer's candidate comparisons use.  Agrees with [cost] up to
-   float summation order (bit-for-bit on spool-free plans); the SA034
-   plan lint and the property tests check the two against each other. *)
-let cached_cost (cluster : Cluster.t) (plan : Plan.t) : float =
-  match plan.Plan.srefs with
-  | [] when plan.Plan.op <> Physop.P_spool -> plan.Plan.sbase
+(* The same accounting served from the region summaries cached at plan
+   construction ([Plan.sbase]/[Plan.srefs]): an added plan pays its
+   region, then every spool reference pays a read, and the first
+   reference to a distinct spool value also pays its production region
+   and that region's own references.  O(#spool references) per plan
+   instead of a full DAG walk.  A spool stays produced across [add]s, so
+   plans added to one accumulator pay each shared production once, as
+   the plan built over them will. *)
+type acc = {
+  cluster : Cluster.t;
+  mutable sum : float;
+  (* the distinct spool values met so far: a plan references few, so a
+     physical-identity list beats a table built per accumulator *)
+  mutable produced : Plan.t list;
+}
+
+let create cluster = { cluster; sum = 0.0; produced = [] }
+
+let rec reference acc ((s : Plan.t), k) =
+  let read = Costmodel.spool_read_cost acc.cluster s in
+  for _ = 1 to k do
+    acc.sum <- acc.sum +. read
+  done;
+  if not (List.memq s acc.produced) then begin
+    acc.produced <- s :: acc.produced;
+    acc.sum <- acc.sum +. s.Plan.sbase;
+    List.iter (reference acc) s.Plan.srefs
+  end
+
+let add acc (plan : Plan.t) =
+  match plan.Plan.op with
+  | Physop.P_spool -> reference acc (plan, 1)
   | _ ->
-      (* the distinct spool values met so far: a plan references few, so
-         a physical-identity list beats a table built per call *)
-      let produced = ref [] in
-      let already_produced (n : Plan.t) =
-        List.memq n !produced
-        || begin
-             produced := n :: !produced;
-             false
-           end
-      in
-      let total = ref 0.0 in
-      let pending = Queue.create () in
-      let reference r = Queue.add r pending in
-      (match plan.Plan.op with
-      | Physop.P_spool -> reference (plan, 1)
-      | _ ->
-          total := plan.Plan.sbase;
-          List.iter reference plan.Plan.srefs);
-      while not (Queue.is_empty pending) do
-        let s, k = Queue.pop pending in
-        let read = Costmodel.spool_read_cost cluster s in
-        for _ = 1 to k do
-          total := !total +. read
-        done;
-        if not (already_produced s) then begin
-          total := !total +. s.Plan.sbase;
-          List.iter reference s.Plan.srefs
-        end
-      done;
-      !total
+      acc.sum <- acc.sum +. plan.Plan.sbase;
+      List.iter (reference acc) plan.Plan.srefs
+
+let sum acc = acc.sum
+
+(* Agrees with [cost] up to float summation order (bit-for-bit on
+   spool-free plans); the SA034 plan lint and the property tests check
+   the two against each other. *)
+let cached_cost (cluster : Cluster.t) (plan : Plan.t) : float =
+  let acc = create cluster in
+  add acc plan;
+  sum acc
 
 (* Number of distinct spool materializations and total spool references. *)
 let spool_counts (plan : Plan.t) =
-  let seen : (int, Plan.t list) Hashtbl.t = Hashtbl.create 8 in
+  let seen = Plan.Tbl.create 8 in
   let refs = ref 0 in
   let rec go (n : Plan.t) =
     (match n.Plan.op with
     | Physop.P_spool ->
         incr refs;
-        let prev = Option.value ~default:[] (Hashtbl.find_opt seen n.Plan.group) in
-        if not (List.exists (fun p -> p == n) prev) then
-          Hashtbl.replace seen n.Plan.group (n :: prev)
+        Plan.Tbl.replace seen n ()
     | _ -> ());
     List.iter go n.Plan.children
   in
   go plan;
-  let distinct =
-    Hashtbl.fold (fun _ l acc -> acc + List.length l) seen 0
-  in
-  (distinct, !refs)
+  (Plan.Tbl.length seen, !refs)

@@ -86,10 +86,9 @@ let check ?(verify_props = false) ?faults
     (output_orders dag);
   if List.length expected <> List.length actual then
     mismatches :=
-      [
-        Printf.sprintf "expected %d outputs, plan produced %d"
-          (List.length expected) (List.length actual);
-      ]
+      Printf.sprintf "expected %d outputs, plan produced %d"
+        (List.length expected) (List.length actual)
+      :: !mismatches
   else
     List.iter2
       (fun (file_e, table_e) (file_a, table_a) ->

@@ -235,48 +235,6 @@ let enforcers t (g : Smemo.Memo.group) (x : Extreq.t) =
           })
         (Enforcers.alternatives x.Extreq.req))
 
-(* Incremental deduplicated lower bound over a set of sibling subplans,
-   mirroring [Dagcost.cached_cost]: each plan contributes its spool-free
-   region cost plus reads for every spool reference, and each distinct
-   spool value contributes its production region once across the whole
-   sibling set.  Because a candidate's final cost counts exactly these
-   terms (plus its own operator cost and the remaining children), [sum] is
-   a true lower bound on any plan completed from the siblings added so
-   far — a naive sum of per-child costs would double-count shared spool
-   productions and overshoot, which is fatal for pruning soundness. *)
-module Lower_bound = struct
-  type acc = {
-    mutable sum : float;
-    mutable produced : Plan.t list; (* distinct spool values, by identity *)
-  }
-
-  let create () = { sum = 0.0; produced = [] }
-
-  let add (cluster : Scost.Cluster.t) acc (p : Plan.t) =
-    let already (n : Plan.t) =
-      List.memq n acc.produced
-      || begin
-           acc.produced <- n :: acc.produced;
-           false
-         end
-    in
-    let pending = Queue.create () in
-    (match p.Plan.op with
-    | Physop.P_spool -> Queue.add (p, 1) pending
-    | _ ->
-        acc.sum <- acc.sum +. p.Plan.sbase;
-        List.iter (fun r -> Queue.add r pending) p.Plan.srefs);
-    while not (Queue.is_empty pending) do
-      let s, k = Queue.pop pending in
-      let read = Scost.Costmodel.spool_read_cost cluster s in
-      acc.sum <- acc.sum +. (float_of_int k *. read);
-      if not (already s) then begin
-        acc.sum <- acc.sum +. s.Plan.sbase;
-        List.iter (fun r -> Queue.add r pending) s.Plan.srefs
-      end
-    done
-end
-
 (* Raised by a bounded [log_phys_opt] that has cut every candidate it
    could have completed: the group's answer provably exceeds the bound. *)
 exception Above_bound
@@ -374,15 +332,22 @@ and log_phys_opt t ?(bound = infinity) (g : Smemo.Memo.group)
   let impl_candidates =
     List.filter_map
       (fun (alt : impl) ->
-        (* children left to right; under a bound, the deduplicated cost
-           of the completed prefix is a lower bound on the candidate's
-           final cost *)
-        let lb = if bounded then Some (Lower_bound.create ()) else None in
+        (* children left to right; under a bound, [lb] runs
+           [Dagcost]'s region closure over the completed prefix: each
+           child pays its region plus a read per spool reference, and
+           each distinct spool value its production once across the
+           prefix.  The candidate's final cost counts exactly these terms
+           plus its own operator and the remaining children (all >= 0),
+           so the sum is a true lower bound on any plan completed from
+           the prefix -- a naive sum of the children's costs would pay a
+           shared production twice and overshoot, which is fatal for
+           pruning soundness. *)
+        let lb = if bounded then Some (Scost.Dagcost.create t.cluster) else None in
         let rec go acc = function
           | [] -> Some (List.rev acc)
           | (child, creq) :: inputs -> (
               match lb with
-              | Some lb when lb.Lower_bound.sum > !work_bound ->
+              | Some lb when Scost.Dagcost.sum lb > !work_bound ->
                   skipped := true;
                   None
               | _ -> (
@@ -391,7 +356,7 @@ and log_phys_opt t ?(bound = infinity) (g : Smemo.Memo.group)
                   | None -> None (* genuinely infeasible child *)
                   | Some p ->
                       (match lb with
-                      | Some lb -> Lower_bound.add t.cluster lb p
+                      | Some lb -> Scost.Dagcost.add lb p
                       | None -> ());
                       go (p :: acc) inputs))
         in

@@ -2,9 +2,9 @@ open Relalg
 
 (* Physical plans.  A plan node records the memo group it implements so
    that DAG-aware costing can recognize two references to the same shared
-   (spool) subplan.  [cost] is the conventional *tree-wise* total used
-   during search; [Dagcost] in the cost library computes the final
-   deduplicated cost of CSE plans.
+   (spool) subplan.  A node keeps its own operator cost and a summary of
+   its region; [Dagcost] in the cost library prices a plan from these,
+   paying each shared spool's production once.
 
    [sbase]/[srefs] summarize the node's *region*: the sub-DAG reachable
    without crossing a spool boundary.  [sbase] is the total operator cost
@@ -24,7 +24,6 @@ type t = {
   props : Props.t; (* delivered physical properties *)
   stats : Slogical.Stats.t; (* estimated output stats *)
   op_cost : float; (* this operator's own estimated cost *)
-  cost : float; (* tree-wise total: op_cost + sum of child costs *)
   sbase : float; (* region operator-cost total (spools excluded) *)
   srefs : (t * int) list; (* spools referenced by the region, with counts *)
 }
@@ -52,18 +51,15 @@ let make ?out_cols ~op ~children ~group ~schema ~stats ~op_cost () =
   let props =
     Physop.deliver ?out_cols op schema (List.map (fun c -> c.props) children)
   in
-  let cost =
-    List.fold_left (fun acc c -> acc +. c.cost) op_cost children
-  in
-  (* identical fold order as the tree-wise [cost], so on a spool-free plan
-     [sbase] equals [cost] bit-for-bit *)
+  (* the fold order of [Dagcost.cost]'s walk, so on a spool-free plan
+     [sbase] is that cost bit for bit *)
   let sbase =
     List.fold_left (fun acc c -> acc +. fst (region c)) op_cost children
   in
   let srefs =
     List.fold_left (fun acc c -> add_refs acc (snd (region c))) [] children
   in
-  { op; children; group; schema; props; stats; op_cost; cost; sbase; srefs }
+  { op; children; group; schema; props; stats; op_cost; sbase; srefs }
 
 (* Physical-identity tables: two keys are equal only when they are the
    same node, so a walk keyed on them visits each distinct node of a plan
@@ -73,7 +69,7 @@ module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = ( == )
-  let hash n = Hashtbl.hash (n.group, n.op_cost, n.cost)
+  let hash n = Hashtbl.hash (n.group, n.op_cost, n.sbase)
 end)
 
 (* Fold over every node (parents after children); shared subtrees are

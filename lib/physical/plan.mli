@@ -2,10 +2,9 @@
 
     A plan node records the memo group it implements so DAG-aware costing
     and printing can recognize two references to one shared (spool)
-    subplan. [cost] is the tree-wise total (every reference pays for its
-    subplan), which plans print and the audits check; the search compares
-    the deduplicated cost [Scost.Dagcost.cached_cost] serves from
-    [sbase]/[srefs]. *)
+    subplan. A node keeps its own [op_cost] and its region summary
+    ([sbase]/[srefs]); the cost of a plan is the deduplicated
+    [Scost.Dagcost.cached_cost] served from those summaries. *)
 
 type t = {
   op : Physop.t;
@@ -15,11 +14,11 @@ type t = {
   props : Props.t;  (** delivered physical properties *)
   stats : Slogical.Stats.t;  (** estimated output statistics *)
   op_cost : float;  (** this operator's own estimated cost *)
-  cost : float;  (** tree-wise total: [op_cost] + children's [cost] *)
   sbase : float;
       (** operator-cost total of the node's region — the sub-DAG reachable
           without crossing a spool boundary; spool descendants contribute
-          nothing. Equals [cost] bit-for-bit on spool-free plans. *)
+          nothing. On a spool-free plan it is the tree total: [op_cost]
+          plus the children's [sbase], in that fold order. *)
   srefs : (t * int) list;
       (** distinct spool plans referenced by the region (physical
           identity), with reference counts, in first-reference order *)
@@ -31,7 +30,7 @@ type t = {
 val region : t -> float * (t * int) list
 
 (** Build a node, deriving [props] via {!Physop.deliver} (which takes
-    [out_cols]) and [cost] additively. *)
+    [out_cols]) and the region summary from the children's. *)
 val make :
   ?out_cols:Relalg.Colset.t ->
   op:Physop.t ->

@@ -2,9 +2,12 @@
    delivered properties, costs, and shared (spool) subplans printed once
    and referenced afterwards. *)
 
+(* [cost=] is the node's region total [sbase], the subtree's operators up
+   to spool boundaries: a shared spool's production is priced on its own
+   line only, never again on its consumers'. *)
 let pp_node ppf (n : Plan.t) =
   Fmt.pf ppf "%a  %a  rows=%.3g cost=%.3g" Physop.pp n.Plan.op Props.pp
-    n.Plan.props n.Plan.stats.Slogical.Stats.rows n.Plan.cost
+    n.Plan.props n.Plan.stats.Slogical.Stats.rows n.Plan.sbase
 
 let pp ppf (t : Plan.t) =
   (* spool subplans already printed: a later reference to the *same*

@@ -1,6 +1,7 @@
 (** Plan rendering in the spirit of Figure 8: one operator per line with
-    its delivered properties and costs; a shared spool subplan is printed
-    once and back-referenced afterwards. *)
+    its delivered properties and its region cost ([Plan.sbase], the
+    subtree total up to spool boundaries); a shared spool subplan is
+    printed once and back-referenced afterwards. *)
 
 val pp : Plan.t Fmt.t
 

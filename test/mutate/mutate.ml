@@ -448,18 +448,13 @@ let sa020 =
           | _ -> assert false ))
 
 (* Plan layer: the chosen physical plans' cost and shape caches
-   (SA031-SA034). *)
+   (SA032-SA034). *)
 
 let plan_mutation mname mcode pick corrupt =
   mutation mname mcode (fun () ->
       let _, _, r = fresh () in
       let plan = ref (pick r) in
       ((fun () -> Plan_audit.run !plan), fun () -> plan := corrupt r !plan))
-
-let sa031 =
-  plan_mutation "SA031 non-additive recorded plan total" "SA031"
-    (fun r -> r.Cse.Pipeline.conventional_plan)
-    (fun _ p -> { p with Plan.cost = (p.Plan.cost *. 2.0) +. 1.0 })
 
 let sa032 =
   plan_mutation "SA032 negative operator cost" "SA032"
@@ -747,7 +742,6 @@ let all =
     sa013;
     sa014;
     sa020;
-    sa031;
     sa032;
     sa033;
     sa034;

@@ -494,13 +494,6 @@ let test_sa030_bad_props () =
   assert_code "SA030" (Sanalysis.Plan_audit.run corrupt);
   assert_not_code "SA030" (Sanalysis.Plan_audit.run p)
 
-(* SA031: non-additive recorded cost. *)
-let test_sa031_bad_total () =
-  let _, _, r = raw_report Sworkload.Paper_scripts.s1 in
-  let p = r.Cse.Pipeline.conventional_plan in
-  assert_code "SA031"
-    (Sanalysis.Plan_audit.run { p with Plan.cost = (p.Plan.cost *. 2.0) +. 1.0 })
-
 (* SA032: negative operator cost. *)
 let test_sa032_negative_cost () =
   let _, _, r = raw_report Sworkload.Paper_scripts.s1 in
@@ -831,7 +824,6 @@ let () =
       ( "plan lint",
         [
           Alcotest.test_case "SA030 bad props" `Quick test_sa030_bad_props;
-          Alcotest.test_case "SA031 bad total" `Quick test_sa031_bad_total;
           Alcotest.test_case "SA032 negative cost" `Quick test_sa032_negative_cost;
           Alcotest.test_case "SA033 anonymous spool" `Quick test_sa033_anonymous_spool;
           Alcotest.test_case "SA034 stale region cache" `Quick

@@ -366,6 +366,24 @@ let test_full_validation_both_plans () =
         [ true; false ])
     Thelpers.small_builtins
 
+(* A plan that writes one output in ascending order, checked against a
+   DAG that expects a second output and the first one descending: both
+   mismatches are reported, neither hides the other. *)
+let test_validate_keeps_every_mismatch () =
+  let script =
+    {|R0 = EXTRACT A,B FROM "...\test.log" USING LogExtractor;
+R = SELECT A,Sum(B) AS S FROM R0 GROUP BY A;
+OUTPUT R TO "o" ORDER BY A|}
+  in
+  let catalog, _, plan = optimize (script ^ ";") in
+  let dag = Thelpers.bind (script ^ {| DESC;
+OUTPUT R TO "p";|}) in
+  let v = Sexec.Validate.check ~machines:6 catalog dag plan in
+  Alcotest.(check (list string))
+    "both mismatches"
+    [ "expected 2 outputs, plan produced 1"; "output o violates its ORDER BY" ]
+    v.Sexec.Validate.mismatches
+
 let test_spool_executed_once () =
   let catalog, dag, plan = optimize Sworkload.Paper_scripts.s1 in
   let v = Sexec.Validate.check ~machines:6 catalog dag plan in
@@ -968,6 +986,8 @@ let () =
         [
           Alcotest.test_case "paper scripts, both plans" `Slow
             test_full_validation_both_plans;
+          Alcotest.test_case "validate keeps every mismatch" `Quick
+            test_validate_keeps_every_mismatch;
           Alcotest.test_case "spool executed once" `Quick test_spool_executed_once;
           Alcotest.test_case "CSE does less IO" `Quick test_cse_extracts_less;
           Alcotest.test_case "machine-count invariance" `Slow

@@ -93,26 +93,9 @@ let test_plan_costs_positive () =
   Sphys.Plan.fold
     (fun () n ->
       if n.Sphys.Plan.op_cost < 0.0 then Alcotest.fail "negative op cost";
-      if n.Sphys.Plan.cost < n.Sphys.Plan.op_cost then
-        Alcotest.fail "tree cost smaller than op cost")
+      if n.Sphys.Plan.sbase < n.Sphys.Plan.op_cost then
+        Alcotest.fail "region cost smaller than op cost")
     () plan
-
-let test_tree_cost_is_additive () =
-  let plan, _ = conventional Sworkload.Paper_scripts.s2 in
-  let rec check (n : Sphys.Plan.t) =
-    let sum =
-      List.fold_left (fun acc c -> acc +. c.Sphys.Plan.cost) n.Sphys.Plan.op_cost
-        n.Sphys.Plan.children
-    in
-    Alcotest.(check (float 1e-6)) "additive" sum n.Sphys.Plan.cost;
-    List.iter check n.Sphys.Plan.children
-  in
-  check plan
-
-let test_dagcost_equals_tree_without_spools () =
-  let plan, _ = conventional Sworkload.Paper_scripts.s2 in
-  Alcotest.(check (float 1.0)) "no spool => tree cost" plan.Sphys.Plan.cost
-    (Scost.Dagcost.cost cluster plan)
 
 let test_output_order_preserved () =
   let plan, _ = conventional Sworkload.Paper_scripts.s2 in
@@ -262,9 +245,6 @@ let () =
       ( "costs",
         [
           Alcotest.test_case "positive" `Quick test_plan_costs_positive;
-          Alcotest.test_case "tree additive" `Quick test_tree_cost_is_additive;
-          Alcotest.test_case "dag = tree without spools" `Quick
-            test_dagcost_equals_tree_without_spools;
         ] );
       ( "engine",
         [
