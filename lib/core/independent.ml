@@ -7,8 +7,9 @@
    relation.  Independent classes can be re-optimized sequentially instead
    of combinatorially. *)
 
-(* Partition [shared] (all having LCA [l]) into independent classes, each
-   class sorted, classes ordered by their smallest element. *)
+(* Partition [shared] (all having LCA [l]) into independent classes, in
+   the order of [shared]: members keep their order, classes are ordered
+   by their first member. *)
 let classes (si : Shared_info.t) (memo : Smemo.Memo.t) ~(l : int)
     (shared : int list) : int list list =
   let lg = Smemo.Memo.group memo l in
@@ -42,12 +43,11 @@ let classes (si : Shared_info.t) (memo : Smemo.Memo.t) ~(l : int)
       | [] -> ()
       | first :: rest -> List.iter (union first) rest)
     below_per_input;
-  let cls = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      let r = find s in
-      Hashtbl.replace cls r
-        (s :: Option.value ~default:[] (Hashtbl.find_opt cls r)))
-    shared;
-  Hashtbl.fold (fun _ members acc -> List.sort Int.compare members :: acc) cls []
-  |> List.sort (fun a b -> Int.compare (List.hd a) (List.hd b))
+  let rec group = function
+    | [] -> []
+    | s :: rest ->
+        let r = find s in
+        let same, other = List.partition (fun x -> find x = r) rest in
+        (s :: same) :: group other
+  in
+  group shared

@@ -7,7 +7,7 @@
     instead of combinatorially. *)
 
 (** Partition the given shared groups (all with LCA [l]) into independence
-    classes; each class sorted by id, classes ordered by smallest
-    element. *)
+    classes in the order of the input list: members keep their order,
+    and classes are ordered by their first member. *)
 val classes :
   Shared_info.t -> Smemo.Memo.t -> l:int -> int list -> int list list

@@ -22,9 +22,11 @@ open Sopt
          shares the identical materialization) and per-consumer enforcers
          are layered on top when the consumer needs more (e.g. the
          Sort(C,B) above the spool in Figure 8(b));
-       * at an LCA, one re-optimization round per property combination is
-         executed and the cheapest result kept (Section VIII controls how
-         combinations are enumerated).
+       * at an LCA, [run_rounds] prepares the candidate property sets
+         and [Rounds.search] drives one probe per combination (Section
+         VIII orders them, the budget cuts them off); the probe
+         re-optimizes the LCA under the combination, bounded by the
+         search, and the cheapest result is kept.
 
    The cheapest of the three passes' plans is the result, so the CSE plan
    never costs more than the conventional one. *)
@@ -135,7 +137,9 @@ let rec compensate (t : Optimizer.t) (g : Smemo.Memo.group)
     in
     Optimizer.cheapest t candidates
 
-(* Algorithm 4, lines 4-12: all re-optimization rounds at an LCA. *)
+(* Algorithm 4, lines 4-12: all re-optimization rounds at an LCA.  The
+   candidates are prepared here; [Rounds.search] decides which rounds
+   run, and [probe] runs one. *)
 let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
     (extreq : Extreq.t) (to_assign : int list) =
   let si = shared_info state in
@@ -145,25 +149,8 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
     else to_assign
   in
   let classes =
-    if state.config.Config.use_independent_groups then begin
-      let cls =
-        Independent.classes si t.Optimizer.memo ~l:g.Smemo.Memo.id ordered
-      in
-      (* order class members and the classes themselves by [ordered] *)
-      let pos s =
-        let rec idx i = function
-          | [] -> max_int
-          | x :: rest -> if x = s then i else idx (i + 1) rest
-        in
-        idx 0 ordered
-      in
-      List.map
-        (fun members ->
-          List.stable_sort (fun a b -> Int.compare (pos a) (pos b)) members)
-        cls
-      |> List.stable_sort (fun a b ->
-             Int.compare (pos (List.hd a)) (pos (List.hd b)))
-    end
+    if state.config.Config.use_independent_groups then
+      Independent.classes si t.Optimizer.memo ~l:g.Smemo.Memo.id ordered
     else [ ordered ]
   in
   let ranked =
@@ -191,114 +178,86 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
   state.rounds_pruned <-
     state.rounds_pruned
     + (Rounds.sequential_total ranked - Rounds.sequential_total with_props);
-  let gen = Rounds.create with_props in
-  let candidates = ref [] in
-  let use_bound = state.config.Config.prune in
-  (* layer 2 incumbent: the cheapest walking cost seen at this LCA so far.
-     Bounds carry a hair of relative slack so a round in true near-tie
-     territory is never aborted — ties must keep resolving exactly as in
-     the exhaustive run. *)
-  let incumbent = ref infinity in
-  let slack b = if b = infinity then infinity else b *. (1.0 +. 1e-6) in
-  let round_bound () =
-    if not use_bound then infinity
-    else if Rounds.last_class gen then slack !incumbent
-    else
-      (* earlier classes still steer (their best combo is frozen): bound
-         only against the class's own best so the frozen choice matches
-         the exhaustive run *)
-      match Rounds.class_best_cost gen with
-      | Some c -> slack c
-      | None -> infinity
-  in
-  (* the plan without any enforcement (the phase-1 shape) also competes *)
-  (match Optimizer.log_phys_opt t g extreq with
-  | Some p ->
-      candidates := [ p ];
-      if use_bound then incumbent := Scost.Dagcost.cost t.Optimizer.cluster p
-  | None -> ());
+  let lca = g.Smemo.Memo.id in
+  (* the plan without any enforcement (the phase-1 shape) also competes,
+     and its cost is the layer-2 incumbent the search starts from *)
+  let shape = Optimizer.log_phys_opt t g extreq in
+  let candidates = ref (Option.to_list shape) in
   let traced = Sobs.Trace.enabled () in
-  let continue_ = ref true in
-  while !continue_ do
-    if Budget.exhausted t.Optimizer.budget then continue_ := false
-    else
-      match Rounds.next gen with
-      | None -> continue_ := false
-      | Some assignment ->
-          (* a round whose children are all memoized winners ticks no
-             optimization task, so the round itself is charged *)
-          Budget.tick t.Optimizer.budget;
-          let bound = round_bound () in
-          let ext' =
-            {
-              extreq with
-              Extreq.enforce =
-                Intern.of_list t.Optimizer.intern
-                  (extreq.Extreq.enforce.Intern.bindings @ assignment);
-            }
-          in
-          if traced then
-            Sobs.Trace.begin_span ~pid:Sobs.Trace.pid_phase2
-              ~args:
-                [
-                  ("lca", Sobs.Trace.Int g.Smemo.Memo.id);
-                  ("round", Sobs.Trace.Int (Rounds.generated gen));
-                  ("assignment", Sobs.Trace.Str (pp_assignment assignment));
-                ]
-              "ReoptimizeRound";
-          let finish cost =
-            if traced then
-              Sobs.Trace.end_span ~pid:Sobs.Trace.pid_phase2
-                ~args:[ ("cost", Sobs.Trace.Float cost) ]
-                "ReoptimizeRound"
-          in
-          match Optimizer.log_phys_opt t ~bound g ext' with
-          | exception Optimizer.Above_bound ->
-              (* layer 2 abort: the round's true cost provably exceeds the
-                 incumbent (or class best) by more than the slack, so its
-                 plan can never be chosen; report infinity so the class
-                 best is as unmoved as it would be by the true cost *)
-              state.rounds_aborted_bound <- state.rounds_aborted_bound + 1;
-              Log.debug (fun m ->
-                  m "round %d at LCA %d: {%s} aborted (bound %.6g)"
-                    (Rounds.generated gen) g.Smemo.Memo.id
-                    (pp_assignment assignment) bound);
-              Rounds.report gen ~cost:infinity;
-              finish infinity
-          | result -> (
-              state.rounds_executed <- state.rounds_executed + 1;
-              match result with
-              | Some p ->
-                  (* feedback steering the sequential enumeration: use the
-                     walking cost so the last-ulp noise of the cached
-                     closure cannot flip which assignment a class keeps as
-                     its best *)
-                  let cost = Scost.Dagcost.cost t.Optimizer.cluster p in
-                  Log.debug (fun m ->
-                      m "round %d at LCA %d: {%s} -> cost %.6g"
-                        (Rounds.generated gen) g.Smemo.Memo.id
-                        (pp_assignment assignment) cost);
-                  Rounds.report gen ~cost;
-                  candidates := p :: !candidates;
-                  if use_bound && cost < !incumbent then incumbent := cost;
-                  finish cost
-              | None ->
-                  Log.debug (fun m ->
-                      m "round %d at LCA %d: infeasible assignment"
-                        (Rounds.generated gen) g.Smemo.Memo.id);
-                  Rounds.report gen ~cost:infinity;
-                  finish infinity)
-  done;
+  let round = ref 0 in
+  let probe assignment ~bound =
+    (* a round whose children are all memoized winners ticks no
+       optimization task, so the round itself is charged *)
+    Budget.tick t.Optimizer.budget;
+    incr round;
+    let bound = if state.config.Config.prune then bound else infinity in
+    let ext' =
+      {
+        extreq with
+        Extreq.enforce =
+          Intern.of_list t.Optimizer.intern
+            (extreq.Extreq.enforce.Intern.bindings @ assignment);
+      }
+    in
+    if traced then
+      Sobs.Trace.begin_span ~pid:Sobs.Trace.pid_phase2
+        ~args:
+          [
+            ("lca", Sobs.Trace.Int lca);
+            ("round", Sobs.Trace.Int !round);
+            ("assignment", Sobs.Trace.Str (pp_assignment assignment));
+          ]
+        "ReoptimizeRound";
+    let cost =
+      match Optimizer.log_phys_opt t ~bound g ext' with
+      | exception Optimizer.Above_bound ->
+          (* layer 2 abort: the round's true cost provably exceeds the
+             bound, so its plan can never be chosen; infinity leaves the
+             class best as unmoved as the true cost would *)
+          state.rounds_aborted_bound <- state.rounds_aborted_bound + 1;
+          Log.debug (fun m ->
+              m "round %d at LCA %d: {%s} aborted (bound %.6g)" !round lca
+                (pp_assignment assignment) bound);
+          infinity
+      | Some p ->
+          state.rounds_executed <- state.rounds_executed + 1;
+          (* the walking cost, so the last-ulp noise of the cached closure
+             cannot flip which assignment a class keeps as its best *)
+          let cost = Scost.Dagcost.cost t.Optimizer.cluster p in
+          Log.debug (fun m ->
+              m "round %d at LCA %d: {%s} -> cost %.6g" !round lca
+                (pp_assignment assignment) cost);
+          candidates := p :: !candidates;
+          cost
+      | None ->
+          state.rounds_executed <- state.rounds_executed + 1;
+          Log.debug (fun m ->
+              m "round %d at LCA %d: infeasible assignment" !round lca);
+          infinity
+    in
+    if traced then
+      Sobs.Trace.end_span ~pid:Sobs.Trace.pid_phase2
+        ~args:[ ("cost", Sobs.Trace.Float cost) ]
+        "ReoptimizeRound";
+    cost
+  in
+  Rounds.search with_props
+    ~incumbent:
+      (match shape with
+      | Some p -> Scost.Dagcost.cost t.Optimizer.cluster p
+      | None -> infinity)
+    ~exhausted:(fun () -> Budget.exhausted t.Optimizer.budget)
+    ~probe;
   let winner = Optimizer.cheapest t !candidates in
-  (if Sobs.Trace.enabled () then
+  (if traced then
      let args =
        match winner with
        | Some p ->
            [
-             ("lca", Sobs.Trace.Int g.Smemo.Memo.id);
+             ("lca", Sobs.Trace.Int lca);
              ("cost", Sobs.Trace.Float (Scost.Dagcost.cost t.Optimizer.cluster p));
            ]
-       | None -> [ ("lca", Sobs.Trace.Int g.Smemo.Memo.id) ]
+       | None -> [ ("lca", Sobs.Trace.Int lca) ]
      in
      Sobs.Trace.instant ~pid:Sobs.Trace.pid_phase2 ~args "round.winner");
   winner

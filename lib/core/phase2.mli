@@ -12,9 +12,10 @@
       optimized under the pinned properties — every consumer shares the
       identical materialization — and per-consumer enforcers compensate on
       top (the Sort above the spool in Figure 8(b));
-    - at an LCA, one round per property combination runs and the cheapest
-      result is kept, subject to the budget (Section VIII controls
-      enumeration).
+    - at an LCA, {!Rounds.search} picks the property combinations (Section
+      VIII orders them, the budget cuts them off) and hands each to one
+      probe, which re-optimizes the LCA under it; the cheapest result is
+      kept.
 
     The result is the cheapest of the three passes' plans, so the CSE plan
     never costs more than the conventional one. *)

@@ -1,33 +1,26 @@
 open Sphys
 
-(* Re-optimization round generation (Algorithm 4, line 7, plus the
-   Section VIII refinements).
+(* Re-optimization round search (Algorithm 4, line 7, plus the Section
+   VIII refinements).
 
    A *round* is one complete assignment of a property set to every shared
-   group handled at this LCA.  Within an independence class the full
-   cartesian product is enumerated -- lazily, by mixed-radix decoding, so a
-   dependent class of many groups (whose product can exceed 10^18) costs
-   nothing until rounds are actually drawn and the optimization budget cuts
-   enumeration off.  The first (highest-ranked) group varies fastest.
+   group handled at this LCA.  [search] hands rounds to a probe one at a
+   time.  Within an independence class it walks the full cartesian
+   product -- lazily, by mixed-radix decoding, so a dependent class of
+   many groups (whose product can exceed 10^18) costs nothing until
+   rounds are actually probed and the optimization budget cuts the search
+   off.  The first (highest-ranked) group varies fastest.
 
-   Across independent classes (VIII-A) enumeration is sequential: once a
+   Across independent classes (VIII-A) the search is sequential: once a
    class is exhausted its best assignment is frozen and the next class is
-   explored around it.  Later classes skip their all-initial combination --
-   it was already evaluated while the previous classes varied. *)
+   explored around it.  Later classes skip their all-initial combination
+   -- it was already evaluated while the previous classes varied. *)
 
 type assignment = (int * Reqprops.t) list
 
-type cls = { members : (int * Reqprops.t array) array; total : int }
+type classes = (int * Reqprops.t list) list list
 
-type state = {
-  classes : cls array;
-  mutable class_idx : int;
-  mutable next_combo : int; (* mixed-radix index into the current class *)
-  mutable fixed : assignment; (* frozen best of completed classes *)
-  mutable class_best : (float * assignment) option;
-  mutable outstanding : assignment option; (* combo awaiting report *)
-  mutable generated : int;
-}
+type cls = { members : (int * Reqprops.t array) array; total : int }
 
 (* Saturating product, so 14^17-sized spaces do not overflow. *)
 let sat_mul a b =
@@ -58,83 +51,46 @@ let combo_of_index (c : cls) i : assignment =
 let initial_of (c : cls) : assignment =
   Array.to_list (Array.map (fun (g, ps) -> (g, ps.(0))) c.members)
 
-let create (classes : (int * Reqprops.t list) list list) : state =
-  let classes =
-    classes
-    |> List.filter (fun c -> c <> [])
-    |> List.filter (fun c -> List.for_all (fun (_, ps) -> ps <> []) c)
-    |> List.map mk_cls
+(* Bounds carry a hair of relative slack so a round in true near-tie
+   territory is never aborted -- ties must keep resolving exactly as in
+   the exhaustive run. *)
+let slack b = if b = infinity then infinity else b *. (1.0 +. 1e-6)
+
+let search (classes : classes) ~incumbent ~exhausted ~probe =
+  let best = ref incumbent in
+  (* [fixed]: the frozen bests of the finished classes; [first]: the
+     class's first combination not evaluated yet *)
+  let rec walk fixed first = function
+    | [] -> ()
+    | c :: later ->
+        let rest = List.concat_map initial_of later in
+        let class_cost = ref infinity and class_combo = ref (initial_of c) in
+        let rec go i =
+          if i >= c.total then walk (fixed @ !class_combo) 1 later
+          else if not (exhausted ()) then begin
+            let combo = combo_of_index c i in
+            (* earlier classes still steer (their best is frozen): bound
+               them only by their own best so the frozen choice matches
+               the exhaustive run; the last class's best is never consumed
+               and can be bounded by the global incumbent *)
+            let bound = slack (if later = [] then !best else !class_cost) in
+            let cost = probe (fixed @ combo @ rest) ~bound in
+            if cost < !best then best := cost;
+            if i = first || cost < !class_cost then begin
+              class_cost := cost;
+              class_combo := combo
+            end;
+            go (i + 1)
+          end
+        in
+        go first
   in
-  {
-    classes = Array.of_list classes;
-    class_idx = 0;
-    (* classes after the first skip index 0 (the all-initial combination,
-       already evaluated while earlier classes varied) *)
-    next_combo = 0;
-    fixed = [];
-    class_best = None;
-    outstanding = None;
-    generated = 0;
-  }
+  classes
+  |> List.filter (fun c -> c <> [] && List.for_all (fun (_, ps) -> ps <> []) c)
+  |> List.map mk_cls
+  |> walk [] 0
 
-(* Initial assignments of the classes after the current one. *)
-let later_initials t =
-  let acc = ref [] in
-  for i = Array.length t.classes - 1 downto t.class_idx + 1 do
-    acc := initial_of t.classes.(i) @ !acc
-  done;
-  !acc
-
-let rec next (t : state) : assignment option =
-  assert (t.outstanding = None);
-  if Array.length t.classes = 0 then None
-  else
-    let c = t.classes.(t.class_idx) in
-    if t.next_combo < c.total then begin
-      let combo = combo_of_index c t.next_combo in
-      t.next_combo <- t.next_combo + 1;
-      t.outstanding <- Some combo;
-      t.generated <- t.generated + 1;
-      Some (t.fixed @ combo @ later_initials t)
-    end
-    else if t.class_idx + 1 >= Array.length t.classes then None
-    else begin
-      let best_combo =
-        match t.class_best with Some (_, cb) -> cb | None -> initial_of c
-      in
-      t.fixed <- t.fixed @ best_combo;
-      t.class_best <- None;
-      t.class_idx <- t.class_idx + 1;
-      t.next_combo <- 1 (* skip the already-evaluated all-initial combo *);
-      next t
-    end
-
-(* Report the cost achieved by the combo returned by the last [next]. *)
-let report (t : state) ~cost =
-  match t.outstanding with
-  | None -> invalid_arg "Rounds.report: no outstanding round"
-  | Some combo ->
-      t.outstanding <- None;
-      (match t.class_best with
-      | Some (c, _) when c <= cost -> ()
-      | _ -> t.class_best <- Some (cost, combo))
-
-let generated t = t.generated
-
-(* Branch-and-bound support: whether the enumeration is in its final
-   class.  Earlier classes still steer (their best combo gets frozen), so
-   phase 2 may only bound them against their own class best; the last
-   class's best is never consumed and can be bounded by the global
-   incumbent. *)
-let last_class t =
-  Array.length t.classes = 0 || t.class_idx >= Array.length t.classes - 1
-
-(* Best cost reported within the current class so far (None right after a
-   class switch). *)
-let class_best_cost t =
-  match t.class_best with Some (c, _) -> Some c | None -> None
-
-let class_sizes (classes : (int * Reqprops.t list) list list) =
+let class_sizes (classes : classes) =
   List.map
     (fun cls ->
       List.fold_left (fun acc (_, ps) -> sat_mul acc (max 1 (List.length ps))) 1 cls)
@@ -142,13 +98,13 @@ let class_sizes (classes : (int * Reqprops.t list) list list) =
 
 (* Round count without the VIII-A decomposition: the full product over
    every shared group (saturating). *)
-let naive_total (classes : (int * Reqprops.t list) list list) =
+let naive_total (classes : classes) =
   List.fold_left sat_mul 1 (class_sizes classes)
 
 (* Round count with the decomposition: the first class contributes its full
    product, later classes their product minus the already-evaluated
    all-initial combination. *)
-let sequential_total (classes : (int * Reqprops.t list) list list) =
+let sequential_total (classes : classes) =
   match class_sizes classes with
   | [] -> 0
   | first :: rest -> first + List.fold_left (fun acc n -> acc + n - 1) 0 rest

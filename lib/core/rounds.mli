@@ -1,47 +1,39 @@
-(** Re-optimization round generation (Algorithm 4, line 7, plus the
+(** Re-optimization round search (Algorithm 4, line 7, plus the
     Section VIII refinements).
 
     A round is one complete assignment of a property set to every shared
-    group handled at an LCA. Within an independence class the cartesian
-    product is enumerated lazily (mixed-radix decoding; a dependent class's
-    product can exceed 10^18 and is cut off by the optimization budget),
-    the first group varying fastest. Across classes enumeration is
-    sequential (VIII-A): a finished class freezes its best assignment;
-    later classes skip their already-evaluated all-initial combination. *)
+    group handled at an LCA. {!search} probes rounds one at a time: within
+    an independence class it walks the cartesian product lazily
+    (mixed-radix decoding; a dependent class's product can exceed 10^18
+    and is cut off by the optimization budget), the first group varying
+    fastest. Across classes the walk is sequential (VIII-A): a finished
+    class freezes its best assignment; later classes skip their
+    already-evaluated all-initial combination. *)
 
 type assignment = (int * Sphys.Reqprops.t) list
 
-type state
+(** Independence classes, each a list of (shared group, its ranked
+    property sets). *)
+type classes = (int * Sphys.Reqprops.t list) list list
 
-(** [create classes] with [classes] a list of independence classes, each a
-    list of (shared group, its ranked property sets). Empty classes and
-    groups without properties are dropped. *)
-val create : (int * Sphys.Reqprops.t list) list list -> state
-
-(** Next full assignment (over every group of every class), or [None] when
-    exhausted. Every [next] must be followed by {!report}. *)
-val next : state -> assignment option
-
-(** Report the cost achieved by the assignment from the last {!next}
-    (drives the best-of-class selection). *)
-val report : state -> cost:float -> unit
-
-(** Assignments generated so far. *)
-val generated : state -> int
-
-(** Is the enumeration in its final independence class? Earlier classes
-    still steer the sequential search (their best combo is frozen), so
-    callers may only bound their rounds class-locally; the last class's
-    best is never consumed. *)
-val last_class : state -> bool
-
-(** Best cost reported within the current class so far ([None] right
-    after a class switch). *)
-val class_best_cost : state -> float option
+(** [search classes ~incumbent ~exhausted ~probe] probes every round in
+    order until the space or the budget runs out: [exhausted ()] is
+    checked before every probe. [probe assignment ~bound] returns the
+    round's cost, or [infinity] when it is infeasible or was aborted
+    above [bound]. The bound is the last class's slackened best so far
+    ([incumbent] and every cost seen); an earlier class is bounded only
+    by its own slackened best, since its best is frozen. Empty classes
+    and classes with a group without properties are skipped. *)
+val search :
+  classes ->
+  incumbent:float ->
+  exhausted:(unit -> bool) ->
+  probe:(assignment -> bound:float -> float) ->
+  unit
 
 (** Round count without VIII-A: the saturated full product. *)
-val naive_total : (int * Sphys.Reqprops.t list) list list -> int
+val naive_total : classes -> int
 
 (** Round count with VIII-A: first class in full, later classes minus the
     all-initial combination. *)
-val sequential_total : (int * Sphys.Reqprops.t list) list list -> int
+val sequential_total : classes -> int

@@ -39,7 +39,7 @@ let pp ppf (t : Plan.t) =
 
 (* Graphviz rendering: physically shared subplans (spool references) become
    one node, making the executed DAG visible.  Edges point from consumers
-   to producers. *)
+   to producers.  [cost=] is the region total, as in [pp]. *)
 let to_dot ?(name = "plan") (t : Plan.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
@@ -65,7 +65,7 @@ let to_dot ?(name = "plan") (t : Plan.t) =
         (Printf.sprintf "  n%d [label=\"%s\\n%s\\nrows=%.3g cost=%.3g\"%s];\n" id
            (escape (Physop.to_string n.Plan.op))
            (escape (Props.to_string n.Plan.props))
-           n.Plan.stats.Slogical.Stats.rows n.Plan.op_cost shared_mark);
+           n.Plan.stats.Slogical.Stats.rows n.Plan.sbase shared_mark);
       List.iter
         (fun c ->
           go c;

@@ -6,5 +6,6 @@
 val pp : Plan.t Fmt.t
 
 (** Graphviz (dot) rendering; physically shared subplans appear once, so
-    the executed DAG structure is visible. *)
+    the executed DAG structure is visible.  Each node's [cost=] is the
+    region cost {!pp} prints. *)
 val to_dot : ?name:string -> Plan.t -> string

@@ -40,6 +40,23 @@ let test_class_partition_properties () =
   Alcotest.(check (list int)) "partition" (List.sort Int.compare shared)
     (List.sort Int.compare flat)
 
+let test_classes_follow_input_order () =
+  (* classes come in the order of their first member, members in input
+     order: the order phase 2's group ranking hands in *)
+  let memo, shared, si = prepare Sworkload.Paper_scripts.independent_pair in
+  let classes = Cse.Independent.classes si memo ~l:memo.Smemo.Memo.root in
+  Alcotest.(check (list (list int)))
+    "reversed input, reversed classes"
+    (List.rev (classes shared))
+    (classes (List.rev shared));
+  let memo, shared, si = prepare Sworkload.Paper_scripts.s4 in
+  let classes = Cse.Independent.classes si memo ~l:memo.Smemo.Memo.root in
+  Alcotest.(check (list (list int))) "S4 members in input order" [ shared ]
+    (classes shared);
+  Alcotest.(check (list (list int))) "S4 members, reversed input"
+    [ List.rev shared ]
+    (classes (List.rev shared))
+
 let test_ls1_classes () =
   (* LS1's four shared groups live in four separate modules: all
      independent *)
@@ -91,6 +108,7 @@ let () =
           Alcotest.test_case "independent pair" `Quick test_independent_pair;
           Alcotest.test_case "S4 dependent" `Quick test_s4_dependent;
           Alcotest.test_case "partition" `Quick test_class_partition_properties;
+          Alcotest.test_case "input order" `Quick test_classes_follow_input_order;
           Alcotest.test_case "LS1 modules" `Quick test_ls1_classes;
         ] );
       ( "ranking (VIII-B)",

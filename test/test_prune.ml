@@ -76,6 +76,53 @@ let test_random_equivalent () =
            ~cluster ~catalog script))
     (List.init 30 (fun i -> (i + 1, 8)) @ [ (3, 10) ])
 
+(* A generated serve stream also optimizes combined multi-script memos.
+   [serve_costs config] drives the serve loop over seed 7's 200 scripts
+   and reads back, from the JSON report, one row per batch (its combined
+   cost) and per session (its CSE and conventional costs). *)
+let serve_costs config =
+  let buf = Buffer.create 65536 in
+  let out = Format.formatter_of_buffer buf in
+  let err = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let stream = Sworkload.Session_gen.generate ~seed:7 ~scripts:200 () in
+  let engine = Sserve.Engine.create ~config (Sworkload.Session_gen.catalog ()) in
+  (match
+     Sserve.Driver.run ~out ~err ~json:true engine
+       ~next:(Sserve.Session.of_string stream)
+   with
+  | Ok () -> Format.pp_print_flush out ()
+  | Error (`Msg m) -> Alcotest.failf "serve failed: %s" m);
+  let field name j = Option.get (Sobs.Json.member name j) in
+  let cost name j = Sobs.Json.to_float (field name j) in
+  let list name j = Option.get (Sobs.Json.to_list (field name j)) in
+  list "batches_detail" (field "serve" (Sobs.Json.parse (Buffer.contents buf)))
+  |> List.concat_map (fun b ->
+         ("batch", cost "combined_cost" b, None)
+         :: List.map
+              (fun s ->
+                ( Option.get (Sobs.Json.to_str (field "id" s)),
+                  cost "cse_cost" s,
+                  cost "conventional_cost" s ))
+              (list "sessions" b))
+
+(* The pruning layers must not move a cost there either, and no
+   session's CSE plan costs more than its conventional plan. *)
+let test_serve_equivalent () =
+  let pruned = serve_costs Cse.Config.default in
+  let cost = Alcotest.(option (float 0.0)) in
+  Alcotest.(check (list (triple string cost cost)))
+    "every batch's combined cost, every session's costs"
+    (serve_costs exhaustive) pruned;
+  List.iter
+    (function
+      | id, Some cse, Some conv when cse > conv ->
+          Alcotest.failf "%s: cse_cost %.17g > conventional_cost %.17g" id cse
+            conv
+      | _ -> ())
+    pruned;
+  if not (List.exists (fun (id, c, _) -> id = "batch" && c <> None) pruned)
+  then Alcotest.fail "no combined batch in the stream"
+
 (* The pruned run must actually prune somewhere on the workload the
    paper's Figure 3(c) shape stresses (S4: four interacting shared
    groups), or the acceptance numbers are vacuous.  On S4 the reduction
@@ -243,6 +290,8 @@ let () =
           Alcotest.test_case "LS1 pruned = exhaustive" `Slow test_ls1_equivalent;
           Alcotest.test_case "LS2 pruned = exhaustive" `Slow test_ls2_equivalent;
           Alcotest.test_case "30 random scripts" `Slow test_random_equivalent;
+          Alcotest.test_case "serve stream pruned = exhaustive" `Slow
+            test_serve_equivalent;
           Alcotest.test_case "S4 actually prunes" `Quick test_s4_prunes;
         ] );
       ( "accounting",

@@ -1,6 +1,6 @@
 open Sphys
 
-(* Round-generation tests (Algorithm 4 line 7 + Section VIII-A sequencing),
+(* Round-search tests (Algorithm 4 line 7 + Section VIII-A sequencing),
    including the paper's 8+8-properties example: 64 rounds without the
    independence decomposition, 15 with it. *)
 
@@ -10,20 +10,8 @@ let prop i = Reqprops.make (Reqprops.Hash_exact (cs [ Printf.sprintf "C%d" i ]))
 
 let props n = List.init n prop
 
-(* drain a generator, reporting [cost_of] for each assignment *)
-let drain gen cost_of =
-  let rec loop acc =
-    match Cse.Rounds.next gen with
-    | None -> List.rev acc
-    | Some a ->
-        Cse.Rounds.report gen ~cost:(cost_of a);
-        loop (a :: acc)
-  in
-  loop []
-
 let test_single_group () =
-  let gen = Cse.Rounds.create [ [ (1, props 5) ] ] in
-  let rounds = drain gen (fun _ -> 1.0) in
+  let rounds = Thelpers.rounds [ [ (1, props 5) ] ] in
   Alcotest.(check int) "one round per property" 5 (List.length rounds);
   (* each assignment covers exactly group 1 *)
   List.iter
@@ -31,8 +19,7 @@ let test_single_group () =
     rounds
 
 let test_product_order_first_varies_fastest () =
-  let gen = Cse.Rounds.create [ [ (1, props 2); (2, props 3) ] ] in
-  let rounds = drain gen (fun _ -> 1.0) in
+  let rounds = Thelpers.rounds [ [ (1, props 2); (2, props 3) ] ] in
   Alcotest.(check int) "2*3 rounds" 6 (List.length rounds);
   let first_two = Sutil.Combi.take 2 rounds in
   (* group 1's property changes between round 1 and 2; group 2's does not *)
@@ -51,19 +38,17 @@ let test_paper_64_to_15 () =
     (Cse.Rounds.naive_total dependent);
   Alcotest.(check int) "15 with independence" 15
     (Cse.Rounds.sequential_total members);
-  let gen = Cse.Rounds.create members in
-  let rounds = drain gen (fun _ -> 1.0) in
-  Alcotest.(check int) "generator produces 15" 15 (List.length rounds)
+  let rounds = Thelpers.rounds members in
+  Alcotest.(check int) "search probes 15" 15 (List.length rounds)
 
 let test_best_feedback () =
   (* the second class explores around the best assignment of the first *)
   let p5 = props 4 and p6 = props 3 in
-  let gen = Cse.Rounds.create [ [ (5, p5) ]; [ (6, p6) ] ] in
   (* make property 2 of group 5 the cheapest *)
   let cost_of a =
     if Reqprops.equal (List.assoc 5 a) (List.nth p5 2) then 1.0 else 10.0
   in
-  let rounds = drain gen cost_of in
+  let rounds = Thelpers.rounds ~cost_of [ [ (5, p5) ]; [ (6, p6) ] ] in
   Alcotest.(check int) "4 + 2 rounds" 6 (List.length rounds);
   (* the final rounds (class of group 6) all pin group 5 to its best *)
   let tail = Sutil.Combi.drop 4 rounds in
@@ -75,8 +60,9 @@ let test_best_feedback () =
 
 let test_every_round_is_complete () =
   (* every assignment mentions every shared group exactly once *)
-  let gen = Cse.Rounds.create [ [ (1, props 2) ]; [ (2, props 2); (3, props 2) ] ] in
-  let rounds = drain gen (fun _ -> 1.0) in
+  let rounds =
+    Thelpers.rounds [ [ (1, props 2) ]; [ (2, props 2); (3, props 2) ] ]
+  in
   List.iter
     (fun a ->
       Alcotest.(check (list int)) "all groups covered" [ 1; 2; 3 ]
@@ -86,29 +72,20 @@ let test_every_round_is_complete () =
   Alcotest.(check int) "round count" 5 (List.length rounds)
 
 let test_no_duplicate_assignments () =
-  let gen =
-    Cse.Rounds.create [ [ (1, props 3) ]; [ (2, props 3) ]; [ (3, props 2) ] ]
+  let rounds =
+    Thelpers.rounds [ [ (1, props 3) ]; [ (2, props 3) ]; [ (3, props 2) ] ]
   in
-  let rounds = drain gen (fun _ -> 1.0) in
   let canon a = List.sort compare (List.map (fun (g, p) -> (g, Reqprops.to_key p)) a) in
   let cs = List.map canon rounds in
   Alcotest.(check int) "all distinct" (List.length cs)
     (List.length (List.sort_uniq compare cs))
 
 let test_empty_and_degenerate () =
-  let gen = Cse.Rounds.create [] in
-  Alcotest.(check bool) "empty" true (Cse.Rounds.next gen = None);
-  let gen2 = Cse.Rounds.create [ [ (1, []) ] ] in
-  Alcotest.(check bool) "group without properties dropped" true
-    (Cse.Rounds.next gen2 = None);
-  let gen3 = Cse.Rounds.create [ [ (1, props 1) ] ] in
-  Alcotest.(check int) "single round" 1 (List.length (drain gen3 (fun _ -> 1.0)))
-
-let test_report_without_next_rejected () =
-  let gen = Cse.Rounds.create [ [ (1, props 2) ] ] in
-  Alcotest.check_raises "no outstanding round"
-    (Invalid_argument "Rounds.report: no outstanding round") (fun () ->
-      Cse.Rounds.report gen ~cost:1.0)
+  let count classes = List.length (Thelpers.rounds classes) in
+  Alcotest.(check int) "empty" 0 (count []);
+  Alcotest.(check int) "group without properties dropped" 0
+    (count [ [ (1, []) ] ]);
+  Alcotest.(check int) "single round" 1 (count [ [ (1, props 1) ] ])
 
 let test_saturating_totals () =
   (* 17 groups x 14 properties each: the naive total saturates instead of
@@ -122,15 +99,51 @@ let test_saturating_totals () =
 let test_lazy_generation_of_huge_class () =
   (* a dependent class with a 14^10 product must still yield its first
      rounds instantly *)
-  let cls = [ List.init 10 (fun i -> (i, props 14)) ] in
-  let gen = Cse.Rounds.create cls in
-  for _ = 1 to 20 do
-    match Cse.Rounds.next gen with
-    | Some a -> Cse.Rounds.report gen ~cost:1.0;
-        Alcotest.(check int) "complete assignment" 10 (List.length a)
-    | None -> Alcotest.fail "expected a round"
-  done;
-  Alcotest.(check int) "generated 20" 20 (Cse.Rounds.generated gen)
+  let rounds =
+    Thelpers.rounds ~limit:20 [ List.init 10 (fun i -> (i, props 14)) ]
+  in
+  Alcotest.(check int) "probed 20" 20 (List.length rounds);
+  List.iter
+    (fun a -> Alcotest.(check int) "complete assignment" 10 (List.length a))
+    rounds
+
+let test_exhausted_stops_probes () =
+  (* 3 + (3 - 1) = 5 rounds; a budget out after n probes leaves n *)
+  let classes = [ [ (1, props 3) ]; [ (2, props 3) ] ] in
+  for n = 0 to 6 do
+    Alcotest.(check int)
+      (Printf.sprintf "exhausted after %d" n)
+      (min n 5)
+      (List.length (Thelpers.rounds ~limit:n classes))
+  done
+
+(* Two classes of three property sets and an incumbent of 45.  Class 1
+   (not last) scores 50, an aborted round, then 60; class 2 (last) skips
+   its all-initial round and scores 30, then 45. *)
+let test_bound_policy () =
+  let p1 = props 3 and p2 = props 3 in
+  let costs = [| 50.0; infinity; 60.0; 30.0; 45.0 |] in
+  let probed = ref [] in
+  Cse.Rounds.search
+    [ [ (1, p1) ]; [ (2, p2) ] ]
+    ~incumbent:45.0
+    ~exhausted:(fun () -> false)
+    ~probe:(fun a ~bound ->
+      probed := (a, bound) :: !probed;
+      costs.(List.length !probed - 1));
+  let probed = List.rev !probed in
+  let slack b = b *. (1.0 +. 1e-6) in
+  Alcotest.(check (list (float 0.0)))
+    "bounds: class 1 by its own best, class 2 by the global best"
+    [ infinity; slack 50.0; slack 50.0; slack 45.0; slack 30.0 ]
+    (List.map snd probed);
+  (* class 2 explores around class 1's best, never its aborted round *)
+  List.iteri
+    (fun i (a, _) ->
+      if i >= 3 then
+        Alcotest.(check bool) "class 1 frozen at its best" true
+          (Reqprops.equal (List.assoc 1 a) (List.nth p1 0)))
+    probed
 
 let () =
   Alcotest.run "rounds"
@@ -144,8 +157,10 @@ let () =
           Alcotest.test_case "complete assignments" `Quick test_every_round_is_complete;
           Alcotest.test_case "no duplicates" `Quick test_no_duplicate_assignments;
           Alcotest.test_case "degenerate inputs" `Quick test_empty_and_degenerate;
-          Alcotest.test_case "report guard" `Quick test_report_without_next_rejected;
           Alcotest.test_case "saturating totals" `Quick test_saturating_totals;
           Alcotest.test_case "lazy huge class" `Quick test_lazy_generation_of_huge_class;
+          Alcotest.test_case "exhausted stops probes" `Quick
+            test_exhausted_stops_probes;
+          Alcotest.test_case "bound policy" `Quick test_bound_policy;
         ] );
     ]

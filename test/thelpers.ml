@@ -77,6 +77,17 @@ let distinct_count_op name plan =
   go plan;
   !count
 
+(* The assignments [Rounds.search] probes, in order, each answered
+   [cost_of]; the budget runs out after [limit] probes. *)
+let rounds ?(limit = max_int) ?(cost_of = fun _ -> 1.0) classes =
+  let seen = ref [] in
+  Cse.Rounds.search classes ~incumbent:infinity
+    ~exhausted:(fun () -> List.length !seen >= limit)
+    ~probe:(fun a ~bound:_ ->
+      seen := a :: !seen;
+      cost_of a);
+  List.rev !seen
+
 let colset = Relalg.Colset.of_list
 
 (* Alcotest testables *)
