@@ -9,6 +9,10 @@
    machines while still catching a plan-quality or search-effort
    regression the moment it lands.
 
+   In every mode, each compared fresh workload's [cse_cost] must also be
+   at most its [conventional_cost]: the pipeline returns the cheapest of
+   its conventional, phase-1 and phase-2 plans.
+
    Three further modes:
 
    - [--equivalence] compares only the plan-quality fields (the costs).
@@ -59,10 +63,8 @@ let fail fmt =
 (* The workloads of a bench document, by name. *)
 let load path =
   let text =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg -> fail "%s" msg
   in
   let doc =
     try Sobs.Json.parse text
@@ -180,6 +182,16 @@ let () =
        optimizer behaviour: gate only the executor figures *)
     | ExecPerf _ -> []
   in
+  List.iter
+    (fun (name, w) ->
+      if wanted name then
+        match (field w (opt "cse_cost"), field w (opt "conventional_cost")) with
+        | Some c, Some v when c <= v -> ()
+        | Some c, Some v ->
+            report "%-5s cse_cost %.17g above conventional_cost %.17g\n" name
+              c v
+        | _ -> report "%-5s cse_cost or conventional_cost missing\n" name)
+    fresh;
   List.iter
     (fun (name, fresh_w) ->
       match List.assoc_opt name baseline with

@@ -19,16 +19,22 @@
 
 open Cmdliner
 
+(* The contents of a file named on the command line.  cmdliner's [file]
+   converter only checks that the path exists, so a directory or an
+   unreadable file is a one-line CLI error here. *)
+let read_file f =
+  match In_channel.with_open_bin f In_channel.input_all with
+  | s -> Ok s
+  | exception Sys_error msg ->
+      Error
+        (`Msg (if String.starts_with ~prefix:f msg then msg else f ^ ": " ^ msg))
+
 (* The script to run and a fresh catalog for it: a builtin's from the
    workload registry, a file's from the registry's text catalog. *)
 let read_script file builtin =
   match (file, builtin) with
   | Some f, None ->
-      let ic = open_in f in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok (s, Sworkload.Builtin.text_catalog s)
+      Result.map (fun s -> (s, Sworkload.Builtin.text_catalog s)) (read_file f)
   | None, Some name -> (
       match Sworkload.Builtin.find name with
       | Some w -> Ok (w.script, w.catalog ())
@@ -502,10 +508,7 @@ let serve_cmd =
           Ok
             (Sserve.Session.of_string
                (Sworkload.Session_gen.generate ~seed ~scripts:n ()))
-      | None, Some f ->
-          let ic = open_in f in
-          at_exit (fun () -> close_in_noerr ic);
-          Ok (fun () -> Sserve.Session.read ic)
+      | None, Some f -> Result.map Sserve.Session.of_string (read_file f)
       | None, None -> Ok (fun () -> Sserve.Session.read stdin)
     in
     Result.bind next @@ fun next ->
@@ -535,10 +538,7 @@ let serve_cmd =
 
 let check_trace_cmd =
   let f file =
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
+    Result.bind (read_file file) @@ fun s ->
     match Sobs.Trace.parse_doc s with
     | exception Sobs.Trace.Malformed msg -> Error (`Msg msg)
     | (ring, events) -> (

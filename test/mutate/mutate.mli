@@ -6,7 +6,7 @@
     relevant layer (which must be clean and must not already carry the
     expected code — no vacuous experiments), injects exactly one
     corruption and audits again.  {!verify} enforces the contract;
-    [test/test_mutation.ml] and the CI mutation step iterate {!all}. *)
+    [test/test_mutation.ml] iterates {!all}. *)
 
 type mutation = {
   mname : string;  (** unique label, [SAxxx what-was-corrupted] *)
