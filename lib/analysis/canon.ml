@@ -55,6 +55,8 @@ type ctx = {
 let create () =
   { ids = Hashtbl.create 256; shapes = Hashtbl.create 256; next = 0 }
 
+let copy c = { c with ids = Hashtbl.copy c.ids; shapes = Hashtbl.copy c.shapes }
+
 let intern ctx s =
   match Hashtbl.find_opt ctx.ids s with
   | Some i -> i

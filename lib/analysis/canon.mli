@@ -26,6 +26,9 @@ type ctx
 
 val create : unit -> ctx
 
+(** An independent copy, which numbers new terms as the original would. *)
+val copy : ctx -> ctx
+
 (** One script output: target file, canonical id of the producing
     expression, and (logical side only) the ORDER BY requirement. *)
 type out = { file : string; cid : int; order : (string * bool) list }

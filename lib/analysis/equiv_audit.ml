@@ -24,16 +24,16 @@ open Sphys
 
 (* ---- SA050 / SA051 / SA058: canonical equivalence --------------------- *)
 
-let canon_diags (dag : Slogical.Dag.t) (plan : Plan.t) =
-  let ctx = Canon.create () in
+(* [logical] is built once in [lctx]; each plan interns into a copy, so
+   its terms get the ids, and a mismatch the wording, of a fresh context. *)
+let canon_diags lctx logical (plan : Plan.t) =
+  let ctx = Canon.copy lctx in
   match
-    let louts = Canon.of_logical ctx dag in
-    let pouts = Canon.of_physical ctx plan in
-    (louts, pouts)
+    Result.map (fun louts -> (louts, Canon.of_physical ctx plan)) logical
   with
-  | exception Canon.Unrepresentable msg ->
+  | Error msg | (exception Canon.Unrepresentable msg) ->
       [ Diag.make ~code:"SA051" ~loc:Diag.Whole msg ]
-  | louts, pouts ->
+  | Ok (louts, pouts) ->
       let lfiles =
         List.sort String.compare (List.map (fun o -> o.Canon.file) louts)
       in
@@ -101,9 +101,7 @@ let canon_diags (dag : Slogical.Dag.t) (plan : Plan.t) =
 
 (* ---- SA052: column lineage -------------------------------------------- *)
 
-let lineage_diags (dag : Slogical.Dag.t) (plan : Plan.t) =
-  let ctx = Lineage.create () in
-  let louts = Lineage.of_dag ctx dag in
+let lineage_diags ctx louts (plan : Plan.t) =
   let pouts = Lineage.of_plan ctx plan in
   List.concat_map
     (fun (file, lenv) ->
@@ -142,18 +140,15 @@ let lineage_diags (dag : Slogical.Dag.t) (plan : Plan.t) =
 (* Walk physically distinct plan nodes once. *)
 let distinct_nodes (plan : Plan.t) =
   let seen = Plan.Tbl.create 64 in
-  let order = ref [] in
-  let rec go (n : Plan.t) =
-    if not (Plan.Tbl.mem seen n) then begin
+  let rec go acc (n : Plan.t) =
+    if Plan.Tbl.mem seen n then acc
+    else (
       Plan.Tbl.add seen n ();
-      order := n :: !order;
-      List.iter go n.Plan.children
-    end
+      List.fold_left go (n :: acc) n.Plan.children)
   in
-  go plan;
-  List.rev !order
+  List.rev (go [] plan)
 
-let enforcer_diags (plan : Plan.t) =
+let enforcer_diags nodes =
   List.concat_map
     (fun (n : Plan.t) ->
       let transparent =
@@ -170,7 +165,7 @@ let enforcer_diags (plan : Plan.t) =
                  (Schema.to_string c.Plan.schema));
           ]
       | _ -> [])
-    (distinct_nodes plan)
+    nodes
 
 (* Columns an operator reads from the child in slot [i]. *)
 let columns_read (n : Plan.t) i =
@@ -205,7 +200,7 @@ let columns_read (n : Plan.t) i =
     ->
       Colset.empty
 
-let spool_read_diags (plan : Plan.t) =
+let spool_read_diags nodes =
   List.concat_map
     (fun (n : Plan.t) ->
       List.concat
@@ -226,13 +221,25 @@ let spool_read_diags (plan : Plan.t) =
                    ]
              | _ -> [])
            n.Plan.children))
-    (distinct_nodes plan)
+    nodes
 
 (* ---- entry points ----------------------------------------------------- *)
 
-let run ~(dag : Slogical.Dag.t) ~(plan : Plan.t) : Diag.t list =
-  canon_diags dag plan @ lineage_diags dag plan @ enforcer_diags plan
-  @ spool_read_diags plan
-
-let memo_lineage (memo : Smemo.Memo.t) : Diag.t list =
-  Lineage.of_memo (Lineage.create ()) memo
+(* The logical side is built once for all plans; lineage ids are plain
+   structural interning, so one context serves them all. *)
+let run ~(dag : Slogical.Dag.t) (plans : Plan.t list) : Diag.t list =
+  let canon = Canon.create () in
+  let logical =
+    try Ok (Canon.of_logical canon dag)
+    with Canon.Unrepresentable msg -> Error msg
+  in
+  let lineage = Lineage.create () in
+  let lenvs = Lineage.of_dag lineage dag in
+  List.concat_map
+    (fun plan ->
+      canon_diags canon logical plan
+      @ lineage_diags lineage lenvs plan
+      @
+      let nodes = distinct_nodes plan in
+      enforcer_diags nodes @ spool_read_diags nodes)
+    plans

@@ -1,4 +1,4 @@
-(** Cross-layer semantic-equivalence auditor (SA050–SA055, SA058).
+(** Cross-layer semantic-equivalence auditor (SA050–SA054, SA058).
 
     Proves, per script output, that a chosen physical plan is a semantic
     refinement of the bound logical DAG: canonical algebra forms coincide
@@ -7,8 +7,6 @@
     (SA053), spool consumers only read produced columns (SA054), and
     ORDER BY requirements are physically delivered (SA058). *)
 
-(** Audit one physical plan against the bound logical DAG. *)
-val run : dag:Slogical.Dag.t -> plan:Sphys.Plan.t -> Diag.t list
-
-(** SA055: memo groups whose expressions disagree on column lineage. *)
-val memo_lineage : Smemo.Memo.t -> Diag.t list
+(** Audit each physical plan, in order, against the bound logical DAG,
+    whose canonical forms and lineage are built once for all of them. *)
+val run : dag:Slogical.Dag.t -> Sphys.Plan.t list -> Diag.t list

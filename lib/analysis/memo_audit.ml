@@ -107,23 +107,20 @@ let reproduced_op_cost ~cluster (n : Plan.t) =
    visited once (the plan may be a DAG through shared spools). *)
 let cost_diags ~cluster ~loc (plan : Plan.t) =
   let seen = Plan.Tbl.create 64 in
-  let diags = ref [] in
-  let rec go (n : Plan.t) =
-    if not (Plan.Tbl.mem seen n) then begin
+  let rec go acc (n : Plan.t) =
+    if Plan.Tbl.mem seen n then acc
+    else (
       Plan.Tbl.add seen n ();
-      List.iter go n.Plan.children;
+      let acc = List.fold_left go acc n.Plan.children in
       let expected = reproduced_op_cost ~cluster n in
-      if not (close expected n.Plan.op_cost) then
-        diags :=
-          Diag.make ~code:"SA003" ~loc
-            (Printf.sprintf
-               "%s records op_cost %.6g, cost model reproduces %.6g"
-               (Physop.short_name n.Plan.op) n.Plan.op_cost expected)
-          :: !diags
-    end
+      if close expected n.Plan.op_cost then acc
+      else
+        Diag.make ~code:"SA003" ~loc
+          (Printf.sprintf "%s records op_cost %.6g, cost model reproduces %.6g"
+             (Physop.short_name n.Plan.op) n.Plan.op_cost expected)
+        :: acc)
   in
-  go plan;
-  List.rev !diags
+  List.rev (go [] plan)
 
 (* The SA003 and SA004 checks are local to a node and its direct
    children, so a winner passes them exactly when every distinct node of
@@ -152,102 +149,103 @@ let winner_loc (g : Smemo.Memo.group) (w : Smemo.Memo.winner) =
       Printf.sprintf "phase %d, %s" w.Smemo.Memo.wphase
         (Reqprops.to_string w.Smemo.Memo.wreq) )
 
-(* SA007 for the conventional pass's winner of a shared (spool) group:
-   the pass bypasses the spool, so the winner must be the spooled child's
-   phase-0 winner under the same requirement, node for node. *)
-let bypass_diags memo ~loc (g : Smemo.Memo.group) (w : Smemo.Memo.winner) =
-  let child = Smemo.Memo.group memo (List.hd (Smemo.Memo.group_children g)) in
-  let same (cw : Smemo.Memo.winner) =
-    cw.Smemo.Memo.wphase = 0
-    && Reqprops.equal cw.Smemo.Memo.wreq w.Smemo.Memo.wreq
-    && Option.equal ( == ) cw.Smemo.Memo.wplan w.Smemo.Memo.wplan
+(* The findings of one winner, [diag] wording each at the winner. *)
+let findings ~cluster ~clean memo (g : Smemo.Memo.group) winners
+    (w : Smemo.Memo.winner) =
+  let diag code msg = Diag.make ~code ~loc:(winner_loc g w) msg in
+  (* SA007 for the conventional pass's winner of a shared (spool) group:
+     the pass bypasses the spool, so the winner must be the spooled
+     child's phase-0 winner under the same requirement, node for node *)
+  let bypassed = w.Smemo.Memo.wphase = 0 && g.Smemo.Memo.shared in
+  let bypass =
+    if not bypassed then []
+    else
+      let child =
+        Smemo.Memo.group memo (List.hd (Smemo.Memo.group_children g))
+      in
+      let same (cw : Smemo.Memo.winner) =
+        cw.Smemo.Memo.wphase = 0
+        && Reqprops.equal cw.Smemo.Memo.wreq w.Smemo.Memo.wreq
+        && Option.equal ( == ) cw.Smemo.Memo.wplan w.Smemo.Memo.wplan
+      in
+      if List.exists same (Smemo.Memo.winners_of child) then []
+      else
+        [
+          diag "SA007"
+            (Printf.sprintf "conventional winner is not group %d's winner"
+               child.Smemo.Memo.id);
+        ]
   in
-  if List.exists same (Smemo.Memo.winners_of child) then []
-  else
-    [
-      Diag.make ~code:"SA007" ~loc:(Lazy.force loc)
-        (Printf.sprintf "conventional winner is not group %d's winner"
-           child.Smemo.Memo.id);
-    ]
+  bypass
+  @
+  match w.Smemo.Memo.wplan with
+  | Some p ->
+      let dirty = not (subtree_clean ~cluster clean p) in
+      (if bypassed || p.Plan.group = g.Smemo.Memo.id then []
+       else
+         [
+           diag "SA007"
+             (Printf.sprintf "winner root implements group %d" p.Plan.group);
+         ])
+      @ (match if dirty then Plan_check.validate p else Ok () with
+        | Ok () -> []
+        | Error errs ->
+            List.map
+              (fun e -> diag "SA004" (Plan_check.violations_to_string [ e ]))
+              errs)
+      @ (if Reqprops.satisfied p.Plan.props w.Smemo.Memo.wreq then []
+         else
+           [
+             diag "SA005"
+               (Printf.sprintf "winner delivers %s" (Props.to_string p.Plan.props));
+           ])
+      @ if dirty then cost_diags ~cluster ~loc:(winner_loc g w) p else []
+  | None -> (
+      (* an infeasibility marker must not be contradicted by a feasible
+         winner of the same group recorded in the same phase under the
+         same enforcement map (identical search space) *)
+      let contradicts (w' : Smemo.Memo.winner) =
+        w'.Smemo.Memo.wphase = w.Smemo.Memo.wphase
+        && w'.Smemo.Memo.wenforce = w.Smemo.Memo.wenforce
+        &&
+        match w'.Smemo.Memo.wplan with
+        | Some p' -> Reqprops.satisfied p'.Plan.props w.Smemo.Memo.wreq
+        | None -> false
+      in
+      match List.find_opt contradicts winners with
+      | Some w' ->
+          [
+            diag "SA006"
+              (Printf.sprintf
+                 "marked infeasible, but the winner for %s satisfies it"
+                 (Reqprops.to_string w'.Smemo.Memo.wreq));
+          ]
+      | None -> [])
 
+(* Findings in (phase, requirement key) order.  Almost every winner is
+   clean, so the key is built only for a winner with findings, and only
+   those are sorted: a stable sort of that subset keeps the order a
+   stable sort of every winner gives it. *)
 let winner_diags ~cluster ~clean memo (g : Smemo.Memo.group) =
   let winners = Smemo.Memo.winners_of g in
-  List.concat_map
+  List.filter_map
     (fun (w : Smemo.Memo.winner) ->
-      (* printed only once a diagnostic needs it *)
-      let loc = lazy (winner_loc g w) in
-      let bypassed = w.Smemo.Memo.wphase = 0 && g.Smemo.Memo.shared in
-      (if bypassed then bypass_diags memo ~loc g w else [])
-      @
-      match w.Smemo.Memo.wplan with
-      | Some p ->
-          let root_diags =
-            if bypassed || p.Plan.group = g.Smemo.Memo.id then []
-            else
-              [
-                Diag.make ~code:"SA007" ~loc:(Lazy.force loc)
-                  (Printf.sprintf "winner root implements group %d" p.Plan.group);
-              ]
-          in
-          let check_diags, cost_checks =
-            if subtree_clean ~cluster clean p then ([], [])
-            else
-              ( (match Plan_check.validate p with
-                | Ok () -> []
-                | Error errs ->
-                    List.map
-                      (fun e ->
-                        Diag.make ~code:"SA004" ~loc:(Lazy.force loc)
-                          (Plan_check.violations_to_string [ e ]))
-                      errs),
-                cost_diags ~cluster ~loc:(Lazy.force loc) p )
-          in
-          let req_diags =
-            if Reqprops.satisfied p.Plan.props w.Smemo.Memo.wreq then []
-            else
-              [
-                Diag.make ~code:"SA005" ~loc:(Lazy.force loc)
-                  (Printf.sprintf "winner delivers %s"
-                     (Props.to_string p.Plan.props));
-              ]
-          in
-          root_diags @ check_diags @ req_diags @ cost_checks
-      | None ->
-          (* an infeasibility marker must not be contradicted by a feasible
-             winner of the same group recorded in the same phase under the
-             same enforcement map (identical search space) *)
-          let contradiction =
-            List.find_opt
-              (fun (w' : Smemo.Memo.winner) ->
-                w'.Smemo.Memo.wphase = w.Smemo.Memo.wphase
-                && w'.Smemo.Memo.wenforce = w.Smemo.Memo.wenforce
-                &&
-                match w'.Smemo.Memo.wplan with
-                | Some p' -> Reqprops.satisfied p'.Plan.props w.Smemo.Memo.wreq
-                | None -> false)
-              winners
-          in
-          (match contradiction with
-          | Some w' ->
-              [
-                Diag.make ~code:"SA006" ~loc:(Lazy.force loc)
-                  (Printf.sprintf
-                     "marked infeasible, but the winner for %s satisfies it"
-                     (Reqprops.to_string w'.Smemo.Memo.wreq));
-              ]
-          | None -> []))
-    (* sort on a key built once per winner, not twice per comparison *)
-    (List.map
-       (fun (w : Smemo.Memo.winner) ->
-         ((w.Smemo.Memo.wphase, Reqprops.to_key w.Smemo.Memo.wreq), w))
-       winners
-    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd)
+      match findings ~cluster ~clean memo g winners w with
+      | [] -> None
+      | ds ->
+          Some ((w.Smemo.Memo.wphase, Reqprops.to_key w.Smemo.Memo.wreq), ds))
+    winners
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.concat_map snd
 
 let run ~cluster (memo : Smemo.Memo.t) : Diag.t list =
   let cycles = cycle_diags memo in
   let live = Smemo.Memo.reachable memo in
-  let clean = Plan.Tbl.create 1024 in
+  (* about one distinct node per winner: sized never to rehash *)
+  let winners = ref 0 in
+  Smemo.Memo.iter_groups memo (fun g ->
+      winners := !winners + Hashtbl.length g.Smemo.Memo.winners);
+  let clean = Plan.Tbl.create !winners in
   let rest_rev = ref [] in
   Smemo.Memo.iter_groups memo (fun g ->
       if live.(g.Smemo.Memo.id) then

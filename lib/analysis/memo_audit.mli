@@ -12,9 +12,9 @@
     root must implement the audited group (SA007) — except a
     conventional-pass (phase 0) winner of a shared group, which must be
     the spooled child's phase-0 winner under the same requirement
-    (SA007) — and every infeasibility
-    marker is checked against feasible winners of the same group, phase and
-    enforcement map (SA006).
+    (SA007) — and every infeasibility marker is checked against feasible
+    winners of the same group, phase and enforcement map (SA006).  A
+    group's winner findings come in (phase, requirement key) order.
 
     The SA003/SA004 verdict is memoized per distinct plan node (by
     physical identity) within one {!run}, so winners sharing subplans

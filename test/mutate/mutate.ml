@@ -541,7 +541,7 @@ let equiv_mutation mname mcode corrupt =
       let _, _, r = fresh () in
       let dag = r.Cse.Pipeline.dag in
       let plan = ref r.Cse.Pipeline.cse_plan in
-      ( (fun () -> Equiv_audit.run ~dag ~plan:!plan),
+      ( (fun () -> Equiv_audit.run ~dag [ !plan ]),
         fun () -> plan := corrupt r dag !plan ))
 
 let sa050_file =
@@ -643,7 +643,7 @@ let sa055 =
   mutation "SA055 memo expression with divergent lineage" "SA055" (fun () ->
       let _, _, r = fresh () in
       let memo = r.Cse.Pipeline.memo in
-      ( (fun () -> Equiv_audit.memo_lineage memo),
+      ( (fun () -> Lineage.of_memo (Lineage.create ()) memo),
         fun () ->
           let g, e, keys, aggs = group_by_group memo in
           let twisted =

@@ -67,47 +67,107 @@ let test_random_clean () =
 
 (* --- memo auditor: the memoized walk against a per-winner reference ------ *)
 
-(* The SA003/SA004 findings of the memo audit, rebuilt the slow way: every
-   feasible winner of every live group runs through the whole-plan
-   checker and the cost reproduction on its own, without sharing any
-   verdict with the other winners. *)
+(* The winner findings of the memo audit (SA003-SA007), rebuilt the slow
+   way: every winner of every live group, in (phase, requirement key)
+   order, is checked on its own -- a feasible one through the whole-plan
+   checker and the cost reproduction -- without sharing any verdict with
+   the other winners. *)
 let per_winner_reference ~cluster memo =
   let live = Smemo.Memo.reachable memo in
   let out = ref [] in
   Smemo.Memo.iter_groups memo (fun g ->
       if live.(g.Smemo.Memo.id) then
+        let winners = Smemo.Memo.winners_of g in
         List.stable_sort
           (fun (a : Smemo.Memo.winner) b ->
             compare
               (a.Smemo.Memo.wphase, Reqprops.to_key a.Smemo.Memo.wreq)
               (b.Smemo.Memo.wphase, Reqprops.to_key b.Smemo.Memo.wreq))
-          (Smemo.Memo.winners_of g)
+          winners
         |> List.iter (fun (w : Smemo.Memo.winner) ->
-               match w.Smemo.Memo.wplan with
-               | None -> ()
-               | Some p ->
-                   let loc = Sanalysis.Memo_audit.winner_loc g w in
-                   let checks =
-                     match Plan_check.validate p with
-                     | Ok () -> []
-                     | Error errs ->
-                         List.map
-                           (fun e ->
-                             Sanalysis.Diag.make ~code:"SA004" ~loc
-                               (Plan_check.violations_to_string [ e ]))
-                           errs
+               let loc = Sanalysis.Memo_audit.winner_loc g w in
+               let diag code msg = Sanalysis.Diag.make ~code ~loc msg in
+               let bypassed = w.Smemo.Memo.wphase = 0 && g.Smemo.Memo.shared in
+               let bypass =
+                 if not bypassed then []
+                 else
+                   let child =
+                     Smemo.Memo.group memo (List.hd (Smemo.Memo.group_children g))
                    in
-                   out :=
-                     List.rev_append
-                       (checks @ Sanalysis.Memo_audit.cost_diags ~cluster ~loc p)
-                       !out));
+                   if
+                     List.exists
+                       (fun (cw : Smemo.Memo.winner) ->
+                         cw.Smemo.Memo.wphase = 0
+                         && Reqprops.equal cw.Smemo.Memo.wreq w.Smemo.Memo.wreq
+                         && Option.equal ( == ) cw.Smemo.Memo.wplan
+                              w.Smemo.Memo.wplan)
+                       (Smemo.Memo.winners_of child)
+                   then []
+                   else
+                     [
+                       diag "SA007"
+                         (Printf.sprintf
+                            "conventional winner is not group %d's winner"
+                            child.Smemo.Memo.id);
+                     ]
+               in
+               let own =
+                 match w.Smemo.Memo.wplan with
+                 | Some p ->
+                     (if bypassed || p.Plan.group = g.Smemo.Memo.id then []
+                      else
+                        [
+                          diag "SA007"
+                            (Printf.sprintf "winner root implements group %d"
+                               p.Plan.group);
+                        ])
+                     @ (match Plan_check.validate p with
+                       | Ok () -> []
+                       | Error errs ->
+                           List.map
+                             (fun e ->
+                               diag "SA004" (Plan_check.violations_to_string [ e ]))
+                             errs)
+                     @ (if Reqprops.satisfied p.Plan.props w.Smemo.Memo.wreq then []
+                        else
+                          [
+                            diag "SA005"
+                              (Printf.sprintf "winner delivers %s"
+                                 (Props.to_string p.Plan.props));
+                          ])
+                     @ Sanalysis.Memo_audit.cost_diags ~cluster ~loc p
+                 | None -> (
+                     match
+                       List.find_opt
+                         (fun (w' : Smemo.Memo.winner) ->
+                           w'.Smemo.Memo.wphase = w.Smemo.Memo.wphase
+                           && w'.Smemo.Memo.wenforce = w.Smemo.Memo.wenforce
+                           &&
+                           match w'.Smemo.Memo.wplan with
+                           | Some p' ->
+                               Reqprops.satisfied p'.Plan.props w.Smemo.Memo.wreq
+                           | None -> false)
+                         winners
+                     with
+                     | Some w' ->
+                         [
+                           diag "SA006"
+                             (Printf.sprintf
+                                "marked infeasible, but the winner for %s \
+                                 satisfies it"
+                                (Reqprops.to_string w'.Smemo.Memo.wreq));
+                         ]
+                     | None -> [])
+               in
+               out := List.rev_append (bypass @ own) !out));
   List.rev !out
+
+let winner_codes = [ "SA003"; "SA004"; "SA005"; "SA006"; "SA007" ]
 
 let memo_audit_matches_reference name ~cluster memo =
   let memoized =
     List.filter
-      (fun (d : Sanalysis.Diag.t) ->
-        d.Sanalysis.Diag.code = "SA003" || d.Sanalysis.Diag.code = "SA004")
+      (fun (d : Sanalysis.Diag.t) -> List.mem d.Sanalysis.Diag.code winner_codes)
       (Sanalysis.Memo_audit.run ~cluster memo)
   in
   let reference = per_winner_reference ~cluster memo in
@@ -143,8 +203,77 @@ let test_memo_audit_reference () =
       findings := !findings + List.length (per_winner_reference ~cluster memo);
       memo_audit_matches_reference name ~cluster memo)
     corrupted;
-  Alcotest.(check bool) "corruptions produce SA003/SA004 findings" true
+  Alcotest.(check bool) "corruptions produce winner findings" true
     (!findings > 0)
+
+(* Two winners of one group corrupted so that both carry an SA003
+   finding, picked so that the winners table lists them against
+   (phase, requirement key) order: the audit must report them in that
+   order all the same, and agree with the reference. *)
+let test_memo_audit_order () =
+  let _, cluster, r = raw_report Sworkload.Paper_scripts.s1 in
+  let memo = r.Cse.Pipeline.memo in
+  let live = Smemo.Memo.reachable memo in
+  let key (w : Smemo.Memo.winner) =
+    (w.Smemo.Memo.wphase, Reqprops.to_key w.Smemo.Memo.wreq)
+  in
+  let rec descending = function
+    | ((_, a) as ka) :: ((((_, b) as kb) :: _) as rest) ->
+        if compare (key a) (key b) > 0 then Some (ka, kb) else descending rest
+    | _ -> None
+  in
+  let pick = ref None in
+  Smemo.Memo.iter_groups memo (fun g ->
+      if !pick = None && live.(g.Smemo.Memo.id) then
+        (* the table's own order, the one [Memo.winners_of] lists *)
+        Hashtbl.fold
+          (fun k (w : Smemo.Memo.winner) acc ->
+            if w.Smemo.Memo.wplan = None then acc else (k, w) :: acc)
+          g.Smemo.Memo.winners []
+        |> descending
+        |> Option.iter (fun pair -> pick := Some (g, pair)));
+  let g, ((ka, a), (kb, b)) =
+    match !pick with
+    | Some p -> p
+    | None -> Alcotest.fail "no group lists two feasible winners out of order"
+  in
+  List.iter
+    (fun (k, (w : Smemo.Memo.winner)) ->
+      let p = Option.get w.Smemo.Memo.wplan in
+      Hashtbl.replace g.Smemo.Memo.winners k
+        {
+          w with
+          Smemo.Memo.wplan = Some { p with Plan.op_cost = p.Plan.op_cost +. 1.0e6 };
+        })
+    [ (ka, a); (kb, b) ];
+  let locs =
+    List.filter_map
+      (fun (d : Sanalysis.Diag.t) ->
+        if d.Sanalysis.Diag.code = "SA003" then Some d.Sanalysis.Diag.loc
+        else None)
+      (Sanalysis.Memo_audit.run ~cluster memo)
+  in
+  Alcotest.(check bool) "b's finding before a's" true
+    (locs
+    = [ Sanalysis.Memo_audit.winner_loc g b; Sanalysis.Memo_audit.winner_loc g a ]);
+  memo_audit_matches_reference "two corrupted winners of one group" ~cluster memo
+
+(* --- allocation of the deep audit ------------------------------------------ *)
+
+(* Minor words are exactly reproducible where walls are not: the deep
+   audit of LS2 must stay a fraction of the search it checks. *)
+let test_audit_allocation () =
+  let script, catalog = Thelpers.builtin "LS2" in
+  let cluster = Scost.Cluster.default in
+  let r = Cse.Pipeline.run ~cluster ~catalog script in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Sanalysis.Audit.report ~deep:true ~cluster ~catalog r));
+  let words = Gc.minor_words () -. before in
+  (* the audit allocated 20.56 M minor words when it built a sort key
+     for every winner and canonicalized the logical DAG once per plan *)
+  if words > 10.0e6 then
+    Alcotest.failf "deep audit of LS2 allocated %.2f M minor words (bound 10 M)"
+      (words /. 1e6)
 
 (* --- negative: memo auditor --------------------------------------------- *)
 
@@ -788,6 +917,9 @@ let () =
           Alcotest.test_case "random scripts" `Slow test_random_clean;
           Alcotest.test_case "memo audit = per-winner reference" `Slow
             test_memo_audit_reference;
+          Alcotest.test_case "memo audit reports in requirement order" `Quick
+            test_memo_audit_order;
+          Alcotest.test_case "audit allocation" `Slow test_audit_allocation;
         ] );
       ( "memo auditor",
         [
