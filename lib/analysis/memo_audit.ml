@@ -106,21 +106,18 @@ let reproduced_op_cost ~cluster (n : Plan.t) =
    reproduce from the cost model over its children.  Distinct nodes are
    visited once (the plan may be a DAG through shared spools). *)
 let cost_diags ~cluster ~loc (plan : Plan.t) =
-  let seen = Plan.Tbl.create 64 in
-  let rec go acc (n : Plan.t) =
-    if Plan.Tbl.mem seen n then acc
-    else (
-      Plan.Tbl.add seen n ();
-      let acc = List.fold_left go acc n.Plan.children in
+  let diags = ref [] in
+  Plan.iter_distinct
+    (fun n ->
       let expected = reproduced_op_cost ~cluster n in
-      if close expected n.Plan.op_cost then acc
-      else
-        Diag.make ~code:"SA003" ~loc
-          (Printf.sprintf "%s records op_cost %.6g, cost model reproduces %.6g"
-             (Physop.short_name n.Plan.op) n.Plan.op_cost expected)
-        :: acc)
-  in
-  List.rev (go [] plan)
+      if not (close expected n.Plan.op_cost) then
+        diags :=
+          Diag.make ~code:"SA003" ~loc
+            (Printf.sprintf "%s records op_cost %.6g, cost model reproduces %.6g"
+               (Physop.short_name n.Plan.op) n.Plan.op_cost expected)
+          :: !diags)
+    [ plan ];
+  List.rev !diags
 
 (* The SA003 and SA004 checks are local to a node and its direct
    children, so a winner passes them exactly when every distinct node of
@@ -241,11 +238,7 @@ let winner_diags ~cluster ~clean memo (g : Smemo.Memo.group) =
 let run ~cluster (memo : Smemo.Memo.t) : Diag.t list =
   let cycles = cycle_diags memo in
   let live = Smemo.Memo.reachable memo in
-  (* about one distinct node per winner: sized never to rehash *)
-  let winners = ref 0 in
-  Smemo.Memo.iter_groups memo (fun g ->
-      winners := !winners + Hashtbl.length g.Smemo.Memo.winners);
-  let clean = Plan.Tbl.create !winners in
+  let clean = Plan.Tbl.create 64 in
   let rest_rev = ref [] in
   Smemo.Memo.iter_groups memo (fun g ->
       if live.(g.Smemo.Memo.id) then

@@ -26,6 +26,7 @@ type t = {
   op_cost : float; (* this operator's own estimated cost *)
   sbase : float; (* region operator-cost total (spools excluded) *)
   srefs : (t * int) list; (* spools referenced by the region, with counts *)
+  id : int; (* process-wide, from [make]: the node's identity for [Tbl] *)
 }
 
 (* The region a child contributes to its parent: a spool child is a
@@ -47,6 +48,8 @@ let add_refs acc refs =
       add acc)
     acc refs
 
+let next_id = Atomic.make 0
+
 let make ?out_cols ~op ~children ~group ~schema ~stats ~op_cost () =
   let props =
     Physop.deliver ?out_cols op schema (List.map (fun c -> c.props) children)
@@ -59,18 +62,25 @@ let make ?out_cols ~op ~children ~group ~schema ~stats ~op_cost () =
   let srefs =
     List.fold_left (fun acc c -> add_refs acc (snd (region c))) [] children
   in
-  { op; children; group; schema; props; stats; op_cost; sbase; srefs }
+  let id = Atomic.fetch_and_add next_id 1 in
+  { op; children; group; schema; props; stats; op_cost; sbase; srefs; id }
 
-(* Physical-identity tables: two keys are equal only when they are the
-   same node, so a walk keyed on them visits each distinct node of a plan
-   DAG once.  The hash reads immutable fields only, so it is stable for a
-   node's lifetime. *)
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = ( == )
-  let hash n = Hashtbl.hash (n.group, n.op_cost, n.sbase)
+  let hash n = n.id
 end)
+
+let iter_distinct f roots =
+  let seen = Tbl.create 64 in
+  let rec go n =
+    if not (Tbl.mem seen n) then (
+      Tbl.add seen n ();
+      List.iter go n.children;
+      f n)
+  in
+  List.iter go roots
 
 (* Fold over every node (parents after children); shared subtrees are
    visited once per reference. *)

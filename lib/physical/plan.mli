@@ -22,6 +22,10 @@ type t = {
   srefs : (t * int) list;
       (** distinct spool plans referenced by the region (physical
           identity), with reference counts, in first-reference order *)
+  id : int;
+      (** the node's identity, drawn by {!make} from one process-wide
+          counter and hashed by {!Tbl}; a [{ n with ... }] copy shares it
+          but stays a distinct key. Never printed or used to order output. *)
 }
 
 (** The region summary a child contributes to its parent: a spool child is
@@ -42,10 +46,13 @@ val make :
   unit ->
   t
 
-(** Hash tables keyed by physical identity ([==]): a walk that records
-    visited nodes in one visits each distinct node of a plan DAG once,
-    at O(1) per lookup. *)
+(** Hash tables keyed by physical identity ([==]), hashed on [id]. *)
 module Tbl : Hashtbl.S with type key = t
+
+(** [iter_distinct f roots] applies [f] once to each distinct node
+    (physical identity) reachable from [roots]: children before their
+    parent, children left to right, roots in order. *)
+val iter_distinct : (t -> unit) -> t list -> unit
 
 (** Fold over every node, children before parents; shared subtrees are
     visited once per reference. *)

@@ -44,15 +44,14 @@ let to_dot ?(name = "plan") (t : Plan.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
   Buffer.add_string buf "  node [shape=box, fontname=\"monospace\"];\n";
-  let ids : (int * Plan.t) list ref = ref [] in
-  let fresh = ref 0 in
+  let ids = Plan.Tbl.create 64 in
   let node_id (n : Plan.t) =
-    match List.find_opt (fun (_, p) -> p == n) !ids with
-    | Some (i, _) -> (i, true)
+    match Plan.Tbl.find_opt ids n with
+    | Some i -> (i, true)
     | None ->
-        incr fresh;
-        ids := (!fresh, n) :: !ids;
-        (!fresh, false)
+        let i = Plan.Tbl.length ids + 1 in
+        Plan.Tbl.add ids n i;
+        (i, false)
   in
   let escape s = String.concat "\\\"" (String.split_on_char '"' s) in
   let rec go (n : Plan.t) =

@@ -170,17 +170,13 @@ let sum_counters lists =
 
 (* Distinct spool nodes (physical identity) reachable from [roots]. *)
 let spool_set roots =
-  let visited = Sphys.Plan.Tbl.create 64 in
   let spools = ref [] in
-  let rec go (n : Sphys.Plan.t) =
-    if not (Sphys.Plan.Tbl.mem visited n) then (
-      Sphys.Plan.Tbl.add visited n ();
-      (match n.Sphys.Plan.op with
+  Sphys.Plan.iter_distinct
+    (fun n ->
+      match n.Sphys.Plan.op with
       | Sphys.Physop.P_spool -> spools := n :: !spools
-      | _ -> ());
-      List.iter go n.Sphys.Plan.children)
-  in
-  List.iter go roots;
+      | _ -> ())
+    roots;
   !spools
 
 (* Split [xs] into consecutive slices of the given lengths; [None] when

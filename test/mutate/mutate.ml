@@ -258,16 +258,19 @@ let sa003_shared =
             in
             go p)
           winners;
-        let victim, reach =
-          Plan.Tbl.fold
-            (fun n gs ((_, best) as acc) ->
-              let k = List.length gs in
-              if k > best then (Some n, k) else acc)
-            groups (None, 0)
-        in
+        (* the first most-reached node in walk order over the winners, so
+           the victim depends on the memo alone, not on table layout *)
+        let victim = ref None and reach = ref 0 in
+        Plan.iter_distinct
+          (fun n ->
+            let k = List.length (Plan.Tbl.find groups n) in
+            if k > !reach then (
+              victim := Some n;
+              reach := k))
+          (List.map (fun (_, _, _, p) -> p) winners);
         let victim =
-          match victim with
-          | Some n when reach >= 2 -> n
+          match !victim with
+          | Some n when !reach >= 2 -> n
           | _ -> die "mutation harness: no plan node shared across groups"
         in
         let bad = { victim with Plan.op_cost = victim.Plan.op_cost +. 1.0e6 } in

@@ -273,7 +273,8 @@ let test_audit_allocation () =
      for every winner and canonicalized the logical DAG once per plan *)
   if words > 10.0e6 then
     Alcotest.failf "deep audit of LS2 allocated %.2f M minor words (bound 10 M)"
-      (words /. 1e6)
+      (words /. 1e6);
+  Thelpers.assert_winner_buckets "LS2" r.Cse.Pipeline.memo
 
 (* --- negative: memo auditor --------------------------------------------- *)
 
@@ -903,11 +904,47 @@ let test_diag_framework () =
     "lint-summary errors=1 warnings=1 SA001=1 SA011=1\n"
     (Fmt.str "%a" Sanalysis.Diag.pp_summary [ d1; d2 ])
 
+(* The codes of DESIGN.md's SA catalog table are exactly the codes of
+   the registry ([lint --list-codes] prints [Diag.pp_catalog]).  The
+   suite's dune stanza declares DESIGN.md a dependency, so dune copies it
+   beside the test directory. *)
+let test_design_catalog () =
+  let path =
+    Filename.concat (Filename.dirname Sys.executable_name) "../DESIGN.md"
+  in
+  let first_word line = List.hd (String.split_on_char ' ' line) in
+  let documented =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.fold_left
+         (fun (inside, codes) line ->
+           if line = "### SA catalog" then (true, codes)
+           else if String.starts_with ~prefix:"#" line then (false, codes)
+           else if inside && String.starts_with ~prefix:"| SA" line then
+             (inside, first_word (String.sub line 2 (String.length line - 2))
+                      :: codes)
+           else (inside, codes))
+         (false, [])
+    |> snd
+  in
+  let registered =
+    Fmt.str "%a" Sanalysis.Diag.pp_catalog ()
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"SA")
+    |> List.map first_word
+  in
+  Alcotest.(check (list string))
+    "DESIGN.md's SA catalog lists the registry's codes, each once"
+    (List.sort compare registered) (List.sort compare documented)
+
 let () =
   Alcotest.run "analysis"
     [
       ( "framework",
-        [ Alcotest.test_case "diag basics" `Quick test_diag_framework ] );
+        [
+          Alcotest.test_case "diag basics" `Quick test_diag_framework;
+          Alcotest.test_case "DESIGN.md SA catalog" `Quick test_design_catalog;
+        ] );
       ( "clean audits",
         [
           Alcotest.test_case "builtins at 4 and 25 machines" `Quick

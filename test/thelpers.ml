@@ -30,6 +30,22 @@ let assert_valid_plan name plan =
       Alcotest.failf "%s: invalid plan:\n%s" name
         (Sphys.Plan_check.violations_to_string errs)
 
+(* Fail when more than 16 distinct nodes of the memo's winners share one
+   [Plan.Tbl] bucket: the table's hash must tell the nodes apart. *)
+let assert_winner_buckets name memo =
+  let plans = ref [] in
+  Smemo.Memo.iter_groups memo (fun g ->
+      List.iter
+        (fun (w : Smemo.Memo.winner) ->
+          Option.iter (fun p -> plans := p :: !plans) w.Smemo.Memo.wplan)
+        (Smemo.Memo.winners_of g));
+  let t = Sphys.Plan.Tbl.create 64 in
+  Sphys.Plan.iter_distinct (fun n -> Sphys.Plan.Tbl.replace t n ()) !plans;
+  let longest = (Sphys.Plan.Tbl.stats t).Hashtbl.max_bucket_length in
+  if longest > 16 then
+    Alcotest.failf "%s: %d winner nodes share one Plan.Tbl bucket (bound 16)"
+      name longest
+
 (* Run the full pipeline on a script with the default catalog.  Tests run
    the full static-analysis audit on every optimized plan; pass
    [~audit:false] to skip. *)
