@@ -75,7 +75,6 @@ type exec_times = {
   e_width : int;  (* max stages per depth level: available parallelism *)
   e_wall1 : float;  (* measured, workers = 1, min of 3 reps *)
   e_walln : float;  (* measured, workers = n, min of 3 reps *)
-  e_busyn : float array;  (* per-worker busy seconds of the best rep at n *)
   e_model1 : float;  (* modeled makespan on 1 slot = sum of stage times *)
   e_modeln : float;  (* modeled makespan on n slots *)
 }
@@ -89,33 +88,25 @@ let exec_times ~workers (w : Builtin.t) (r : Cse.Pipeline.report) =
        first rep, so min-of-3 measures the steady state a long-running
        engine (serve mode) sees rather than paying datagen every rep. *)
     let engine = Sexec.Engine.create ~workers:wk ~machines:25 (w.catalog ()) in
-    let best = ref (infinity, [||], [||]) in
+    let best = ref None in
     Gc.compact ();
     for _ = 1 to 3 do
       ignore (Sexec.Engine.run engine r.cse_plan);
-      let wall, _, _ = !best in
-      if engine.last_wall < wall then
-        best := (engine.last_wall, engine.last_seconds, engine.last_busy)
+      let e = Sserve.Engine.exec_summary engine in
+      match !best with
+      | Some (b, _) when b.Cse.Pipeline.wall_s <= e.wall_s -> ()
+      | _ -> best := Some (e, engine.last_seconds)
     done;
-    (engine, !best)
+    Option.get !best
   in
-  let _, (wall1, seconds, _) = measure 1 in
-  let engine, (walln, _, busyn) = measure workers in
-  r.exec <-
-    Some
-      {
-        Cse.Pipeline.workers = engine.workers;
-        batch_size = engine.batch_size;
-        batches = engine.counters.batches;
-        wall_s = walln;
-        busy_s = busyn;
-      };
+  let e1, seconds = measure 1 in
+  let en, _ = measure workers in
+  r.exec <- Some en;
   {
     e_stages = Sexec.Stage.size graph;
     e_width = Sexec.Stage.width graph;
-    e_wall1 = wall1;
-    e_walln = walln;
-    e_busyn = busyn;
+    e_wall1 = e1.wall_s;
+    e_walln = en.wall_s;
     e_model1 = Sexec.Scheduler.modeled_makespan ~workers:1 ~seconds graph;
     e_modeln = Sexec.Scheduler.modeled_makespan ~workers ~seconds graph;
   }
@@ -314,7 +305,7 @@ let measured records =
          let check plan =
            let v = Sexec.Validate.check ~machines:25 (o.w.catalog ()) o.report.dag plan in
            assert v.ok;
-           v.counters
+           v.engine.counters
          in
          let c = check o.report.conventional_plan and e = check o.report.cse_plan in
          [
@@ -350,13 +341,13 @@ let faults records =
              (fun seed ->
                let v = check ~faults:(Sexec.Faults.spec ~rate:0.3 seed) () in
                assert (Sexec.Validate.identical_outputs base.outputs v.outputs);
-               v.counters)
+               v.engine.counters)
              [ 1; 2; 3; 4; 5 ]
          in
          let sum f = Int (List.fold_left (fun acc c -> acc + f c) 0 runs) in
          [
            Str o.w.name;
-           Int base.counters.stages_run;
+           Int base.engine.counters.stages_run;
            sum (fun c -> c.Sexec.Engine.retries);
            sum (fun c -> c.Sexec.Engine.partitions_lost);
            sum (fun c -> c.Sexec.Engine.recomputed_rows);
@@ -529,7 +520,7 @@ let json_of_record (o : record) =
         ("exec_workers", int e.workers);
         ("exec_wall_w1_s", num o.exec.e_wall1);
         ("exec_wall_wN_s", num o.exec.e_walln);
-        ("exec_busy_wN_s", num (Array.fold_left ( +. ) 0.0 o.exec.e_busyn));
+        ("exec_busy_wN_s", num (Array.fold_left ( +. ) 0.0 e.busy_s));
         ("exec_util_wN", num (Cse.Pipeline.utilization e));
         ("exec_batch_size", int e.batch_size);
         ("exec_batches", int e.batches);

@@ -318,34 +318,32 @@ let optimize run_exec =
       else begin
         (* each run's executor registry: its kernel rows under
            --profile-kernels *)
-        let print_profile (v : Sexec.Validate.outcome) =
+        let print_profile (e : Sexec.Engine.t) =
           if profile then
             say "%s"
               (Sobs.Metrics.to_prom
-                 (Sobs.Metrics.snapshot v.Sexec.Validate.metrics))
+                 (Sobs.Metrics.snapshot e.Sexec.Engine.metrics))
         in
         let v =
           Sexec.Validate.check ~verify_props:true ~workers ~batch_size
             ~machines catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
         in
-        attempts_acc := !attempts_acc @ [ v.Sexec.Validate.attempts ];
-        let summary = Sserve.Report.exec_summary v in
+        let e = v.Sexec.Validate.engine in
+        let c = e.Sexec.Engine.counters in
+        attempts_acc := !attempts_acc @ [ e.Sexec.Engine.last_attempts ];
         say
           "execution: results %s; %d rows shuffled, %d rows extracted, shared \
            results materialized %d time(s), read %d time(s)@."
           (if v.Sexec.Validate.ok then
              "match the reference (delivered properties verified)"
            else "MISMATCH")
-          v.Sexec.Validate.counters.Sexec.Engine.rows_shuffled
-          v.Sexec.Validate.counters.Sexec.Engine.rows_extracted
-          v.Sexec.Validate.counters.Sexec.Engine.spool_executions
-          v.Sexec.Validate.counters.Sexec.Engine.spool_reads;
+          c.Sexec.Engine.rows_shuffled c.Sexec.Engine.rows_extracted
+          c.Sexec.Engine.spool_executions c.Sexec.Engine.spool_reads;
         say "staged: %d stage(s), %d vertex executions@."
-          v.Sexec.Validate.counters.Sexec.Engine.stages_run
-          v.Sexec.Validate.counters.Sexec.Engine.vertices_run;
-        say "%a" Cse.Pipeline.pp_exec summary;
+          c.Sexec.Engine.stages_run c.Sexec.Engine.vertices_run;
+        say "%a" Cse.Pipeline.pp_exec (Sserve.Engine.exec_summary e);
         List.iter (fun m -> say "  %s@." m) v.Sexec.Validate.mismatches;
-        print_profile v;
+        print_profile e;
         (* the document describes the fault-free run *)
         print_report (Some v);
         let injected =
@@ -360,7 +358,8 @@ let optimize run_exec =
                       ~batch_size ~machines catalog r.Cse.Pipeline.dag
                       r.Cse.Pipeline.cse_plan
                   in
-                  attempts_acc := !attempts_acc @ [ vf.Sexec.Validate.attempts ];
+                  let ef = vf.Sexec.Validate.engine in
+                  attempts_acc := !attempts_acc @ [ ef.Sexec.Engine.last_attempts ];
                   let identical =
                     Sexec.Validate.identical_outputs v.Sexec.Validate.outputs
                       vf.Sexec.Validate.outputs
@@ -373,14 +372,14 @@ let optimize run_exec =
                     (if vf.Sexec.Validate.ok then ""
                      else "; reference MISMATCH");
                   say "%a" Cse.Pipeline.pp_counters
-                    (Sexec.Engine.named_counters vf.Sexec.Validate.counters);
+                    (Sexec.Engine.named_counters ef.Sexec.Engine.counters);
                   say "stage attempts: %s@."
                     (String.concat ","
                        (Array.to_list
-                          (Array.map string_of_int vf.Sexec.Validate.attempts)));
+                          (Array.map string_of_int ef.Sexec.Engine.last_attempts)));
                   List.iter (fun m -> say "  %s@." m)
                     vf.Sexec.Validate.mismatches;
-                  print_profile vf;
+                  print_profile ef;
                   if vf.Sexec.Validate.ok && identical then Ok ()
                   else Error (`Msg "fault-injected execution diverged"))
         in

@@ -38,7 +38,7 @@ let () =
     let v = Sexec.Validate.check ~machines:25 catalog r.Cse.Pipeline.dag plan in
     Fmt.pr "%s execution: %s (%d rows shuffled)@." name
       (if v.Sexec.Validate.ok then "matches the reference" else "MISMATCH")
-      v.Sexec.Validate.counters.Sexec.Engine.rows_shuffled
+      v.Sexec.Validate.engine.Sexec.Engine.counters.Sexec.Engine.rows_shuffled
   in
   check "conventional" r.Cse.Pipeline.conventional_plan;
   check "CSE" r.Cse.Pipeline.cse_plan

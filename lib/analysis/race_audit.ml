@@ -25,18 +25,6 @@ module Stage = Sexec.Stage
 
    Stage locations are reported as [Diag.Node] of the stage id. *)
 
-(* Boundary children of a stage interior (cross-stage reads), per
-   reference. *)
-let interior_boundaries (root : Plan.t) =
-  let acc = ref [] in
-  let rec walk (n : Plan.t) =
-    List.iter
-      (fun (c : Plan.t) -> if Stage.boundary c then acc := c :: !acc else walk c)
-      n.Plan.children
-  in
-  walk root;
-  List.rev !acc
-
 (* Transitive-dependency closure: [anc.(i).(j)] = stage [i] (transitively)
    depends on stage [j].  Stages are topologically ordered by id, so one
    left-to-right pass suffices; ids outside the array (already SA040
@@ -102,7 +90,7 @@ let read_diags (g : Stage.graph) =
                    st.Stage.id
                    (Physop.short_name b.Plan.op))
               :: !diags)
-        (interior_boundaries st.Stage.root))
+        (Stage_audit.interior_boundaries st.Stage.root))
     g.Stage.stages;
   List.rev !diags
 

@@ -9,6 +9,11 @@
     parallel wave scheduler's demand closure and sink-isolation rest on.
     Stage locations are reported as [Diag.Node] of the stage id. *)
 
+(** Boundary children of a stage interior, one per reference, in the
+    left-to-right depth-first order the engine's evaluator consumes
+    them: re-derived from the plan, not read from {!Sexec.Stage.build}. *)
+val interior_boundaries : Sphys.Plan.t -> Sphys.Plan.t list
+
 (** Audit an already-built stage graph against its plan.  With
     [~expect_spooled_sharing:false] (the conventional baseline, which
     shares winner subplans physically by design) SA042 is not emitted. *)

@@ -71,10 +71,11 @@ type report = {
           executor's ({!Sexec.Engine.named_counters}), not part of this
           list. *)
   mutable exec : exec_summary option;
-      (** execution summary of the CSE plan, filled in by two callers
-          that run it: the bench harness (for [bench/compare]'s
-          utilization and wall checks) and the serve engine (on each
-          session's report); [None] when the plans were only optimized *)
+      (** execution summary of the CSE plan, built by
+          [Sserve.Engine.exec_summary] and filled in by two callers that
+          run it: the bench harness (for [bench/compare]'s utilization
+          and wall checks) and the serve engine (on each session's
+          report); [None] when the plans were only optimized *)
 }
 
 (** Named counters as one "counters: name=value; ..." line. *)

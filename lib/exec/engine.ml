@@ -34,19 +34,21 @@ open Sphys
    and every batch kernel preserves the row engine's live-row order
    (chunking only changes framing — see [Batch]).
 
-   Counter discipline under parallelism: each stage execution accumulates
-   its stream counters (rows shuffled / extracted, spool traffic, batches
-   produced) in a private [tally], merged into the engine's totals under
-   a mutex when the stage finishes — addition commutes, so totals are
-   deterministic.  Property violations go to a per-stage slot (one writer
-   each) and are flattened in stage-id order after the run.  With fault
+   Counter discipline under parallelism: a run counts into one
+   [Scheduler.counters] record.  Each stage execution counts its stream
+   fields (rows shuffled / extracted, spool traffic, batches produced)
+   into a private copy, added into the run's record under a mutex when
+   the stage finishes; the scheduler counts stage and fault figures at
+   its commit barrier — addition commutes, so totals are deterministic.
+   Property violations go to a per-stage slot (one writer each) and are
+   flattened in stage-id order after the run.  With fault
    injection ([Faults]), cached partitions can be lost between stages and
    are recovered by recomputing the producing stage; [Validate] compares
    every output against the reference evaluator. *)
 
 type dist = { schema : Schema.t; parts : Batch.t list array }
 
-type counters = {
+type counters = Scheduler.counters = {
   mutable rows_shuffled : int;
   mutable rows_extracted : int;
   mutable spool_executions : int;
@@ -82,8 +84,9 @@ type t = {
   catalog : Catalog.t;
   (* when set, every run draws deterministic fault events from this spec *)
   faults : Faults.spec option;
-  counters : counters;
-  mu : Mutex.t;  (* guards [counters] merges from worker domains *)
+  (* the most recent run's counters: a fresh record per [run] *)
+  mutable counters : counters;
+  mu : Mutex.t;  (* guards [counters] additions from worker domains *)
   (* the engine's distributions: exec.batch_rows, exec.stage_rows,
      exec.stage_seconds, and exec.kernel_seconds when profiling *)
   metrics : Sobs.Metrics.t;
@@ -140,20 +143,7 @@ let create ?(verify_props = false) ?faults
     batch_size = max 1 batch_size;
     catalog;
     faults;
-    counters =
-      {
-        rows_shuffled = 0;
-        rows_extracted = 0;
-        spool_executions = 0;
-        spool_reads = 0;
-        batches = 0;
-        stages_run = 0;
-        vertices_run = 0;
-        retries = 0;
-        recomputed_rows = 0;
-        partitions_lost = 0;
-        machines_failed = 0;
-      };
+    counters = Scheduler.zero ();
     mu = Mutex.create ();
     metrics = Sobs.Metrics.create ();
     extract_mu = Mutex.create ();
@@ -186,36 +176,6 @@ let dist_of_parts schema (parts : Value.t array list array) : dist =
         (fun rows -> if rows = [] then [] else [ Batch.of_rows schema rows ])
         parts;
   }
-
-(* One stage execution's private stream counters; merged into the shared
-   totals under the engine mutex when the stage finishes, so worker
-   domains never race on [counters] and the totals (sums) are identical
-   at every worker count. *)
-type tally = {
-  mutable t_shuffled : int;
-  mutable t_extracted : int;
-  mutable t_spool_exec : int;
-  mutable t_spool_reads : int;
-  mutable t_batches : int;
-}
-
-let fresh_tally () =
-  {
-    t_shuffled = 0;
-    t_extracted = 0;
-    t_spool_exec = 0;
-    t_spool_reads = 0;
-    t_batches = 0;
-  }
-
-let merge_tally t (y : tally) =
-  Mutex.protect t.mu (fun () ->
-      let c = t.counters in
-      c.rows_shuffled <- c.rows_shuffled + y.t_shuffled;
-      c.rows_extracted <- c.rows_extracted + y.t_extracted;
-      c.spool_executions <- c.spool_executions + y.t_spool_exec;
-      c.spool_reads <- c.spool_reads + y.t_spool_reads;
-      c.batches <- c.batches + y.t_batches)
 
 (* Per-partition map across the pool: slot [m] is written only by the
    task that evaluated partition [m], so the result is schedule
@@ -251,7 +211,7 @@ let sort_part batch_size schema keys bs =
    one dense batch.  Exactly the arrival order the sequential single-pass
    row engine produced, at every worker count and batch size, with one
    column copy per received row. *)
-let exchange_on pool ~machines (tally : tally) (d : dist) cols =
+let exchange_on pool ~machines (counters : counters) (d : dist) cols =
   let key_idx =
     Array.of_list
       (List.map (fun c -> Schema.index c d.schema) (Colset.to_list cols))
@@ -268,7 +228,7 @@ let exchange_on pool ~machines (tally : tally) (d : dist) cols =
     if par then Sutil.Pool.parallel_init pool nsrc scatter_src
     else Array.init nsrc scatter_src
   in
-  tally.t_shuffled <- tally.t_shuffled + total;
+  counters.rows_shuffled <- counters.rows_shuffled + total;
   let gather_dst dst =
     let frags = ref [] in
     for src = nsrc - 1 downto 0 do
@@ -287,16 +247,30 @@ let exchange_on pool ~machines (tally : tally) (d : dist) cols =
   in
   { schema = d.schema; parts }
 
-(* Sequential convenience wrapper kept for tests and examples; merges the
-   shuffle count straight into the engine totals. *)
+(* Sequential convenience wrapper kept for tests and examples; counts
+   the shuffle straight into the engine's counters. *)
 let exchange t (d : dist) cols =
-  let tally = fresh_tally () in
-  let d' =
-    Sutil.Pool.with_pool ~workers:1 (fun pool ->
-        exchange_on pool ~machines:t.machines tally d cols)
+  Sutil.Pool.with_pool ~workers:1 (fun pool ->
+      exchange_on pool ~machines:t.machines t.counters d cols)
+
+(* Whether [rows] are ordered on [keys], (column index, direction) pairs
+   compared lexicographically with [Value.compare]. *)
+let rows_sorted keys rows =
+  let cmp a b =
+    let rec go = function
+      | [] -> 0
+      | (i, dir) :: rest ->
+          let c = Value.compare a.(i) b.(i) in
+          let c = match dir with Sortorder.Asc -> c | Sortorder.Desc -> -c in
+          if c <> 0 then c else go rest
+    in
+    go keys
   in
-  merge_tally t tally;
-  d'
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> cmp a b <= 0 && sorted rest
+    | _ -> true
+  in
+  sorted rows
 
 let pred_of_pairs pairs residual =
   let eqs =
@@ -371,22 +345,8 @@ let check_delivered viols (n : Plan.t) (d : dist) =
           where (Sortorder.to_string order)
           (List.length order - List.length idxs)
       else
-        let cmp a b =
-          let rec go = function
-            | [] -> 0
-            | (i, dir) :: rest ->
-                let c = Value.compare a.(i) b.(i) in
-                let c = match dir with Sortorder.Asc -> c | Sortorder.Desc -> -c in
-                if c <> 0 then c else go rest
-          in
-          go idxs
-        in
         for m = 0 to Array.length d.parts - 1 do
-          let rec sorted = function
-            | a :: (b :: _ as rest) -> cmp a b <= 0 && sorted rest
-            | _ -> true
-          in
-          if not (sorted (rows_of m)) then
+          if not (rows_sorted idxs (rows_of m)) then
             violation "%s: claims sort %s but machine %d is out of order"
               where (Sortorder.to_string order) m
         done
@@ -401,12 +361,13 @@ let check_delivered viols (n : Plan.t) (d : dist) =
 
    May run on any worker domain, concurrently with other stages: shared
    engine state is read-only here, stream counters go to the caller's
-   [tally], violations to the caller's [viols], and the per-machine loops
-   below fan out through [pool] writing disjoint slots.  The only
+   private [counters], violations to the caller's [viols], and the
+   per-machine loops below fan out through [pool] writing disjoint
+   slots.  The only
    exception is [outputs_rev], written by OUTPUT operators — those are
    confined to the sink stage, which the scheduler always runs in a wave
    of its own (every other stage is one of its transitive dependencies). *)
-let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
+let execute_stage t ~pool ~counters ~viols ~batch_rows ~is_sink
     (st : Stage.stage) ~read : dist =
   let deps = ref st.Stage.deps in
   (* stage label for the kernel profiler; [Profile.now]/[Profile.note]
@@ -423,7 +384,7 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
       | (b, sid) :: rest when b == c ->
           deps := rest;
           (match c.Plan.op with
-          | Physop.P_spool -> tally.t_spool_reads <- tally.t_spool_reads + 1
+          | Physop.P_spool -> counters.spool_reads <- counters.spool_reads + 1
           | _ -> ());
           read sid
       | _ -> invalid_arg "Engine: stage dependency consumed out of order"
@@ -470,7 +431,7 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
                   Hashtbl.add t.extract_cache key built;
                   built)
         in
-        tally.t_extracted <- tally.t_extracted + rows;
+        counters.rows_extracted <- counters.rows_extracted + rows;
         note "extract" t0;
         { schema = fschema; parts }
     | Physop.P_filter { pred } ->
@@ -571,7 +532,7 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
     | Physop.P_spool ->
         (* stage root: materialize once; consumers read through the
            scheduler cache and count spool_reads at their boundary *)
-        tally.t_spool_exec <- tally.t_spool_exec + 1;
+        counters.spool_executions <- counters.spool_executions + 1;
         eval_child (List.hd n.Plan.children)
     | Physop.P_output { file } ->
         if not is_sink then
@@ -590,14 +551,14 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
     | Physop.P_exchange { cols } ->
         let d = eval_child (List.hd n.Plan.children) in
         let t0 = Profile.now () in
-        let r = exchange_on pool ~machines:t.machines tally d cols in
+        let r = exchange_on pool ~machines:t.machines counters d cols in
         note "exchange" t0;
         r
     | Physop.P_merge_exchange { cols } ->
         let d = eval_child (List.hd n.Plan.children) in
         let t0 = Profile.now () in
         let child_sort = (List.hd n.Plan.children).Plan.props.Props.sort in
-        let ex = exchange_on pool ~machines:t.machines tally d cols in
+        let ex = exchange_on pool ~machines:t.machines counters d cols in
         (* merge the sorted runs: re-sorting each partition is equivalent *)
         let keys = sort_keys ex.schema child_sort in
         let r =
@@ -618,7 +579,7 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
         in
         let parts = empty_parts t in
         parts.(0) <- all;
-        tally.t_shuffled <- tally.t_shuffled + part_live all;
+        counters.rows_shuffled <- counters.rows_shuffled + part_live all;
         note "gather" t0;
         { schema = d.schema; parts }
   in
@@ -629,7 +590,7 @@ let execute_stage t ~pool ~tally ~viols ~batch_rows ~is_sink
   (* per-stage batch accounting over the committed output *)
   Array.iter
     (List.iter (fun b ->
-         tally.t_batches <- tally.t_batches + 1;
+         counters.batches <- counters.batches + 1;
          Sobs.Hist.observe batch_rows (float_of_int (Batch.live b))))
     d.parts;
   d
@@ -667,19 +628,22 @@ let execute t (plan : Plan.t) : dist =
     Sutil.Pool.with_pool ~workers:t.workers (fun pool ->
         let outcome =
           Scheduler.run ~machines:t.machines ~pool ?faults ~max_attempts
-            ~stage_seconds:(hist "exec.stage_seconds")
+            ~counters:t.counters ~stage_seconds:(hist "exec.stage_seconds")
             ~stage_rows:(hist "exec.stage_rows")
             ~execute:(fun st ~read ->
-              let tally = fresh_tally () in
+              let counters = Scheduler.zero () in
               let viols = ref [] in
               let d =
-                execute_stage t ~pool ~tally ~viols ~batch_rows
+                execute_stage t ~pool ~counters ~viols ~batch_rows
                   ~is_sink:(st.Stage.id = graph.Stage.sink)
                   st ~read
               in
               let sid = st.Stage.id in
               viol_slots.(sid) <- viol_slots.(sid) @ List.rev !viols;
-              merge_tally t tally;
+              (* private counters join the run's record under the
+                 mutex: worker domains never race on it, and sums are
+                 identical at every worker count *)
+              Mutex.protect t.mu (fun () -> Scheduler.add t.counters counters);
               d)
             ~rows:dist_rows graph
         in
@@ -692,21 +656,14 @@ let execute t (plan : Plan.t) : dist =
   t.prop_violations <-
     t.prop_violations
     @ List.concat (Array.to_list viol_slots);
-  let m = outcome.Scheduler.metrics in
-  let c = t.counters in
-  c.stages_run <- c.stages_run + m.Scheduler.stages_run;
-  c.vertices_run <- c.vertices_run + m.Scheduler.vertices_run;
-  c.retries <- c.retries + m.Scheduler.retries;
-  c.recomputed_rows <- c.recomputed_rows + m.Scheduler.recomputed_rows;
-  c.partitions_lost <- c.partitions_lost + m.Scheduler.partitions_lost;
-  c.machines_failed <- c.machines_failed + m.Scheduler.machines_failed;
   t.last_attempts <- outcome.Scheduler.attempts;
   t.last_seconds <- outcome.Scheduler.seconds;
   outcome.Scheduler.result
 
 (* Run a root plan; returns the outputs in OUTPUT order.  Every per-run
    accumulator is reset first, so a reused engine starts clean: no stale
-   outputs or violations, counters covering exactly this run. *)
+   outputs or violations, and a fresh counters record covering exactly
+   this run (a record read after an earlier run keeps its figures). *)
 let run t (plan : Plan.t) : (string * Table.t) list =
   t.outputs_rev <- [];
   t.prop_violations <- [];
@@ -714,17 +671,6 @@ let run t (plan : Plan.t) : (string * Table.t) list =
   t.last_seconds <- [||];
   t.last_wall <- 0.0;
   t.last_busy <- [||];
-  let c = t.counters in
-  c.rows_shuffled <- 0;
-  c.rows_extracted <- 0;
-  c.spool_executions <- 0;
-  c.spool_reads <- 0;
-  c.batches <- 0;
-  c.stages_run <- 0;
-  c.vertices_run <- 0;
-  c.retries <- 0;
-  c.recomputed_rows <- 0;
-  c.partitions_lost <- 0;
-  c.machines_failed <- 0;
+  t.counters <- Scheduler.zero ();
   ignore (execute t plan);
   List.rev t.outputs_rev

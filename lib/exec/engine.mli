@@ -21,9 +21,10 @@
     outputs and all fault/retry accounting are byte-identical at every
     worker count {e and} every batch size.  With a fault {!Faults.spec}
     installed, cached partitions can be lost between stages and are
-    recovered by recomputing the producing stage.  Counters record rows
-    shuffled/extracted, spool executions/reads, batches produced, and
-    stage/retry accounting ({!named_counters} names them [exec.*]).
+    recovered by recomputing the producing stage.  One {!counters}
+    record per run counts rows shuffled/extracted, spool
+    executions/reads, batches produced, and stage/retry accounting
+    ({!named_counters} names them [exec.*]).
     Distributions live in the engine's own {!Sobs.Metrics} registry:
     rows per batch, rows and wall seconds per stage attempt, and, with
     {!Profile} on, seconds per kernel execution. *)
@@ -31,16 +32,18 @@
 (** A distributed table: a schema and each machine's batches. *)
 type dist
 
-type counters = {
+(** {!Scheduler.counters}, re-exported with its fields (documented
+    there). *)
+type counters = Scheduler.counters = {
   mutable rows_shuffled : int;
   mutable rows_extracted : int;
   mutable spool_executions : int;
   mutable spool_reads : int;
-  mutable batches : int;  (** batches across committed stage outputs *)
-  mutable stages_run : int;  (** stage executions, recoveries included *)
-  mutable vertices_run : int;  (** one vertex per machine per execution *)
-  mutable retries : int;  (** recovery re-executions of completed stages *)
-  mutable recomputed_rows : int;  (** rows produced by those re-executions *)
+  mutable batches : int;
+  mutable stages_run : int;
+  mutable vertices_run : int;
+  mutable retries : int;
+  mutable recomputed_rows : int;
   mutable partitions_lost : int;
   mutable machines_failed : int;
 }
@@ -56,8 +59,9 @@ type t = {
   catalog : Relalg.Catalog.t;
   faults : Faults.spec option;
       (** when set, every run draws deterministic fault events *)
-  counters : counters;
-  mu : Mutex.t;  (** guards [counters] merges from worker domains *)
+  mutable counters : counters;
+      (** the most recent {!run}'s counters, a fresh record per run *)
+  mu : Mutex.t;  (** guards [counters] additions from worker domains *)
   metrics : Sobs.Metrics.t;
       (** histograms accumulated over every run of the engine:
           [exec.batch_rows] (live rows per committed batch),
@@ -119,7 +123,14 @@ val dist_of_parts : Relalg.Schema.t -> Relalg.Value.t array list array -> dist
     Sequential convenience entry point for tests and examples. *)
 val exchange : t -> dist -> Relalg.Colset.t -> dist
 
+(** Whether rows are in order on (column index, direction) keys,
+    compared lexicographically with {!Relalg.Value.compare}: the check
+    behind a claimed sort order and an ORDER BY. *)
+val rows_sorted :
+  (int * Sphys.Sortorder.dir) list -> Relalg.Value.t array list -> bool
+
 (** Execute a root plan; returns the OUTPUT files in script order.
-    Resets outputs, property violations and counters first, so a reused
-    engine reports exactly this run. *)
+    Resets outputs and property violations and installs a fresh
+    [counters] record first, so a reused engine reports exactly this run
+    and a record read after an earlier run keeps that run's figures. *)
 val run : t -> Sphys.Plan.t -> (string * Relalg.Table.t) list

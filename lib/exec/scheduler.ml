@@ -12,7 +12,7 @@
    The wave executes with no internal ordering constraints — stages in a
    wave never depend on each other, so a worker pool may run them in any
    interleaving — and then a barrier commits the results in ascending
-   stage id: cache the output, clear lost flags, account metrics, and
+   stage id: cache the output, clear lost flags, count into [counters], and
    draw fault events for the completion.  Because the wave itself is a
    pure function of the committed state, and commits happen in a fixed
    order at the barrier, the logical schedule — which stage runs on
@@ -30,17 +30,31 @@
    recompute accounting).  [execute] may be called concurrently from
    several domains when a pool is supplied. *)
 
-type metrics = {
-  mutable stages_run : int;  (* stage executions, recoveries included *)
-  mutable vertices_run : int;  (* one vertex per machine per execution *)
-  mutable retries : int;  (* re-executions of a previously completed stage *)
-  mutable recomputed_rows : int;  (* rows produced by those re-executions *)
+(* The counters of one executor run, [exec.*] when named.  The engine
+   counts the stream fields (a stage execution into a private copy,
+   added into the run's record under its mutex); [run] counts the
+   stage/fault fields at its barrier, where no stage executes. *)
+type counters = {
+  mutable rows_shuffled : int;
+  mutable rows_extracted : int;
+  mutable spool_executions : int;
+  mutable spool_reads : int;
+  mutable batches : int;
+  mutable stages_run : int;
+  mutable vertices_run : int;
+  mutable retries : int;
+  mutable recomputed_rows : int;
   mutable partitions_lost : int;
   mutable machines_failed : int;
 }
 
-let fresh_metrics () =
+let zero () =
   {
+    rows_shuffled = 0;
+    rows_extracted = 0;
+    spool_executions = 0;
+    spool_reads = 0;
+    batches = 0;
     stages_run = 0;
     vertices_run = 0;
     retries = 0;
@@ -49,19 +63,31 @@ let fresh_metrics () =
     machines_failed = 0;
   }
 
+let add c d =
+  c.rows_shuffled <- c.rows_shuffled + d.rows_shuffled;
+  c.rows_extracted <- c.rows_extracted + d.rows_extracted;
+  c.spool_executions <- c.spool_executions + d.spool_executions;
+  c.spool_reads <- c.spool_reads + d.spool_reads;
+  c.batches <- c.batches + d.batches;
+  c.stages_run <- c.stages_run + d.stages_run;
+  c.vertices_run <- c.vertices_run + d.vertices_run;
+  c.retries <- c.retries + d.retries;
+  c.recomputed_rows <- c.recomputed_rows + d.recomputed_rows;
+  c.partitions_lost <- c.partitions_lost + d.partitions_lost;
+  c.machines_failed <- c.machines_failed + d.machines_failed
+
 exception Recovery_exhausted of { stage : int; attempts : int }
 
 type 'o outcome = {
   result : 'o;  (* the sink stage's output *)
   attempts : int array;  (* per-stage execution counts *)
   seconds : float array;  (* per-stage wall seconds, attempts summed *)
-  metrics : metrics;
 }
 
 (* [stage_seconds] and [stage_rows] receive one observation per stage
    attempt: always on, far off any inner loop. *)
 let run ~machines ?pool ?faults ?(max_attempts = Faults.default_attempts)
-    ~stage_seconds ~stage_rows ~execute ~rows (graph : Stage.graph) :
+    ~counters ~stage_seconds ~stage_rows ~execute ~rows (graph : Stage.graph) :
     'o outcome =
   let n = Array.length graph.Stage.stages in
   let cache : 'o option array = Array.make n None in
@@ -69,7 +95,6 @@ let run ~machines ?pool ?faults ?(max_attempts = Faults.default_attempts)
   let lost : bool array array = Array.make n [||] in
   let attempts = Array.make n 0 in
   let seconds = Array.make n 0.0 in
-  let metrics = fresh_metrics () in
   (* stages with a cached output, in first-cached order — maintained
      incrementally instead of rescanning all [n] slots per completion *)
   let cached_ids = Array.make n 0 in
@@ -80,7 +105,7 @@ let run ~machines ?pool ?faults ?(max_attempts = Faults.default_attempts)
       if lost.(sid) = [||] then lost.(sid) <- Array.make machines false;
       if not lost.(sid).(m) then begin
         lost.(sid).(m) <- true;
-        metrics.partitions_lost <- metrics.partitions_lost + 1
+        counters.partitions_lost <- counters.partitions_lost + 1
       end
     end
   in
@@ -105,7 +130,7 @@ let run ~machines ?pool ?faults ?(max_attempts = Faults.default_attempts)
                   Sobs.Trace.instant ~pid:Sobs.Trace.pid_exec
                     ~args:[ ("machine", Sobs.Trace.Int m) ]
                     "fault.kill_machine";
-                metrics.machines_failed <- metrics.machines_failed + 1;
+                counters.machines_failed <- counters.machines_failed + 1;
                 for i = 0 to !cached_count - 1 do
                   mark_lost cached_ids.(i) m
                 done)
@@ -200,12 +225,12 @@ let run ~machines ?pool ?faults ?(max_attempts = Faults.default_attempts)
           end;
           cache.(sid) <- Some out;
           lost.(sid) <- [||];
-          metrics.stages_run <- metrics.stages_run + 1;
-          metrics.vertices_run <- metrics.vertices_run + machines;
+          counters.stages_run <- counters.stages_run + 1;
+          counters.vertices_run <- counters.vertices_run + machines;
           Sobs.Hist.observe stage_rows (float_of_int (rows out));
           if recovery then begin
-            metrics.retries <- metrics.retries + 1;
-            metrics.recomputed_rows <- metrics.recomputed_rows + rows out
+            counters.retries <- counters.retries + 1;
+            counters.recomputed_rows <- counters.recomputed_rows + rows out
           end;
           inject sid
         done
@@ -215,7 +240,7 @@ let run ~machines ?pool ?faults ?(max_attempts = Faults.default_attempts)
     | Some o -> o
     | None -> invalid_arg "Scheduler: sink stage did not complete"
   in
-  { result; attempts; seconds; metrics }
+  { result; attempts; seconds }
 
 (* Replay measured per-stage durations through the same fault-free wave
    schedule with greedy longest-processing-time placement on [workers]

@@ -12,15 +12,31 @@
     per-stage attempt budget.  Generic in the stage-output type: the
     caller supplies evaluation and row counting. *)
 
-type metrics = {
+(** The counters of one executor run; {!Engine.named_counters} names
+    them [exec.*].  The engine counts the stream fields — each stage
+    execution into a private {!zero} record, {!add}ed into the run's
+    record under the engine mutex when the stage finishes — and {!run}
+    counts the last six at its commit barrier.  Sums commute, so every
+    field is identical at every worker count. *)
+type counters = {
+  mutable rows_shuffled : int;
+  mutable rows_extracted : int;
+  mutable spool_executions : int;
+  mutable spool_reads : int;
+  mutable batches : int;  (** batches across committed stage outputs *)
   mutable stages_run : int;  (** stage executions, recoveries included *)
   mutable vertices_run : int;  (** one vertex per machine per execution *)
-  mutable retries : int;
-      (** re-executions of a previously completed stage *)
+  mutable retries : int;  (** recovery re-executions of completed stages *)
   mutable recomputed_rows : int;  (** rows produced by those re-executions *)
   mutable partitions_lost : int;
   mutable machines_failed : int;
 }
+
+(** A fresh record, every field 0. *)
+val zero : unit -> counters
+
+(** [add c d] adds every field of [d] into [c]. *)
+val add : counters -> counters -> unit
 
 (** A stage exceeded its execution budget while recovering. *)
 exception Recovery_exhausted of { stage : int; attempts : int }
@@ -29,7 +45,6 @@ type 'o outcome = {
   result : 'o;  (** the sink stage's output *)
   attempts : int array;  (** per-stage execution counts *)
   seconds : float array;  (** per-stage wall seconds, attempts summed *)
-  metrics : metrics;
 }
 
 (** [run ~machines ?pool ?faults ~execute ~rows graph] executes every
@@ -37,7 +52,9 @@ type 'o outcome = {
     [pool] is given.  [execute st ~read] evaluates one stage, calling
     [read dep] for each cached input — it may be called concurrently
     from several domains and must not depend on evaluation order within
-    a wave; [rows] sizes an output for recompute accounting.  Each
+    a wave; [rows] sizes an output for recompute accounting.  Stage
+    executions, vertices, retries, recomputed rows, lost partitions and
+    failed machines are counted into [counters] at each barrier.  Each
     stage attempt observes its wall seconds in [stage_seconds] and each
     committed output its rows in [stage_rows].  Raises
     {!Recovery_exhausted} when a stage's attempt budget (default
@@ -47,6 +64,7 @@ val run :
   ?pool:Sutil.Pool.t ->
   ?faults:Faults.t ->
   ?max_attempts:int ->
+  counters:counters ->
   stage_seconds:Sobs.Hist.t ->
   stage_rows:Sobs.Hist.t ->
   execute:(Stage.stage -> read:(int -> 'o) -> 'o) ->

@@ -5,14 +5,8 @@ open Relalg
 type outcome = {
   ok : bool;
   mismatches : string list;
-  counters : Engine.counters;
-  metrics : Sobs.Metrics.t;
   outputs : (string * Table.t) list;
-  attempts : int array;
-  seconds : float array;
-  wall : float;
-  busy : float array;
-  batch_size : int;
+  engine : Engine.t;
 }
 
 (* ORDER BY specifications per output file, from the logical DAG. *)
@@ -26,24 +20,6 @@ let output_orders (dag : Slogical.Dag.t) =
                Some (file, order)
            | _ -> None
          else None)
-
-let rows_sorted (schema : Schema.t) order rows =
-  let idxs = List.map (fun (c, desc) -> (Schema.index c schema, desc)) order in
-  let cmp a b =
-    let rec go = function
-      | [] -> 0
-      | (i, desc) :: rest ->
-          let c = Value.compare a.(i) b.(i) in
-          let c = if desc then -c else c in
-          if c <> 0 then c else go rest
-    in
-    go idxs
-  in
-  let rec sorted = function
-    | a :: (b :: _ as rest) -> cmp a b <= 0 && sorted rest
-    | _ -> true
-  in
-  sorted rows
 
 (* Byte-identical output comparison: same files in the same order, same
    rows in the same order.  Stricter than [Table.same_contents] (a
@@ -78,7 +54,14 @@ let check ?(verify_props = false) ?faults
     (fun (file, order) ->
       match List.assoc_opt file actual with
       | Some table ->
-          if not (rows_sorted table.Table.schema order table.Table.rows) then
+          let keys =
+            List.map
+              (fun (c, desc) ->
+                ( Schema.index c table.Table.schema,
+                  if desc then Sphys.Sortorder.Desc else Sphys.Sortorder.Asc ))
+              order
+          in
+          if not (Engine.rows_sorted keys table.Table.rows) then
             mismatches :=
               Printf.sprintf "output %s violates its ORDER BY" file
               :: !mismatches
@@ -106,15 +89,4 @@ let check ?(verify_props = false) ?faults
             :: !mismatches)
       expected actual;
   mismatches := engine.Engine.prop_violations @ !mismatches;
-  {
-    ok = !mismatches = [];
-    mismatches = !mismatches;
-    counters = engine.Engine.counters;
-    metrics = engine.Engine.metrics;
-    outputs = actual;
-    attempts = engine.Engine.last_attempts;
-    seconds = engine.Engine.last_seconds;
-    wall = engine.Engine.last_wall;
-    busy = engine.Engine.last_busy;
-    batch_size = engine.Engine.batch_size;
-  }
+  { ok = !mismatches = []; mismatches = !mismatches; outputs = actual; engine }

@@ -3,16 +3,13 @@
 type outcome = {
   ok : bool;
   mismatches : string list;
-  counters : Engine.counters;
-  metrics : Sobs.Metrics.t;
-      (** the run's engine registry ({!Engine.t}[.metrics]) *)
   outputs : (string * Relalg.Table.t) list;
       (** the engine's OUTPUT tables, in script order *)
-  attempts : int array;  (** per-stage execution counts of the run *)
-  seconds : float array;  (** per-stage wall seconds, attempts summed *)
-  wall : float;  (** execution wall seconds *)
-  busy : float array;  (** per-worker busy seconds *)
-  batch_size : int;  (** the engine's batch granularity for the run *)
+  engine : Engine.t;
+      (** the engine that ran: its [counters], [metrics] registry,
+          [last_*] attempts, seconds, wall and busy figures, and
+          [batch_size] describe this run and are read there, not
+          copied *)
 }
 
 (** Byte-identical output comparison: same files in the same order, same

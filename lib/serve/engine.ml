@@ -139,19 +139,20 @@ let describe = function
   | Slogical.Binder.Error m -> m
   | e -> Printexc.to_string e
 
+let exec_summary (e : Sexec.Engine.t) =
+  {
+    Cse.Pipeline.workers = e.Sexec.Engine.workers;
+    batch_size = e.Sexec.Engine.batch_size;
+    batches = e.Sexec.Engine.counters.Sexec.Engine.batches;
+    wall_s = e.Sexec.Engine.last_wall;
+    busy_s = e.Sexec.Engine.last_busy;
+  }
+
 (* Record the executor's figures for the run that just finished into the
    report, and account wall time, stage attempts and counters to the
    batch. *)
 let note_run t wall attempts counts (report : Cse.Pipeline.report) =
-  report.Cse.Pipeline.exec <-
-    Some
-      {
-        Cse.Pipeline.workers = t.exec.Sexec.Engine.workers;
-        batch_size = t.exec.Sexec.Engine.batch_size;
-        batches = t.exec.Sexec.Engine.counters.Sexec.Engine.batches;
-        wall_s = t.exec.Sexec.Engine.last_wall;
-        busy_s = t.exec.Sexec.Engine.last_busy;
-      };
+  report.Cse.Pipeline.exec <- Some (exec_summary t.exec);
   wall := !wall +. t.exec.Sexec.Engine.last_wall;
   attempts := t.exec.Sexec.Engine.last_attempts :: !attempts;
   counts := Sexec.Engine.named_counters t.exec.Sexec.Engine.counters :: !counts

@@ -60,6 +60,12 @@ type batch_result = {
           the audit targets *)
 }
 
+(** The execution summary a pipeline report carries for an executor's
+    most recent run, read from the engine that ran it.  Its width is
+    the pool's ([workers], one per [busy_s] slot): the executor caps
+    the requested workers at the host's cores. *)
+val exec_summary : Sexec.Engine.t -> Cse.Pipeline.exec_summary
+
 type t
 
 (** [create catalog] builds an engine with an empty cache and a

@@ -8,15 +8,6 @@ let num f = Sobs.Json.Num f
 let int i = num (float_of_int i)
 let str s = Sobs.Json.Str s
 
-let exec_summary (v : Sexec.Validate.outcome) =
-  {
-    Cse.Pipeline.workers = Array.length v.Sexec.Validate.busy;
-    batch_size = v.Sexec.Validate.batch_size;
-    batches = v.Sexec.Validate.counters.Sexec.Engine.batches;
-    wall_s = v.Sexec.Validate.wall;
-    busy_s = v.Sexec.Validate.busy;
-  }
-
 let optimization (r : Cse.Pipeline.report) =
   Sobs.Json.Obj
     [
@@ -45,20 +36,21 @@ let optimization (r : Cse.Pipeline.report) =
     ]
 
 let execution (r : Cse.Pipeline.report) (v : Sexec.Validate.outcome) =
+  let eng = v.Sexec.Validate.engine in
   let depths =
     Sexec.Stage.depths (Sexec.Stage.build r.Cse.Pipeline.cse_plan)
   in
   let stages =
-    List.init (Array.length v.Sexec.Validate.attempts) (fun sid ->
+    List.init (Array.length eng.Sexec.Engine.last_attempts) (fun sid ->
         Sobs.Json.Obj
           [
             ("id", int sid);
             ("depth", int depths.(sid));
-            ("attempts", int v.Sexec.Validate.attempts.(sid));
-            ("seconds", num v.Sexec.Validate.seconds.(sid));
+            ("attempts", int eng.Sexec.Engine.last_attempts.(sid));
+            ("seconds", num eng.Sexec.Engine.last_seconds.(sid));
           ])
   in
-  let e = exec_summary v in
+  let e = Engine.exec_summary eng in
   Sobs.Json.Obj
     [
       ("ok", Sobs.Json.Bool v.Sexec.Validate.ok);
@@ -69,7 +61,7 @@ let execution (r : Cse.Pipeline.report) (v : Sexec.Validate.outcome) =
       ( "busy_s",
         Sobs.Json.Arr (Array.to_list (Array.map num e.Cse.Pipeline.busy_s)) );
       ("utilization", num (Cse.Pipeline.utilization e));
-      ("stage_count", int (Array.length v.Sexec.Validate.attempts));
+      ("stage_count", int (Array.length eng.Sexec.Engine.last_attempts));
       ("stage_depth", int (1 + Array.fold_left max (-1) depths));
       ("stages", Sobs.Json.Arr stages);
     ]
@@ -104,8 +96,9 @@ let run ~machines ?exec (r : Cse.Pipeline.report) =
           ( "counters",
             counters
               (r.Cse.Pipeline.counters
-              @ Sexec.Engine.named_counters v.Sexec.Validate.counters) );
-          ("metrics", metrics v.Sexec.Validate.metrics);
+              @ Sexec.Engine.named_counters
+                  v.Sexec.Validate.engine.Sexec.Engine.counters) );
+          ("metrics", metrics v.Sexec.Validate.engine.Sexec.Engine.metrics);
         ]
 
 (* --- serve ------------------------------------------------------------- *)

@@ -14,11 +14,6 @@
     - [metrics]: a registry as {!Sobs.Metrics.to_json} rows;
     - [serve]: the serve engine's totals and one entry per batch. *)
 
-(** The execution summary a pipeline report carries for a validated run.
-    Its width is the pool's that ran, one per [busy] slot: the executor
-    caps the requested workers at the host's cores. *)
-val exec_summary : Sexec.Validate.outcome -> Cse.Pipeline.exec_summary
-
 (** The sections of an optimize-only report, keyed by name:
     [optimization] and the pipeline's [counters]. *)
 val optimized : Cse.Pipeline.report -> (string * Sobs.Json.t) list

@@ -31,6 +31,11 @@ let test_datagen_aggregation_reduces () =
 
 (* --- exchange co-location ------------------------------------------------ *)
 
+(* The counters and per-stage attempts of a validated run, read from the
+   engine that ran it. *)
+let counters_of (v : Sexec.Validate.outcome) = v.engine.Sexec.Engine.counters
+let attempts_of (v : Sexec.Validate.outcome) = v.engine.Sexec.Engine.last_attempts
+
 let dist_of_rows engine s rows =
   let machines = engine.Sexec.Engine.machines in
   let parts = Array.make machines [] in
@@ -388,9 +393,9 @@ let test_spool_executed_once () =
   let catalog, dag, plan = optimize Sworkload.Paper_scripts.s1 in
   let v = Sexec.Validate.check ~machines:6 catalog dag plan in
   Alcotest.(check int) "one execution" 1
-    v.Sexec.Validate.counters.Sexec.Engine.spool_executions;
+    (counters_of v).Sexec.Engine.spool_executions;
   Alcotest.(check int) "two reads" 2
-    v.Sexec.Validate.counters.Sexec.Engine.spool_reads
+    (counters_of v).Sexec.Engine.spool_reads
 
 let test_cse_extracts_less () =
   let catalog, dag, cse_plan = optimize Sworkload.Paper_scripts.s1 in
@@ -398,11 +403,11 @@ let test_cse_extracts_less () =
   let vc = Sexec.Validate.check ~machines:6 catalog dag cse_plan in
   let vv = Sexec.Validate.check ~machines:6 catalog dag conv_plan in
   Alcotest.(check bool) "fewer rows extracted" true
-    (vc.Sexec.Validate.counters.Sexec.Engine.rows_extracted
-    < vv.Sexec.Validate.counters.Sexec.Engine.rows_extracted);
+    ((counters_of vc).Sexec.Engine.rows_extracted
+    < (counters_of vv).Sexec.Engine.rows_extracted);
   Alcotest.(check bool) "fewer rows shuffled" true
-    (vc.Sexec.Validate.counters.Sexec.Engine.rows_shuffled
-    <= vv.Sexec.Validate.counters.Sexec.Engine.rows_shuffled)
+    ((counters_of vc).Sexec.Engine.rows_shuffled
+    <= (counters_of vv).Sexec.Engine.rows_shuffled)
 
 let test_machine_count_invariance () =
   (* results are identical whatever the cluster size *)
@@ -496,18 +501,28 @@ let test_stage_graph_shape () =
 
 let test_engine_reuse_resets () =
   (* regression: a reused engine once served stale spool results and
-     accumulated counters across runs *)
+     accumulated counters across runs.  Under faults every counter is
+     nonzero, recovery figures included, so each reset is observable. *)
   let catalog, _, plan = optimize Sworkload.Paper_scripts.s1 in
-  let engine = Sexec.Engine.create ~machines:6 catalog in
+  let engine =
+    Sexec.Engine.create ~faults:(Sexec.Faults.spec ~rate:0.3 1) ~machines:6
+      catalog
+  in
+  let named () = Sexec.Engine.named_counters engine.Sexec.Engine.counters in
   let o1 = Sexec.Engine.run engine plan in
-  let c = engine.Sexec.Engine.counters in
-  let shuffled1 = c.Sexec.Engine.rows_shuffled in
-  let extracted1 = c.Sexec.Engine.rows_extracted in
-  let spools1 = c.Sexec.Engine.spool_executions in
+  let c1 = engine.Sexec.Engine.counters in
+  let n1 = named () in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " counted") true (List.assoc name n1 > 0))
+    [ "exec.retries"; "exec.partitions_lost"; "exec.recomputed_rows" ];
   let o2 = Sexec.Engine.run engine plan in
-  Alcotest.(check int) "rows_shuffled reset" shuffled1 c.Sexec.Engine.rows_shuffled;
-  Alcotest.(check int) "rows_extracted reset" extracted1 c.Sexec.Engine.rows_extracted;
-  Alcotest.(check int) "spool_executions reset" spools1 c.Sexec.Engine.spool_executions;
+  Alcotest.(check (list (pair string int))) "every counter reset" n1 (named ());
+  Alcotest.(check bool) "a fresh record per run" true
+    (c1 != engine.Sexec.Engine.counters);
+  Alcotest.(check (list (pair string int)))
+    "run 1's record still reads run 1" n1
+    (Sexec.Engine.named_counters c1);
   Alcotest.(check int) "outputs not accumulated" (List.length o1) (List.length o2);
   Alcotest.(check bool) "outputs identical" true
     (Sexec.Validate.identical_outputs o1 o2)
@@ -533,7 +548,7 @@ let fault_roundtrip ?(rate = 0.3) ?max_attempts ~machines ~seeds catalog dag
           (Sexec.Validate.identical_outputs base.Sexec.Validate.outputs
              v.Sexec.Validate.outputs)
       then Alcotest.failf "fault seed %d: outputs diverge" seed;
-      retries + v.Sexec.Validate.counters.Sexec.Engine.retries)
+      retries + (counters_of v).Sexec.Engine.retries)
     0 seeds
 
 let test_faults_builtins () =
@@ -587,10 +602,10 @@ let test_faults_deterministic () =
   let v1 = Sexec.Validate.check ~faults ~machines:6 catalog dag plan in
   let v2 = Sexec.Validate.check ~faults ~machines:6 catalog dag plan in
   Alcotest.(check int) "same retries"
-    v1.Sexec.Validate.counters.Sexec.Engine.retries
-    v2.Sexec.Validate.counters.Sexec.Engine.retries;
+    (counters_of v1).Sexec.Engine.retries
+    (counters_of v2).Sexec.Engine.retries;
   Alcotest.(check (array int)) "same per-stage attempts"
-    v1.Sexec.Validate.attempts v2.Sexec.Validate.attempts;
+    (attempts_of v1) (attempts_of v2);
   Alcotest.(check bool) "same outputs" true
     (Sexec.Validate.identical_outputs v1.Sexec.Validate.outputs
        v2.Sexec.Validate.outputs)
@@ -636,17 +651,17 @@ let worker_matrix ?faults ~machines catalog dag plan =
       then Alcotest.failf "workers=%d: outputs diverge from sequential" workers;
       Alcotest.(check int)
         (Printf.sprintf "retries identical at workers=%d" workers)
-        base.Sexec.Validate.counters.Sexec.Engine.retries
-        v.Sexec.Validate.counters.Sexec.Engine.retries;
+        (counters_of base).Sexec.Engine.retries
+        (counters_of v).Sexec.Engine.retries;
       Alcotest.(check int)
         (Printf.sprintf "partitions_lost identical at workers=%d" workers)
-        base.Sexec.Validate.counters.Sexec.Engine.partitions_lost
-        v.Sexec.Validate.counters.Sexec.Engine.partitions_lost;
+        (counters_of base).Sexec.Engine.partitions_lost
+        (counters_of v).Sexec.Engine.partitions_lost;
       Alcotest.(check (array int))
         (Printf.sprintf "per-stage attempts identical at workers=%d" workers)
-        base.Sexec.Validate.attempts v.Sexec.Validate.attempts)
+        (attempts_of base) (attempts_of v))
     [ 2; 8 ];
-  base.Sexec.Validate.counters.Sexec.Engine.retries
+  (counters_of base).Sexec.Engine.retries
 
 (* --- batch-size invariance ------------------------------------------------ *)
 
@@ -690,10 +705,10 @@ let batch_matrix ?faults ?(workers_list = [ 1; 2; 8 ]) ~machines catalog dag
           Alcotest.(check (array int))
             (Printf.sprintf "attempts identical at batch_size=%d workers=%d"
                batch_size workers)
-            base.Sexec.Validate.attempts v.Sexec.Validate.attempts)
+            (attempts_of base) (attempts_of v))
         workers_list)
     batch_sizes;
-  base.Sexec.Validate.counters.Sexec.Engine.retries
+  (counters_of base).Sexec.Engine.retries
 
 let test_batch_builtins () =
   List.iter
@@ -812,7 +827,7 @@ let test_profile_invariance () =
   Sexec.Profile.set false;
   let off = run () in
   Alcotest.(check bool) "unprofiled run records no kernel rows" true
-    (kernel_rows off.Sexec.Validate.metrics = []);
+    (kernel_rows off.Sexec.Validate.engine.Sexec.Engine.metrics = []);
   Fun.protect
     ~finally:(fun () -> Sexec.Profile.set false)
     (fun () ->
@@ -822,11 +837,11 @@ let test_profile_invariance () =
         (Sexec.Validate.identical_outputs off.Sexec.Validate.outputs
            on_.Sexec.Validate.outputs);
       Alcotest.(check (array int)) "per-stage attempts identical"
-        off.Sexec.Validate.attempts on_.Sexec.Validate.attempts;
+        (attempts_of off) (attempts_of on_);
       Alcotest.(check int) "retries identical"
-        off.Sexec.Validate.counters.Sexec.Engine.retries
-        on_.Sexec.Validate.counters.Sexec.Engine.retries;
-      let rows = kernel_rows on_.Sexec.Validate.metrics in
+        (counters_of off).Sexec.Engine.retries
+        (counters_of on_).Sexec.Engine.retries;
+      let rows = kernel_rows on_.Sexec.Validate.engine.Sexec.Engine.metrics in
       Alcotest.(check bool) "kernel histograms recorded" true (rows <> []);
       Alcotest.(check bool) "rows carry kernel and stage labels" true
         (List.for_all

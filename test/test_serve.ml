@@ -624,7 +624,7 @@ let test_run_report () =
        (List.filter
           (fun (_, n) -> n <> 0)
           (r.Cse.Pipeline.counters
-          @ Sexec.Engine.named_counters v.Sexec.Validate.counters)))
+          @ Sexec.Engine.named_counters v.Sexec.Validate.engine.Sexec.Engine.counters)))
     counters;
   Alcotest.(check bool) "execution section" true
     (member_path parsed [ "execution"; "stages" ] <> None);
