@@ -434,7 +434,7 @@ let ablation_budget () =
            Int r.rounds_aborted_bound;
            Ratio (Cse.Pipeline.ratio r);
          ])
-       [ Some 12_000; Some 13_000; Some 14_000; Some 16_000; Some 18_000; None ])
+       [ Some 500; Some 1_000; Some 2_000; Some 4_000; Some 6_000; None ])
 
 (* S1 under both parallelism models; the last column is the local penalty,
    in effective parallelism, of partitioning the shared node on {B} (ndv

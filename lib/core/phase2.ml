@@ -9,8 +9,10 @@ open Sopt
      (spool) group with its child's winner under the same requirement, so
      spools are transparent and a shared relation is computed once per
      consumer (Figure 8(a));
+   - Algorithm 3 then runs, and a group with no shared group below it
+     answers phases 1-2 with its phase-0 winner;
    - phase 1 records the property history of shared groups (Section V)
-     through [before_optimize]/[after_winner];
+     in [intercept];
    - [child_extreq] propagates the enforcement map downwards, pruned to
      paths that still lead to one of the enforced shared groups
      (Algorithm 5, lines 15-17), so rounds that differ only in the pins
@@ -76,14 +78,6 @@ let shared_info state =
 
 (* --- hook implementations --------------------------------------------- *)
 
-let before_optimize state (t : Optimizer.t) (g : Smemo.Memo.group) extreq =
-  if t.Optimizer.phase = 1 && g.Smemo.Memo.shared then
-    History.record state.history g.Smemo.Memo.id extreq.Extreq.req
-
-let after_winner state (t : Optimizer.t) (g : Smemo.Memo.group) _extreq plan =
-  if t.Optimizer.phase = 1 && g.Smemo.Memo.shared then
-    History.note_best state.history g.Smemo.Memo.id plan
-
 (* [restricted] maps (map id, class of the child's shared_below set),
    packed with [Intern.pair], to the map restricted to that set: children
    with equal sets share the entry. *)
@@ -95,7 +89,7 @@ let child_extreq state restricted (t : Optimizer.t)
     let cid = child.Smemo.Memo.id in
     let enforce =
       (* prune to paths that still lead to an enforced shared group; keep
-         everything for groups unknown to the (pre-phase-2) analysis *)
+         everything for groups unknown to the (post-phase-0) analysis *)
       match Shared_info.below_class si cid with
       | None -> parent.Extreq.enforce
       | Some cls -> (
@@ -275,6 +269,13 @@ let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
         (Optimizer.optimize_group t
            (Smemo.Memo.group t.Optimizer.memo child)
            extreq)
+  | 1 when g.Smemo.Memo.shared ->
+      (* the property history (Section V): the request, and the entries
+         its winner delivers (VIII-C) *)
+      History.record state.history g.Smemo.Memo.id extreq.Extreq.req;
+      let best = Optimizer.log_phys_opt t g extreq in
+      History.note_best state.history g.Smemo.Memo.id best;
+      Some best
   | 0 | 1 -> None
   | _ -> (
     match
@@ -325,10 +326,8 @@ let intercept state pinned_inner (t : Optimizer.t) (g : Smemo.Memo.group)
 
 let make_ext state : Optimizer.ext =
   {
-    Optimizer.before_optimize = before_optimize state;
-    child_extreq = child_extreq state (Intern.Id_tbl.create 256);
+    Optimizer.child_extreq = child_extreq state (Intern.Id_tbl.create 256);
     intercept = intercept state (Intern.Id_tbl.create 64);
-    after_winner = after_winner state;
   }
 
 (* --- the three passes over a memo with spools ------------------------- *)
@@ -340,6 +339,7 @@ type outcome = {
   conventional_time : float;
   cse_time : float;
   conventional_tasks : int;
+  phase2_winner_hits : int;
   state : state;
   ctx : Optimizer.t;
 }
@@ -358,13 +358,14 @@ let optimize ?(config = Config.default) ?budget ?observe ~cluster
   let p0 = pass 0 ~pid:Sobs.Trace.pid_phase1 "conventional optimize" in
   let conventional_tasks = t.Optimizer.tasks in
   let t1 = Unix.gettimeofday () in
-  let p1 = pass 1 ~pid:Sobs.Trace.pid_phase1 "phase 1" in
   (* Step 3: propagate shared-group info and identify LCAs *)
   let si =
     Sobs.Trace.with_span ~pid:Sobs.Trace.pid_phase2
       "shared-info (Algorithm 3)" (fun () -> Shared_info.compute memo)
   in
   state.si <- Some si;
+  t.Optimizer.share_free <- Shared_info.share_free si;
+  let p1 = pass 1 ~pid:Sobs.Trace.pid_phase1 "phase 1" in
   Log.info (fun m ->
       m "phase 1 done (%d tasks); LCAs: %s" t.Optimizer.budget.Budget.tasks
         (String.concat ", "
@@ -373,6 +374,7 @@ let optimize ?(config = Config.default) ?budget ?observe ~cluster
                 Option.map (Fmt.str "%d->%d" s)
                   (Shared_info.lca_of_shared si s))
               (Shared_info.shared_below si memo.Smemo.Memo.root))));
+  let hits = t.Optimizer.winner_hits in
   let p2 = pass 2 ~pid:Sobs.Trace.pid_phase2 "phase 2" in
   Log.info (fun m ->
       m "phase 2 done: %d rounds executed (%d pruned, %d aborted)"
@@ -394,6 +396,7 @@ let optimize ?(config = Config.default) ?budget ?observe ~cluster
     conventional_time = t1 -. t0;
     cse_time = Unix.gettimeofday () -. t1;
     conventional_tasks;
+    phase2_winner_hits = t.Optimizer.winner_hits - hits;
     state;
     ctx = t;
   }

@@ -5,6 +5,8 @@
     - phase 0 is the conventional pass: every shared (spool) group is
       answered with its child's winner under the same requirement, so a
       shared relation is computed once per consumer (Figure 8(a));
+    - a group with no shared group below it answers phases 1-2 with its
+      phase-0 winner;
     - phase 1 records the property history of shared groups (Section V);
     - the enforcement map propagates downwards, pruned to paths that still
       lead to an enforced shared group (Algorithm 5);
@@ -35,7 +37,7 @@ type state = {
       (** shared group -> (dropped, kept dominator) pairs (SA060 audit) *)
 }
 
-(** The computed shared-group information; raises before phase 2. *)
+(** The computed shared-group information; raises before phase 1. *)
 val shared_info : state -> Shared_info.t
 
 type outcome = {
@@ -46,6 +48,7 @@ type outcome = {
   conventional_time : float;  (** phase-0 wall seconds *)
   cse_time : float;  (** phases 1-2 wall seconds, Algorithm 3 included *)
   conventional_tasks : int;  (** phase-0 tasks *)
+  phase2_winner_hits : int;  (** winner-cache hits in phase 2 *)
   state : state;
   ctx : Sopt.Optimizer.t;
       (** the context all three passes ran in: its budget and counts *)

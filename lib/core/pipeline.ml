@@ -208,7 +208,7 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     rounds_sequential = state.Phase2.rounds_sequential;
     rounds_pruned = state.Phase2.rounds_pruned;
     rounds_aborted_bound = state.Phase2.rounds_aborted_bound;
-    phase2_winner_reuse_hits = ctx.Sopt.Optimizer.phase2_winner_hits;
+    phase2_winner_reuse_hits = outcome.Phase2.phase2_winner_hits;
     history_sizes;
     candidate_props;
     pruned_props = state.Phase2.pruned_props;

@@ -53,7 +53,8 @@ type report = {
       (** winner-cache hits during phase 2: cross-round reuse, because
           {!Phase2}'s [child_extreq] restricts each child's enforcement
           map to the shared groups below it, so rounds that differ only
-          in other groups' pins ask for the same key *)
+          in other groups' pins ask for the same key; and hits on the
+          phase-0 winners of share-free groups *)
   history_sizes : (int * int) list;  (** shared group -> #property sets *)
   candidate_props : (int * Sphys.Reqprops.t list) list;
       (** shared group -> phase-2 candidate property sets after dominance

@@ -55,6 +55,8 @@ let shared_below t gid = Option.value ~default:[] (Hashtbl.find_opt t.below gid)
 
 let below_class t gid = Hashtbl.find_opt t.below_class gid
 
+let share_free t gid = Hashtbl.find_opt t.below gid = Some []
+
 let consumers t shared =
   Option.value ~default:[] (Hashtbl.find_opt t.consumers_of shared)
 

@@ -29,6 +29,9 @@ val shared_below : t -> int -> int list
     the id; groups unknown to the analysis have none. *)
 val below_class : t -> int -> int option
 
+(** Known to the analysis, with no shared group at or below it. *)
+val share_free : t -> int -> bool
+
 (** Distinct consumer groups of a shared group. *)
 val consumers : t -> int -> int list
 

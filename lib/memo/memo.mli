@@ -32,7 +32,8 @@ type group = {
       (** set by Algorithm 1 on spool groups rooting a shared subexpression *)
   winners : (int, winner) Hashtbl.t;
       (** best plan per (phase × extended-requirement) key, packed from
-          one optimizer run's interned ids (see [Sopt.Intern]) *)
+          one optimizer run's interned ids (see [Sopt.Intern]); a
+          share-free group's key omits the phase *)
 }
 
 type t = {

@@ -2,13 +2,11 @@ open Sphys
 
 (* The Cascades-style optimization engine (Algorithm 2 / Algorithm 5).
 
-   [optimize_group] memoizes a winner per (phase, extended requirement).
-   The engine is extended -- not modified -- by the CSE framework through
-   the [ext] hook record: recording the property history of shared groups
-   (Section V), overriding the requirements of shared children and
-   propagating enforcement maps (Algorithm 5), and intercepting
-   optimization at LCA groups to run re-optimization rounds
-   (Algorithm 4). *)
+   [optimize_group] memoizes a winner per (phase, extended requirement),
+   the phase left out at a [share_free] group.  The CSE framework extends
+   the engine through the [ext] hooks: propagating enforcement maps to
+   children (Algorithm 5), and intercepting shared and LCA groups
+   (Algorithm 4, Section V). *)
 
 (* An implementation alternative of a memo expression under one
    requirement, prepared once per (group, requirement id): its children's
@@ -39,10 +37,9 @@ type t = {
   mutable tasks : int;
       (* winner-cache misses in every phase; the budget is ticked in
          phases 1-2 only, so it never truncates the conventional pass *)
-  mutable phase2_winner_hits : int;
-      (* winner-cache hits while phase = 2: cross-round reuse *)
   mutable winner_hits : int;
   mutable rule_firings : int;
+  mutable share_free : int -> bool;
   ext : ext;
   intern : Intern.t;
   observe : (Reqprops.t -> Plan.t -> bool -> unit) option;
@@ -57,27 +54,20 @@ and cache = {
 }
 
 and ext = {
-  (* called once per fresh (group, requirement) optimization; phase-1 CSE
-     history recording hooks in here *)
-  before_optimize : t -> Smemo.Memo.group -> Extreq.t -> unit;
   (* Algorithm 5, lines 9-17: build the child's extended requirement from
      the conventional DetChildProp result (an unenforced requirement) and
      the parent's enforcement map *)
   child_extreq :
     t -> child:Smemo.Memo.group -> Extreq.t -> Extreq.t -> Extreq.t;
   (* Algorithm 4, lines 4-12: a [Some result] bypasses the default
-     optimization (used for LCA rounds and pinned shared groups) *)
+     optimization (used for shared groups and LCA rounds) *)
   intercept : t -> Smemo.Memo.group -> Extreq.t -> Plan.t option option;
-  (* called when a winner is recorded (frequency statistics, VIII-C) *)
-  after_winner : t -> Smemo.Memo.group -> Extreq.t -> Plan.t option -> unit;
 }
 
 let default_ext =
   {
-    before_optimize = (fun _ _ _ -> ());
     child_extreq = (fun _ ~child:_ creq _ -> creq);
     intercept = (fun _ _ _ -> None);
-    after_winner = (fun _ _ _ _ -> ());
   }
 
 let create ?(ext = default_ext) ?(budget = Budget.create ()) ?observe
@@ -88,9 +78,9 @@ let create ?(ext = default_ext) ?(budget = Budget.create ()) ?observe
     budget;
     phase = 1;
     tasks = 0;
-    phase2_winner_hits = 0;
     winner_hits = 0;
     rule_firings = 0;
+    share_free = (fun _ -> false);
     ext;
     intern = Intern.create ();
     observe;
@@ -102,9 +92,11 @@ let create ?(ext = default_ext) ?(budget = Budget.create ()) ?observe
   }
 
 (* Winner-table key: the enforcement map's id, the requirement's id and
-   the phase (0, 1 or 2) packed into one int. *)
-let winner_key t (x : Extreq.t) =
-  (Intern.pair x.Extreq.enforce.Intern.id x.Extreq.rid lsl 2) lor t.phase
+   the phase (0, 1 or 2, always 0 at a share-free group) packed into one
+   int. *)
+let winner_key t (g : Smemo.Memo.group) (x : Extreq.t) =
+  let phase = if t.share_free g.Smemo.Memo.id then 0 else t.phase in
+  (Intern.pair x.Extreq.enforce.Intern.id x.Extreq.rid lsl 2) lor phase
 
 (* This run's counts under their report names; [optimizer.tasks] and
    [optimizer.winner_misses] are both the task count, one per winner
@@ -266,11 +258,10 @@ exception Above_bound
    nothing is cut and no candidate is costed. *)
 let rec optimize_group t (g : Smemo.Memo.group) (extreq : Extreq.t) :
     Plan.t option =
-  let key = winner_key t extreq in
+  let key = winner_key t g extreq in
   match Hashtbl.find_opt g.Smemo.Memo.winners key with
   | Some w ->
       t.winner_hits <- t.winner_hits + 1;
-      if t.phase = 2 then t.phase2_winner_hits <- t.phase2_winner_hits + 1;
       w.Smemo.Memo.wplan
   | None ->
       t.tasks <- t.tasks + 1;
@@ -283,7 +274,6 @@ let rec optimize_group t (g : Smemo.Memo.group) (extreq : Extreq.t) :
         Sobs.Trace.begin_span ~pid
           ~args:[ ("group", Sobs.Trace.Int g.Smemo.Memo.id) ]
           "OptimizeGroup";
-      t.ext.before_optimize t g extreq;
       let result =
         match t.ext.intercept t g extreq with
         | Some r -> r
@@ -296,7 +286,6 @@ let rec optimize_group t (g : Smemo.Memo.group) (extreq : Extreq.t) :
           wenforce = extreq.Extreq.enforce.Intern.bindings;
           wplan = result;
         };
-      t.ext.after_winner t g extreq result;
       if traced then Sobs.Trace.end_span ~pid "OptimizeGroup";
       result
 

@@ -3,11 +3,11 @@
     The winner lookup memoizes one winner per (phase, extended
     requirement).  Phase 0 is the conventional pass, phases 1 and 2 the
     CSE passes; the phase is part of the winner key, so the passes share
-    one memo without sharing winners.  The engine is extended — not
-    modified — by the CSE framework through the {!ext} hook record:
-    phase-1 history recording (Section V), enforcement-map propagation to
-    children (Algorithm 5), and interception at spool and LCA groups
-    (phase-0 spool bypass, Algorithm 4 rounds). *)
+    one memo without sharing winners, except at a [share_free] group.
+    The CSE framework extends the engine through two hooks:
+    enforcement-map propagation to children (Algorithm 5), and
+    interception at shared and LCA groups (phase-0 spool bypass, phase-1
+    history recording, Algorithm 4 rounds). *)
 
 (** An enforcer alternative of a group under one requirement
     ({!Enforcers.alternatives}), with its interned inner requirement and
@@ -22,12 +22,11 @@ type t = {
           (phase 0) is never truncated *)
   mutable phase : int;  (** 0 conventional, 1 or 2 CSE; 1 at creation *)
   mutable tasks : int;  (** winner-cache misses, in every phase *)
-  mutable phase2_winner_hits : int;
-      (** winner-cache hits while [phase = 2] — cross-round reuse, which
-          comes from the CSE hooks restricting each child's enforcement
-          map to the shared groups below it (reported by the pipeline) *)
   mutable winner_hits : int;  (** winner-cache lookups that hit *)
   mutable rule_firings : int;  (** exploration rules applied *)
+  mutable share_free : int -> bool;
+      (** groups, by id, whose winners every phase shares (keyed without
+          the phase); none at creation *)
   ext : ext;
   intern : Intern.t;
       (** this run's requirement ids; dropped with the run *)
@@ -41,8 +40,6 @@ type t = {
 and cache
 
 and ext = {
-  before_optimize : t -> Smemo.Memo.group -> Extreq.t -> unit;
-      (** called once per fresh (group, requirement) optimization *)
   child_extreq :
     t -> child:Smemo.Memo.group -> Extreq.t -> Extreq.t -> Extreq.t;
       (** Algorithm 5, lines 9-17: the child's extended requirement from
@@ -50,10 +47,8 @@ and ext = {
           parent's map *)
   intercept : t -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option option;
       (** Algorithm 4, lines 4-12: [Some result] bypasses the default
-          optimization (LCA rounds and pinned shared groups); it may call
+          optimization (shared groups and LCA rounds); it may call
           {!optimize_group} and {!log_phys_opt} itself *)
-  after_winner : t -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option -> unit;
-      (** called when a winner is recorded (VIII-C frequencies) *)
 }
 
 val create :
@@ -107,8 +102,9 @@ val enforcers : t -> Smemo.Memo.group -> Extreq.t -> enforcer list
 exception Above_bound
 
 (** The winner of a group under an extended requirement in the current
-    phase: a winner-cache lookup, and on a miss the [intercept] hook or
-    {!log_phys_opt}, whose result is memoized. *)
+    phase (in any phase at a [share_free] group): a winner-cache lookup,
+    and on a miss the [intercept] hook or {!log_phys_opt}, whose result
+    is memoized. *)
 val optimize_group :
   t -> Smemo.Memo.group -> Extreq.t -> Sphys.Plan.t option
 

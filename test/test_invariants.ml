@@ -476,12 +476,12 @@ let test_report_counters_pinned () =
   in
   Alcotest.(check (list (pair string int))) "S1 counters"
     [
-      ("intern.hits", 650);
+      ("intern.hits", 396);
       ("intern.misses", 47);
       ("optimizer.rule_firings", 3);
-      ("optimizer.tasks", 368);
-      ("optimizer.winner_hits", 680);
-      ("optimizer.winner_misses", 368);
+      ("optimizer.tasks", 310);
+      ("optimizer.winner_hits", 484);
+      ("optimizer.winner_misses", 310);
     ]
     r.Cse.Pipeline.counters
 

@@ -204,6 +204,95 @@ let test_execution_matches_on_all_scripts () =
           (String.concat "; " v.Sexec.Validate.mismatches))
     Thelpers.small_builtins
 
+(* --- share-free groups: one answer for all phases ---------------------- *)
+
+(* A share-free group (no shared group at or below it) answers phases 1-2
+   with its phase-0 winner.  The premise, over every builtin and 25
+   random scripts: such a group holds no phase-1 winner, since phase 1
+   asks it nothing phase 0 has not answered (phase 2 may ask new
+   requirements under pins, answered once for all phases too), and no
+   enforcement map reaches it; a group above a spool holds a phase-1
+   winner for every requirement phase 0 asked of it; and each share-free
+   winner costs the same as a fresh phase-1 optimization of its (group,
+   requirement) in a context that has no phase-0 winner to reuse. *)
+let test_share_free_premise () =
+  let check name script catalog =
+    let r = Cse.Pipeline.run ~catalog script in
+    let si = r.Cse.Pipeline.shared_info in
+    let memo = r.Cse.Pipeline.memo in
+    let free = ref [] in
+    Smemo.Memo.iter_groups memo (fun g ->
+        let gid = g.Smemo.Memo.id in
+        let winners = Smemo.Memo.winners_of g in
+        let asked phase =
+          List.filter_map
+            (fun (w : Smemo.Memo.winner) ->
+              if w.Smemo.Memo.wphase = phase then Some w.Smemo.Memo.wreq
+              else None)
+            winners
+        in
+        if Cse.Shared_info.share_free si gid then
+          List.iter
+            (fun (w : Smemo.Memo.winner) ->
+              if w.Smemo.Memo.wphase = 1 || w.Smemo.Memo.wenforce <> [] then
+                Alcotest.failf
+                  "%s: share-free group %d holds a phase-%d winner under %s"
+                  name gid w.Smemo.Memo.wphase
+                  (Reqprops.to_string w.Smemo.Memo.wreq);
+              free := (gid, w) :: !free)
+            winners
+        else if Cse.Shared_info.shared_below si gid <> [] then
+          let phase1 = asked 1 in
+          List.iter
+            (fun req ->
+              if not (List.exists (Reqprops.equal req) phase1) then
+                Alcotest.failf "%s: group %d has no phase-1 winner for %s" name
+                  gid (Reqprops.to_string req))
+            (asked 0));
+    if !free = [] then Alcotest.failf "%s: no share-free winner" name;
+    (* the fresh context starts with an empty winner table over the
+       explored memo, so it explores nothing and creates no group *)
+    Smemo.Memo.iter_groups memo (fun g -> Hashtbl.reset g.Smemo.Memo.winners);
+    let t = Sopt.Optimizer.create ~cluster:Scost.Cluster.default memo in
+    List.iter
+      (fun (gid, (w : Smemo.Memo.winner)) ->
+        let fresh =
+          Sopt.Optimizer.optimize_group t (Smemo.Memo.group memo gid)
+            (Sopt.Extreq.plain t.Sopt.Optimizer.intern w.Smemo.Memo.wreq)
+        in
+        match (w.Smemo.Memo.wplan, fresh) with
+        | None, None -> ()
+        | Some p, Some q
+          when Sopt.Optimizer.plan_le t p q && Sopt.Optimizer.plan_le t q p ->
+            ()
+        | _ ->
+            Alcotest.failf "%s: group %d under %s: phase 0 and phase 1 disagree"
+              name gid (Reqprops.to_string w.Smemo.Memo.wreq))
+      !free
+  in
+  List.iter
+    (fun (w : Sworkload.Builtin.t) ->
+      check w.Sworkload.Builtin.name w.Sworkload.Builtin.script (w.catalog ()))
+    Sworkload.Builtin.all;
+  for seed = 1 to 25 do
+    check
+      (Printf.sprintf "random seed %d" seed)
+      (Sworkload.Random_gen.generate ~seed ())
+      (Sworkload.Random_gen.catalog ())
+  done
+
+(* Answering share-free groups once keeps LS2's optimizer allocation
+   under a fixed bound: 29.9 M minor words when phases 1-2 re-derived
+   every phase-0 answer, about 17 M since. *)
+let test_optimizer_allocation () =
+  let script, catalog = Thelpers.builtin "LS2" in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Cse.Pipeline.run ~catalog script));
+  let words = Gc.minor_words () -. before in
+  if words > 20.0e6 then
+    Alcotest.failf "LS2 optimization allocated %.2f M minor words (bound 20 M)"
+      (words /. 1e6)
+
 let () =
   Alcotest.run "phase2"
     [
@@ -233,6 +322,13 @@ let () =
             test_budget_charges_rounds;
           Alcotest.test_case "extensions neutral on S1" `Quick
             test_extensions_do_not_change_s1;
+        ] );
+      ( "share-free",
+        [
+          Alcotest.test_case "phase 0 answers every phase" `Slow
+            test_share_free_premise;
+          Alcotest.test_case "optimizer allocation" `Slow
+            test_optimizer_allocation;
         ] );
       ( "execution",
         [
