@@ -14,8 +14,8 @@
 
    Run with:  dune exec bench/main.exe [-- --workers N] [--no-prune]
               dune exec bench/main.exe -- --json PATH [--quick]
-   [--quick] keeps the workloads without a Section IX budget (S1-S4,
-   IND).  Serve throughput is measured by perfbench/. *)
+   [--quick] keeps the small workloads (S1-S4, IND).  Serve throughput
+   is measured by perfbench/. *)
 
 module Builtin = Sworkload.Builtin
 
@@ -553,9 +553,7 @@ let () =
   let t0 = Unix.gettimeofday () in
   let records =
     List.map (record ~workers ~config)
-      (List.filter
-         (fun (w : Builtin.t) -> not (quick && w.budget_seconds <> None))
-         Builtin.all)
+      (if quick then Builtin.small else Builtin.all)
   in
   if List.mem "--json" argv then begin
     let path = Option.value ~default:"BENCH_opt.json" (after "--json" argv) in
@@ -572,9 +570,9 @@ let () =
   end
   else begin
     (* Figure 7's scripts; IND has its own figure (fig5), and the
-       execution tables cover the scripts without a Section IX budget *)
+       execution tables cover the small scripts *)
     let paper = List.filter (fun o -> o.w.name <> "IND") records in
-    let small = List.filter (fun o -> o.w.budget_seconds = None) paper in
+    let small = List.filter (fun o -> List.memq o.w Builtin.small) paper in
     List.iter render
       ([ fig6 paper; fig3 paper; fig7 paper; fig8 paper; fig4 paper; fig5 records ]
       @ ablation ()

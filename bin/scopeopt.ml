@@ -59,11 +59,36 @@ let machines_arg =
     value & opt int 25
     & info [ "machines"; "m" ] ~docv:"N" ~doc:"Simulated cluster size.")
 
+(* --budget TASKS, checked here rather than by a converter so that a
+   bad value is a one-line CLI error *)
 let budget_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "budget" ] ~docv:"SECONDS" ~doc:"Optimization time budget.")
+  let check = function
+    | None -> Ok None
+    | Some s -> (
+        match int_of_string_opt s with
+        | Some n when n >= 0 -> Ok (Some n)
+        | _ ->
+            Error
+              (`Msg
+                 (Printf.sprintf
+                    "--budget: expected a non-negative number of tasks, got %S"
+                    s)))
+  in
+  Term.(
+    term_result
+      (const check
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "budget" ] ~docv:"TASKS"
+              ~doc:
+                "Optimization budget in tasks: the CSE phases' group \
+                 optimizations plus one per phase-2 round.  When it runs \
+                 out, phase 2 keeps the best plan found so far; the plan \
+                 depends on the script, the catalog and $(docv) alone.")))
+
+let task_budget =
+  Option.map (fun max_tasks -> Sopt.Budget.create ~max_tasks ())
 
 let no_ext_arg =
   Arg.(
@@ -279,8 +304,10 @@ let optimize run_exec =
     let attempts_acc = ref [] in
     let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
     let config = base_config ~no_ext ~no_prune in
-    let budget = Option.map (fun s -> Sopt.Budget.create ~max_seconds:s ()) budget in
-    let r = Cse.Pipeline.run ~config ?budget ~cluster ~catalog script in
+    let r =
+      Cse.Pipeline.run ~config ?budget:(task_budget budget) ~cluster ~catalog
+        script
+    in
     say "=== conventional plan (estimated cost %.5g; %.3f s) ===@.%a@."
       r.Cse.Pipeline.conventional_cost r.Cse.Pipeline.conventional_time
       Sphys.Plan_pp.pp r.Cse.Pipeline.conventional_plan;
@@ -512,7 +539,7 @@ let serve_cmd =
     in
     Result.bind next @@ fun next ->
     let engine =
-      Sserve.Engine.create ~config ?max_seconds:budget ~cluster ~workers
+      Sserve.Engine.create ~config ?max_tasks:budget ~cluster ~workers
         ~batch_size ?faults catalog
     in
     Sserve.Driver.run ~json ~audit ?trace ?stats_file engine ~next
@@ -608,10 +635,10 @@ let lint_cmd =
     setup_logs verbose;
     let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
     let config = base_config ~no_ext ~no_prune in
-    let budget =
-      Option.map (fun s -> Sopt.Budget.create ~max_seconds:s ()) budget
+    let r =
+      Cse.Pipeline.run ~config ?budget:(task_budget budget) ~cluster ~catalog
+        script
     in
-    let r = Cse.Pipeline.run ~config ?budget ~cluster ~catalog script in
     Fmt.pr
       "optimized: %d operators, %d shared groups, conventional %.5g, CSE \
        %.5g@."

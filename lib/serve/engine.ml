@@ -56,6 +56,7 @@ type session_result = {
   status : status;
   conventional_cost : float;  (* solo costs from the cache entry *)
   cse_cost : float;
+  budget_exhausted : bool;  (* of the run whose plan gave the outputs *)
   outputs : (string * Relalg.Table.t) list;  (* statement order *)
   rows : int;  (* total rows across outputs *)
 }
@@ -81,21 +82,21 @@ type t = {
   catalog : Relalg.Catalog.t;
   cluster : Scost.Cluster.t;
   config : Cse.Config.t;
-  max_seconds : float option;
+  max_tasks : int option;
   cache : Plan_cache.t;
   exec : Sexec.Engine.t;
   mutable pending : (string * string * string) list;
       (* (id, tenant, text), reversed *)
 }
 
-let create ?(config = Cse.Config.default) ?max_seconds
+let create ?(config = Cse.Config.default) ?max_tasks
     ?(cluster = Scost.Cluster.default) ?(workers = 1) ?batch_size ?faults
     (catalog : Relalg.Catalog.t) =
   {
     catalog;
     cluster;
     config;
-    max_seconds;
+    max_tasks;
     cache = Plan_cache.create ();
     exec =
       Sexec.Engine.create ~workers ?batch_size ?faults
@@ -124,13 +125,10 @@ let catalog_bump t =
   Sobs.Metrics.bump (metrics t) "serve.cache_invalidations" ~by:purged;
   purged
 
-(* A fresh budget per optimization: budgets are mutable task/time
-   accumulators, so sharing one across pipeline runs would starve later
-   scripts. *)
+(* A fresh budget per optimization: budgets are mutable task counters,
+   so sharing one across pipeline runs would starve later scripts. *)
 let budget t =
-  Option.map
-    (fun max_seconds -> Sopt.Budget.create ~max_seconds ())
-    t.max_seconds
+  Option.map (fun max_tasks -> Sopt.Budget.create ~max_tasks ()) t.max_tasks
 
 let describe = function
   | Failure m -> m
@@ -234,14 +232,18 @@ type classified = {
   c_opt_s : float;  (* wall seconds spent classifying (parse .. optimize) *)
 }
 
-let result_of ~combined (c : classified) outputs =
+(* [combined] is the combined run's report when its plan gave
+   [outputs]; otherwise the cache entry's plan did. *)
+let result_of ?combined (c : classified) outputs =
   let e = c.c_entry in
+  let ran = Option.value combined ~default:e.Plan_cache.report in
   {
     id = c.c_id;
     fingerprint = Some e.Plan_cache.fingerprint;
-    status = Done { cache_hit = c.c_hit; combined };
+    status = Done { cache_hit = c.c_hit; combined = combined <> None };
     conventional_cost = e.Plan_cache.report.Cse.Pipeline.conventional_cost;
     cse_cost = e.Plan_cache.report.Cse.Pipeline.cse_cost;
+    budget_exhausted = ran.Cse.Pipeline.budget_exhausted;
     outputs;
     rows =
       List.fold_left
@@ -367,11 +369,11 @@ let flush t : batch_result option =
                 in
                 Some (report, shares, per_session, combined_wall))
     in
-    let combined_outputs =
-      match combined_info with Some (_, _, per, _) -> per | None -> []
-    in
-    let combined_wall =
-      match combined_info with Some (_, _, _, w) -> w | None -> 0.0
+    (* the combined run's report, wall and outputs for a session it
+       served *)
+    let shared c =
+      Option.bind combined_info (fun (report, _, per, wall) ->
+          Option.map (fun outs -> (report, wall, outs)) (List.assq_opt c per))
     in
     (* One latency observation and one served/rows/bytes accounting per
        executed session: end-to-end seconds (classification plus the
@@ -407,14 +409,14 @@ let flush t : batch_result option =
                 status = Failed msg;
                 conventional_cost = 0.0;
                 cse_cost = 0.0;
+                budget_exhausted = false;
                 outputs = [];
                 rows = 0;
               }
           | Ok c -> (
-              match List.assq_opt c combined_outputs with
-              | Some outs ->
-                  note_served c `Share combined_wall
-                    (result_of ~combined:true c outs)
+              match shared c with
+              | Some (report, wall, outs) ->
+                  note_served c `Share wall (result_of ~combined:report c outs)
               | None ->
                   (* cache hits, within-batch duplicates, single miss, or
                      combined-run fallback: run the cached solo plan *)
@@ -427,7 +429,7 @@ let flush t : batch_result option =
                   note_served c
                     (if c.c_hit then `Hit else `Miss)
                     t.exec.Sexec.Engine.last_wall
-                    (result_of ~combined:false c outs)))
+                    (result_of c outs)))
         classified
     in
     (* occupancy gauges reflect the cache as of the end of this flush *)

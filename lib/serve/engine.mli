@@ -35,6 +35,9 @@ type session_result = {
   status : status;
   conventional_cost : float;  (** solo estimate from the cache entry *)
   cse_cost : float;
+  budget_exhausted : bool;
+      (** the budget cut the optimization whose plan gave [outputs]:
+          the cache entry's, or the combined run's *)
   outputs : (string * Relalg.Table.t) list;  (** statement order *)
   rows : int;  (** total rows across outputs *)
 }
@@ -69,16 +72,17 @@ val exec_summary : Sexec.Engine.t -> Cse.Pipeline.exec_summary
 type t
 
 (** [create catalog] builds an engine with an empty cache and a
-    persistent executor.  [max_seconds] bounds each optimization with
-    a fresh budget (budgets are mutable and cannot be shared across
-    runs).  [workers]/[batch_size] configure the executor's domain pool
+    persistent executor.  [max_tasks] caps each optimization with a
+    fresh task budget ({!Sopt.Budget}; budgets are mutable and cannot
+    be shared across runs), so a cached plan is the one any engine with
+    the same cap would find.  [workers]/[batch_size] configure the executor's domain pool
     and columnar batch granularity.  [faults] injects deterministic
     partition losses into every executor run (recovery drills;
     exhaustion propagates out of {!flush} so the caller can dump the
     flight recorder). *)
 val create :
   ?config:Cse.Config.t ->
-  ?max_seconds:float ->
+  ?max_tasks:int ->
   ?cluster:Scost.Cluster.t ->
   ?workers:int ->
   ?batch_size:int ->

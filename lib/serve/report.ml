@@ -121,6 +121,7 @@ let session (r : Engine.session_result) =
           ("combined", Sobs.Json.Bool combined);
           ("conventional_cost", num r.Engine.conventional_cost);
           ("cse_cost", num r.Engine.cse_cost);
+          ("budget_exhausted", Sobs.Json.Bool r.Engine.budget_exhausted);
           ("outputs", int (List.length r.Engine.outputs));
           ("rows", int r.Engine.rows);
         ])

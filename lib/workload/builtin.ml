@@ -1,18 +1,12 @@
 (* The builtin workloads: Figure 6's S1-S4, the Section VIII-A pair (IND)
-   and the large scripts LS1/LS2, each with the catalog and the Section IX
-   budget the evaluation runs it under. *)
+   and the large scripts LS1/LS2, each with the catalog the evaluation
+   runs it under. *)
 
-type t = {
-  name : string;
-  script : string;
-  catalog : unit -> Relalg.Catalog.t;
-  budget_seconds : float option;
-}
+type t = { name : string; script : string; catalog : unit -> Relalg.Catalog.t }
 
-let small name script =
-  { name; script; catalog = Relalg.Catalog.default; budget_seconds = None }
+let paper name script = { name; script; catalog = Relalg.Catalog.default }
 
-let large (spec : Large_gen.spec) budget =
+let large (spec : Large_gen.spec) =
   let script = Large_gen.generate spec in
   let catalog () =
     let c = Relalg.Catalog.default () in
@@ -20,18 +14,18 @@ let large (spec : Large_gen.spec) budget =
       ~filler_rows:spec.Large_gen.filler_rows c script;
     c
   in
-  { name = spec.Large_gen.name; script; catalog; budget_seconds = Some budget }
+  { name = spec.Large_gen.name; script; catalog }
 
-let all =
+let small =
   [
-    small "S1" Paper_scripts.s1;
-    small "S2" Paper_scripts.s2;
-    small "S3" Paper_scripts.s3;
-    small "S4" Paper_scripts.s4;
-    small "IND" Paper_scripts.independent_pair;
-    large Large_gen.ls1_spec 30.0;
-    large Large_gen.ls2_spec 60.0;
+    paper "S1" Paper_scripts.s1;
+    paper "S2" Paper_scripts.s2;
+    paper "S3" Paper_scripts.s3;
+    paper "S4" Paper_scripts.s4;
+    paper "IND" Paper_scripts.independent_pair;
   ]
+
+let all = small @ [ large Large_gen.ls1_spec; large Large_gen.ls2_spec ]
 
 let find name =
   let name = String.uppercase_ascii name in

@@ -22,6 +22,11 @@ one_line() {
 one_line '^scopeopt: fault recovery exhausted: stage [0-9]+ used up its attempt budget after [0-9]+ attempt\(s\)$' \
   "$B" run -b S1 --inject-faults 1 --fault-rate 0.9
 one_line . "$B" serve --gen 3 --stats-file /nonexistent/dir/s.json
+# a budget is a non-negative whole number of tasks
+one_line '^scopeopt: --budget: expected a non-negative number of tasks, got "-5"$' \
+  "$B" optimize -b S1 --budget=-5
+one_line '^scopeopt: --budget: expected a non-negative number of tasks, got "1.5"$' \
+  "$B" optimize -b S1 --budget 1.5
 # a directory given as the script, the trace or the stream
 for cmd in optimize lint check-trace serve; do
   one_line 'Is a directory' "$B" "$cmd" .

@@ -37,8 +37,6 @@ ALLOW = {
     'Diag.entry.describe': 'mutation corpus: the catalog entry behind Diag.find_entry',
     'Intern.map.tail': 'the interner\'s private link to a map\'s extensions',
     'Phase2.state.si': 'read through Phase2.shared_info, which fails before phase 1 has set it',
-    'Budget.t.max_tasks': STATE,
-    'Budget.t.started': STATE,
     'Engine.t.faults': STATE,
     'Engine.t.extract_mu': STATE,
     'Engine.t.extract_cache': STATE,

@@ -4,9 +4,8 @@
 # Usage: sh trace_smoke.sh SCOPEOPT
 set -e
 for w in S1 S2 S3 S4 IND LS1 LS2; do
-  case $w in LS*) budget="--budget 10" ;; *) budget= ;; esac
-  echo "== scopeopt run --builtin $w --workers 4 $budget --trace trace-$w.json"
-  "$1" run --builtin "$w" --workers 4 $budget --trace "trace-$w.json"
+  echo "== scopeopt run --builtin $w --workers 4 --trace trace-$w.json"
+  "$1" run --builtin "$w" --workers 4 --trace "trace-$w.json"
   "$1" check-trace "trace-$w.json"
 done
 # under --json, stdout must hold the report alone, even when a trace is

@@ -150,8 +150,7 @@ let prop_columns_rename =
 
 let ls_report name =
   let script, catalog = Thelpers.builtin name in
-  let budget = Sopt.Budget.create ~max_seconds:30.0 () in
-  Cse.Pipeline.run ~budget ~catalog script
+  Cse.Pipeline.run ~catalog script
 
 let test_ls1_plan_valid () =
   let r = ls_report "LS1" in

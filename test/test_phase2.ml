@@ -138,12 +138,27 @@ let test_budget_cuts_rounds () =
   Alcotest.(check int) "no rounds" 0 r.Cse.Pipeline.rounds_executed;
   Thelpers.assert_valid_plan "budgeted" r.Cse.Pipeline.cse_plan
 
+(* A task cap halfway between the zero-round run's work and the full
+   run's cuts phase 2 part-way, and the budget reads no clock: a rerun
+   under the same cap gives the same plan. *)
 let test_budget_partial_rounds () =
-  let unbounded = Thelpers.pipeline Sworkload.Paper_scripts.s4 in
-  let budget = Sopt.Budget.create ~max_seconds:0.02 () in
-  let r = Thelpers.pipeline ~budget Sworkload.Paper_scripts.s4 in
-  Alcotest.(check bool) "fewer rounds than unbounded" true
-    (r.Cse.Pipeline.rounds_executed <= unbounded.Cse.Pipeline.rounds_executed);
+  let s4 = Sworkload.Paper_scripts.s4 in
+  let capped max_tasks =
+    let budget = Sopt.Budget.create ?max_tasks () in
+    let r = Thelpers.pipeline ~budget s4 in
+    (r, budget.Sopt.Budget.tasks)
+  in
+  let _, zero_round = capped (Some 0) and unbounded, full = capped None in
+  let cap = (zero_round + full) / 2 in
+  let r, _ = capped (Some cap) and rerun, _ = capped (Some cap) in
+  Alcotest.(check bool) "some but strictly fewer rounds than unbounded" true
+    (r.Cse.Pipeline.rounds_executed > 0
+    && r.Cse.Pipeline.rounds_executed < unbounded.Cse.Pipeline.rounds_executed);
+  Alcotest.(check bool) "truncated" true r.Cse.Pipeline.budget_exhausted;
+  let plan (r : Cse.Pipeline.report) =
+    Fmt.str "%a" Sphys.Plan_pp.pp r.Cse.Pipeline.cse_plan
+  in
+  Alcotest.(check string) "identical plan on rerun" (plan r) (plan rerun);
   Thelpers.assert_valid_plan "partial" r.Cse.Pipeline.cse_plan;
   Alcotest.(check bool) "still no costlier than phase 1" true
     (r.Cse.Pipeline.cse_cost

@@ -561,6 +561,87 @@ let test_generator_replay () =
   Alcotest.(check bool) "cross-script sharing happened" true
     (total e "cross_script_shares" >= 1)
 
+(* --- task budgets ------------------------------------------------------------- *)
+
+(* A task budget reads no clock, so a capped plan is a function of the
+   script, the catalog and the cap: two engines under one cap serve a
+   stream identically, and a cache hit serves the very plan a fresh
+   capped optimization of its normalized text finds, truncated or not. *)
+let test_budgeted_serve_deterministic () =
+  let stream = Sworkload.Session_gen.generate ~seed:7 ~scripts:20 () in
+  let plan (r : Cse.Pipeline.report) =
+    Fmt.str "%a" Sphys.Plan_pp.pp r.Cse.Pipeline.cse_plan
+  in
+  let serve max_tasks =
+    let e = E.create ~max_tasks (Sworkload.Session_gen.catalog ()) in
+    let pending = ref [] and batches = ref [] and truncated = ref 0 in
+    let check_hit text (r : E.session_result) =
+      let catalog = E.catalog e in
+      let text = norm_text text in
+      let entry =
+        Option.get
+          (PC.find (E.cache e) ~catalog_version:(Catalog.version catalog) text)
+      in
+      let fresh =
+        Cse.Pipeline.run
+          ~budget:(Sopt.Budget.create ~max_tasks ())
+          ~catalog text
+      in
+      Alcotest.(check string) (r.E.id ^ ": hit plan = fresh capped plan")
+        (plan fresh)
+        (plan entry.PC.report);
+      Alcotest.(check (float 0.0)) (r.E.id ^ ": hit cost = fresh capped cost")
+        fresh.Cse.Pipeline.cse_cost r.E.cse_cost
+    in
+    let flush () =
+      Option.iter
+        (fun b ->
+          List.iter2
+            (fun text (r : E.session_result) ->
+              if r.E.budget_exhausted then incr truncated;
+              match r.E.status with
+              | E.Done { cache_hit; combined } ->
+                  if cache_hit then check_hit text r;
+                  batches :=
+                    Printf.sprintf "%s %b %b %b %h %h %d %s" r.E.id cache_hit
+                      combined r.E.budget_exhausted r.E.conventional_cost
+                      r.E.cse_cost r.E.rows (table_bytes r.E.outputs)
+                    :: !batches
+              | E.Failed m -> Alcotest.failf "session %s failed: %s" r.E.id m)
+            (List.rev !pending) b.E.results;
+          pending := [];
+          batches := List.rev_append (List.map plan b.E.reports) !batches)
+        (E.flush e)
+    in
+    List.iter
+      (function
+        | S.Script { id; text } ->
+            pending := text :: !pending;
+            E.submit e ~id ~text
+        | S.Flush -> flush ()
+        | S.Catalog_bump ->
+            flush ();
+            ignore (E.catalog_bump e)
+        | _ -> ())
+      (S.items_of_string stream);
+    flush ();
+    (List.rev !batches, E.totals e, !truncated)
+  in
+  List.iter
+    (fun max_tasks ->
+      let results, totals, truncated = serve max_tasks in
+      let results', totals', _ = serve max_tasks in
+      let label = Printf.sprintf "cap %d: " max_tasks in
+      Alcotest.(check (list string)) (label ^ "identical results and plans")
+        results results';
+      Alcotest.(check (list (pair string int))) (label ^ "identical totals")
+        totals totals';
+      Alcotest.(check bool) (label ^ "some session truncated") true
+        (truncated > 0);
+      Alcotest.(check bool) (label ^ "cache hits happened") true
+        (List.assoc "cache_hits" totals > 0))
+    [ 0; 8 ]
+
 (* --- the run report --------------------------------------------------------- *)
 
 let member_path doc path =
@@ -739,6 +820,11 @@ let () =
             test_driver_protocol_error;
           Alcotest.test_case "unwritable stats file" `Quick
             test_driver_unwritable_stats;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "capped serve is deterministic" `Quick
+            test_budgeted_serve_deterministic;
         ] );
       ( "report",
         [

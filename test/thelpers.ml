@@ -2,13 +2,12 @@
 
 let default_catalog () = Relalg.Catalog.default ()
 
-(* The registry's builtins with no Section IX budget (S1-S4 and IND) as
-   (name, script) pairs; their catalog is the default one. *)
+(* The registry's small builtins (S1-S4 and IND) as (name, script)
+   pairs; their catalog is the default one. *)
 let small_builtins =
-  List.filter_map
-    (fun (w : Sworkload.Builtin.t) ->
-      if w.budget_seconds = None then Some (w.name, w.script) else None)
-    Sworkload.Builtin.all
+  List.map
+    (fun (w : Sworkload.Builtin.t) -> (w.name, w.script))
+    Sworkload.Builtin.small
 
 (* A builtin's script and a fresh catalog, from the registry. *)
 let builtin name =
